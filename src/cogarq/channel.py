@@ -8,20 +8,24 @@ module computes:
   (closed form),
 - the joint-decoding outcome of a secondary slot at the secondary receiver
   (five-way classification of the (gamma_s, gamma_ps) plane),
+- the exact probability that the secondary receiver decodes the secondary
+  message (closed form over the same decode region),
 - the fading-averaged probabilities and per-slot expected throughputs that
   drive the access-policy optimization (`LinkStats`), mixing closed forms
   with seeded Monte Carlo for the two-dimensional region probabilities,
-- single-variable rate optimization by grid-seeded golden-section search.
+- single-variable rate optimization by grid-seeded golden-section search on
+  closed-form throughputs, so derived rates depend on no seed.
 
-Monte Carlo draws come from one `numpy` PCG64 stream; chunks are drawn
-sequentially from that stream, so results are a deterministic function of
-(params, mc_samples, seed).
+Monte Carlo draws (in `link_stats` only) come from one `numpy` PCG64
+stream; chunks are drawn sequentially from that stream, so the statistics
+are a deterministic function of (params, mc_samples, seed).
 """
 
 from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass, asdict
 
 import numpy as np
@@ -71,6 +75,16 @@ class SystemParams:
     power_ratio: float
 
     def __post_init__(self):
+        for name in ("deadline_D", "buffer_B"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value,
+                                                         numbers.Integral):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+        for name in ("mean_snr_s", "mean_snr_p", "mean_snr_sp", "mean_snr_ps",
+                     "rate_p", "rate_su", "rate_sk", "eps_pu", "power_ratio"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value!r}")
         if min(self.mean_snr_s, self.mean_snr_p, self.mean_snr_sp,
                self.mean_snr_ps) < 0:
             raise ValueError("mean SNRs must be nonnegative")
@@ -172,8 +186,9 @@ class RegionClassifier:
     of primary interference (the clean-channel constraint still holds) is
     buffered for later interference-cancellation recovery.
 
-    The same threshold constants serve the scalar per-slot path and the
-    vectorized Monte Carlo path, so every consumer classifies identically.
+    The same threshold constants serve the scalar per-slot path, the
+    vectorized Monte Carlo path and the exact decode probability, so every
+    consumer classifies identically.
     Boundary ties follow the non-strict inequalities of the defining
     regions; under continuous fading they have measure zero.
     """
@@ -197,6 +212,42 @@ class RegionClassifier:
         in_gs = mac | su_alone
         buffered = ~in_gp & ~in_gs & (snr_s >= self.thr_su)
         return in_gp, in_gs, buffered
+
+    def su_decode_probability(self, mean_snr_s: float,
+                              mean_snr_ps: float) -> float:
+        """Exact Pr(su_decodable) under Rayleigh fading on both links.
+
+        With a = thr_su and b = thr_p, the region of `masks` splits along
+        snr_ps into three parts, each an exponential integral:
+
+        - secondary alone, snr_ps < b and snr_s >= a (1 + snr_ps);
+        - both, sum-rate constraint binding, b <= snr_ps < b (1 + a) and
+          snr_s >= thr_sum - snr_ps;
+        - both, sum-rate constraint slack, snr_ps >= b (1 + a) and
+          snr_s >= a.
+
+        Every exponent is kept nonpositive, so no term overflows anywhere
+        in the rate bracket.
+        """
+        if mean_snr_s <= 0 or mean_snr_ps < 0:
+            raise ValueError("mean_snr_s must be positive and mean_snr_ps "
+                             "nonnegative")
+        a, b = self.thr_su, self.thr_p
+        u = 1.0 / mean_snr_s
+        if mean_snr_ps == 0.0:
+            return math.exp(-a * u)
+        v = 1.0 / mean_snr_ps
+        kappa = v + a * u
+        alone = math.exp(-a * u) * -math.expm1(-kappa * b) * v / kappa
+        # v (e^e_near - e^e_far) / m: the two exponents differ by m a b,
+        # and the quotient tends to v a b e^e_near as m -> 0.
+        m = v - u
+        e_near = -b * v - a * (1.0 + b) * u
+        e_far = -b * (1.0 + a) * v - a * u
+        gap = abs(m) * a * b
+        ratio = -math.expm1(-gap) / abs(m) if gap > 0.0 else a * b
+        binding = math.exp(max(e_near, e_far)) * ratio * v
+        return alone + binding + math.exp(e_far)
 
     def label(self, snr_s: float, snr_ps: float) -> str:
         """Scalar five-way classification of one (snr_s, snr_ps) draw."""
@@ -348,14 +399,11 @@ def _golden_max(f, lo: float, hi: float, tol: float, n_grid: int = 65) -> float:
     return 0.5 * (a + b)
 
 
-def optimize_rate(objective: str, params: SystemParams,
-                  mc_samples: int = 10 ** 6, seed: int = 1234) -> float:
+def optimize_rate(objective: str, params: SystemParams) -> float:
     """Find the rate maximizing one of the three per-slot throughputs.
 
-    The interfered secondary objective is evaluated against one fixed set
-    of Monte Carlo draws (common random numbers across evaluations), which
-    is equivalent to re-running `link_stats` with the same seed for every
-    candidate rate.
+    Each objective is the rate times an exact decode probability; the
+    interfered secondary one uses `RegionClassifier.su_decode_probability`.
     """
     lo, hi = RATE_BRACKET
     if objective == PU_IDLE_THROUGHPUT:
@@ -373,20 +421,11 @@ def optimize_rate(objective: str, params: SystemParams,
     if objective == SU_INTERFERED_THROUGHPUT:
         if params.mean_snr_s <= 0:
             raise ValueError("mean_snr_s must be positive")
-        rng = np.random.default_rng(seed)
-        gs_chunks, gps_chunks = [], []
-        remaining = mc_samples
-        while remaining > 0:       # same chunked draw order as link_stats
-            m = min(_MC_CHUNK, remaining)
-            gs_chunks.append(rng.exponential(params.mean_snr_s, m))
-            gps_chunks.append(rng.exponential(params.mean_snr_ps, m))
-            remaining -= m
-        gs = np.concatenate(gs_chunks)
-        gps = np.concatenate(gps_chunks)
 
         def t_su_of(r: float) -> float:
-            _, in_gs, _ = RegionClassifier(r, params.rate_p).masks(gs, gps)
-            return r * float(in_gs.mean())
+            cls = RegionClassifier(r, params.rate_p)
+            return r * cls.su_decode_probability(params.mean_snr_s,
+                                                 params.mean_snr_ps)
 
         return _golden_max(t_su_of, lo, hi, RATE_TOL)
     raise ValueError(f"unknown objective {objective!r}")

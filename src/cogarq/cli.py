@@ -12,7 +12,9 @@ Subcommands:
 - ``sweep``: scheme-comparison sweep as CSV.
 
 Config files are JSON objects mirroring the SystemParams field names, plus
-an optional ``rate_policy`` of RSU_STAR (default), RSU_EQ_RSK, or EXPLICIT.
+an optional ``rate_policy`` of RSU_STAR (default), RSU_EQ_RSK, or EXPLICIT;
+any other key is rejected. Derived rates are exact; ``--mc-samples`` and
+``--seed`` drive the Monte-Carlo link statistics and the simulator only.
 Errors exit nonzero with a one-line JSON diagnostic on stderr.
 """
 
@@ -21,7 +23,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, fields
 
 from .channel import SystemParams, link_stats
 from .experiments import (SWEEP_KINDS, Scenario, derive_rates, rows_to_csv,
@@ -33,11 +35,17 @@ from .simulator import SimConfig, run
 
 DEFAULT_MC = 10 ** 6
 DEFAULT_SEED = 1234
+CONFIG_KEYS = frozenset(f.name for f in fields(SystemParams)) | {"rate_policy"}
 
 
 def _load_scenario(path: str):
     with open(path) as fh:
         obj = json.load(fh)
+    if not isinstance(obj, dict):
+        raise ValueError("config must be a JSON object")
+    unknown = sorted(set(obj) - CONFIG_KEYS)
+    if unknown:
+        raise ValueError(f"unknown config keys: {', '.join(unknown)}")
     rate_policy = obj.pop("rate_policy", "RSU_STAR")
     # Placeholder rates keep the config small when they are to be derived.
     for key in ("rate_p", "rate_su", "rate_sk"):
@@ -58,7 +66,7 @@ def _emit(text: str, out: str | None) -> None:
 
 def _prepared(args):
     params, rate_policy = _load_scenario(args.config)
-    params = derive_rates(params, rate_policy, args.mc_samples, args.seed)
+    params = derive_rates(params, rate_policy)
     stats = link_stats(params, max(args.mc_samples, 10 ** 5), args.seed)
     return params, stats
 
@@ -90,7 +98,7 @@ def _cmd_solve(args) -> int:
 
 def _cmd_simulate(args) -> int:
     params, rate_policy = _load_scenario(args.config)
-    params = derive_rates(params, rate_policy, args.mc_samples, args.seed)
+    params = derive_rates(params, rate_policy)
     with open(args.policy_file) as fh:
         policy = policy_from_json_obj(json.load(fh))
     config = SimConfig(params=params, policy=policy, num_slots=args.slots,

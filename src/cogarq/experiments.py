@@ -11,10 +11,12 @@ Four access schemes are compared at a common access-rate budget:
 - PM_KNOWN: idealized bound with the primary message known in advance,
   earning the clean-channel throughput per access.
 
-Sweeps re-derive transmission rates per grid point as dictated by the rate
-policy, recompute link statistics, evaluate all four schemes, and emit one
-row per (grid point, scheme) with per-row error capture so a failing point
-does not abort the sweep.
+Sweeps derive transmission rates as dictated by the rate policy, compute
+link statistics, evaluate all four schemes, and emit one row per (grid
+point, scheme) with per-row error capture so a failing point does not
+abort the sweep. Kinds whose grid leaves every channel input unchanged
+(TS_VS_TP, DEADLINE) compute rates and statistics once per sweep; the
+others recompute them at each point.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from __future__ import annotations
 import csv
 import io
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import List, Optional, Sequence, Tuple
 
 from .channel import (LinkStats, PU_IDLE_THROUGHPUT, SU_CLEAN_THROUGHPUT,
                       SU_INTERFERED_THROUGHPUT, SystemParams, link_stats,
@@ -47,6 +49,8 @@ GPS_RATIO = "GPS_RATIO"
 RSU_RATIO = "RSU_RATIO"
 DEADLINE = "DEADLINE"
 SWEEP_KINDS = (TS_VS_TP, GSP_RATIO, GPS_RATIO, RSU_RATIO, DEADLINE)
+# Kinds whose grid changes no input of derive_rates or link_stats.
+FIXED_CHANNEL_KINDS = (TS_VS_TP, DEADLINE)
 
 CSV_COLUMNS = ("x", "scheme", "t_s_bar", "w_s_bar", "t_p_bar", "error")
 
@@ -64,9 +68,12 @@ class Scenario:
             raise ValueError(f"unknown scheme {self.scheme!r}")
 
 
-def derive_rates(params: SystemParams, rate_policy: str,
-                 mc_samples: int = 10 ** 6, seed: int = 1234) -> SystemParams:
-    """Replace the rates in ``params`` according to the rate policy."""
+def derive_rates(params: SystemParams, rate_policy: str) -> SystemParams:
+    """Replace the rates in ``params`` according to the rate policy.
+
+    Every derived rate maximizes a closed-form throughput, so the result
+    is exact and depends on no seed.
+    """
     if rate_policy == EXPLICIT:
         return params
     rate_p = optimize_rate(PU_IDLE_THROUGHPUT, params)
@@ -74,8 +81,7 @@ def derive_rates(params: SystemParams, rate_policy: str,
     with_rp = params.replace(rate_p=rate_p, rate_sk=rate_sk)
     if rate_policy == RSU_EQ_RSK:
         return with_rp.replace(rate_su=rate_sk)
-    rate_su = optimize_rate(SU_INTERFERED_THROUGHPUT, with_rp,
-                            mc_samples=mc_samples, seed=seed)
+    rate_su = optimize_rate(SU_INTERFERED_THROUGHPUT, with_rp)
     return with_rp.replace(rate_su=rate_su)
 
 
@@ -100,7 +106,7 @@ def evaluate_scheme(scenario: Scenario, eps_w: float,
     """
     params = scenario.params
     if stats is None:
-        params = derive_rates(params, scenario.rate_policy, mc_samples, seed)
+        params = derive_rates(params, scenario.rate_policy)
         stats = link_stats(params, max(mc_samples, 10 ** 5), seed)
     if scenario.scheme == NO_IC:
         return _bound_metrics(stats.t_su, eps_w, stats)
@@ -132,6 +138,18 @@ def _point_params(kind: str, base: Scenario, x: float) -> SystemParams:
     raise ValueError(f"unknown sweep kind {kind!r}")
 
 
+def _point_channel(kind: str, params: SystemParams, x: float,
+                   rate_policy: str, mc_samples: int,
+                   seed: int) -> Tuple[SystemParams, LinkStats]:
+    """Derived params and link statistics at one grid point."""
+    if kind == RSU_RATIO:
+        derived = derive_rates(params, RSU_EQ_RSK)
+        params = derived.replace(rate_su=x * derived.rate_sk)
+        rate_policy = EXPLICIT
+    params = derive_rates(params, rate_policy)
+    return params, link_stats(params, max(mc_samples, 10 ** 5), seed)
+
+
 def sweep(kind: str, base: Scenario, grid: Sequence[float],
           mc_samples: int = 10 ** 6, seed: int = 1234) -> List[dict]:
     """Evaluate all four schemes along one parameter grid.
@@ -140,7 +158,7 @@ def sweep(kind: str, base: Scenario, grid: Sequence[float],
     one grid point is recorded in its rows' error field and the sweep
     continues. For TS_VS_TP the grid is the access budget itself; for the
     other kinds the budget comes from the scenario's constraints at each
-    point.
+    point. ``mc_samples`` and ``seed`` drive `link_stats` only.
     """
     if kind not in SWEEP_KINDS:
         raise ValueError(f"unknown sweep kind {kind!r}")
@@ -150,41 +168,33 @@ def sweep(kind: str, base: Scenario, grid: Sequence[float],
         raise ValueError("grid must be monotone nondecreasing")
 
     rows: List[dict] = []
-    rate_cache: Dict[tuple, SystemParams] = {}
+    channel = paths = None
     for x in grid:
         try:
-            params = _point_params(kind, base, x)
-            if kind == RSU_RATIO:
-                derived = derive_rates(params, RSU_EQ_RSK, mc_samples, seed)
-                params = derived.replace(rate_su=x * derived.rate_sk)
-                rate_policy = EXPLICIT
-            else:
-                rate_policy = base.rate_policy
-            cache_key = (params.mean_snr_s, params.mean_snr_p,
-                         params.mean_snr_ps, params.rate_su, params.rate_p,
-                         params.rate_sk, rate_policy)
-            if cache_key in rate_cache:
-                r_p, r_su, r_sk = rate_cache[cache_key]
-                params = params.replace(rate_p=r_p, rate_su=r_su,
-                                        rate_sk=r_sk)
-            else:
-                params = derive_rates(params, rate_policy, mc_samples, seed)
-                rate_cache[cache_key] = (params.rate_p, params.rate_su,
-                                         params.rate_sk)
-            stats = link_stats(params, max(mc_samples, 10 ** 5), seed)
+            point = _point_params(kind, base, x)
+            if channel is None or kind not in FIXED_CHANNEL_KINDS:
+                channel = _point_channel(kind, point, x, base.rate_policy,
+                                         mc_samples, seed)
+            params, stats = channel
+            deadline = point.deadline_D
+            params = params.replace(deadline_D=deadline,
+                                    buffer_B=point.buffer_B)
             if kind == TS_VS_TP:
                 eps_w = float(x)
             else:
                 eps_w = access_rate_budget(stats, params.eps_pu,
                                            params.power_ratio)
-            deadline = params.deadline_D
-            path_full = greedy_policy_path(stats, deadline, deadline - 1)
-            path_nobuf = greedy_policy_path(stats, deadline, 0)
+            # TS_VS_TP varies only the budget, so one pair of paths serves
+            # every point.
+            if paths is None or kind != TS_VS_TP:
+                paths = {FIC_BIC: greedy_policy_path(stats, deadline,
+                                                     deadline - 1),
+                         FIC_ONLY: greedy_policy_path(stats, deadline, 0)}
             for scheme in SCHEMES:
                 scen = Scenario(params=params, rate_policy=EXPLICIT,
                                 scheme=scheme)
-                path = {FIC_BIC: path_full, FIC_ONLY: path_nobuf}.get(scheme)
-                m = evaluate_scheme(scen, eps_w, stats=stats, path=path)
+                m = evaluate_scheme(scen, eps_w, stats=stats,
+                                    path=paths.get(scheme))
                 rows.append({"x": x, "scheme": scheme, "t_s_bar": m.t_s_bar,
                              "w_s_bar": m.w_s_bar, "t_p_bar": m.t_p_bar,
                              "error": ""})

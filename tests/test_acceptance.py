@@ -38,8 +38,7 @@ def _derived_params() -> SystemParams:
         rate_p = optimize_rate(PU_IDLE_THROUGHPUT, base)
         rate_sk = optimize_rate(SU_CLEAN_THROUGHPUT, base)
         rate_su = optimize_rate(SU_INTERFERED_THROUGHPUT,
-                                base.replace(rate_p=rate_p),
-                                mc_samples=10 ** 6, seed=12345)
+                                base.replace(rate_p=rate_p))
         _CACHE["params"] = base.replace(rate_p=rate_p, rate_su=rate_su,
                                         rate_sk=rate_sk)
     return _CACHE["params"]

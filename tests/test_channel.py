@@ -2,11 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cogarq import (BOTH_DECODED, BUFFERED, LOST, PU_IDLE_THROUGHPUT, PU_ONLY,
                     SU_CLEAN_THROUGHPUT, SU_INTERFERED_THROUGHPUT, SU_ONLY,
-                    LinkStats, RegionClassifier, link_stats, optimize_rate,
-                    outage_pp, region_membership)
+                    LinkStats, RegionClassifier, SystemParams, link_stats,
+                    optimize_rate, outage_pp, region_membership)
+from cogarq.channel import RATE_BRACKET, _mc_region_probs
 
 from support import table1_params
 
@@ -79,6 +81,81 @@ class TestRegionMembership:
     def test_negative_snr_rejected(self):
         with pytest.raises(ValueError):
             region_membership(-0.1, 1.0, 1.0, 1.0)
+
+
+@st.composite
+def decode_scenarios(draw):
+    """(mean_snr_s, mean_snr_ps, rate_p): the cross link dead, as strong as
+    the direct link (the sum-rate term's removable singularity), or random."""
+    snr_s = draw(st.floats(0.05, 50.0))
+    snr_ps = draw(st.one_of(st.just(0.0), st.just(snr_s),
+                            st.floats(0.05, 50.0)))
+    rate_p = draw(st.floats(0.05, 6.0))
+    return snr_s, snr_ps, rate_p
+
+
+# The whole bracket, with extra weight below 4 bits/s/Hz where the decode
+# probability is neither 0 nor 1 for most scenarios.
+RATES = st.one_of(st.floats(*RATE_BRACKET), st.floats(RATE_BRACKET[0], 4.0))
+
+
+class TestSuDecodeProbability:
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    @given(decode_scenarios(), RATES, RATES)
+    def test_finite_bounded_and_nonincreasing_in_rate(self, scenario, r1,
+                                                      r2):
+        snr_s, snr_ps, rate_p = scenario
+        lo, hi = sorted((r1, r2))
+        p_lo = RegionClassifier(lo, rate_p).su_decode_probability(snr_s,
+                                                                  snr_ps)
+        p_hi = RegionClassifier(hi, rate_p).su_decode_probability(snr_s,
+                                                                  snr_ps)
+        for p in (p_lo, p_hi):
+            assert math.isfinite(p) and 0.0 <= p <= 1.0
+        assert p_hi <= p_lo
+
+    @settings(max_examples=60, derandomize=True, deadline=None)
+    @given(decode_scenarios(), RATES)
+    def test_matches_monte_carlo(self, scenario, rate_su):
+        snr_s, snr_ps, rate_p = scenario
+        n = 10 ** 6
+        params = table1_params(mean_snr_s=snr_s, mean_snr_ps=snr_ps,
+                               rate_p=rate_p)
+        _, mc, _ = _mc_region_probs(params, rate_su, n, seed=21)
+        exact = RegionClassifier(rate_su, rate_p).su_decode_probability(
+            snr_s, snr_ps)
+        assert abs(exact - mc) <= 4 * math.sqrt(exact * (1 - exact) / n)
+
+    def test_dead_cross_link_is_clean_channel(self):
+        cls = RegionClassifier(1.12, 2.52)
+        assert cls.su_decode_probability(5.0, 0.0) == math.exp(
+            -(2.0 ** 1.12 - 1.0) / 5.0)
+
+    def test_rejects_nonpositive_direct_snr(self):
+        with pytest.raises(ValueError):
+            RegionClassifier(1.12, 2.52).su_decode_probability(0.0, 5.0)
+
+
+class TestSystemParamsValidation:
+    @pytest.mark.parametrize("field", ["mean_snr_s", "mean_snr_p",
+                                       "mean_snr_sp", "mean_snr_ps",
+                                       "rate_p", "rate_su", "rate_sk"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_rejected(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            table1_params(**{field: value})
+
+    @pytest.mark.parametrize("field,value", [("deadline_D", 5.5),
+                                             ("deadline_D", 5.0),
+                                             ("buffer_B", 1.5),
+                                             ("buffer_B", True)])
+    def test_non_integer_sizes_rejected(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            table1_params(**{field: value})
+
+    def test_numpy_integers_accepted(self):
+        p = table1_params(deadline_D=np.int64(3), buffer_B=np.int64(2))
+        assert isinstance(p, SystemParams)
 
 
 class TestLinkStats:
@@ -166,9 +243,15 @@ class TestOptimizeRate:
             1.91, abs=0.02)
 
     def test_su_interfered_rate(self, t1_params):
-        r = optimize_rate(SU_INTERFERED_THROUGHPUT, t1_params,
-                          mc_samples=10 ** 6, seed=12345)
+        r = optimize_rate(SU_INTERFERED_THROUGHPUT, t1_params)
         assert r == pytest.approx(1.12, abs=0.02)
+
+    def test_su_interfered_rate_exact(self, t1_params):
+        # with the derived primary rate, as derive_rates does
+        rate_p = optimize_rate(PU_IDLE_THROUGHPUT, t1_params)
+        r = optimize_rate(SU_INTERFERED_THROUGHPUT,
+                          t1_params.replace(rate_p=rate_p))
+        assert r == pytest.approx(1.1205, abs=1e-3)
 
     def test_unknown_objective(self, t1_params):
         with pytest.raises(ValueError):

@@ -31,6 +31,39 @@ def test_derive_params(config_file, tmp_path, capsys):
     assert 0 < obj["eps_w"] <= 1
 
 
+def test_derived_rates_ignore_the_seed(tmp_path):
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(dict(CONFIG, rate_policy="RSU_STAR")))
+    rates = []
+    for seed in ("1", "2"):
+        out = tmp_path / f"params_{seed}.json"
+        assert main(["derive-params", "--config", str(path), "--seed", seed,
+                     "--mc-samples", "100000", "--out", str(out)]) == 0
+        rates.append(json.loads(out.read_text())["params"]["rate_su"])
+    assert rates[0] == rates[1]
+
+
+@pytest.mark.parametrize("change", [
+    {"mean_snr_ps": float("nan")},
+    {"mean_snr_s": float("inf")},
+    {"rate_p": float("-inf")},
+    {"rate_su": float("nan")},
+    {"deadline_D": 5.5},
+    {"buffer_B": 1.5},
+    {"power_ratoi": 0.5},
+])
+def test_invalid_config_rejected(tmp_path, capsys, change):
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(dict(CONFIG, **change)))
+    rc = main(["solve", "--config", str(path), "--mc-samples", "100000"])
+    assert rc != 0
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    obj = json.loads(err)
+    assert obj["error"] == "ValueError"
+    assert next(iter(change)) in obj["message"]
+
+
 def test_solve_and_simulate(config_file, tmp_path):
     solved = tmp_path / "solved.json"
     rc = main(["solve", "--config", config_file, "--mc-samples", "200000",

@@ -2,8 +2,8 @@ import pytest
 
 from cogarq import (DEADLINE, EXPLICIT, FIC_BIC, FIC_ONLY, GSP_RATIO, NO_IC,
                     PM_KNOWN, RSU_EQ_RSK, RSU_RATIO, RSU_STAR, SCHEMES,
-                    TS_VS_TP, Scenario, derive_rates, evaluate_scheme,
-                    greedy_policy_path, sweep)
+                    TS_VS_TP, Scenario, access_rate_budget, derive_rates,
+                    evaluate_scheme, greedy_policy_path, link_stats, sweep)
 from cogarq.experiments import rows_to_csv
 
 from support import table1_params
@@ -70,8 +70,7 @@ class TestEvaluateScheme:
 
 class TestDeriveRates:
     def test_rsu_star(self):
-        p = derive_rates(table1_params(), RSU_STAR, mc_samples=400_000,
-                         seed=12345)
+        p = derive_rates(table1_params(), RSU_STAR)
         assert p.rate_p == pytest.approx(2.52, abs=0.02)
         assert p.rate_sk == pytest.approx(1.91, abs=0.02)
         assert p.rate_su == pytest.approx(1.12, abs=0.02)
@@ -148,6 +147,59 @@ class TestSweep:
         lines = text.strip().splitlines()
         assert lines[0] == "x,scheme,t_s_bar,w_s_bar,t_p_bar,error"
         assert len(lines) == 1 + len(SCHEMES)
+
+
+# Per sweep kind, the scenario parameters at grid point x.
+POINT_PARAMS = {
+    TS_VS_TP: lambda p, x: p,
+    DEADLINE: lambda p, x: p.replace(deadline_D=int(x), buffer_B=int(x) - 1),
+    GSP_RATIO: lambda p, x: p.replace(mean_snr_sp=x * p.mean_snr_p),
+}
+
+
+def _fresh_rows(kind, base, grid, mc_samples, seed):
+    """Reference sweep: every point derives its rates, link statistics and
+    greedy paths afresh."""
+    rows = []
+    for x in grid:
+        params = derive_rates(POINT_PARAMS[kind](base.params, x),
+                              base.rate_policy)
+        stats = link_stats(params, mc_samples, seed)
+        eps_w = (float(x) if kind == TS_VS_TP else
+                 access_rate_budget(stats, params.eps_pu, params.power_ratio))
+        for scheme in SCHEMES:
+            m = evaluate_scheme(Scenario(params=params, rate_policy=EXPLICIT,
+                                         scheme=scheme), eps_w, stats=stats)
+            rows.append({"x": x, "scheme": scheme, "t_s_bar": m.t_s_bar,
+                         "w_s_bar": m.w_s_bar, "t_p_bar": m.t_p_bar,
+                         "error": ""})
+    return rows
+
+
+class TestSweepEquivalence:
+    @pytest.mark.parametrize("kind,rate_policy,grid", [
+        (TS_VS_TP, EXPLICIT, [0.1, 0.5, 0.9]),
+        (TS_VS_TP, RSU_STAR, [0.0, 0.6]),
+        (DEADLINE, RSU_STAR, [1, 2, 3]),
+        (GSP_RATIO, EXPLICIT, [0.0, 0.25, 1.0]),
+    ])
+    def test_rows_equal_per_point_evaluation(self, kind, rate_policy, grid):
+        base = Scenario(params=table1_params(), rate_policy=rate_policy)
+        rows = sweep(kind, base, grid, mc_samples=200_000, seed=9)
+        assert rows == _fresh_rows(kind, base, grid, 200_000, 9)
+
+    def test_gsp_ratio_primary_throughput_follows_x(self):
+        # GSP_RATIO changes the secondary-to-primary gain, so each point
+        # needs its own statistics: with none, the primary keeps its idle
+        # throughput; with some, the constrained optimum gives up eps_pu
+        # of it. A sweep reusing the x = 0 channel would repeat row 0.
+        base = Scenario(params=table1_params(), rate_policy=EXPLICIT)
+        rows = sweep(GSP_RATIO, base, [0.0, 0.5], mc_samples=200_000)
+        t_p = {(r["x"], r["scheme"]): r["t_p_bar"] for r in rows}
+        idle = link_stats(table1_params(), 200_000).t_p_idle
+        for scheme in SCHEMES:
+            assert t_p[0.0, scheme] == pytest.approx(idle, abs=1e-9)
+            assert t_p[0.5, scheme] == pytest.approx(0.8 * idle, abs=1e-9)
 
 
 class TestScenarioValidation:
