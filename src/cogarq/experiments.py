@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import csv
 import io
+import math
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
@@ -164,6 +165,8 @@ def sweep(kind: str, base: Scenario, grid: Sequence[float],
         raise ValueError(f"unknown sweep kind {kind!r}")
     if len(grid) == 0:
         raise ValueError("grid must be nonempty")
+    if not all(math.isfinite(x) for x in grid):
+        raise ValueError("grid values must be finite")
     if any(b < a for a, b in zip(grid, grid[1:])):
         raise ValueError("grid must be monotone nondecreasing")
 

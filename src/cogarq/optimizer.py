@@ -9,10 +9,19 @@ activates idle states one at a time in decreasing order of access
 efficiency (marginal throughput per marginal access rate); the constrained
 optimum is then the walk's last policy or a one-state randomization
 between two consecutive walk policies.
+
+A state is visited at most once per renewal cycle, so the per-cycle
+reward, accesses and duration are affine in any one state's access
+probability; the walk's marginal quantities and the budget-meeting blend
+weight are therefore closed forms. The low-regime calibration stays a
+bisection: scaling every known-message probability at once also scales
+the chance that the known-message chain continues, so its access rate is
+not linear-fractional in the common probability.
 """
 
 from __future__ import annotations
 
+import bisect
 import json
 import math
 from dataclasses import dataclass
@@ -23,9 +32,10 @@ from .mdp import (ACCESS, ACTIVE, DURATION, IDLE, PHI_K, ROOT,
                   THROUGHPUT, CycleValues, NetState, Policy, PolicyMetrics,
                   cycle_values, enumerate_states, k_active_policy,
                   long_term_metrics, metrics_from_cycle_values,
-                  policy_to_json_obj, transition_row, validate_state)
+                  policy_to_json_obj, state_reward, transition_row,
+                  validate_state)
 
-W_SOLVE_TOL = 1e-13      # bisection target on the access rate
+W_SOLVE_TOL = 1e-13      # low-regime bisection target on the access rate
 K_START = "k_active"
 IDLE_START = "idle"
 
@@ -72,17 +82,6 @@ class PolicyPath:
         return json.dumps(self.to_json_obj(), indent=2)
 
 
-def _reward_derivative(state: NetState, stats: LinkStats, kind: str) -> float:
-    if kind == ACCESS:
-        return 1.0
-    if kind == DURATION:
-        return 0.0
-    if state.phi == PHI_K:
-        return stats.t_sk
-    return (stats.t_su
-            - (stats.q_ps_active - stats.q_ps_idle) * state.b * stats.rate_su)
-
-
 def cycle_derivatives(policy: Policy, state: NetState, stats: LinkStats,
                       deadline: int, buffer_size: int,
                       values: Optional[CycleValues] = None,
@@ -93,7 +92,8 @@ def cycle_derivatives(policy: Policy, state: NetState, stats: LinkStats,
     The attempt index increases strictly within a cycle, so a state is
     never revisited before the cycle ends and the downstream cycle values
     do not depend on this state's own access probability. The derivative
-    therefore has one-step form: derivative of the local reward plus the
+    therefore has one-step form: the local reward at access probability 1
+    minus that at 0 (exact, since `state_reward` is affine in it) plus the
     action-difference of the transition row weighted by the downstream
     values.
     """
@@ -105,9 +105,9 @@ def cycle_derivatives(policy: Policy, state: NetState, stats: LinkStats,
     drow: Dict[NetState, float] = dict(row_a)
     for s, p in row_i.items():
         drow[s] = drow.get(s, 0.0) - p
-    g_p = _reward_derivative(state, stats, THROUGHPUT)
-    v_p = _reward_derivative(state, stats, ACCESS)
-    d_p = _reward_derivative(state, stats, DURATION)
+    g_p, v_p, d_p = (state_reward(state, 1.0, stats, kind)
+                     - state_reward(state, 0.0, stats, kind)
+                     for kind in (THROUGHPUT, ACCESS, DURATION))
     for nxt, dp in drow.items():
         if nxt == ROOT:
             continue
@@ -181,17 +181,14 @@ def _k_scaled_policy(states: List[NetState], prob_k: float) -> Policy:
 
 
 def low_regime_policy(eps_w: float, eps_th: float, deadline: int,
-                      buffer_size: int,
-                      stats: Optional[LinkStats] = None) -> Policy:
+                      buffer_size: int, stats: LinkStats) -> Policy:
     """Optimal policy when the access budget does not exceed ``eps_th``.
 
-    Transmit only in known-message states, with one common probability.
-    With ``stats`` supplied, that probability is calibrated by bisection so
-    the long-term access rate equals ``eps_w`` exactly (each access then
-    earns the clean-channel throughput, so the optimum is attained with the
-    budget tight). Without ``stats`` the probability falls back to the
-    plain ratio eps_w / eps_th, which meets the budget with equality only
-    when secondary activity does not affect the primary outage.
+    Transmit only in known-message states, with one common probability,
+    calibrated by bisection so the long-term access rate equals ``eps_w``
+    to within ``W_SOLVE_TOL`` (each access then earns the clean-channel
+    throughput, so the optimum is attained with the budget tight). Raises
+    RuntimeError if the bisection ends outside that tolerance.
 
     Optimality presumes the clean-channel throughput dominates an
     interfered access plus its buffered top-up, which holds whenever the
@@ -206,25 +203,23 @@ def low_regime_policy(eps_w: float, eps_th: float, deadline: int,
     if eps_th == 0.0 or not any(s.phi == PHI_K for s in states):
         # No known-message states (deadline 1) or zero budget: stay idle.
         return _k_scaled_policy(states, 0.0)
-    if stats is None or eps_w == 0.0 or eps_w == eps_th:
+    if eps_w == 0.0 or eps_w == eps_th:
         return _k_scaled_policy(states, eps_w / eps_th)
-
-    def w_of(m: float) -> float:
-        pol = _k_scaled_policy(states, m)
-        return long_term_metrics(pol, stats, deadline, buffer_size).w_s_bar
 
     lo, hi = 0.0, 1.0
     m = eps_w / eps_th
     for _ in range(200):
-        w = w_of(m)
+        pol = _k_scaled_policy(states, m)
+        w = long_term_metrics(pol, stats, deadline, buffer_size).w_s_bar
         if abs(w - eps_w) <= W_SOLVE_TOL:
-            break
+            return pol
         if w < eps_w:
             lo = m
         else:
             hi = m
         m = 0.5 * (lo + hi)
-    return _k_scaled_policy(states, m)
+    raise RuntimeError(f"low-regime access probability did not converge: "
+                       f"access rate {w!r} for budget {eps_w!r}")
 
 
 def greedy_policy_path(stats: LinkStats, deadline: int, buffer_size: int,
@@ -282,34 +277,30 @@ def optimal_policy(eps_w: float, path: PolicyPath, stats: LinkStats,
 
     Below the threshold rate the calibrated known-message-only policy is
     returned. Otherwise the budget either exceeds the walk's final access
-    rate (return the final policy) or falls between two consecutive walk
-    policies, in which case the unique one-state randomization meeting the
-    budget exactly is found by bisection on the blend weight.
+    rate (return the final policy) or falls between walk policies a and b
+    that differ in one state. Blending them with weight lam on a makes the
+    per-cycle accesses v and duration d affine in lam, so the blend meeting
+    the budget exactly solves lam v_a + (1 - lam) v_b =
+    eps_w (lam d_a + (1 - lam) d_b) in closed form.
     """
-    if eps_w < 0.0:
-        raise ValueError("eps_w must be nonnegative")
+    if not (math.isfinite(eps_w) and eps_w >= 0.0):
+        raise ValueError("eps_w must be finite and nonnegative")
     if eps_w <= path.eps_th:
         pol = low_regime_policy(eps_w, path.eps_th, deadline, buffer_size,
-                                stats=stats)
+                                stats)
         return pol, long_term_metrics(pol, stats, deadline, buffer_size)
     last = path.entries[-1]
     if last.metrics.w_s_bar <= eps_w:
         return last.policy, last.metrics
-    j = max(i for i, e in enumerate(path.entries)
-            if e.metrics.w_s_bar <= eps_w)
-    pol_j = path.entries[j].policy
-    pol_j1 = path.entries[j + 1].policy
-    lo, hi = 0.0, 1.0            # access rate decreases as lam -> 1
-    lam = 0.5
-    pol = blend_policies(pol_j, pol_j1, lam)
-    for _ in range(200):
-        metrics = long_term_metrics(pol, stats, deadline, buffer_size)
-        if abs(metrics.w_s_bar - eps_w) <= W_SOLVE_TOL:
-            break
-        if metrics.w_s_bar > eps_w:
-            lo = lam
-        else:
-            hi = lam
-        lam = 0.5 * (lo + hi)
-        pol = blend_policies(pol_j, pol_j1, lam)
+    j = bisect.bisect_right(path.entries, eps_w,
+                            key=lambda e: e.metrics.w_s_bar) - 1
+    pol_a, pol_b = path.entries[j].policy, path.entries[j + 1].policy
+    cv_a = cycle_values(pol_a, stats, deadline, buffer_size)
+    cv_b = cycle_values(pol_b, stats, deadline, buffer_size)
+    v_a, d_a = cv_a.v[ROOT], cv_a.dur[ROOT]
+    v_b, d_b = cv_b.v[ROOT], cv_b.dur[ROOT]
+    # v - eps_w d is positive at b and nonpositive at a, so the
+    # denominator is negative; the clamp only absorbs rounding.
+    lam = (eps_w * d_b - v_b) / ((v_a - v_b) - eps_w * (d_a - d_b))
+    pol = blend_policies(pol_a, pol_b, min(max(lam, 0.0), 1.0))
     return pol, long_term_metrics(pol, stats, deadline, buffer_size)

@@ -6,18 +6,19 @@ cloud is the achievable frontier, because a policy randomized in a single
 state traces the straight chord between the two deterministic policies it
 mixes (all three per-cycle quantities are affine in that one probability,
 and a projective image of a line is a line). The constrained optimum is
-therefore the frontier value at the access budget, which certifies the
-greedy construction independently.
+therefore the frontier value at the access budget, read off the hull by
+linear interpolation. Nothing here calls the optimizer, so the check of
+the greedy construction is independent of it.
 """
 
 from __future__ import annotations
 
+import bisect
 from dataclasses import dataclass
 from typing import List
 
 from .channel import LinkStats
 from .mdp import NetState, Policy, enumerate_states, long_term_metrics
-from .optimizer import blend_policies
 
 MAX_ENUM_STATES = 16
 
@@ -83,20 +84,15 @@ def enumerate_frontier(stats: LinkStats, deadline: int,
     return hull[:best + 1]
 
 
-def _differing_states(pol_a: Policy, pol_b: Policy) -> List[NetState]:
-    return [s for s, p in pol_a.probs.items() if p != pol_b.probs[s]]
-
-
 def oracle_optimum(eps_w: float, frontier: List[FrontierPoint],
                    stats: LinkStats, deadline: int, buffer_size: int) -> float:
     """Best achievable throughput under access rate <= ``eps_w``.
 
     Returns the frontier's value at the budget: a vertex value when the
-    budget is slack, otherwise the one-state-randomized blend between the
-    bracketing vertices, solved by bisection on the blend weight. If the
-    bracketing vertices differ in more than one state the chord value is
-    used directly (the blend of one-state-differing policies provably
-    traces the chord, so both branches agree whenever both apply).
+    budget is slack or below the first vertex, otherwise the chord between
+    the two bracketing hull vertices. ``stats``, ``deadline`` and
+    ``buffer_size`` are unused; they remain for callers that pass them by
+    position.
     """
     if not frontier:
         raise ValueError("frontier must be nonempty")
@@ -104,22 +100,8 @@ def oracle_optimum(eps_w: float, frontier: List[FrontierPoint],
         return frontier[-1].t_s_bar
     if eps_w <= frontier[0].w_s_bar:
         return frontier[0].t_s_bar
-    j = max(i for i, p in enumerate(frontier) if p.w_s_bar <= eps_w)
+    j = bisect.bisect_right(frontier, eps_w, key=lambda p: p.w_s_bar) - 1
     a, b = frontier[j], frontier[j + 1]
-    if len(_differing_states(a.policy, b.policy)) == 1:
-        lo, hi = 0.0, 1.0        # lam weights a; access rate decreases in lam
-        lam = 0.5
-        for _ in range(200):
-            pol = blend_policies(a.policy, b.policy, lam)
-            m = long_term_metrics(pol, stats, deadline, buffer_size)
-            if abs(m.w_s_bar - eps_w) <= 1e-13:
-                return m.t_s_bar
-            if m.w_s_bar > eps_w:
-                lo = lam
-            else:
-                hi = lam
-            lam = 0.5 * (lo + hi)
-        return m.t_s_bar
     frac = (eps_w - a.w_s_bar) / (b.w_s_bar - a.w_s_bar)
     return a.t_s_bar + frac * (b.t_s_bar - a.t_s_bar)
 

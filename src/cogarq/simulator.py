@@ -2,9 +2,10 @@
 
 One chain is advanced slot by slot: fading draws, the secondary access
 coin, the primary ACK/NACK, the secondary receiver's decode outcome, and
-the resulting state update. Decode outcomes use exactly the same threshold
-predicates as the analytic region classification, so simulated transition
-frequencies estimate the analytic transition rows by construction.
+the resulting state update. Decode outcomes of each chunk of draws come
+from `RegionClassifier.masks`, the classification the link statistics
+use, so simulated transition frequencies estimate the analytic transition
+rows by construction.
 
 Reproducibility: one seeded generator; per chunk the draw order is
 (gamma_s, gamma_p, gamma_sp, gamma_ps, action-uniform). Standard errors
@@ -20,7 +21,7 @@ from typing import Dict, Optional
 
 import numpy as np
 
-from .channel import LinkStats, SystemParams, link_stats
+from .channel import LinkStats, RegionClassifier, SystemParams, link_stats
 from .mdp import (ACTIVE, IDLE, PHI_K, PHI_U, NetState, Policy,
                   enumerate_states, transition_row)
 
@@ -73,9 +74,8 @@ def _batch_stderr(sums, batch_size: int) -> float:
 
 def _simulate(params: SystemParams, policy: Policy, num_slots: int, seed: int,
               collect_transitions: bool):
-    thr_su = 2.0 ** params.rate_su - 1.0
-    thr_p = 2.0 ** params.rate_p - 1.0
-    thr_sum = 2.0 ** (params.rate_su + params.rate_p) - 1.0
+    cls = RegionClassifier(params.rate_su, params.rate_p)
+    thr_p = cls.thr_p
     thr_sk = 2.0 ** params.rate_sk - 1.0
     rsu, rsk, rp = params.rate_su, params.rate_sk, params.rate_p
     deadline, cap = params.deadline_D, params.buffer_B
@@ -94,22 +94,25 @@ def _simulate(params: SystemParams, policy: Policy, num_slots: int, seed: int,
 
     t, b, phi = 1, 0, PHI_U
     pos = _CHUNK
-    gs_a = gp_a = gsp_a = gps_a = u_a = None
+    gs_a = gp_a = gsp_a = gps_a = u_a = pu_dec = su_dec = buf_dec = None
     for n in range(num_slots):
         if pos == _CHUNK:
             m = min(_CHUNK, num_slots - n)
-            gs_a = rng.exponential(params.mean_snr_s, m).tolist()
+            gs_arr = rng.exponential(params.mean_snr_s, m)
             gp_a = rng.exponential(params.mean_snr_p, m).tolist()
             gsp_a = rng.exponential(params.mean_snr_sp, m).tolist()
-            gps_a = rng.exponential(params.mean_snr_ps, m).tolist()
+            gps_arr = rng.exponential(params.mean_snr_ps, m)
             u_a = rng.random(m).tolist()
+            pu_dec, su_dec, buf_dec = (
+                mask.tolist() for mask in cls.masks(gs_arr, gps_arr))
+            gs_a = gs_arr.tolist()
+            gps_a = gps_arr.tolist()
             pos = 0
         gs = gs_a[pos]
         gp = gp_a[pos]
         gsp = gsp_a[pos]
         gps = gps_a[pos]
         active = u_a[pos] < mu[(t, b, phi)]
-        pos += 1
         bi = n // batch
         if bi > last_batch:
             bi = last_batch
@@ -132,16 +135,12 @@ def _simulate(params: SystemParams, policy: Policy, num_slots: int, seed: int,
                     slot_bits = rsk
                     fic_bits += rsk
         elif active:
-            in_mac = (gs >= thr_su and gps >= thr_p
-                      and gs + gps >= thr_sum)
-            in_gp = in_mac or (gs < thr_su and gps >= thr_p * (1.0 + gs))
-            in_gs = in_mac or (gps < thr_p and gs >= thr_su * (1.0 + gps))
-            if in_gs:
+            if su_dec[pos]:
                 slot_bits += rsu
                 u_bits += rsu
-            if in_gp:
+            if pu_dec[pos]:
                 decoded_pu = True
-            elif not in_gs and gs >= thr_su:
+            elif buf_dec[pos]:
                 buffered = True
                 buffered_events += 1
         else:
@@ -167,6 +166,7 @@ def _simulate(params: SystemParams, policy: Policy, num_slots: int, seed: int,
             row = trans.setdefault(key, {})
             row[nxt] = row.get(nxt, 0) + 1
         t, b, phi = nxt
+        pos += 1
 
     totals = (sum(ts_sum), sum(w_sum), sum(tp_sum))
     result = SimResult(

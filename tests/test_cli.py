@@ -64,6 +64,32 @@ def test_invalid_config_rejected(tmp_path, capsys, change):
     assert next(iter(change)) in obj["message"]
 
 
+def _one_line_error(capsys) -> dict:
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    return json.loads(err)
+
+
+@pytest.mark.parametrize("eps_w", ["nan", "inf", "-inf"])
+def test_non_finite_budget_rejected(config_file, capsys, eps_w):
+    rc = main(["solve", "--config", config_file, "--mc-samples", "100000",
+               f"--eps-w={eps_w}"])
+    assert rc == 1
+    obj = _one_line_error(capsys)
+    assert obj == {"error": "ValueError",
+                   "message": "eps_w must be finite and nonnegative"}
+
+
+@pytest.mark.parametrize("grid", ["0.5,nan,0.1", "0.1,inf", "-inf,0.5"])
+def test_non_finite_sweep_grid_rejected(config_file, capsys, grid):
+    rc = main(["sweep", "--config", config_file, "--kind", "TS_VS_TP",
+               f"--grid={grid}", "--mc-samples", "100000"])
+    assert rc == 1
+    obj = _one_line_error(capsys)
+    assert obj == {"error": "ValueError",
+                   "message": "grid values must be finite"}
+
+
 def test_solve_and_simulate(config_file, tmp_path):
     solved = tmp_path / "solved.json"
     rc = main(["solve", "--config", config_file, "--mc-samples", "200000",

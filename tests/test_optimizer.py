@@ -1,10 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from cogarq import (NetState, Policy, access_rate_budget, blend_policies,
-                    cycle_derivatives, cycle_values, efficiency,
-                    enumerate_states, greedy_policy_path, k_active_policy,
-                    long_term_metrics, low_regime_policy, optimal_policy)
+from cogarq import (NetState, Policy, PolicyMetrics, access_rate_budget,
+                    blend_policies, cycle_derivatives, cycle_values,
+                    efficiency, enumerate_frontier, enumerate_states,
+                    greedy_policy_path, k_active_policy, long_term_metrics,
+                    low_regime_policy, optimal_policy, oracle_optimum)
+from cogarq import optimizer
 from cogarq.mdp import PHI_K, PHI_U
 from cogarq.optimizer import IDLE_START
 
@@ -127,6 +130,16 @@ class TestLowRegimePolicy:
         with pytest.raises(ValueError):
             low_regime_policy(0.3, 0.25, 5, 4, stats=t1_stats)
 
+    def test_non_convergence_raises(self, t1_stats, monkeypatch):
+        # An evaluator whose access rate never reaches the budget must not
+        # yield a policy.
+        stuck = PolicyMetrics(t_s_bar=0.0, w_s_bar=0.0, t_p_bar=0.0,
+                              p_s_ratio=0.0)
+        monkeypatch.setattr(optimizer, "long_term_metrics",
+                            lambda *args: stuck)
+        with pytest.raises(RuntimeError, match="did not converge"):
+            low_regime_policy(0.1, 0.25, 5, 4, stats=t1_stats)
+
 
 class TestAccessRateBudget:
     def test_table1_example(self, t1_stats):
@@ -231,7 +244,58 @@ class TestOptimalPolicy:
                           if p not in (0.0, 1.0)]
             assert len(fractional) <= 1
 
+    def test_closed_form_blend_meets_budget_to_rounding(self):
+        rng = np.random.default_rng(41)
+        for trial in range(30):
+            deadline = (2, 3, 4)[trial % 3]
+            cap = int(rng.integers(0, deadline))
+            stats = make_random_stats(rng)
+            path = greedy_policy_path(stats, deadline, cap)
+            ws = [e.metrics.w_s_bar for e in path.entries]
+            for w_a, w_b in zip(ws, ws[1:]):
+                eps_w = float(rng.uniform(w_a, w_b))
+                if not w_a < eps_w < w_b:
+                    continue
+                pol, m = optimal_policy(eps_w, path, stats, deadline, cap)
+                assert abs(m.w_s_bar - eps_w) <= 1e-14
+                assert m == long_term_metrics(pol, stats, deadline, cap)
+
     def test_negative_budget_rejected(self, t1_stats):
         path = greedy_policy_path(t1_stats, 2, 1)
         with pytest.raises(ValueError):
             optimal_policy(-0.1, path, t1_stats, 2, 1)
+
+    @pytest.mark.parametrize("eps_w", [float("nan"), float("inf"),
+                                       float("-inf")])
+    def test_non_finite_budget_rejected(self, t1_stats, eps_w):
+        path = greedy_policy_path(t1_stats, 2, 1)
+        with pytest.raises(ValueError, match="finite and nonnegative"):
+            optimal_policy(eps_w, path, t1_stats, 2, 1)
+
+
+class _Draws:
+    """`make_random_stats` source drawing each uniform from Hypothesis."""
+
+    def __init__(self, draw):
+        self.draw = draw
+
+    def uniform(self, lo, hi):
+        return self.draw(st.floats(lo, hi))
+
+
+@st.composite
+def feasible_stats(draw):
+    return make_random_stats(_Draws(draw), degenerate=draw(st.booleans()))
+
+
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(feasible_stats(), st.sampled_from([(2, 0), (2, 1), (3, 0), (3, 2)]),
+       st.lists(st.floats(0.0, 1.0), min_size=1, max_size=4))
+def test_greedy_optimum_equals_oracle(stats, shape, budgets):
+    deadline, cap = shape
+    path = greedy_policy_path(stats, deadline, cap)
+    frontier = enumerate_frontier(stats, deadline, cap)
+    for eps_w in budgets:
+        _, m = optimal_policy(eps_w, path, stats, deadline, cap)
+        star = oracle_optimum(eps_w, frontier, stats, deadline, cap)
+        assert abs(m.t_s_bar - star) <= 1e-9

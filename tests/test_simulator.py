@@ -78,8 +78,9 @@ class TestRun:
 
 class TestDecodeConsistency:
     def test_inline_predicates_match_region_membership(self, t1_params):
-        # the simulator inlines the threshold predicates; they must agree
-        # with the public classification on every draw
+        # the simulator decodes with `masks`; a scalar restatement of the
+        # region predicates, `label` and `region_membership` must agree
+        # with it on every draw
         cls = RegionClassifier(t1_params.rate_su, t1_params.rate_p)
         rng = np.random.default_rng(17)
         gs = rng.exponential(5.0, 100_000)
