@@ -15,7 +15,8 @@ Config files are JSON objects mirroring the SystemParams field names, plus
 an optional ``rate_policy`` of RSU_STAR (default), RSU_EQ_RSK, or EXPLICIT;
 any other key is rejected. Derived rates are exact; ``--mc-samples`` and
 ``--seed`` drive the Monte-Carlo link statistics and the simulator only.
-Errors exit nonzero with a one-line JSON diagnostic on stderr.
+Every error, a malformed command line included, exits 1 with a one-line
+JSON diagnostic on stderr; ``--help`` exits 0.
 """
 
 from __future__ import annotations
@@ -149,8 +150,20 @@ def _cmd_sweep(args) -> int:
     return 0
 
 
+class UsageError(Exception):
+    """A command line that argparse rejects."""
+
+
+class _Parser(argparse.ArgumentParser):
+    """Argument parser whose errors take the CLI's one error path instead
+    of printing usage text and exiting 2. Subcommand parsers inherit it."""
+
+    def error(self, message):
+        raise UsageError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="cogarq",
         description="Secondary access policies for spectrum sharing with a "
                     "retransmitting primary user")
@@ -198,8 +211,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = parser.parse_args(argv)
         return args.func(args)
     except Exception as exc:  # noqa: BLE001 - single CLI error surface
         sys.stderr.write(json.dumps({"error": type(exc).__name__,

@@ -9,13 +9,21 @@ retransmission cycle: every cycle starts in (1, 0, U) and ends at an ACK or
 at the deadline, so a single backward pass over t yields the expected
 per-cycle reward, accesses, and duration, whose ratios are the long-term
 throughput and access rate.
+
+Every evaluator reads one flat transition table per (stats, D, B), built
+inside each call: per state in canonical order, its at most three
+successors (stay, grow, learn) with their probabilities under each action,
+its one-slot throughput at access probability 1 and 0, and its attempt
+index. State indices are arithmetic in (t, b), so the backward pass runs
+over plain lists; `Policy`, `NetState` and `CycleValues` dicts appear only
+at the API boundary.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
-from typing import Dict, List, Mapping, Tuple
+from dataclasses import dataclass, field
+from typing import Dict, List, Mapping, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -30,8 +38,6 @@ IDLE = "IDLE"
 THROUGHPUT = "THROUGHPUT"
 ACCESS = "ACCESS"
 DURATION = "DURATION"
-
-ROW_SUM_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -49,6 +55,13 @@ class NetState:
 ROOT = NetState(1, 0, PHI_U)
 
 
+def _check_sizes(deadline: int, buffer_size: int) -> None:
+    if deadline < 1:
+        raise ValueError("deadline must be >= 1")
+    if not 0 <= buffer_size <= deadline - 1:
+        raise ValueError("buffer_size must lie in [0, deadline - 1]")
+
+
 def enumerate_states(deadline: int, buffer_size: int) -> List[NetState]:
     """Canonical ordered state space.
 
@@ -57,10 +70,7 @@ def enumerate_states(deadline: int, buffer_size: int) -> List[NetState]:
     index (at attempt t at most t - 1 signals can have been buffered) and
     by the configured buffer size.
     """
-    if deadline < 1:
-        raise ValueError("deadline must be >= 1")
-    if not 0 <= buffer_size <= deadline - 1:
-        raise ValueError("buffer_size must lie in [0, deadline - 1]")
+    _check_sizes(deadline, buffer_size)
     states = [NetState(t, b, PHI_U)
               for t in range(1, deadline + 1)
               for b in range(0, min(t - 1, buffer_size) + 1)]
@@ -121,13 +131,225 @@ def policy_from_json_obj(obj: list) -> Policy:
                    for r in obj})
 
 
+def _u_offset(t: int, buffer_size: int) -> int:
+    """Number of unknown-message states before attempt t: attempts below
+    buffer_size + 2 hold t' levels each, later ones buffer_size + 1."""
+    growing = min(t - 1, buffer_size + 1)
+    return growing * (growing + 1) // 2 + (t - 1 - growing) * (buffer_size + 1)
+
+
+def _throughput_ends(phi: str, b: int, stats: LinkStats) -> Tuple[float, float]:
+    """One-slot throughput at access probability 1 and 0.
+
+    Fresh secondary bits when transmitting, plus the recovery of all b
+    buffered signals (b * rate_su bits) whenever the secondary receiver
+    decodes the primary message in this slot, whichever action was taken.
+    Known-message states have nothing buffered and transmit cleanly.
+    """
+    if phi == PHI_K:
+        return stats.t_sk, 0.0
+    return (stats.t_su + (1.0 - stats.q_ps_active) * b * stats.rate_su,
+            (1.0 - stats.q_ps_idle) * b * stats.rate_su)
+
+
+class TransitionTable(NamedTuple):
+    """Transition data of one (stats, deadline, buffer size).
+
+    States are indexed in canonical order (`enumerate_states`); the
+    unknown-message state (t, b) sits at ``offsets[t] + b`` and the
+    known-message state t at ``n_unknown + t - 2``. State i moves to
+    ``succ[3i + k]`` (k = stay, grow, learn) with probability
+    ``p_active[3i + k]`` when it transmits and ``p_idle[3i + k]`` when it
+    is idle; the rest of its mass (an ACK, or the deadline) ends the cycle.
+    Successor index 0, the root, marks that end or an unused slot: a new
+    cycle carries no continuation value, and the backward pass reads the
+    root's value before writing it, so the root doubles as the zero sink.
+    ``r_active`` and ``r_idle`` are the one-slot throughput at access
+    probability 1 and 0; it is affine in between.
+    """
+
+    stats: LinkStats
+    deadline: int
+    buffer_size: int
+    offsets: List[int]
+    n_unknown: int
+    layer: List[int]
+    succ: List[int]
+    p_active: List[float]
+    p_idle: List[float]
+    r_active: List[float]
+    r_idle: List[float]
+
+    def describes(self, stats: LinkStats, deadline: int,
+                  buffer_size: int) -> bool:
+        return (self.stats is stats and self.deadline == deadline
+                and self.buffer_size == buffer_size)
+
+    def index(self, state: NetState) -> int:
+        validate_state(state, self.deadline, self.buffer_size)
+        if state.phi == PHI_K:
+            return self.n_unknown + state.t - 2
+        return self.offsets[state.t] + state.b
+
+    def state(self, i: int) -> NetState:
+        t = self.layer[i]
+        if i >= self.n_unknown:
+            return NetState(t, 0, PHI_K)
+        return NetState(t, i - self.offsets[t], PHI_U)
+
+    def row(self, i: int, access_prob: float) -> Dict[int, float]:
+        """Successor distribution of state i when it transmits with
+        probability ``access_prob``, keyed by state index; the root (0)
+        takes the cycle-ending mass."""
+        out = {0: 1.0}
+        for k in range(3 * i, 3 * i + 3):
+            p = (access_prob * self.p_active[k]
+                 + (1.0 - access_prob) * self.p_idle[k])
+            out[0] -= p
+            if self.succ[k]:
+                out[self.succ[k]] = p
+        return out
+
+
+def transition_table(stats: LinkStats, deadline: int,
+                     buffer_size: int) -> TransitionTable:
+    """Build the flat transition table of one scenario.
+
+    On a NACK from an unknown-message state the successor depends on what
+    the secondary receiver decoded: nothing (stay at the same buffer
+    level), a buffered secondary signal (grow by one; at a full buffer the
+    signal is dropped and the mass stays), or the primary message (learn:
+    jump to the known-message chain). Known-message states stay on that
+    chain until ACK or deadline. Idle slots never buffer.
+    """
+    _check_sizes(deadline, buffer_size)
+    stats.validate()
+    cap = buffer_size
+    offsets = [_u_offset(t, cap) for t in range(deadline + 2)]
+    n_u = offsets[deadline + 1]
+    q_a, q_i = stats.q_pp_active, stats.q_pp_idle
+    stay_a = q_a * (stats.q_ps_active - stats.p_buf)
+    grow_a = q_a * stats.p_buf
+    learn_a = q_a * (1.0 - stats.q_ps_active)
+    full_a = stay_a + grow_a
+    stay_i = q_i * stats.q_ps_idle
+    learn_i = q_i * (1.0 - stats.q_ps_idle)
+    ends = [_throughput_ends(PHI_U, b, stats) for b in range(cap + 1)]
+    r1_u = [r1 for r1, _ in ends]
+    r0_u = [r0 for _, r0 in ends]
+
+    layer: List[int] = []
+    succ: List[int] = []
+    p_act: List[float] = []
+    p_idl: List[float] = []
+    r_act: List[float] = []
+    r_idl: List[float] = []
+    for t in range(1, deadline + 1):
+        levels = min(t - 1, cap) + 1
+        layer += [t] * levels
+        r_act += r1_u[:levels]
+        r_idl += r0_u[:levels]
+        if t == deadline:
+            succ += [0] * (3 * levels)
+            p_act += [0.0] * (3 * levels)
+            p_idl += [0.0] * (3 * levels)
+            continue
+        nxt, learn = offsets[t + 1], n_u + t - 1
+        for b in range(levels):
+            succ += (nxt + b, nxt + b + 1 if b < cap else 0, learn)
+        p_act += (stay_a, grow_a, learn_a) * min(levels, cap)
+        if levels > cap:
+            p_act += (full_a, 0.0, learn_a)
+        p_idl += (stay_i, 0.0, learn_i) * levels
+    for t in range(2, deadline + 1):
+        layer.append(t)
+        if t < deadline:
+            succ += (n_u + t - 1, 0, 0)
+            p_act += (q_a, 0.0, 0.0)
+            p_idl += (q_i, 0.0, 0.0)
+        else:
+            succ += (0, 0, 0)
+            p_act += (0.0, 0.0, 0.0)
+            p_idl += (0.0, 0.0, 0.0)
+    r1_k, r0_k = _throughput_ends(PHI_K, 0, stats)
+    r_act += [r1_k] * (deadline - 1)
+    r_idl += [r0_k] * (deadline - 1)
+    return TransitionTable(stats, deadline, cap, offsets, n_u, layer, succ,
+                           p_act, p_idl, r_act, r_idl)
+
+
+def _access_vector(policy: Policy, table: TransitionTable
+                   ) -> Tuple[List[float], List[NetState]]:
+    """The policy's access probabilities and its states, by table index.
+
+    Raises ValueError unless the policy covers the state space exactly
+    with probabilities in [0, 1].
+    """
+    n = len(table.layer)
+    probs = policy.probs
+    if len(probs) != n:
+        raise ValueError("policy does not cover the state space exactly")
+    deadline, cap = table.deadline, table.buffer_size
+    offsets, n_u = table.offsets, table.n_unknown
+    mu = [0.0] * n
+    keys: List[NetState] = [ROOT] * n
+    for s, p in probs.items():
+        t, b = s.t, s.b
+        if s.phi == PHI_U and 1 <= t <= deadline and 0 <= b < t and b <= cap:
+            i = offsets[t] + b
+        elif s.phi == PHI_K and 2 <= t <= deadline and b == 0:
+            i = n_u + t - 2
+        else:
+            raise ValueError("policy does not cover the state space exactly")
+        if not 0.0 <= p <= 1.0:
+            raise ValueError(f"access probability {p} at {s} outside [0, 1]")
+        mu[i] = p
+        keys[i] = s
+    return mu, keys
+
+
+def _backward(table: TransitionTable, mu: List[float]
+              ) -> Tuple[List[float], List[float], List[float]]:
+    """Per-cycle reward, accesses and slots from every state, by index.
+
+    Successors lie one attempt later, and every known-message state and
+    every later attempt comes after a state in canonical order, so one
+    pass from the last index to the first sees each successor finished.
+    """
+    n = len(mu)
+    g = [0.0] * n
+    v = [0.0] * n
+    d = [0.0] * n
+    succ, p_act, p_idl = table.succ, table.p_active, table.p_idle
+    r_act, r_idl = table.r_active, table.r_idle
+    for i in range(n - 1, -1, -1):
+        m = mu[i]
+        u = 1.0 - m
+        k = 3 * i
+        j0, j1, j2 = succ[k], succ[k + 1], succ[k + 2]
+        p0 = m * p_act[k] + u * p_idl[k]
+        p1 = m * p_act[k + 1] + u * p_idl[k + 1]
+        p2 = m * p_act[k + 2] + u * p_idl[k + 2]
+        g[i] = (m * r_act[i] + u * r_idl[i]) + (p0 * g[j0] + p1 * g[j1]
+                                                + p2 * g[j2])
+        v[i] = m + (p0 * v[j0] + p1 * v[j1] + p2 * v[j2])
+        d[i] = 1.0 + (p0 * d[j0] + p1 * d[j1] + p2 * d[j2])
+    return g, v, d
+
+
 @dataclass
 class CycleValues:
-    """Expected per-cycle reward, accesses, and slots from each start state."""
+    """Expected per-cycle reward, accesses, and slots from each start state.
+
+    ``table`` is the transition table the values were computed from, kept
+    so that per-state derivatives need not rebuild it.
+    """
 
     g: Dict[NetState, float]
     v: Dict[NetState, float]
     dur: Dict[NetState, float]
+    table: Optional[TransitionTable] = field(default=None, repr=False,
+                                             compare=False)
 
 
 @dataclass(frozen=True)
@@ -151,58 +373,14 @@ class PolicyMetrics:
 
 def transition_row(state: NetState, action: str, stats: LinkStats,
                    deadline: int, buffer_size: int) -> Dict[NetState, float]:
-    """One-step transition probabilities from ``state`` under ``action``.
-
-    An ACK or the deadline restarts the cycle at (1, 0, U). On a NACK from
-    an unknown-message state the successor depends on what the secondary
-    receiver decoded: nothing (same buffer), a buffered secondary signal
-    (buffer + 1, saturating at the buffer size), or the primary message
-    (jump to the known-message chain). Known-message states persist on the
-    primary chain until ACK or deadline.
-    """
-    validate_state(state, deadline, buffer_size)
-    if action == ACTIVE:
-        q_pp, q_ps = stats.q_pp_active, stats.q_ps_active
-        p_buf = stats.p_buf
-    elif action == IDLE:
-        q_pp, q_ps = stats.q_pp_idle, stats.q_ps_idle
-        p_buf = 0.0
-    else:
+    """One-step transition probabilities from ``state`` under ``action``,
+    read from the transition table. An ACK or the deadline restarts the
+    cycle at (1, 0, U)."""
+    if action not in (ACTIVE, IDLE):
         raise ValueError(f"unknown action {action!r}")
-
-    row: Dict[NetState, float] = {}
-    if state.t == deadline:
-        row[ROOT] = 1.0
-        return row
-    row[ROOT] = 1.0 - q_pp
-    t1 = state.t + 1
-    if state.phi == PHI_K:
-        row[NetState(t1, 0, PHI_K)] = q_pp
-        return row
-    stay = q_pp * (q_ps - p_buf)
-    grow = q_pp * p_buf
-    learn = q_pp * (1.0 - q_ps)
-    if state.b == buffer_size:
-        stay += grow            # buffer full: the new signal is dropped
-        grow = 0.0
-    row[NetState(t1, state.b, PHI_U)] = stay
-    if grow > 0.0:
-        row[NetState(t1, state.b + 1, PHI_U)] = grow
-    row[NetState(t1, 0, PHI_K)] = learn
-    return row
-
-
-def mixed_transition_row(state: NetState, access_prob: float, stats: LinkStats,
-                         deadline: int, buffer_size: int) -> Dict[NetState, float]:
-    """Action-averaged transition row under access probability ``access_prob``."""
-    row_a = transition_row(state, ACTIVE, stats, deadline, buffer_size)
-    row_i = transition_row(state, IDLE, stats, deadline, buffer_size)
-    out: Dict[NetState, float] = {}
-    for s, p in row_a.items():
-        out[s] = access_prob * p
-    for s, p in row_i.items():
-        out[s] = out.get(s, 0.0) + (1.0 - access_prob) * p
-    return out
+    table = transition_table(stats, deadline, buffer_size)
+    row = table.row(table.index(state), 1.0 if action == ACTIVE else 0.0)
+    return {table.state(j): p for j, p in row.items()}
 
 
 def state_reward(state: NetState, policy_prob: float, stats: LinkStats,
@@ -210,10 +388,9 @@ def state_reward(state: NetState, policy_prob: float, stats: LinkStats,
     """Expected one-slot reward accrued in ``state`` under access probability
     ``policy_prob``.
 
-    THROUGHPUT counts fresh secondary bits plus the recovery of all
-    buffered signals (b * rate_su bits) whenever the secondary receiver
-    decodes the primary message in this slot, whichever action was taken.
-    ACCESS counts channel uses; DURATION counts slots.
+    THROUGHPUT mixes the table's rewards at access probability 1 and 0
+    (see `_throughput_ends`). ACCESS counts channel uses; DURATION counts
+    slots.
     """
     if not 0.0 <= policy_prob <= 1.0:
         raise ValueError("policy_prob must lie in [0, 1]")
@@ -223,77 +400,62 @@ def state_reward(state: NetState, policy_prob: float, stats: LinkStats,
         return 1.0
     if kind != THROUGHPUT:
         raise ValueError(f"unknown reward kind {kind!r}")
-    if state.phi == PHI_K:
-        return policy_prob * stats.t_sk
-    decode_pu = (policy_prob * (1.0 - stats.q_ps_active)
-                 + (1.0 - policy_prob) * (1.0 - stats.q_ps_idle))
-    return policy_prob * stats.t_su + decode_pu * state.b * stats.rate_su
+    r1, r0 = _throughput_ends(state.phi, state.b, stats)
+    return policy_prob * r1 + (1.0 - policy_prob) * r0
 
 
 def cycle_values(policy: Policy, stats: LinkStats, deadline: int,
                  buffer_size: int) -> CycleValues:
     """Per-cycle expected reward/access/duration from every state.
 
-    Backward recursion over the attempt index; transitions into the cycle
-    root (1, 0, U) contribute no continuation because they end the cycle.
+    One backward pass over the transition table; transitions into the
+    cycle root (1, 0, U) contribute no continuation because they end the
+    cycle.
     """
-    states = enumerate_states(deadline, buffer_size)
-    policy.validate(states)
-    stats.validate()
-    g: Dict[NetState, float] = {}
-    v: Dict[NetState, float] = {}
-    dur: Dict[NetState, float] = {}
-    for s in sorted(states, key=lambda s: -s.t):
-        mu = policy.prob(s)
-        row = mixed_transition_row(s, mu, stats, deadline, buffer_size)
-        cont_g = cont_v = cont_d = 0.0
-        for nxt, p in row.items():
-            if nxt == ROOT:
-                continue
-            cont_g += p * g[nxt]
-            cont_v += p * v[nxt]
-            cont_d += p * dur[nxt]
-        g[s] = state_reward(s, mu, stats, THROUGHPUT) + cont_g
-        v[s] = state_reward(s, mu, stats, ACCESS) + cont_v
-        dur[s] = state_reward(s, mu, stats, DURATION) + cont_d
-    return CycleValues(g=g, v=v, dur=dur)
+    table = transition_table(stats, deadline, buffer_size)
+    mu, keys = _access_vector(policy, table)
+    g, v, d = _backward(table, mu)
+    return CycleValues(g=dict(zip(keys, g)), v=dict(zip(keys, v)),
+                       dur=dict(zip(keys, d)), table=table)
+
+
+def _ratio_metrics(g: float, v: float, d: float,
+                   stats: LinkStats) -> PolicyMetrics:
+    t_s = g / d
+    w_s = v / d
+    t_p = stats.t_p_idle - (stats.t_p_idle - stats.t_p_active) * w_s
+    return PolicyMetrics(t_s_bar=t_s, w_s_bar=w_s, t_p_bar=t_p, p_s_ratio=w_s)
 
 
 def long_term_metrics(policy: Policy, stats: LinkStats, deadline: int,
                       buffer_size: int) -> PolicyMetrics:
     """Long-term averages via the renewal-reward ratio at the cycle root."""
-    cv = cycle_values(policy, stats, deadline, buffer_size)
-    return metrics_from_cycle_values(cv, stats)
+    table = transition_table(stats, deadline, buffer_size)
+    mu, _ = _access_vector(policy, table)
+    g, v, d = _backward(table, mu)
+    return _ratio_metrics(g[0], v[0], d[0], stats)
 
 
 def metrics_from_cycle_values(cv: CycleValues, stats: LinkStats) -> PolicyMetrics:
-    d = cv.dur[ROOT]
-    t_s = cv.g[ROOT] / d
-    w_s = cv.v[ROOT] / d
-    t_p = stats.t_p_idle - (stats.t_p_idle - stats.t_p_active) * w_s
-    return PolicyMetrics(t_s_bar=t_s, w_s_bar=w_s, t_p_bar=t_p, p_s_ratio=w_s)
+    return _ratio_metrics(cv.g[ROOT], cv.v[ROOT], cv.dur[ROOT], stats)
 
 
 def stationary_distribution(policy: Policy, stats: LinkStats, deadline: int,
                             buffer_size: int) -> Dict[NetState, float]:
     """Steady-state occupancy of every state under ``policy``.
 
-    Solved directly as pi P = pi with unit total mass. The cycle root is
-    positive recurrent, so the chain is unichain and the solution is
-    unique; states unreachable from the root are transient and come out
-    with zero mass.
+    Solved directly as pi P = pi with unit total mass, P assembled from the
+    transition table's action-mixed rows. The cycle root is positive
+    recurrent, so the chain is unichain and the solution is unique; states
+    unreachable from the root are transient and come out with zero mass.
     """
-    states = enumerate_states(deadline, buffer_size)
-    policy.validate(states)
-    stats.validate()
-    idx = {s: i for i, s in enumerate(states)}
-    n = len(states)
+    table = transition_table(stats, deadline, buffer_size)
+    mu, keys = _access_vector(policy, table)
+    n = len(mu)
     pmat = np.zeros((n, n))
-    for s in states:
-        row = mixed_transition_row(s, policy.prob(s), stats, deadline,
-                                   buffer_size)
-        for nxt, p in row.items():
-            pmat[idx[s], idx[nxt]] += p
+    for i in range(n):
+        for j, p in table.row(i, mu[i]).items():
+            pmat[i, j] += p
     a = pmat.T - np.eye(n)
     a[-1, :] = 1.0
     rhs = np.zeros(n)
@@ -304,7 +466,7 @@ def stationary_distribution(policy: Policy, stats: LinkStats, deadline: int,
         raise RuntimeError("stationary distribution solve failed "
                            "(chain unexpectedly not unichain)") from exc
     pi = np.where(np.abs(pi) < 1e-15, 0.0, pi)
-    return {s: float(pi[idx[s]]) for s in states}
+    return {s: float(pi[i]) for i, s in enumerate(keys)}
 
 
 def occupancy_metrics(policy: Policy, stats: LinkStats, deadline: int,

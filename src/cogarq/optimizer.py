@@ -12,11 +12,14 @@ between two consecutive walk policies.
 
 A state is visited at most once per renewal cycle, so the per-cycle
 reward, accesses and duration are affine in any one state's access
-probability; the walk's marginal quantities and the budget-meeting blend
-weight are therefore closed forms. The low-regime calibration stays a
-bisection: scaling every known-message probability at once also scales
-the chance that the known-message chain continues, so its access rate is
-not linear-fractional in the common probability.
+probability; the walk's marginal quantities (read from the MDP's
+transition table) and the budget-meeting blend weight are therefore
+closed forms. The low-regime calibration is a root search: scaling every
+known-message probability at once also scales the chance that the
+known-message chain continues, so its access rate is smooth and
+increasing but not linear-fractional in the common probability, and a
+bracketed Illinois (modified regula falsi) step finds it in a handful of
+evaluations.
 """
 
 from __future__ import annotations
@@ -25,17 +28,17 @@ import bisect
 import json
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 from .channel import LinkStats
-from .mdp import (ACCESS, ACTIVE, DURATION, IDLE, PHI_K, ROOT,
-                  THROUGHPUT, CycleValues, NetState, Policy, PolicyMetrics,
-                  cycle_values, enumerate_states, k_active_policy,
-                  long_term_metrics, metrics_from_cycle_values,
-                  policy_to_json_obj, state_reward, transition_row,
-                  validate_state)
+from .mdp import (PHI_K, ROOT, CycleValues, NetState, Policy,
+                  PolicyMetrics, cycle_values, enumerate_states,
+                  k_active_policy, long_term_metrics,
+                  metrics_from_cycle_values, policy_to_json_obj,
+                  transition_table)
 
-W_SOLVE_TOL = 1e-13      # low-regime bisection target on the access rate
+W_SOLVE_TOL = 1e-13      # low-regime root-search target on the access rate
+W_SOLVE_STEPS = 100      # cap on low-regime access-rate evaluations
 K_START = "k_active"
 IDLE_START = "idle"
 
@@ -92,25 +95,24 @@ def cycle_derivatives(policy: Policy, state: NetState, stats: LinkStats,
     The attempt index increases strictly within a cycle, so a state is
     never revisited before the cycle ends and the downstream cycle values
     do not depend on this state's own access probability. The derivative
-    therefore has one-step form: the local reward at access probability 1
-    minus that at 0 (exact, since `state_reward` is affine in it) plus the
-    action-difference of the transition row weighted by the downstream
-    values.
+    therefore has one-step form: the table's one-slot reward at access
+    probability 1 minus that at 0 (exact, since the reward is affine in
+    it) plus the action-difference of the table row weighted by the
+    downstream values. The table that ``values`` came from is reused.
     """
-    validate_state(state, deadline, buffer_size)
     if values is None:
         values = cycle_values(policy, stats, deadline, buffer_size)
-    row_a = transition_row(state, ACTIVE, stats, deadline, buffer_size)
-    row_i = transition_row(state, IDLE, stats, deadline, buffer_size)
-    drow: Dict[NetState, float] = dict(row_a)
-    for s, p in row_i.items():
-        drow[s] = drow.get(s, 0.0) - p
-    g_p, v_p, d_p = (state_reward(state, 1.0, stats, kind)
-                     - state_reward(state, 0.0, stats, kind)
-                     for kind in (THROUGHPUT, ACCESS, DURATION))
-    for nxt, dp in drow.items():
-        if nxt == ROOT:
+    table = values.table
+    if table is None or not table.describes(stats, deadline, buffer_size):
+        table = transition_table(stats, deadline, buffer_size)
+    i = table.index(state)
+    g_p, v_p, d_p = table.r_active[i] - table.r_idle[i], 1.0, 0.0
+    for k in range(3 * i, 3 * i + 3):
+        j = table.succ[k]
+        if j == 0:              # the cycle ends: no continuation
             continue
+        dp = table.p_active[k] - table.p_idle[k]
+        nxt = table.state(j)
         g_p += dp * values.g[nxt]
         v_p += dp * values.v[nxt]
         d_p += dp * values.dur[nxt]
@@ -184,11 +186,15 @@ def low_regime_policy(eps_w: float, eps_th: float, deadline: int,
                       buffer_size: int, stats: LinkStats) -> Policy:
     """Optimal policy when the access budget does not exceed ``eps_th``.
 
-    Transmit only in known-message states, with one common probability,
-    calibrated by bisection so the long-term access rate equals ``eps_w``
-    to within ``W_SOLVE_TOL`` (each access then earns the clean-channel
-    throughput, so the optimum is attained with the budget tight). Raises
-    RuntimeError if the bisection ends outside that tolerance.
+    Transmit only in known-message states, with one common probability m,
+    calibrated so the long-term access rate w(m) equals ``eps_w`` to
+    within ``W_SOLVE_TOL`` (each access then earns the clean-channel
+    throughput, so the optimum is attained with the budget tight). w rises
+    from 0 at m = 0 to ``eps_th`` at m = 1. Regula falsi steps on
+    w(m) - eps_w keep that bracket; the Illinois rule halves the residual
+    of an end that stays put for two steps in a row, so neither end
+    stalls. Raises RuntimeError if ``W_SOLVE_STEPS`` evaluations end
+    outside the tolerance.
 
     Optimality presumes the clean-channel throughput dominates an
     interfered access plus its buffered top-up, which holds whenever the
@@ -206,18 +212,26 @@ def low_regime_policy(eps_w: float, eps_th: float, deadline: int,
     if eps_w == 0.0 or eps_w == eps_th:
         return _k_scaled_policy(states, eps_w / eps_th)
 
-    lo, hi = 0.0, 1.0
-    m = eps_w / eps_th
-    for _ in range(200):
+    lo, f_lo = 0.0, -eps_w
+    hi, f_hi = 1.0, eps_th - eps_w
+    moved = 0                   # -1: lo moved last, +1: hi moved last
+    for _ in range(W_SOLVE_STEPS):
+        m = (lo * f_hi - hi * f_lo) / (f_hi - f_lo)
         pol = _k_scaled_policy(states, m)
         w = long_term_metrics(pol, stats, deadline, buffer_size).w_s_bar
-        if abs(w - eps_w) <= W_SOLVE_TOL:
+        f = w - eps_w
+        if abs(f) <= W_SOLVE_TOL:
             return pol
-        if w < eps_w:
-            lo = m
+        if f < 0.0:
+            lo, f_lo = m, f
+            if moved == -1:
+                f_hi *= 0.5
+            moved = -1
         else:
-            hi = m
-        m = 0.5 * (lo + hi)
+            hi, f_hi = m, f
+            if moved == 1:
+                f_lo *= 0.5
+            moved = 1
     raise RuntimeError(f"low-regime access probability did not converge: "
                        f"access rate {w!r} for budget {eps_w!r}")
 

@@ -4,8 +4,12 @@ from __future__ import annotations
 
 import math
 
-from cogarq import LinkStats, Policy, SystemParams
-from cogarq.mdp import PHI_K, PHI_U
+from typing import Dict
+
+from hypothesis import strategies as st
+
+from cogarq import CycleValues, LinkStats, NetState, Policy, SystemParams
+from cogarq.mdp import ACTIVE, IDLE, PHI_K, PHI_U, ROOT, enumerate_states
 
 TABLE1_SNRS = dict(mean_snr_s=5.0, mean_snr_p=10.0, mean_snr_sp=2.0,
                    mean_snr_ps=5.0)
@@ -53,6 +57,21 @@ def make_random_stats(rng, degenerate: bool = False,
     )
 
 
+class _Draws:
+    """`make_random_stats` source drawing each uniform from Hypothesis."""
+
+    def __init__(self, draw):
+        self.draw = draw
+
+    def uniform(self, lo, hi):
+        return self.draw(st.floats(lo, hi))
+
+
+@st.composite
+def feasible_stats(draw):
+    return make_random_stats(_Draws(draw), degenerate=draw(st.booleans()))
+
+
 def make_random_policy(rng, states, lo: float = 0.0, hi: float = 1.0) -> Policy:
     return Policy({s: float(rng.uniform(lo, hi)) for s in states})
 
@@ -95,3 +114,67 @@ def is_threshold_policy(policy: Policy, deadline: int) -> bool:
             if (p == 1.0) != (s.b < th[s.t]):
                 return False
     return True
+
+
+# Independent reference for the MDP core: the per-state dict recursion the
+# flat transition table replaced, with its rows and rewards written out.
+
+def reference_transition_row(state: NetState, action: str, stats: LinkStats,
+                             deadline: int, buffer_size: int
+                             ) -> Dict[NetState, float]:
+    if action == ACTIVE:
+        q_pp, q_ps, p_buf = stats.q_pp_active, stats.q_ps_active, stats.p_buf
+    else:
+        q_pp, q_ps, p_buf = stats.q_pp_idle, stats.q_ps_idle, 0.0
+    if state.t == deadline:
+        return {ROOT: 1.0}
+    row = {ROOT: 1.0 - q_pp}
+    t1 = state.t + 1
+    if state.phi == PHI_K:
+        row[NetState(t1, 0, PHI_K)] = q_pp
+        return row
+    stay = q_pp * (q_ps - p_buf)
+    grow = q_pp * p_buf
+    if state.b == buffer_size:
+        stay += grow            # buffer full: the new signal is dropped
+        grow = 0.0
+    row[NetState(t1, state.b, PHI_U)] = stay
+    if grow > 0.0:
+        row[NetState(t1, state.b + 1, PHI_U)] = grow
+    row[NetState(t1, 0, PHI_K)] = q_pp * (1.0 - q_ps)
+    return row
+
+
+def reference_throughput(state: NetState, mu: float,
+                         stats: LinkStats) -> float:
+    if state.phi == PHI_K:
+        return mu * stats.t_sk
+    decode_pu = mu * (1.0 - stats.q_ps_active) + (1.0 - mu) * (
+        1.0 - stats.q_ps_idle)
+    return mu * stats.t_su + decode_pu * state.b * stats.rate_su
+
+
+def reference_cycle_values(policy: Policy, stats: LinkStats, deadline: int,
+                           buffer_size: int) -> CycleValues:
+    g: Dict[NetState, float] = {}
+    v: Dict[NetState, float] = {}
+    dur: Dict[NetState, float] = {}
+    for s in sorted(enumerate_states(deadline, buffer_size),
+                    key=lambda s: -s.t):
+        mu = policy.prob(s)
+        row = {}
+        for action, weight in ((ACTIVE, mu), (IDLE, 1.0 - mu)):
+            for nxt, p in reference_transition_row(
+                    s, action, stats, deadline, buffer_size).items():
+                row[nxt] = row.get(nxt, 0.0) + weight * p
+        cont_g = cont_v = cont_d = 0.0
+        for nxt, p in row.items():
+            if nxt == ROOT:
+                continue
+            cont_g += p * g[nxt]
+            cont_v += p * v[nxt]
+            cont_d += p * dur[nxt]
+        g[s] = reference_throughput(s, mu, stats) + cont_g
+        v[s] = mu + cont_v
+        dur[s] = 1.0 + cont_d
+    return CycleValues(g=g, v=v, dur=dur)

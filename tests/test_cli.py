@@ -90,6 +90,37 @@ def test_non_finite_sweep_grid_rejected(config_file, capsys, grid):
                    "message": "grid values must be finite"}
 
 
+@pytest.mark.parametrize("argv", [
+    ["solve", "--eps-w", "-inf"],
+    ["sweep", "--kind", "TS_VS_TP", "--grid", "-inf,0.5"],
+])
+def test_negative_value_as_separate_argument_rejected(config_file, capsys,
+                                                      argv):
+    # argparse reads "-inf" as an option, so the value never arrives; the
+    # rejection still takes the one error path.
+    rc = main([argv[0], "--config", config_file, *argv[1:]])
+    assert rc == 1
+    obj = _one_line_error(capsys)
+    assert obj["error"] == "UsageError"
+    assert "expected one argument" in obj["message"]
+
+
+def test_missing_config_rejected(capsys):
+    rc = main(["solve", "--eps-w", "0.1"])
+    assert rc == 1
+    obj = _one_line_error(capsys)
+    assert obj == {"error": "UsageError",
+                   "message": "the following arguments are required: "
+                              "--config"}
+
+
+def test_help_exits_zero(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["solve", "--help"])
+    assert exc.value.code == 0
+    assert "--eps-w" in capsys.readouterr().out
+
+
 def test_solve_and_simulate(config_file, tmp_path):
     solved = tmp_path / "solved.json"
     rc = main(["solve", "--config", config_file, "--mc-samples", "200000",

@@ -1,15 +1,17 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cogarq import (ACCESS, ACTIVE, DURATION, IDLE, NetState, Policy,
                     THROUGHPUT, cycle_values, enumerate_states, idle_policy,
                     k_active_policy, long_term_metrics, policy_from_json_obj,
                     policy_to_json_obj, state_reward, stationary_distribution,
                     transition_row)
-from cogarq.mdp import (PHI_K, PHI_U, ROOT, mixed_transition_row,
-                        occupancy_metrics, validate_state)
+from cogarq.mdp import (PHI_K, PHI_U, ROOT, occupancy_metrics,
+                        transition_table, validate_state)
 
-from support import make_random_policy, make_random_stats
+from support import (feasible_stats, make_random_policy, make_random_stats,
+                     reference_cycle_values, reference_transition_row)
 
 RANDOM_CASES = [(2, 0), (2, 1), (3, 0), (3, 2), (5, 4), (5, 2)]
 
@@ -93,7 +95,10 @@ class TestTransitionRow:
         s = NetState(2, 0, PHI_U)
         row_a = transition_row(s, ACTIVE, t1_stats, 5, 4)
         row_i = transition_row(s, IDLE, t1_stats, 5, 4)
-        mixed = mixed_transition_row(s, 0.3, t1_stats, 5, 4)
+        table = transition_table(t1_stats, 5, 4)
+        mixed = {table.state(j): p
+                 for j, p in table.row(table.index(s), 0.3).items()}
+        assert set(mixed) == set(row_a) | set(row_i)
         for nxt in mixed:
             expected = 0.3 * row_a.get(nxt, 0.0) + 0.7 * row_i.get(nxt, 0.0)
             assert mixed[nxt] == pytest.approx(expected, abs=1e-15)
@@ -226,6 +231,66 @@ class TestStationaryDistribution:
                 assert bumped >= base - 1e-14
                 if pi[s] > 1e-12:
                     assert bumped > base
+
+
+def _assert_matches_reference(policy, stats, deadline, cap):
+    """Table core against the dict recursion at every state, and the
+    stationary distribution against a solve of the matrix assembled from
+    `transition_row`."""
+    states = enumerate_states(deadline, cap)
+    cv = cycle_values(policy, stats, deadline, cap)
+    ref = reference_cycle_values(policy, stats, deadline, cap)
+    for s in states:
+        assert abs(cv.g[s] - ref.g[s]) <= 1e-12
+        assert abs(cv.v[s] - ref.v[s]) <= 1e-12
+        assert abs(cv.dur[s] - ref.dur[s]) <= 1e-12
+        for action in (ACTIVE, IDLE):
+            row = transition_row(s, action, stats, deadline, cap)
+            ref_row = reference_transition_row(s, action, stats, deadline,
+                                               cap)
+            for nxt in set(row) | set(ref_row):
+                assert abs(row.get(nxt, 0.0) - ref_row.get(nxt, 0.0)) <= 1e-15
+
+    idx = {s: i for i, s in enumerate(states)}
+    n = len(states)
+    pmat = np.zeros((n, n))
+    for s in states:
+        mu = policy.prob(s)
+        for action, weight in ((ACTIVE, mu), (IDLE, 1.0 - mu)):
+            for nxt, p in transition_row(s, action, stats, deadline,
+                                         cap).items():
+                pmat[idx[s], idx[nxt]] += weight * p
+    a = np.vstack([(pmat.T - np.eye(n))[:-1], np.ones(n)])
+    rhs = np.zeros(n)
+    rhs[-1] = 1.0
+    expected = np.linalg.solve(a, rhs)
+    pi = stationary_distribution(policy, stats, deadline, cap)
+    assert list(pi) == states
+    for s in states:
+        assert abs(pi[s] - expected[idx[s]]) <= 1e-12
+
+
+@st.composite
+def _sized_policy(draw):
+    deadline = draw(st.integers(1, 6))
+    cap = draw(st.integers(0, deadline - 1))
+    states = enumerate_states(deadline, cap)
+    probs = draw(st.lists(st.floats(0.0, 1.0), min_size=len(states),
+                          max_size=len(states)))
+    return deadline, cap, Policy(dict(zip(states, probs)))
+
+
+class TestTableMatchesReference:
+    @settings(max_examples=200, derandomize=True, deadline=None)
+    @given(feasible_stats(), _sized_policy())
+    def test_random_scenarios(self, stats, sized):
+        deadline, cap, policy = sized
+        _assert_matches_reference(policy, stats, deadline, cap)
+
+    def test_table1_deadline_20(self, t1_stats):
+        states = enumerate_states(20, 19)
+        policy = make_random_policy(np.random.default_rng(20), states)
+        _assert_matches_reference(policy, t1_stats, 20, 19)
 
 
 class TestStatsValidation:

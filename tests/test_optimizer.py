@@ -11,7 +11,7 @@ from cogarq import optimizer
 from cogarq.mdp import PHI_K, PHI_U
 from cogarq.optimizer import IDLE_START
 
-from support import make_random_policy, make_random_stats
+from support import feasible_stats, make_random_policy, make_random_stats
 
 RANDOM_CASES = [(2, 0), (2, 1), (3, 0), (3, 2), (5, 4)]
 
@@ -125,6 +125,25 @@ class TestLowRegimePolicy:
             probs_k = {pol.prob(s) for s in states if s.phi == PHI_K}
             assert len(probs_k) == 1
             assert all(pol.prob(s) == 0.0 for s in states if s.phi == PHI_U)
+
+    def test_few_evaluations_per_budget(self, t1_stats, monkeypatch):
+        states = enumerate_states(5, 4)
+        eps_th = long_term_metrics(k_active_policy(states), t1_stats, 5,
+                                   4).w_s_bar
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return long_term_metrics(*args)
+
+        monkeypatch.setattr(optimizer, "long_term_metrics", counting)
+        for frac in (0.1, 0.33, 0.5, 0.77, 0.95):
+            eps_w = frac * eps_th
+            calls.clear()
+            pol = low_regime_policy(eps_w, eps_th, 5, 4, stats=t1_stats)
+            assert len(calls) <= 15
+            w = long_term_metrics(pol, t1_stats, 5, 4).w_s_bar
+            assert abs(w - eps_w) <= optimizer.W_SOLVE_TOL
 
     def test_budget_above_threshold_rejected(self, t1_stats):
         with pytest.raises(ValueError):
@@ -271,21 +290,6 @@ class TestOptimalPolicy:
         path = greedy_policy_path(t1_stats, 2, 1)
         with pytest.raises(ValueError, match="finite and nonnegative"):
             optimal_policy(eps_w, path, t1_stats, 2, 1)
-
-
-class _Draws:
-    """`make_random_stats` source drawing each uniform from Hypothesis."""
-
-    def __init__(self, draw):
-        self.draw = draw
-
-    def uniform(self, lo, hi):
-        return self.draw(st.floats(lo, hi))
-
-
-@st.composite
-def feasible_stats(draw):
-    return make_random_stats(_Draws(draw), degenerate=draw(st.booleans()))
 
 
 @settings(max_examples=100, derandomize=True, deadline=None)
