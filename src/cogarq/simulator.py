@@ -1,32 +1,46 @@
-"""Slot-level Monte Carlo simulation of the shared-spectrum network.
+"""Cycle-parallel Monte Carlo simulation of the shared-spectrum network.
 
-One chain is advanced slot by slot: fading draws, the secondary access
-coin, the primary ACK/NACK, the secondary receiver's decode outcome, and
-the resulting state update. Decode outcomes of each chunk of draws come
-from `RegionClassifier.masks`, the classification the link statistics
-use, so simulated transition frequencies estimate the analytic transition
-rows by construction.
+Every retransmission cycle starts at the root (1, 0, U) and ends at an ACK
+or at the deadline, so cycles are independent and identically distributed.
+The simulator draws a chunk of cycles at once and advances them together,
+one attempt layer t = 1..D at a time: each layer is one array step over the
+cycles still alive (fading draws, the secondary access coin, the primary
+ACK/NACK, the secondary receiver's decode outcome from
+`RegionClassifier.masks`, and the next state by index arithmetic). Laying
+the chunk's cycles end to end in order gives the chain's sample path from
+the root, which is cut off exactly after ``num_slots`` slots. Decode
+outcomes use the classification the link statistics use, so simulated
+transition frequencies estimate the analytic transition rows by
+construction.
 
-Reproducibility: one seeded generator; per chunk the draw order is
-(gamma_s, gamma_p, gamma_sp, gamma_ps, action-uniform). Standard errors
-use batch means over 20 equal batches.
+Standard errors come from the regenerative ratio estimator (Crane &
+Iglehart 1975; Asmussen & Glynn, *Stochastic Simulation*, ch. IV): with y
+a complete cycle's reward, tau its length and r the ratio of their sums,
+the error of r is sqrt(sum (y - r tau)^2) / sum tau. Only running sums of
+y, y^2, y tau, tau and tau^2 are kept, so memory does not grow with
+``num_slots``.
+
+Reproducibility: one seeded generator; per chunk of cycles, then per layer
+t, the draw order is (gamma_s, gamma_p, gamma_sp, gamma_ps,
+access-uniform) over the cycles alive at that layer.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import numbers
+from collections import Counter
 from dataclasses import dataclass, asdict
 from typing import Dict, Optional
 
 import numpy as np
 
 from .channel import LinkStats, RegionClassifier, SystemParams, link_stats
-from .mdp import (ACTIVE, IDLE, PHI_K, PHI_U, NetState, Policy,
-                  enumerate_states, transition_row)
+from .mdp import (ACTIVE, IDLE, NetState, Policy, _u_offset,
+                  enumerate_states, transition_table)
 
-N_BATCHES = 20
-_CHUNK = 1 << 16
+_CHUNK = 1 << 14      # cycles simulated together
 
 
 @dataclass(frozen=True)
@@ -37,15 +51,25 @@ class SimConfig:
     seed: int
 
     def __post_init__(self):
+        for name in ("num_slots", "seed"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value,
+                                                         numbers.Integral):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.num_slots < 1:
             raise ValueError("num_slots must be >= 1")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
         self.policy.validate(enumerate_states(self.params.deadline_D,
                                               self.params.buffer_B))
 
 
 @dataclass(frozen=True)
 class SimResult:
-    """Empirical long-term averages with batch-means standard errors."""
+    """Empirical long-term averages with regenerative standard errors.
+
+    A standard error is ``math.inf`` when fewer than two cycles complete.
+    """
 
     t_s_emp: float
     w_s_emp: float
@@ -65,125 +89,183 @@ class SimResult:
         return json.dumps(asdict(self), indent=2)
 
 
-def _batch_stderr(sums, batch_size: int) -> float:
-    means = np.asarray(sums, dtype=float) / batch_size
-    if len(means) < 2:
-        return 0.0
-    return float(np.std(means, ddof=1) / math.sqrt(len(means)))
+class _Chain:
+    """Scenario constants and the layer-by-layer simulation of cycles.
+
+    States are indexed in canonical order (`enumerate_states`), as in
+    `mdp.TransitionTable`: unknown-message (t, b) at ``offsets[t] + b``,
+    known-message t at ``n_unknown + t - 2``; index 0 is the root.
+    """
+
+    def __init__(self, params: SystemParams, policy: Policy):
+        self.params = params
+        self.states = enumerate_states(params.deadline_D, params.buffer_B)
+        self.mu = np.array([policy.probs[s] for s in self.states])
+        self.offsets = [_u_offset(t, params.buffer_B)
+                        for t in range(params.deadline_D + 2)]
+        self.n_unknown = self.offsets[-1]
+        self.cls = RegionClassifier(params.rate_su, params.rate_p)
+        self.thr_sk = 2.0 ** params.rate_sk - 1.0
+
+    def cycles(self, rng: np.random.Generator, n: int,
+               room: Optional[np.ndarray], collect_transitions: bool):
+        """Simulate ``n`` cycles laid end to end from the root.
+
+        Returns (sums, lengths, counts). With ``room`` given, slot t of
+        cycle c counts only if t <= room[c]; otherwise every slot counts.
+        The draws do not depend on ``room``. ``sums`` holds the totals over
+        counted slots and the moments of the cycles that end in a counted
+        slot; ``lengths`` the full length of every cycle; ``counts`` the
+        counted (state, action, next) transitions, at code
+        (2 state + active) * n_states + next, or None.
+        """
+        p = self.params
+        deadline, cap = p.deadline_D, p.buffer_B
+        rsu, rsk = p.rate_su, p.rate_sk
+        thr_p = self.cls.thr_p
+        offsets, n_u, n_states = self.offsets, self.n_unknown, len(self.states)
+        counts = (np.zeros(2 * n_states * n_states, dtype=np.int64)
+                  if collect_transitions else None)
+        cyc = np.arange(n)
+        state = np.zeros(n, dtype=np.int64)
+        y = {"t_s": np.zeros(n), "w_s": np.zeros(n)}
+        lengths = np.zeros(n)
+        acked = np.zeros(n, dtype=bool)
+        sums = Counter()
+        for t in range(1, deadline + 1):
+            m = len(cyc)
+            if m == 0:
+                break
+            gs = rng.exponential(p.mean_snr_s, m)
+            gp = rng.exponential(p.mean_snr_p, m)
+            gsp = rng.exponential(p.mean_snr_sp, m)
+            gps = rng.exponential(p.mean_snr_ps, m)
+            u = rng.random(m)
+            known = state >= n_u
+            b = state - offsets[t]          # buffer level where unknown
+            active = u < self.mu[state]
+            ack = gp >= thr_p * (1.0 + gsp * active)
+            pu_dec, su_dec, buf_dec = self.cls.masks(gs, gps)
+            unknown_active = active & ~known
+            k_access = active & known
+            fic = k_access & (gs >= self.thr_sk)
+            fresh = unknown_active & su_dec
+            decoded = ~known & np.where(active, pu_dec, gps >= thr_p)
+            buffered = unknown_active & buf_dec
+            bic = decoded * (b * rsu)
+            end = ack | (t == deadline)
+            # the root after an ACK or the deadline; the known-message chain
+            # once the primary message is known; else the same buffer level
+            # one attempt later, one higher if a signal fits in the buffer
+            nxt = np.where(end, 0, np.where(
+                known | decoded, n_u + t - 1,
+                state + (offsets[t + 1] - offsets[t])
+                + (buffered & (b < cap))))
+
+            # every live cycle is written; a cycle's last write is its end
+            lengths[cyc] = t
+            acked[cyc] = ack
+            live = slice(None) if room is None else room[cyc] >= t
+            counted = cyc[live]
+            y["t_s"][counted] += (fic * rsk + fresh * rsu + bic)[live]
+            y["w_s"][counted] += active[live]
+            sums["slots"] += len(counted)
+            sums["u_bits"] += rsu * int(np.count_nonzero(fresh[live]))
+            sums["fic_bits"] += rsk * int(np.count_nonzero(fic[live]))
+            sums["bic_bits"] += float(bic[live].sum())
+            sums["k_access_slots"] += int(np.count_nonzero(k_access[live]))
+            sums["buffered_events"] += int(np.count_nonzero(buffered[live]))
+            if counts is not None:
+                hist = np.bincount(
+                    ((2 * state + active) * n_states + nxt)[live])
+                counts[:len(hist)] += hist
+
+            stay = np.flatnonzero(~end)
+            cyc, state = cyc[stay], nxt[stay]
+
+        # an ACK is a cycle's last slot, so only complete cycles carry one
+        done = np.full(n, True) if room is None else lengths <= room
+        y["t_p"] = p.rate_p * (acked & done)
+        tau = lengths[done]
+        sums["cycles_completed"] += len(tau)
+        sums["tau"] += float(tau.sum())
+        sums["tau_sq"] += float(tau @ tau)
+        for key in ("t_s", "w_s", "t_p"):
+            sums[key] += float(y[key].sum())
+            whole = y[key][done]
+            sums[key + "_cyc"] += float(whole.sum())
+            sums[key + "_sq"] += float(whole @ whole)
+            sums[key + "_tau"] += float(whole @ tau)
+        return sums, lengths, counts
+
+    def transitions(self, counts: np.ndarray) -> Dict:
+        """Transition counts keyed ((t, b, phi), action) -> {next: count}."""
+        n = len(self.states)
+        keys = [(s.t, s.b, s.phi) for s in self.states]
+        trans: Dict = {}
+        for code in np.flatnonzero(counts):
+            src, nxt = divmod(int(code), n)
+            i, active = divmod(src, 2)
+            row = trans.setdefault((keys[i], ACTIVE if active else IDLE), {})
+            row[keys[nxt]] = int(counts[code])
+        return trans
+
+
+def _ratio_stderr(sums: Counter, key: str) -> float:
+    """Regenerative standard error of the long-term ratio of ``key``.
+
+    sum (y - r tau)^2 over complete cycles, expanded into the running
+    moments, with r the ratio of their sums; rounding can push it a hair
+    below zero when y is proportional to tau.
+    """
+    if sums["cycles_completed"] < 2:
+        return math.inf
+    tau = sums["tau"]
+    r = sums[key + "_cyc"] / tau
+    sq = (sums[key + "_sq"] - 2.0 * r * sums[key + "_tau"]
+          + r * r * sums["tau_sq"])
+    return math.sqrt(max(sq, 0.0)) / tau
 
 
 def _simulate(params: SystemParams, policy: Policy, num_slots: int, seed: int,
               collect_transitions: bool):
-    cls = RegionClassifier(params.rate_su, params.rate_p)
-    thr_p = cls.thr_p
-    thr_sk = 2.0 ** params.rate_sk - 1.0
-    rsu, rsk, rp = params.rate_su, params.rate_sk, params.rate_p
-    deadline, cap = params.deadline_D, params.buffer_B
-    mu = {(s.t, s.b, s.phi): policy.probs[s]
-          for s in enumerate_states(deadline, cap)}
-
+    chain = _Chain(params, policy)
     rng = np.random.default_rng(seed)
-    batch = max(1, num_slots // N_BATCHES)
-    last_batch = N_BATCHES - 1
-    ts_sum = [0.0] * N_BATCHES
-    w_sum = [0.0] * N_BATCHES
-    tp_sum = [0.0] * N_BATCHES
-    fic_bits = bic_bits = u_bits = 0.0
-    k_access = buffered_events = cycles = 0
-    trans: Optional[Dict] = {} if collect_transitions else None
-
-    t, b, phi = 1, 0, PHI_U
-    pos = _CHUNK
-    gs_a = gp_a = gsp_a = gps_a = u_a = pu_dec = su_dec = buf_dec = None
-    for n in range(num_slots):
-        if pos == _CHUNK:
-            m = min(_CHUNK, num_slots - n)
-            gs_arr = rng.exponential(params.mean_snr_s, m)
-            gp_a = rng.exponential(params.mean_snr_p, m).tolist()
-            gsp_a = rng.exponential(params.mean_snr_sp, m).tolist()
-            gps_arr = rng.exponential(params.mean_snr_ps, m)
-            u_a = rng.random(m).tolist()
-            pu_dec, su_dec, buf_dec = (
-                mask.tolist() for mask in cls.masks(gs_arr, gps_arr))
-            gs_a = gs_arr.tolist()
-            gps_a = gps_arr.tolist()
-            pos = 0
-        gs = gs_a[pos]
-        gp = gp_a[pos]
-        gsp = gsp_a[pos]
-        gps = gps_a[pos]
-        active = u_a[pos] < mu[(t, b, phi)]
-        bi = n // batch
-        if bi > last_batch:
-            bi = last_batch
-
-        if active:
-            w_sum[bi] += 1.0
-            ack = gp >= thr_p * (1.0 + gsp)
-        else:
-            ack = gp >= thr_p
-        if ack:
-            tp_sum[bi] += rp
-
-        slot_bits = 0.0
-        decoded_pu = False
-        buffered = False
-        if phi == PHI_K:
-            if active:
-                k_access += 1
-                if gs >= thr_sk:
-                    slot_bits = rsk
-                    fic_bits += rsk
-        elif active:
-            if su_dec[pos]:
-                slot_bits += rsu
-                u_bits += rsu
-            if pu_dec[pos]:
-                decoded_pu = True
-            elif buf_dec[pos]:
-                buffered = True
-                buffered_events += 1
-        else:
-            decoded_pu = gps >= thr_p
-        if decoded_pu and b > 0:
-            slot_bits += b * rsu
-            bic_bits += b * rsu
-        ts_sum[bi] += slot_bits
-
-        if ack or t == deadline:
-            nxt = (1, 0, PHI_U)
-            cycles += 1
-        elif phi == PHI_K:
-            nxt = (t + 1, 0, PHI_K)
-        elif decoded_pu:
-            nxt = (t + 1, 0, PHI_K)
-        elif buffered:
-            nxt = (t + 1, b + 1 if b < cap else b, PHI_U)
-        else:
-            nxt = (t + 1, b, PHI_U)
+    sums = Counter()
+    counts = None
+    while sums["slots"] < num_slots:
+        left = num_slots - sums["slots"]
+        n = min(_CHUNK, left)       # every cycle lasts at least one slot
+        before = rng.bit_generator.state
+        part, lengths, part_counts = chain.cycles(rng, n, None,
+                                                  collect_transitions)
+        if part["slots"] > left:
+            # the path ends inside this chunk: repeat its draws, counting
+            # slot t of cycle c only if start[c] + t - 1 < left
+            rng.bit_generator.state = before
+            room = left - (np.cumsum(lengths) - lengths)
+            part, _, part_counts = chain.cycles(rng, n, room,
+                                                collect_transitions)
+        sums.update(part)
         if collect_transitions:
-            key = ((t, b, phi), ACTIVE if active else IDLE)
-            row = trans.setdefault(key, {})
-            row[nxt] = row.get(nxt, 0) + 1
-        t, b, phi = nxt
-        pos += 1
+            counts = part_counts if counts is None else counts + part_counts
 
-    totals = (sum(ts_sum), sum(w_sum), sum(tp_sum))
     result = SimResult(
-        t_s_emp=totals[0] / num_slots,
-        w_s_emp=totals[1] / num_slots,
-        t_p_emp=totals[2] / num_slots,
-        stderr_t_s=_batch_stderr(ts_sum, batch),
-        stderr_w_s=_batch_stderr(w_sum, batch),
-        stderr_t_p=_batch_stderr(tp_sum, batch),
-        fic_bits=fic_bits,
-        bic_bits=bic_bits,
-        u_bits=u_bits,
-        k_access_slots=k_access,
-        buffered_events=buffered_events,
-        cycles_completed=cycles,
+        t_s_emp=sums["t_s"] / num_slots,
+        w_s_emp=sums["w_s"] / num_slots,
+        t_p_emp=sums["t_p"] / num_slots,
+        stderr_t_s=_ratio_stderr(sums, "t_s"),
+        stderr_w_s=_ratio_stderr(sums, "w_s"),
+        stderr_t_p=_ratio_stderr(sums, "t_p"),
+        fic_bits=sums["fic_bits"],
+        bic_bits=sums["bic_bits"],
+        u_bits=sums["u_bits"],
+        k_access_slots=sums["k_access_slots"],
+        buffered_events=sums["buffered_events"],
+        cycles_completed=sums["cycles_completed"],
         num_slots=num_slots,
     )
+    trans = chain.transitions(counts) if collect_transitions else None
     return result, trans
 
 
@@ -208,17 +290,16 @@ def empirical_transition_check(config: SimConfig,
         stats = link_stats(config.params, mc_samples, stats_seed)
     _, trans = _simulate(config.params, config.policy, config.num_slots,
                          config.seed, collect_transitions=True)
-    deadline, cap = config.params.deadline_D, config.params.buffer_B
+    table = transition_table(stats, config.params.deadline_D,
+                             config.params.buffer_B)
     worst = 0.0
     for (skey, action), row_counts in trans.items():
-        state = NetState(*skey)
+        analytic = table.row(table.index(NetState(*skey)),
+                             1.0 if action == ACTIVE else 0.0)
         total = sum(row_counts.values())
-        analytic = transition_row(state, action, stats, deadline, cap)
-        targets = set(analytic)
-        targets.update(NetState(*k) for k in row_counts)
-        for nxt in targets:
-            emp = row_counts.get((nxt.t, nxt.b, nxt.phi), 0) / total
-            gap = abs(emp - analytic.get(nxt, 0.0))
-            if gap > worst:
-                worst = gap
+        empirical = {table.index(NetState(*k)): c / total
+                     for k, c in row_counts.items()}
+        for j in set(analytic) | set(empirical):
+            worst = max(worst, abs(empirical.get(j, 0.0)
+                                   - analytic.get(j, 0.0)))
     return worst

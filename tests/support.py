@@ -72,6 +72,17 @@ def feasible_stats(draw):
     return make_random_stats(_Draws(draw), degenerate=draw(st.booleans()))
 
 
+@st.composite
+def sized_policies(draw):
+    """(deadline, buffer size, random policy) with D <= 6 and B <= D - 1."""
+    deadline = draw(st.integers(1, 6))
+    cap = draw(st.integers(0, deadline - 1))
+    states = enumerate_states(deadline, cap)
+    probs = draw(st.lists(st.floats(0.0, 1.0), min_size=len(states),
+                          max_size=len(states)))
+    return deadline, cap, Policy(dict(zip(states, probs)))
+
+
 def make_random_policy(rng, states, lo: float = 0.0, hi: float = 1.0) -> Policy:
     return Policy({s: float(rng.uniform(lo, hi)) for s in states})
 

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, settings
 
 from cogarq import (ACCESS, ACTIVE, DURATION, IDLE, NetState, Policy,
                     THROUGHPUT, cycle_values, enumerate_states, idle_policy,
@@ -11,7 +11,8 @@ from cogarq.mdp import (PHI_K, PHI_U, ROOT, occupancy_metrics,
                         transition_table, validate_state)
 
 from support import (feasible_stats, make_random_policy, make_random_stats,
-                     reference_cycle_values, reference_transition_row)
+                     reference_cycle_values, reference_transition_row,
+                     sized_policies)
 
 RANDOM_CASES = [(2, 0), (2, 1), (3, 0), (3, 2), (5, 4), (5, 2)]
 
@@ -270,19 +271,9 @@ def _assert_matches_reference(policy, stats, deadline, cap):
         assert abs(pi[s] - expected[idx[s]]) <= 1e-12
 
 
-@st.composite
-def _sized_policy(draw):
-    deadline = draw(st.integers(1, 6))
-    cap = draw(st.integers(0, deadline - 1))
-    states = enumerate_states(deadline, cap)
-    probs = draw(st.lists(st.floats(0.0, 1.0), min_size=len(states),
-                          max_size=len(states)))
-    return deadline, cap, Policy(dict(zip(states, probs)))
-
-
 class TestTableMatchesReference:
     @settings(max_examples=200, derandomize=True, deadline=None)
-    @given(feasible_stats(), _sized_policy())
+    @given(feasible_stats(), sized_policies())
     def test_random_scenarios(self, stats, sized):
         deadline, cap, policy = sized
         _assert_matches_reference(policy, stats, deadline, cap)

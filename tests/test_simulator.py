@@ -1,13 +1,17 @@
+import math
+from collections import Counter
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cogarq import (Policy, RegionClassifier, SimConfig, enumerate_states,
                     empirical_transition_check, idle_policy, k_active_policy,
                     long_term_metrics, region_membership, run)
-from cogarq.mdp import PHI_U
-from cogarq.simulator import _simulate
+from cogarq.mdp import ACTIVE, PHI_K, PHI_U
+from cogarq.simulator import _CHUNK, _Chain, _simulate
 
-from support import make_random_policy, table1_params
+from support import make_random_policy, sized_policies, table1_params
 
 
 def _config(params, policy, slots, seed):
@@ -76,6 +80,97 @@ class TestRun:
         assert "stderr_t_s" in obj
 
 
+class TestBookkeeping:
+    # a single slot, small odd counts, and runs longer than one chunk of
+    # cycles
+    @settings(max_examples=60, derandomize=True, deadline=None)
+    @given(sized_policies(),
+           st.sampled_from([1, 2, 7, 19, 2 ** 13 + 3, _CHUNK + 1,
+                            3 * _CHUNK + 5]),
+           st.integers(0, 2 ** 32))
+    def test_counts_match_result(self, sized, slots, seed):
+        # exact identities between the transition counts and the result
+        # of one run pin the cut at num_slots and the per-layer sums
+        deadline, cap, policy = sized
+        params = table1_params(deadline_D=deadline, buffer_B=cap)
+        r, trans = _simulate(params, policy, slots, seed,
+                             collect_transitions=True)
+        total = active = k_active = into_root = 0
+        # one path from the root: every state but the last is left as
+        # often as it is entered, the root counted as entered once more
+        net = Counter({(1, 0, PHI_U): -1})
+        for (state, action), row in trans.items():
+            n = sum(row.values())
+            total += n
+            if action == ACTIVE:
+                active += n
+                if state[2] == PHI_K:
+                    k_active += n
+            into_root += row.get((1, 0, PHI_U), 0)
+            net[state] += n
+            for nxt, m in row.items():
+                net[nxt] -= m
+        assert [v for v in net.values() if v] == [-1]
+        assert total == slots == r.num_slots
+        assert active == round(r.w_s_emp * slots)
+        assert k_active == r.k_access_slots
+        assert into_root == r.cycles_completed
+        bits = r.u_bits + r.fic_bits + r.bic_bits
+        assert math.isclose(bits, r.t_s_emp * slots, rel_tol=1e-9,
+                            abs_tol=1e-12)
+
+    def test_one_more_slot_adds_one_transition(self, t1_params):
+        # runs of at least _CHUNK slots draw the same first chunk of
+        # cycles, so the shorter run's path is a prefix of the longer's;
+        # a run as long as that chunk is the one cut that needs no second
+        # pass over its draws
+        pol = make_random_policy(np.random.default_rng(6),
+                                 enumerate_states(5, 4))
+        _, lengths, _ = _Chain(t1_params, pol).cycles(
+            np.random.default_rng(6), _CHUNK, None, False)
+
+        def flat(trans):
+            return Counter({(key, nxt): n for key, row in trans.items()
+                            for nxt, n in row.items()})
+
+        for slots in (_CHUNK, _CHUNK + 1234, int(lengths.sum()) - 1):
+            _, short = _simulate(t1_params, pol, slots, 6, True)
+            _, longer = _simulate(t1_params, pol, slots + 1, 6, True)
+            assert not flat(short) - flat(longer)
+            assert sum((flat(longer) - flat(short)).values()) == 1
+
+
+class TestRegenerativeErrors:
+    def test_stderr_matches_spread_across_seeds(self, t1_params):
+        pol = make_random_policy(np.random.default_rng(8),
+                                 enumerate_states(5, 4))
+        runs = [run(_config(t1_params, pol, 20_000, seed))
+                for seed in range(100)]
+        spread = np.std([r.t_s_emp for r in runs], ddof=1)
+        mean_se = np.mean([r.stderr_t_s for r in runs])
+        assert 0.7 <= spread / mean_se <= 1.4
+
+    def test_fewer_than_two_cycles_give_inf(self, t1_params):
+        pol = make_random_policy(np.random.default_rng(9),
+                                 enumerate_states(5, 4))
+        one_slot = table1_params(deadline_D=1, buffer_B=0)
+        cases = [(t1_params, pol), (one_slot, Policy(
+            {s: 1.0 for s in enumerate_states(1, 0)}))]
+        for params, policy in cases:
+            r = run(_config(params, policy, 1, 4))
+            assert r.cycles_completed <= 1
+            assert r.stderr_t_s == r.stderr_w_s == r.stderr_t_p == math.inf
+        assert r.cycles_completed == 1
+
+    def test_two_single_slot_cycles_give_finite_errors(self):
+        params = table1_params(deadline_D=1, buffer_B=0)
+        pol = Policy({s: 1.0 for s in enumerate_states(1, 0)})
+        r = run(_config(params, pol, 2, 4))
+        assert r.cycles_completed == 2
+        assert r.stderr_w_s == 0.0
+        assert math.isfinite(r.stderr_t_s) and math.isfinite(r.stderr_t_p)
+
+
 class TestDecodeConsistency:
     def test_inline_predicates_match_region_membership(self, t1_params):
         # the simulator decodes with `masks`; a scalar restatement of the
@@ -129,6 +224,21 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             SimConfig(params=t1_params, policy=idle_policy(states),
                       num_slots=0, seed=1)
+
+    @pytest.mark.parametrize("slots, seed", [
+        (2.5, 1), (True, 1), (np.float64(10.0), 1),
+        (10, 1.5), (10, True), (10, -1)])
+    def test_bool_fractional_or_negative(self, t1_params, slots, seed):
+        states = enumerate_states(5, 4)
+        with pytest.raises(ValueError):
+            SimConfig(params=t1_params, policy=idle_policy(states),
+                      num_slots=slots, seed=seed)
+
+    def test_numpy_integers_accepted(self, t1_params):
+        states = enumerate_states(5, 4)
+        cfg = SimConfig(params=t1_params, policy=idle_policy(states),
+                        num_slots=np.int64(10), seed=np.int32(3))
+        assert run(cfg).num_slots == 10
 
     def test_policy_must_cover_state_space(self, t1_params):
         with pytest.raises(ValueError):
