@@ -46,11 +46,21 @@ RATE_BRACKET = (1e-3, 20.0)   # bits/s/Hz; throughput vanishes at both ends
 RATE_TOL = 1e-4
 
 _MC_CHUNK = 1 << 20
+MIN_MC_SAMPLES = 10 ** 5      # fewest Monte-Carlo draws `link_stats` takes
 
 
-def capacity(snr: float) -> float:
-    """Normalized Gaussian-channel capacity log2(1 + snr) in bits/s/Hz."""
-    return math.log2(1.0 + snr)
+def check_mc_samples(mc_samples: int) -> None:
+    """Reject a Monte-Carlo sample count below `MIN_MC_SAMPLES`."""
+    if mc_samples < MIN_MC_SAMPLES:
+        raise ValueError("mc_samples must be at least 1e5")
+
+
+def _success(rate: float, mean_snr: float) -> float:
+    """Pr(rate <= log2(1 + snr)), snr exponential of mean ``mean_snr``;
+    zero for an absent link (mean 0)."""
+    if mean_snr == 0.0:
+        return 0.0
+    return math.exp(-(2.0 ** rate - 1.0) / mean_snr)
 
 
 @dataclass(frozen=True)
@@ -186,9 +196,9 @@ class RegionClassifier:
     of primary interference (the clean-channel constraint still holds) is
     buffered for later interference-cancellation recovery.
 
-    The same threshold constants serve the scalar per-slot path, the
-    vectorized Monte Carlo path and the exact decode probability, so every
-    consumer classifies identically.
+    `masks` is the one definition of the regions: `label` classifies a
+    single draw by calling it, and the exact decode probability integrates
+    the same thresholds, so every consumer classifies identically.
     Boundary ties follow the non-strict inequalities of the defining
     regions; under continuous fading they have measure zero.
     """
@@ -250,20 +260,16 @@ class RegionClassifier:
         return alone + binding + math.exp(e_far)
 
     def label(self, snr_s: float, snr_ps: float) -> str:
-        """Scalar five-way classification of one (snr_s, snr_ps) draw."""
-        mac = (snr_s >= self.thr_su and snr_ps >= self.thr_p
-               and snr_s + snr_ps >= self.thr_sum)
-        in_gp = mac or (snr_s < self.thr_su
-                        and snr_ps >= self.thr_p * (1.0 + snr_s))
-        in_gs = mac or (snr_ps < self.thr_p
-                        and snr_s >= self.thr_su * (1.0 + snr_ps))
+        """Five-way classification of one (snr_s, snr_ps) draw by `masks`."""
+        in_gp, in_gs, buffered = self.masks(np.asarray(snr_s),
+                                            np.asarray(snr_ps))
         if in_gp and in_gs:
             return BOTH_DECODED
         if in_gp:
             return PU_ONLY
         if in_gs:
             return SU_ONLY
-        if snr_s >= self.thr_su:
+        if buffered:
             return BUFFERED
         return LOST
 
@@ -283,20 +289,11 @@ def outage_pp(params: SystemParams, su_active: bool) -> float:
     Active secondary: the interference term integrates out to the factor
     1 / (1 + thr * mean_snr_sp / mean_snr_p).
     """
-    thr = 2.0 ** params.rate_p - 1.0
-    if params.mean_snr_p == 0.0:
-        return 1.0
-    clear = math.exp(-thr / params.mean_snr_p)
-    if su_active:
+    clear = _success(params.rate_p, params.mean_snr_p)
+    if su_active and params.mean_snr_p > 0.0:
+        thr = 2.0 ** params.rate_p - 1.0
         clear /= 1.0 + thr * params.mean_snr_sp / params.mean_snr_p
     return 1.0 - clear
-
-
-def _pu_outage_at_su_idle(params: SystemParams) -> float:
-    thr = 2.0 ** params.rate_p - 1.0
-    if params.mean_snr_ps == 0.0:
-        return 1.0
-    return 1.0 - math.exp(-thr / params.mean_snr_ps)
 
 
 def _mc_region_probs(params: SystemParams, rate_su: float, mc_samples: int,
@@ -336,20 +333,15 @@ def link_stats(params: SystemParams, mc_samples: int = 10_000_000,
     piecewise region) use Monte Carlo with the given sample count and
     seed. Deterministic for fixed (params, mc_samples, seed).
     """
-    if mc_samples < 10 ** 5:
-        raise ValueError("mc_samples must be at least 1e5")
+    check_mc_samples(mc_samples)
     q_pp_i = outage_pp(params, su_active=False)
     q_pp_a = outage_pp(params, su_active=True)
-    q_ps_i = _pu_outage_at_su_idle(params)
+    q_ps_i = 1.0 - _success(params.rate_p, params.mean_snr_ps)
 
     pr_gp, pr_gs, p_buf = _mc_region_probs(params, params.rate_su,
                                            mc_samples, seed)
     q_ps_a = 1.0 - pr_gp
     t_su = params.rate_su * pr_gs
-
-    thr_sk = 2.0 ** params.rate_sk - 1.0
-    t_sk = (params.rate_sk * math.exp(-thr_sk / params.mean_snr_s)
-            if params.mean_snr_s > 0 else 0.0)
 
     return LinkStats(
         q_pp_idle=q_pp_i,
@@ -358,7 +350,7 @@ def link_stats(params: SystemParams, mc_samples: int = 10_000_000,
         q_ps_active=q_ps_a,
         p_buf=p_buf,
         t_su=t_su,
-        t_sk=t_sk,
+        t_sk=params.rate_sk * _success(params.rate_sk, params.mean_snr_s),
         t_p_idle=params.rate_p * (1.0 - q_pp_i),
         t_p_active=params.rate_p * (1.0 - q_pp_a),
         rate_p=params.rate_p,
@@ -406,18 +398,14 @@ def optimize_rate(objective: str, params: SystemParams) -> float:
     interfered secondary one uses `RegionClassifier.su_decode_probability`.
     """
     lo, hi = RATE_BRACKET
-    if objective == PU_IDLE_THROUGHPUT:
-        if params.mean_snr_p <= 0:
-            raise ValueError("mean_snr_p must be positive")
-        snr = params.mean_snr_p
-        return _golden_max(lambda r: r * math.exp(-(2.0 ** r - 1.0) / snr),
-                           lo, hi, RATE_TOL)
-    if objective == SU_CLEAN_THROUGHPUT:
-        if params.mean_snr_s <= 0:
-            raise ValueError("mean_snr_s must be positive")
-        snr = params.mean_snr_s
-        return _golden_max(lambda r: r * math.exp(-(2.0 ** r - 1.0) / snr),
-                           lo, hi, RATE_TOL)
+    clean_link = {PU_IDLE_THROUGHPUT: "mean_snr_p",
+                  SU_CLEAN_THROUGHPUT: "mean_snr_s"}
+    if objective in clean_link:
+        name = clean_link[objective]
+        snr = getattr(params, name)
+        if snr <= 0:
+            raise ValueError(f"{name} must be positive")
+        return _golden_max(lambda r: r * _success(r, snr), lo, hi, RATE_TOL)
     if objective == SU_INTERFERED_THROUGHPUT:
         if params.mean_snr_s <= 0:
             raise ValueError("mean_snr_s must be positive")

@@ -13,8 +13,10 @@ Subcommands:
 
 Config files are JSON objects mirroring the SystemParams field names, plus
 an optional ``rate_policy`` of RSU_STAR (default), RSU_EQ_RSK, or EXPLICIT;
-any other key is rejected. Derived rates are exact; ``--mc-samples`` and
-``--seed`` drive the Monte-Carlo link statistics and the simulator only.
+any other key is rejected; EXPLICIT needs all three rates, the others
+derive them. Derived rates are exact; ``--mc-samples`` (at least
+`channel.MIN_MC_SAMPLES`) and ``--seed`` drive the Monte-Carlo link
+statistics and the simulator only.
 Every error, a malformed command line included, exits 1 with a one-line
 JSON diagnostic on stderr; ``--help`` exits 0.
 """
@@ -27,8 +29,8 @@ import sys
 from dataclasses import asdict, fields
 
 from .channel import SystemParams, link_stats
-from .experiments import (SWEEP_KINDS, Scenario, derive_rates, rows_to_csv,
-                          sweep)
+from .experiments import (EXPLICIT, RSU_STAR, SWEEP_KINDS, Scenario,
+                          derive_rates, rows_to_csv, sweep)
 from .mdp import (long_term_metrics, policy_from_json_obj, policy_to_json_obj)
 from .optimizer import access_rate_budget, greedy_policy_path, optimal_policy
 from .oracle import enumerate_frontier, frontier_csv_rows
@@ -47,10 +49,13 @@ def _load_scenario(path: str):
     unknown = sorted(set(obj) - CONFIG_KEYS)
     if unknown:
         raise ValueError(f"unknown config keys: {', '.join(unknown)}")
-    rate_policy = obj.pop("rate_policy", "RSU_STAR")
-    # Placeholder rates keep the config small when they are to be derived.
-    for key in ("rate_p", "rate_su", "rate_sk"):
-        obj.setdefault(key, 1.0)
+    rate_policy = obj.pop("rate_policy", RSU_STAR)
+    missing = [k for k in ("rate_p", "rate_su", "rate_sk") if k not in obj]
+    if rate_policy == EXPLICIT and missing:
+        raise ValueError("EXPLICIT rate policy needs every rate; missing: "
+                         + ", ".join(missing))
+    # Placeholder rates keep the config small when they are derived.
+    obj.update(dict.fromkeys(missing, 1.0))
     obj.setdefault("buffer_B", obj["deadline_D"] - 1)
     obj.setdefault("eps_pu", 0.2)
     obj.setdefault("power_ratio", 1.0)
@@ -68,7 +73,7 @@ def _emit(text: str, out: str | None) -> None:
 def _prepared(args):
     params, rate_policy = _load_scenario(args.config)
     params = derive_rates(params, rate_policy)
-    stats = link_stats(params, max(args.mc_samples, 10 ** 5), args.seed)
+    stats = link_stats(params, args.mc_samples, args.seed)
     return params, stats
 
 
@@ -107,7 +112,7 @@ def _cmd_simulate(args) -> int:
     result = run(config)
     analytic = None
     if args.with_analytic:
-        stats = link_stats(params, max(args.mc_samples, 10 ** 5), args.seed)
+        stats = link_stats(params, args.mc_samples, args.seed)
         analytic = json.loads(long_term_metrics(
             policy, stats, params.deadline_D, params.buffer_B).to_json())
     out = json.loads(result.to_json())
@@ -122,7 +127,7 @@ def _cmd_oracle(args) -> int:
     deadline = args.D if args.D is not None else params.deadline_D
     buffer_size = args.B if args.B is not None else params.buffer_B
     frontier = enumerate_frontier(stats, deadline, buffer_size)
-    rows = frontier_csv_rows(frontier, stats, deadline, buffer_size)
+    rows = frontier_csv_rows(frontier, deadline, buffer_size)
     lines = ["w_s_bar,t_s_bar,policy_bitmask"]
     lines += [f"{r['w_s_bar']!r},{r['t_s_bar']!r},{r['policy_bitmask']}"
               for r in rows]

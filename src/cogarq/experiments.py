@@ -28,9 +28,9 @@ from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
 from .channel import (LinkStats, PU_IDLE_THROUGHPUT, SU_CLEAN_THROUGHPUT,
-                      SU_INTERFERED_THROUGHPUT, SystemParams, link_stats,
-                      optimize_rate)
-from .mdp import PolicyMetrics
+                      SU_INTERFERED_THROUGHPUT, SystemParams,
+                      check_mc_samples, link_stats, optimize_rate)
+from .mdp import PolicyMetrics, ratio_metrics
 from .optimizer import (PolicyPath, access_rate_budget, greedy_policy_path,
                         optimal_policy)
 
@@ -88,32 +88,24 @@ def derive_rates(params: SystemParams, rate_policy: str) -> SystemParams:
 
 def _bound_metrics(per_access: float, eps_w: float,
                    stats: LinkStats) -> PolicyMetrics:
+    # constant access probability w: per slot, w accesses earning per_access
     w = min(eps_w, 1.0)
-    t_p = stats.t_p_idle - (stats.t_p_idle - stats.t_p_active) * w
-    return PolicyMetrics(t_s_bar=per_access * w, w_s_bar=w, t_p_bar=t_p,
-                         p_s_ratio=w)
+    return ratio_metrics(per_access * w, w, 1.0, stats)
 
 
-def evaluate_scheme(scenario: Scenario, eps_w: float,
-                    stats: Optional[LinkStats] = None,
-                    path: Optional[PolicyPath] = None,
-                    mc_samples: int = 10 ** 6,
-                    seed: int = 1234) -> PolicyMetrics:
+def evaluate_scheme(scenario: Scenario, eps_w: float, stats: LinkStats,
+                    path: Optional[PolicyPath] = None) -> PolicyMetrics:
     """Long-term metrics of one scheme at access budget ``eps_w``.
 
-    ``stats`` (and, for the optimized schemes, ``path``) may be passed in
-    to reuse previously computed values; otherwise rates are derived per
-    the scenario's rate policy and statistics are recomputed.
+    ``stats`` are the link statistics of the scenario's (derived) params;
+    for the optimized schemes a precomputed greedy ``path`` may be passed
+    in to reuse it.
     """
-    params = scenario.params
-    if stats is None:
-        params = derive_rates(params, scenario.rate_policy)
-        stats = link_stats(params, max(mc_samples, 10 ** 5), seed)
     if scenario.scheme == NO_IC:
         return _bound_metrics(stats.t_su, eps_w, stats)
     if scenario.scheme == PM_KNOWN:
         return _bound_metrics(stats.t_sk, eps_w, stats)
-    deadline = params.deadline_D
+    deadline = scenario.params.deadline_D
     buffer_size = deadline - 1 if scenario.scheme == FIC_BIC else 0
     if path is None:
         path = greedy_policy_path(stats, deadline, buffer_size)
@@ -148,7 +140,7 @@ def _point_channel(kind: str, params: SystemParams, x: float,
         params = derived.replace(rate_su=x * derived.rate_sk)
         rate_policy = EXPLICIT
     params = derive_rates(params, rate_policy)
-    return params, link_stats(params, max(mc_samples, 10 ** 5), seed)
+    return params, link_stats(params, mc_samples, seed)
 
 
 def sweep(kind: str, base: Scenario, grid: Sequence[float],
@@ -159,7 +151,8 @@ def sweep(kind: str, base: Scenario, grid: Sequence[float],
     one grid point is recorded in its rows' error field and the sweep
     continues. For TS_VS_TP the grid is the access budget itself; for the
     other kinds the budget comes from the scenario's constraints at each
-    point. ``mc_samples`` and ``seed`` drive `link_stats` only.
+    point. ``mc_samples`` and ``seed`` drive `link_stats` only; a count
+    below `MIN_MC_SAMPLES` raises before the first point.
     """
     if kind not in SWEEP_KINDS:
         raise ValueError(f"unknown sweep kind {kind!r}")
@@ -169,6 +162,7 @@ def sweep(kind: str, base: Scenario, grid: Sequence[float],
         raise ValueError("grid values must be finite")
     if any(b < a for a, b in zip(grid, grid[1:])):
         raise ValueError("grid must be monotone nondecreasing")
+    check_mc_samples(mc_samples)
 
     rows: List[dict] = []
     channel = paths = None

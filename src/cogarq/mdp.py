@@ -419,8 +419,10 @@ def cycle_values(policy: Policy, stats: LinkStats, deadline: int,
                        dur=dict(zip(keys, d)), table=table)
 
 
-def _ratio_metrics(g: float, v: float, d: float,
-                   stats: LinkStats) -> PolicyMetrics:
+def ratio_metrics(g: float, v: float, d: float,
+                  stats: LinkStats) -> PolicyMetrics:
+    """Long-term metrics from per-cycle reward g, accesses v, duration d;
+    the primary throughput falls linearly in the access rate v / d."""
     t_s = g / d
     w_s = v / d
     t_p = stats.t_p_idle - (stats.t_p_idle - stats.t_p_active) * w_s
@@ -433,11 +435,11 @@ def long_term_metrics(policy: Policy, stats: LinkStats, deadline: int,
     table = transition_table(stats, deadline, buffer_size)
     mu, _ = _access_vector(policy, table)
     g, v, d = _backward(table, mu)
-    return _ratio_metrics(g[0], v[0], d[0], stats)
+    return ratio_metrics(g[0], v[0], d[0], stats)
 
 
 def metrics_from_cycle_values(cv: CycleValues, stats: LinkStats) -> PolicyMetrics:
-    return _ratio_metrics(cv.g[ROOT], cv.v[ROOT], cv.dur[ROOT], stats)
+    return ratio_metrics(cv.g[ROOT], cv.v[ROOT], cv.dur[ROOT], stats)
 
 
 def stationary_distribution(policy: Policy, stats: LinkStats, deadline: int,

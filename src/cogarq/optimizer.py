@@ -260,6 +260,7 @@ def greedy_policy_path(stats: LinkStats, deadline: int, buffer_size: int,
         policy = Policy({s: 0.0 for s in states})
     else:
         raise ValueError(f"unknown start {start!r}")
+    # canonical order, so the first best state found wins a tie
     idle_set = [s for s in states if policy.prob(s) == 0.0]
 
     values = cycle_values(policy, stats, deadline, buffer_size)
@@ -268,7 +269,7 @@ def greedy_policy_path(stats: LinkStats, deadline: int, buffer_size: int,
     while idle_set:
         best: Optional[NetState] = None
         best_eta = -math.inf
-        for s in sorted(idle_set, key=lambda s: s.key()):
+        for s in idle_set:
             rep = efficiency_report(policy, s, stats, deadline, buffer_size,
                                     values, metrics)
             if rep.eta > best_eta:

@@ -106,8 +106,8 @@ def oracle_optimum(eps_w: float, frontier: List[FrontierPoint],
     return a.t_s_bar + frac * (b.t_s_bar - a.t_s_bar)
 
 
-def frontier_csv_rows(frontier: List[FrontierPoint], stats: LinkStats,
-                      deadline: int, buffer_size: int) -> List[dict]:
+def frontier_csv_rows(frontier: List[FrontierPoint], deadline: int,
+                      buffer_size: int) -> List[dict]:
     states = enumerate_states(deadline, buffer_size)
     return [{"w_s_bar": p.w_s_bar, "t_s_bar": p.t_s_bar,
              "policy_bitmask": policy_to_bitmask(p.policy, states)}

@@ -20,6 +20,10 @@ the error of r is sqrt(sum (y - r tau)^2) / sum tau. Only running sums of
 y, y^2, y tau, tau and tau^2 are kept, so memory does not grow with
 ``num_slots``.
 
+Transition counts are one integer array indexed (state, action, next
+state) in transition-table index order, compared row by row with the
+table's rows by `empirical_transition_check`.
+
 Reproducibility: one seeded generator; per chunk of cycles, then per layer
 t, the draw order is (gamma_s, gamma_p, gamma_sp, gamma_ps,
 access-uniform) over the cycles alive at that layer.
@@ -32,13 +36,12 @@ import math
 import numbers
 from collections import Counter
 from dataclasses import dataclass, asdict
-from typing import Dict, Optional
+from typing import Optional
 
 import numpy as np
 
-from .channel import LinkStats, RegionClassifier, SystemParams, link_stats
-from .mdp import (ACTIVE, IDLE, NetState, Policy, _u_offset,
-                  enumerate_states, transition_table)
+from .channel import LinkStats, RegionClassifier, SystemParams
+from .mdp import Policy, _u_offset, enumerate_states, transition_table
 
 _CHUNK = 1 << 14      # cycles simulated together
 
@@ -68,7 +71,8 @@ class SimConfig:
 class SimResult:
     """Empirical long-term averages with regenerative standard errors.
 
-    A standard error is ``math.inf`` when fewer than two cycles complete.
+    A standard error is ``math.inf`` when fewer than two cycles complete,
+    null in `to_json`, since strict JSON has no infinity.
     """
 
     t_s_emp: float
@@ -86,7 +90,8 @@ class SimResult:
     num_slots: int
 
     def to_json(self) -> str:
-        return json.dumps(asdict(self), indent=2)
+        return json.dumps({k: None if v == math.inf else v
+                           for k, v in asdict(self).items()}, indent=2)
 
 
 class _Chain:
@@ -198,18 +203,6 @@ class _Chain:
             sums[key + "_tau"] += float(whole @ tau)
         return sums, lengths, counts
 
-    def transitions(self, counts: np.ndarray) -> Dict:
-        """Transition counts keyed ((t, b, phi), action) -> {next: count}."""
-        n = len(self.states)
-        keys = [(s.t, s.b, s.phi) for s in self.states]
-        trans: Dict = {}
-        for code in np.flatnonzero(counts):
-            src, nxt = divmod(int(code), n)
-            i, active = divmod(src, 2)
-            row = trans.setdefault((keys[i], ACTIVE if active else IDLE), {})
-            row[keys[nxt]] = int(counts[code])
-        return trans
-
 
 def _ratio_stderr(sums: Counter, key: str) -> float:
     """Regenerative standard error of the long-term ratio of ``key``.
@@ -229,6 +222,8 @@ def _ratio_stderr(sums: Counter, key: str) -> float:
 
 def _simulate(params: SystemParams, policy: Policy, num_slots: int, seed: int,
               collect_transitions: bool):
+    """Return (result, counts): ``counts[i, a, j]`` slots moved state i
+    under action a (0 idle, 1 active) to state j; None unless collected."""
     chain = _Chain(params, policy)
     rng = np.random.default_rng(seed)
     sums = Counter()
@@ -265,8 +260,10 @@ def _simulate(params: SystemParams, policy: Policy, num_slots: int, seed: int,
         cycles_completed=sums["cycles_completed"],
         num_slots=num_slots,
     )
-    trans = chain.transitions(counts) if collect_transitions else None
-    return result, trans
+    if collect_transitions:
+        n = len(chain.states)
+        counts = counts.reshape(n, 2, n)
+    return result, counts
 
 
 def run(config: SimConfig) -> SimResult:
@@ -276,30 +273,24 @@ def run(config: SimConfig) -> SimResult:
     return result
 
 
-def empirical_transition_check(config: SimConfig,
-                               stats: Optional[LinkStats] = None,
-                               mc_samples: int = 10_000_000,
-                               stats_seed: int = 1234) -> float:
+def empirical_transition_check(config: SimConfig, stats: LinkStats) -> float:
     """Maximum absolute gap between empirical one-step transition
-    frequencies (conditioned on state and action) and the analytic rows.
-
-    ``stats`` may be passed to reuse precomputed link statistics;
-    otherwise they are computed from the scenario parameters.
+    frequencies (conditioned on state and action) and the analytic rows of
+    ``stats``, over the (state, action) pairs the run visits.
     """
-    if stats is None:
-        stats = link_stats(config.params, mc_samples, stats_seed)
-    _, trans = _simulate(config.params, config.policy, config.num_slots,
-                         config.seed, collect_transitions=True)
+    _, counts = _simulate(config.params, config.policy, config.num_slots,
+                          config.seed, collect_transitions=True)
     table = transition_table(stats, config.params.deadline_D,
                              config.params.buffer_B)
-    worst = 0.0
-    for (skey, action), row_counts in trans.items():
-        analytic = table.row(table.index(NetState(*skey)),
-                             1.0 if action == ACTIVE else 0.0)
-        total = sum(row_counts.values())
-        empirical = {table.index(NetState(*k)): c / total
-                     for k, c in row_counts.items()}
-        for j in set(analytic) | set(empirical):
-            worst = max(worst, abs(empirical.get(j, 0.0)
-                                   - analytic.get(j, 0.0)))
-    return worst
+    n = len(table.layer)
+    succ = np.reshape(table.succ, (n, 3))
+    analytic = np.zeros((n, 2, n))
+    for action, probs in enumerate((table.p_idle, table.p_active)):
+        p = np.reshape(probs, (n, 3))
+        analytic[np.arange(n)[:, None], action, succ] = p
+        # the root takes the cycle-ending mass (successor 0 carries none)
+        analytic[:, action, 0] = 1.0 - p[:, 0] - p[:, 1] - p[:, 2]
+    totals = counts.sum(axis=2)
+    visited = totals > 0
+    empirical = counts[visited] / totals[visited][:, None]
+    return float(np.abs(empirical - analytic[visited]).max())

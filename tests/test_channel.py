@@ -29,6 +29,11 @@ class TestOutagePP:
         p = table1_params(mean_snr_sp=0.0)
         assert outage_pp(p, True) == outage_pp(p, False)
 
+    def test_absent_primary_link_always_out(self):
+        p = table1_params(mean_snr_p=0.0)
+        assert outage_pp(p, su_active=False) == 1.0
+        assert outage_pp(p, su_active=True) == 1.0
+
     def test_monotone_in_rate_and_snr(self):
         rates = np.linspace(0.1, 8.0, 40)
         vals = [outage_pp(table1_params(rate_p=r), True) for r in rates]
@@ -219,6 +224,11 @@ class TestLinkStats:
         assert st.p_buf == 0.0
         expected = 1.12 * math.exp(-(2.0 ** 1.12 - 1.0) / 5.0)
         assert st.t_su == pytest.approx(expected, abs=5e-3)
+
+    def test_absent_secondary_link_no_clean_throughput(self):
+        st = link_stats(table1_params(mean_snr_s=0.0), mc_samples=10 ** 5,
+                        seed=3)
+        assert st.t_sk == 0.0
 
     def test_sample_floor_enforced(self, t1_params):
         with pytest.raises(ValueError):

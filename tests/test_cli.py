@@ -70,6 +70,47 @@ def _one_line_error(capsys) -> dict:
     return json.loads(err)
 
 
+@pytest.mark.parametrize("missing", ["rate_p", "rate_su", "rate_sk"])
+def test_explicit_config_needs_every_rate(tmp_path, capsys, missing):
+    config = {k: v for k, v in CONFIG.items() if k != missing}
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(config))
+    rc = main(["derive-params", "--config", str(path), "--mc-samples",
+               "100000"])
+    assert rc == 1
+    obj = _one_line_error(capsys)
+    assert obj["error"] == "ValueError"
+    assert missing in obj["message"]
+
+
+def test_derived_rates_need_no_rates_in_config(tmp_path, capsys):
+    config = {k: v for k, v in CONFIG.items()
+              if k not in ("rate_p", "rate_su", "rate_sk")}
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(dict(config, rate_policy="RSU_EQ_RSK")))
+    rc = main(["derive-params", "--config", str(path), "--mc-samples",
+               "100000"])
+    assert rc == 0
+    params = json.loads(capsys.readouterr().out)["params"]
+    assert params["rate_su"] == params["rate_sk"] != 1.0
+
+
+@pytest.mark.parametrize("argv", [
+    ["derive-params"],
+    ["sweep", "--kind", "TS_VS_TP", "--grid", "0.2,0.6"],
+])
+def test_sample_count_below_floor_rejected(config_file, tmp_path, capsys,
+                                           argv):
+    out = tmp_path / "out"
+    rc = main([argv[0], "--config", config_file, *argv[1:],
+               "--mc-samples", "99999", "--out", str(out)])
+    assert rc == 1
+    obj = _one_line_error(capsys)
+    assert obj == {"error": "ValueError",
+                   "message": "mc_samples must be at least 1e5"}
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("eps_w", ["nan", "inf", "-inf"])
 def test_non_finite_budget_rejected(config_file, capsys, eps_w):
     rc = main(["solve", "--config", config_file, "--mc-samples", "100000",
@@ -141,6 +182,23 @@ def test_solve_and_simulate(config_file, tmp_path):
     assert rc == 0
     sim = json.loads(sim_out.read_text())
     assert abs(sim["w_s_emp"] - 0.4) < 0.05
+
+
+def test_simulate_too_short_for_errors_is_strict_json(config_file, tmp_path,
+                                                      capsys):
+    # one slot completes at most one cycle, so no standard error exists
+    policy_file = tmp_path / "policy.json"
+    policy_file.write_text(json.dumps(
+        policy_to_json_obj(k_active_policy(enumerate_states(3, 2)))))
+    rc = main(["simulate", "--config", config_file, "--policy-file",
+               str(policy_file), "--slots", "1"])
+    assert rc == 0
+
+    def reject(constant):
+        raise ValueError(f"non-standard JSON constant {constant}")
+
+    sim = json.loads(capsys.readouterr().out, parse_constant=reject)
+    assert sim["stderr_t_s"] is sim["stderr_w_s"] is sim["stderr_t_p"] is None
 
 
 def test_oracle_csv(config_file, tmp_path):

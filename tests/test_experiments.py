@@ -111,6 +111,13 @@ class TestSweep:
         with pytest.raises(ValueError):
             sweep("NOPE", base, [0.1])
 
+    def test_sample_floor_rejected_before_first_point(self):
+        # a count below the floor fails the sweep, not every row
+        base = Scenario(params=table1_params(), rate_policy=EXPLICIT)
+        for kind, grid in ((TS_VS_TP, [0.3]), (GSP_RATIO, [0.0, 0.5])):
+            with pytest.raises(ValueError, match="mc_samples"):
+                sweep(kind, base, grid, mc_samples=99_999)
+
     def test_per_point_errors_recorded(self):
         # a fractional deadline cannot be realized; its rows carry the
         # error and the remaining points still evaluate

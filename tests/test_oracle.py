@@ -106,6 +106,6 @@ class TestBitmask:
 
     def test_csv_rows(self, t1_stats):
         frontier = enumerate_frontier(t1_stats, 2, 1)
-        rows = frontier_csv_rows(frontier, t1_stats, 2, 1)
+        rows = frontier_csv_rows(frontier, 2, 1)
         assert all(set(r) == {"w_s_bar", "t_s_bar", "policy_bitmask"}
                    for r in rows)

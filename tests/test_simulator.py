@@ -1,14 +1,14 @@
 import math
-from collections import Counter
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cogarq import (Policy, RegionClassifier, SimConfig, enumerate_states,
+from cogarq import (BOTH_DECODED, BUFFERED, LOST, PU_ONLY, SU_ONLY, Policy,
+                    RegionClassifier, SimConfig, enumerate_states,
                     empirical_transition_check, idle_policy, k_active_policy,
                     long_term_metrics, region_membership, run)
-from cogarq.mdp import ACTIVE, PHI_K, PHI_U
+from cogarq.mdp import PHI_K
 from cogarq.simulator import _CHUNK, _Chain, _simulate
 
 from support import make_random_policy, sized_policies, table1_params
@@ -93,28 +93,19 @@ class TestBookkeeping:
         # of one run pin the cut at num_slots and the per-layer sums
         deadline, cap, policy = sized
         params = table1_params(deadline_D=deadline, buffer_B=cap)
-        r, trans = _simulate(params, policy, slots, seed,
-                             collect_transitions=True)
-        total = active = k_active = into_root = 0
+        r, counts = _simulate(params, policy, slots, seed,
+                              collect_transitions=True)
+        known = [i for i, s in enumerate(enumerate_states(deadline, cap))
+                 if s.phi == PHI_K]
         # one path from the root: every state but the last is left as
         # often as it is entered, the root counted as entered once more
-        net = Counter({(1, 0, PHI_U): -1})
-        for (state, action), row in trans.items():
-            n = sum(row.values())
-            total += n
-            if action == ACTIVE:
-                active += n
-                if state[2] == PHI_K:
-                    k_active += n
-            into_root += row.get((1, 0, PHI_U), 0)
-            net[state] += n
-            for nxt, m in row.items():
-                net[nxt] -= m
-        assert [v for v in net.values() if v] == [-1]
-        assert total == slots == r.num_slots
-        assert active == round(r.w_s_emp * slots)
-        assert k_active == r.k_access_slots
-        assert into_root == r.cycles_completed
+        net = counts.sum(axis=(1, 2)) - counts.sum(axis=(0, 1))
+        net[0] -= 1
+        assert net[net != 0].tolist() == [-1]
+        assert counts.sum() == slots == r.num_slots
+        assert counts[:, 1, :].sum() == round(r.w_s_emp * slots)
+        assert counts[known, 1, :].sum() == r.k_access_slots
+        assert counts[:, :, 0].sum() == r.cycles_completed
         bits = r.u_bits + r.fic_bits + r.bic_bits
         assert math.isclose(bits, r.t_s_emp * slots, rel_tol=1e-9,
                             abs_tol=1e-12)
@@ -128,16 +119,11 @@ class TestBookkeeping:
                                  enumerate_states(5, 4))
         _, lengths, _ = _Chain(t1_params, pol).cycles(
             np.random.default_rng(6), _CHUNK, None, False)
-
-        def flat(trans):
-            return Counter({(key, nxt): n for key, row in trans.items()
-                            for nxt, n in row.items()})
-
         for slots in (_CHUNK, _CHUNK + 1234, int(lengths.sum()) - 1):
             _, short = _simulate(t1_params, pol, slots, 6, True)
             _, longer = _simulate(t1_params, pol, slots + 1, 6, True)
-            assert not flat(short) - flat(longer)
-            assert sum((flat(longer) - flat(short)).values()) == 1
+            assert (short <= longer).all()
+            assert (longer - short).sum() == 1
 
 
 class TestRegenerativeErrors:
@@ -173,9 +159,9 @@ class TestRegenerativeErrors:
 
 class TestDecodeConsistency:
     def test_inline_predicates_match_region_membership(self, t1_params):
-        # the simulator decodes with `masks`; a scalar restatement of the
-        # region predicates, `label` and `region_membership` must agree
-        # with it on every draw
+        # the simulator decodes with `masks`, and `label` (behind
+        # `region_membership`) classifies by calling it; the scalar
+        # predicates below are the independent reference both must match
         cls = RegionClassifier(t1_params.rate_su, t1_params.rate_p)
         rng = np.random.default_rng(17)
         gs = rng.exponential(5.0, 100_000)
@@ -192,8 +178,11 @@ class TestDecodeConsistency:
             assert sim_gp == bool(in_gp[i])
             assert sim_gs == bool(in_gs[i])
             assert sim_buf == bool(buf[i])
+            expected = (BOTH_DECODED if sim_gp and sim_gs else
+                        PU_ONLY if sim_gp else SU_ONLY if sim_gs else
+                        BUFFERED if sim_buf else LOST)
             assert region_membership(a, b, t1_params.rate_su,
-                                     t1_params.rate_p) == cls.label(a, b)
+                                     t1_params.rate_p) == expected
 
 
 class TestEmpiricalTransitionCheck:
@@ -206,9 +195,10 @@ class TestEmpiricalTransitionCheck:
     def test_single_slot_deadline_only_restarts(self, t1_stats):
         params = table1_params(deadline_D=1, buffer_B=0)
         pol = Policy({s: 1.0 for s in enumerate_states(1, 0)})
-        _, trans = _simulate(params, pol, 10_000, 3, collect_transitions=True)
-        for (_, _), row in trans.items():
-            assert set(row) == {(1, 0, PHI_U)}
+        _, counts = _simulate(params, pol, 10_000, 3,
+                              collect_transitions=True)
+        # the root is the only state: every active slot restarts the cycle
+        assert counts.tolist() == [[[0], [10_000]]]
 
     def test_always_active_moderate_slots(self, t1_params, t1_stats):
         states = enumerate_states(5, 4)
