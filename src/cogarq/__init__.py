@@ -21,7 +21,7 @@ from .mdp import (ACCESS, ACTIVE, DURATION, IDLE, PHI_K, PHI_U, ROOT,
 from .optimizer import (EfficiencyReport, PolicyPath, access_rate_budget,
                         blend_policies, cycle_derivatives, efficiency,
                         efficiency_report, greedy_policy_path,
-                        low_regime_policy, optimal_policy)
+                        optimal_policy)
 from .oracle import FrontierPoint, enumerate_frontier, oracle_optimum
 from .simulator import (SimConfig, SimResult, empirical_transition_check,
                         run)

@@ -37,6 +37,7 @@ from .optimizer import (PolicyPath, access_rate_budget, greedy_policy_path,
 RSU_STAR = "RSU_STAR"
 RSU_EQ_RSK = "RSU_EQ_RSK"
 EXPLICIT = "EXPLICIT"
+RATE_POLICIES = (RSU_STAR, RSU_EQ_RSK, EXPLICIT)
 
 FIC_BIC = "FIC_BIC"
 FIC_ONLY = "FIC_ONLY"
@@ -63,18 +64,24 @@ class Scenario:
     scheme: str = FIC_BIC
 
     def __post_init__(self):
-        if self.rate_policy not in (RSU_STAR, RSU_EQ_RSK, EXPLICIT):
-            raise ValueError(f"unknown rate policy {self.rate_policy!r}")
+        _check_rate_policy(self.rate_policy)
         if self.scheme not in SCHEMES:
             raise ValueError(f"unknown scheme {self.scheme!r}")
 
 
+def _check_rate_policy(rate_policy: str) -> None:
+    if rate_policy not in RATE_POLICIES:
+        raise ValueError(f"unknown rate policy {rate_policy!r}")
+
+
 def derive_rates(params: SystemParams, rate_policy: str) -> SystemParams:
-    """Replace the rates in ``params`` according to the rate policy.
+    """Replace the rates in ``params`` according to the rate policy, one of
+    `RATE_POLICIES`; any other value raises ValueError.
 
     Every derived rate maximizes a closed-form throughput, so the result
     is exact and depends on no seed.
     """
+    _check_rate_policy(rate_policy)
     if rate_policy == EXPLICIT:
         return params
     rate_p = optimize_rate(PU_IDLE_THROUGHPUT, params)

@@ -2,24 +2,25 @@
 
 Both operating constraints (bounded primary throughput loss, bounded
 secondary power) collapse into a single ceiling on the long-term secondary
-access rate. Below the access rate of the "transmit only when the primary
-message is known" policy, the optimum transmits only in known-message
-states with one common probability. Above it, a greedy frontier walk
-activates idle states one at a time in decreasing order of access
-efficiency (marginal throughput per marginal access rate); the constrained
-optimum is then the walk's last policy or a one-state randomization
-between two consecutive walk policies.
+access rate. The optimum under every ceiling lies on one frontier path
+that starts from the all-idle policy and activates one state per entry.
+Known-message states come first, in canonical order: while every
+unknown-message state is idle nothing is buffered, so each known-message
+access earns exactly the clean-channel throughput t_sk and this ladder
+traces the straight line t_s = t_sk w up to ``eps_th``, the access rate
+of the "transmit only when the primary message is known" policy. From
+there a greedy walk activates idle states one at a time in decreasing
+order of access efficiency (marginal throughput per marginal access
+rate). The constrained optimum is the path's last policy, a path policy
+that meets the budget, or a one-state randomization between two
+consecutive path policies; a constrained optimum needs randomization in
+at most one state (Beutler & Ross 1985).
 
 A state is visited at most once per renewal cycle, so the per-cycle
 reward, accesses and duration are affine in any one state's access
 probability; the walk's marginal quantities (read from the MDP's
 transition table) and the budget-meeting blend weight are therefore
-closed forms. The low-regime calibration is a root search: scaling every
-known-message probability at once also scales the chance that the
-known-message chain continues, so its access rate is smooth and
-increasing but not linear-fractional in the common probability, and a
-bracketed Illinois (modified regula falsi) step finds it in a handful of
-evaluations.
+closed forms, and no step iterates to a tolerance.
 """
 
 from __future__ import annotations
@@ -31,16 +32,10 @@ from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
 from .channel import LinkStats
-from .mdp import (PHI_K, ROOT, CycleValues, NetState, Policy,
-                  PolicyMetrics, cycle_values, enumerate_states,
-                  k_active_policy, long_term_metrics,
-                  metrics_from_cycle_values, policy_to_json_obj,
-                  transition_table)
-
-W_SOLVE_TOL = 1e-13      # low-regime root-search target on the access rate
-W_SOLVE_STEPS = 100      # cap on low-regime access-rate evaluations
-K_START = "k_active"
-IDLE_START = "idle"
+from .mdp import (PHI_K, PHI_U, ROOT, CycleValues, NetState, Policy,
+                  PolicyMetrics, cycle_values, enumerate_states, idle_policy,
+                  long_term_metrics, metrics_from_cycle_values,
+                  policy_to_json_obj, transition_table)
 
 
 @dataclass(frozen=True)
@@ -63,7 +58,9 @@ class PathEntry:
 
 @dataclass(frozen=True)
 class PolicyPath:
-    """Greedy activation sequence with its per-step policies and metrics."""
+    """Frontier path from the all-idle policy: the known-message ladder,
+    then the greedy walk, with each entry's policy and metrics. ``eps_th``
+    is the access rate of the ladder's last entry."""
 
     entries: List[PathEntry]
     eps_th: float
@@ -178,111 +175,54 @@ def access_rate_budget(stats: LinkStats, eps_pu: float,
     return min(pu_term, power_ratio, 1.0)
 
 
-def _k_scaled_policy(states: List[NetState], prob_k: float) -> Policy:
-    return Policy({s: (prob_k if s.phi == PHI_K else 0.0) for s in states})
+def greedy_policy_path(stats: LinkStats, deadline: int,
+                       buffer_size: int) -> PolicyPath:
+    """Frontier path from the all-idle policy, one activated state per entry.
 
+    The known-message states come first, one at a time in canonical order:
+    with every unknown-message state idle, each earns exactly t_sk per
+    access, the highest access efficiency any state can have, so this
+    ladder is the frontier up to ``eps_th``, the access rate of its last
+    entry (the known-message-only policy). The walk then activates, per
+    stage, the idle state with the highest access efficiency, stopping when
+    no idle state has positive efficiency. Ties break toward the earliest
+    state in canonical order so the walk is reproducible.
 
-def low_regime_policy(eps_w: float, eps_th: float, deadline: int,
-                      buffer_size: int, stats: LinkStats) -> Policy:
-    """Optimal policy when the access budget does not exceed ``eps_th``.
-
-    Transmit only in known-message states, with one common probability m,
-    calibrated so the long-term access rate w(m) equals ``eps_w`` to
-    within ``W_SOLVE_TOL`` (each access then earns the clean-channel
-    throughput, so the optimum is attained with the budget tight). w rises
-    from 0 at m = 0 to ``eps_th`` at m = 1. Regula falsi steps on
-    w(m) - eps_w keep that bracket; the Illinois rule halves the residual
-    of an end that stays put for two steps in a row, so neither end
-    stalls. Raises RuntimeError if ``W_SOLVE_STEPS`` evaluations end
-    outside the tolerance.
-
-    Optimality presumes the clean-channel throughput dominates an
-    interfered access plus its buffered top-up, which holds whenever the
-    clean rate is chosen to maximize the clean-channel throughput.
-    """
-    if eps_th < 0.0:
-        raise ValueError("eps_th must be nonnegative")
-    if not 0.0 <= eps_w <= eps_th:
-        raise ValueError("requires 0 <= eps_w <= eps_th; above eps_th use "
-                         "the greedy policy path")
-    states = enumerate_states(deadline, buffer_size)
-    if eps_th == 0.0 or not any(s.phi == PHI_K for s in states):
-        # No known-message states (deadline 1) or zero budget: stay idle.
-        return _k_scaled_policy(states, 0.0)
-    if eps_w == 0.0 or eps_w == eps_th:
-        return _k_scaled_policy(states, eps_w / eps_th)
-
-    lo, f_lo = 0.0, -eps_w
-    hi, f_hi = 1.0, eps_th - eps_w
-    moved = 0                   # -1: lo moved last, +1: hi moved last
-    for _ in range(W_SOLVE_STEPS):
-        m = (lo * f_hi - hi * f_lo) / (f_hi - f_lo)
-        pol = _k_scaled_policy(states, m)
-        w = long_term_metrics(pol, stats, deadline, buffer_size).w_s_bar
-        f = w - eps_w
-        if abs(f) <= W_SOLVE_TOL:
-            return pol
-        if f < 0.0:
-            lo, f_lo = m, f
-            if moved == -1:
-                f_hi *= 0.5
-            moved = -1
-        else:
-            hi, f_hi = m, f
-            if moved == 1:
-                f_lo *= 0.5
-            moved = 1
-    raise RuntimeError(f"low-regime access probability did not converge: "
-                       f"access rate {w!r} for budget {eps_w!r}")
-
-
-def greedy_policy_path(stats: LinkStats, deadline: int, buffer_size: int,
-                       start: str = K_START) -> PolicyPath:
-    """Greedy frontier walk activating one idle state per stage.
-
-    Starting from the known-message-only policy (or, for verification, the
-    all-idle policy), each stage activates the idle state with the highest
-    access efficiency, stopping when no idle state has positive efficiency.
-    Ties break toward the earliest state in canonical order so the walk is
-    reproducible. The threshold access rate ``eps_th`` is always that of
-    the known-message-only policy.
-
-    The default start is optimal because known-message accesses dominate:
-    started from the all-idle policy instead, the walk provably activates
-    all known-message states first and then coincides with this one.
+    The ladder's optimality presumes the clean-channel throughput
+    dominates an interfered access plus its buffered top-up, which holds
+    whenever the clean rate is chosen to maximize the clean-channel
+    throughput.
     """
     states = enumerate_states(deadline, buffer_size)
-    eps_th = long_term_metrics(k_active_policy(states), stats, deadline,
-                               buffer_size).w_s_bar
-    if start == K_START:
-        policy = k_active_policy(states)
-    elif start == IDLE_START:
-        policy = Policy({s: 0.0 for s in states})
-    else:
-        raise ValueError(f"unknown start {start!r}")
+    ladder = [s for s in states if s.phi == PHI_K]
+    eps_th_index = len(ladder)
     # canonical order, so the first best state found wins a tie
-    idle_set = [s for s in states if policy.prob(s) == 0.0]
+    idle_set = [s for s in states if s.phi == PHI_U]
 
+    policy = idle_policy(states)
     values = cycle_values(policy, stats, deadline, buffer_size)
     metrics = metrics_from_cycle_values(values, stats)
     entries = [PathEntry(policy=policy, metrics=metrics, chosen_state=None)]
-    while idle_set:
-        best: Optional[NetState] = None
-        best_eta = -math.inf
-        for s in idle_set:
-            rep = efficiency_report(policy, s, stats, deadline, buffer_size,
-                                    values, metrics)
-            if rep.eta > best_eta:
-                best, best_eta = s, rep.eta
-        if best is None or best_eta <= 0.0:
-            break
+    while ladder or idle_set:
+        if ladder:
+            best = ladder.pop(0)
+        else:
+            best, best_eta = None, -math.inf
+            for s in idle_set:
+                rep = efficiency_report(policy, s, stats, deadline,
+                                        buffer_size, values, metrics)
+                if rep.eta > best_eta:
+                    best, best_eta = s, rep.eta
+            if best is None or best_eta <= 0.0:
+                break
+            idle_set.remove(best)
         policy = policy.with_prob(best, 1.0)
-        idle_set = [s for s in idle_set if s != best]
         values = cycle_values(policy, stats, deadline, buffer_size)
         metrics = metrics_from_cycle_values(values, stats)
         entries.append(PathEntry(policy=policy, metrics=metrics,
                                  chosen_state=best))
-    return PolicyPath(entries=entries, eps_th=eps_th)
+    return PolicyPath(entries=entries,
+                      eps_th=entries[eps_th_index].metrics.w_s_bar)
 
 
 def optimal_policy(eps_w: float, path: PolicyPath, stats: LinkStats,
@@ -290,31 +230,33 @@ def optimal_policy(eps_w: float, path: PolicyPath, stats: LinkStats,
                    ) -> Tuple[Policy, PolicyMetrics]:
     """Best policy under the access-rate budget ``eps_w``.
 
-    Below the threshold rate the calibrated known-message-only policy is
-    returned. Otherwise the budget either exceeds the walk's final access
-    rate (return the final policy) or falls between walk policies a and b
-    that differ in one state. Blending them with weight lam on a makes the
-    per-cycle accesses v and duration d affine in lam, so the blend meeting
-    the budget exactly solves lam v_a + (1 - lam) v_b =
-    eps_w (lam d_a + (1 - lam) d_b) in closed form.
+    A budget at or above the path's final access rate gets the final
+    policy, and a path policy whose access rate equals the budget is
+    returned as it is (the idle policy at zero, the known-message-only
+    policy at ``eps_th``). Otherwise the budget falls strictly between
+    consecutive path policies a and b, which differ in one state. Blending
+    them with weight lam on a makes the per-cycle accesses v and duration d
+    affine in lam, so the blend meeting the budget exactly solves
+    lam v_a + (1 - lam) v_b = eps_w (lam d_a + (1 - lam) d_b) in closed
+    form. Below ``eps_th`` both are ladder policies, so one known-message
+    state randomizes and every access earns t_sk.
     """
     if not (math.isfinite(eps_w) and eps_w >= 0.0):
         raise ValueError("eps_w must be finite and nonnegative")
-    if eps_w <= path.eps_th:
-        pol = low_regime_policy(eps_w, path.eps_th, deadline, buffer_size,
-                                stats)
-        return pol, long_term_metrics(pol, stats, deadline, buffer_size)
     last = path.entries[-1]
     if last.metrics.w_s_bar <= eps_w:
         return last.policy, last.metrics
-    j = bisect.bisect_right(path.entries, eps_w,
-                            key=lambda e: e.metrics.w_s_bar) - 1
-    pol_a, pol_b = path.entries[j].policy, path.entries[j + 1].policy
+    j = bisect.bisect_left(path.entries, eps_w,
+                           key=lambda e: e.metrics.w_s_bar)
+    entry = path.entries[j]
+    if entry.metrics.w_s_bar == eps_w:
+        return entry.policy, entry.metrics
+    pol_a, pol_b = path.entries[j - 1].policy, entry.policy
     cv_a = cycle_values(pol_a, stats, deadline, buffer_size)
     cv_b = cycle_values(pol_b, stats, deadline, buffer_size)
     v_a, d_a = cv_a.v[ROOT], cv_a.dur[ROOT]
     v_b, d_b = cv_b.v[ROOT], cv_b.dur[ROOT]
-    # v - eps_w d is positive at b and nonpositive at a, so the
+    # v - eps_w d is positive at b and negative at a, so the
     # denominator is negative; the clamp only absorbs rounding.
     lam = (eps_w * d_b - v_b) / ((v_a - v_b) - eps_w * (d_a - d_b))
     pol = blend_policies(pol_a, pol_b, min(max(lam, 0.0), 1.0))

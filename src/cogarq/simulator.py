@@ -283,13 +283,11 @@ def empirical_transition_check(config: SimConfig, stats: LinkStats) -> float:
     table = transition_table(stats, config.params.deadline_D,
                              config.params.buffer_B)
     n = len(table.layer)
-    succ = np.reshape(table.succ, (n, 3))
     analytic = np.zeros((n, 2, n))
-    for action, probs in enumerate((table.p_idle, table.p_active)):
-        p = np.reshape(probs, (n, 3))
-        analytic[np.arange(n)[:, None], action, succ] = p
-        # the root takes the cycle-ending mass (successor 0 carries none)
-        analytic[:, action, 0] = 1.0 - p[:, 0] - p[:, 1] - p[:, 2]
+    for i in range(n):
+        for action in (0, 1):
+            for j, p in table.row(i, float(action)).items():
+                analytic[i, action, j] = p
     totals = counts.sum(axis=2)
     visited = totals > 0
     empirical = counts[visited] / totals[visited][:, None]

@@ -16,9 +16,8 @@ from cogarq import (DEADLINE, EXPLICIT, FIC_BIC, FIC_ONLY, GPS_RATIO, NO_IC,
                     SimConfig, SystemParams, TS_VS_TP, b_max, cycle_values,
                     empirical_transition_check, enumerate_frontier,
                     enumerate_states, greedy_policy_path, hp_condition,
-                    k_active_policy, link_stats, long_term_metrics,
-                    low_regime_policy, optimal_policy, optimize_rate,
-                    oracle_optimum, run, sweep)
+                    link_stats, long_term_metrics, optimal_policy,
+                    optimize_rate, oracle_optimum, run, sweep)
 from cogarq.degenerate import cycle_value_closed, g_prime_closed, \
     v_prime_closed
 from cogarq.mdp import ACTIVE, IDLE, PHI_K, PHI_U, transition_row
@@ -82,13 +81,12 @@ def test_criterion_2_low_regime_exactness():
     stats = _stats_hi()
     deadline, cap = 5, 4
     t0 = time.monotonic()
-    eps_th = long_term_metrics(k_active_policy(enumerate_states(deadline, cap)),
-                               stats, deadline, cap).w_s_bar
+    path = greedy_policy_path(stats, deadline, cap)
+    eps_th = path.eps_th
     worst = 0.0
     for k in range(1, 21):
         eps_w = eps_th * k / 20
-        pol = low_regime_policy(eps_w, eps_th, deadline, cap, stats=stats)
-        m = long_term_metrics(pol, stats, deadline, cap)
+        _, m = optimal_policy(eps_w, path, stats, deadline, cap)
         worst = max(worst, abs(m.w_s_bar - eps_w),
                     abs(m.t_s_bar - stats.t_sk * eps_w))
         assert abs(m.w_s_bar - eps_w) <= 1e-9
@@ -151,9 +149,11 @@ def test_criterion_4_degenerate_structure():
     t0 = time.monotonic()
     deadline, cap = 5, 4
     for stats in scenarios:
-        path = greedy_policy_path(stats, deadline, cap)
+        # the walk part: the known-message ladder before it leaves
+        # known-message states idle, so its policies are not threshold ones
+        walk = greedy_policy_path(stats, deadline, cap).entries[deadline - 1:]
         prev = None
-        for e in path.entries:
+        for e in walk:
             assert is_threshold_policy(e.policy, deadline)
             th = first_idle_thresholds(e.policy, deadline)
             seq = [th[t] for t in range(1, deadline + 1)]
@@ -161,11 +161,10 @@ def test_criterion_4_degenerate_structure():
             if prev is not None:
                 assert all(th[t] >= prev[t] for t in th)
             prev = th
-        final = max_accessed_levels(path.entries[-1].policy, deadline)
+        final = max_accessed_levels(walk[-1].policy, deadline)
         for t in range(1, deadline + 1):
             assert final[t] == min(b_max(t, stats, deadline), min(t - 1, cap))
-        for e in (path.entries[0], path.entries[len(path.entries) // 2],
-                  path.entries[-1]):
+        for e in (walk[0], walk[len(walk) // 2], walk[-1]):
             cv = cycle_values(e.policy, stats, deadline, cap)
             for s in e.policy.probs:
                 idle_u = s.phi == PHI_U and e.policy.probs[s] == 0.0

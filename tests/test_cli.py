@@ -83,6 +83,26 @@ def test_explicit_config_needs_every_rate(tmp_path, capsys, missing):
     assert missing in obj["message"]
 
 
+@pytest.mark.parametrize("argv", [
+    ["derive-params"],
+    ["solve"],
+    ["oracle", "--D", "2", "--B", "1"],
+    ["simulate", "--policy-file", "unread.json"],
+    ["sweep", "--kind", "TS_VS_TP", "--grid", "0.2"],
+])
+def test_unknown_rate_policy_rejected(tmp_path, capsys, argv):
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(dict(CONFIG, rate_policy="BOGUS")))
+    out = tmp_path / "out"
+    rc = main([argv[0], "--config", str(path), *argv[1:], "--mc-samples",
+               "100000", "--out", str(out)])
+    assert rc == 1
+    obj = _one_line_error(capsys)
+    assert obj == {"error": "ValueError",
+                   "message": "unknown rate policy 'BOGUS'"}
+    assert not out.exists()
+
+
 def test_derived_rates_need_no_rates_in_config(tmp_path, capsys):
     config = {k: v for k, v in CONFIG.items()
               if k not in ("rate_p", "rate_su", "rate_sk")}

@@ -115,9 +115,11 @@ class TestThresholdStructure:
         for seed in range(5):
             st = _degenerate_stats(seed)
             deadline, cap = 5, 4
-            path = greedy_policy_path(st, deadline, cap)
+            # the walk part: the known-message ladder leaves known-message
+            # states idle
+            walk = greedy_policy_path(st, deadline, cap).entries[deadline - 1:]
             prev = None
-            for e in path.entries:
+            for e in walk:
                 assert is_threshold_policy(e.policy, deadline)
                 th = first_idle_thresholds(e.policy, deadline)
                 finite = [th[t] for t in range(1, deadline + 1)]
@@ -159,8 +161,8 @@ class TestThresholdStructure:
     def test_efficiency_ordering_on_idle_states(self):
         st = _degenerate_stats(13)
         deadline, cap = 5, 4
-        path = greedy_policy_path(st, deadline, cap)
-        for e in path.entries[:4]:
+        walk = greedy_policy_path(st, deadline, cap).entries[deadline - 1:]
+        for e in walk[:4]:
             pol = e.policy
             idle = {(s.t, s.b) for s, p in pol.probs.items()
                     if s.phi == PHI_U and p == 0.0}
@@ -177,9 +179,8 @@ class TestClosedForms:
     def test_cycle_values_on_threshold_policies(self):
         st = _degenerate_stats(21)
         deadline, cap = 5, 4
-        path = greedy_policy_path(st, deadline, cap)
-        for e in (path.entries[0], path.entries[len(path.entries) // 2],
-                  path.entries[-1]):
+        walk = greedy_policy_path(st, deadline, cap).entries[deadline - 1:]
+        for e in (walk[0], walk[len(walk) // 2], walk[-1]):
             cv = cycle_values(e.policy, st, deadline, cap)
             for s in e.policy.probs:
                 if s.phi == PHI_K or e.policy.probs[s] == 0.0:
@@ -190,8 +191,8 @@ class TestClosedForms:
     def test_derivatives_on_threshold_policies(self):
         st = _degenerate_stats(22)
         deadline, cap = 5, 4
-        path = greedy_policy_path(st, deadline, cap)
-        for e in (path.entries[0], path.entries[2], path.entries[-1]):
+        walk = greedy_policy_path(st, deadline, cap).entries[deadline - 1:]
+        for e in (walk[0], walk[2], walk[-1]):
             cv = cycle_values(e.policy, st, deadline, cap)
             for s in e.policy.probs:
                 if s.phi == PHI_U and e.policy.probs[s] == 0.0:

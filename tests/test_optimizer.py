@@ -1,15 +1,16 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cogarq import (NetState, Policy, PolicyMetrics, access_rate_budget,
-                    blend_policies, cycle_derivatives, cycle_values,
-                    efficiency, enumerate_frontier, enumerate_states,
-                    greedy_policy_path, k_active_policy, long_term_metrics,
-                    low_regime_policy, optimal_policy, oracle_optimum)
+from cogarq import (NetState, Policy, access_rate_budget, blend_policies,
+                    cycle_derivatives, cycle_values, efficiency,
+                    efficiency_report, enumerate_frontier, enumerate_states,
+                    greedy_policy_path, idle_policy, k_active_policy,
+                    long_term_metrics, optimal_policy, oracle_optimum)
 from cogarq import optimizer
 from cogarq.mdp import PHI_K, PHI_U
-from cogarq.optimizer import IDLE_START
 
 from support import feasible_stats, make_random_policy, make_random_stats
 
@@ -103,33 +104,41 @@ class TestEfficiency:
 
 
 class TestLowRegimePolicy:
+    """`optimal_policy` at budgets up to `eps_th`, on the known-message
+    ladder of the path."""
+
     def test_zero_budget_is_idle(self, t1_stats):
-        pol = low_regime_policy(0.0, 0.25, 5, 4, stats=t1_stats)
-        assert all(p == 0.0 for p in pol.probs.values())
+        path = greedy_policy_path(t1_stats, 5, 4)
+        pol, m = optimal_policy(0.0, path, t1_stats, 5, 4)
+        assert pol.probs == idle_policy(enumerate_states(5, 4)).probs
+        assert m.w_s_bar == 0.0 and m.t_s_bar == 0.0
 
     def test_full_threshold_is_k_active(self, t1_stats):
-        pol = low_regime_policy(0.25, 0.25, 5, 4, stats=t1_stats)
-        assert pol.probs == k_active_policy(enumerate_states(5, 4)).probs
+        for deadline in range(1, 6):
+            states = enumerate_states(deadline, deadline - 1)
+            path = greedy_policy_path(t1_stats, deadline, deadline - 1)
+            pol, m = optimal_policy(path.eps_th, path, t1_stats, deadline,
+                                    deadline - 1)
+            assert pol.probs == k_active_policy(states).probs
+            assert m.w_s_bar == path.eps_th
 
     def test_exactness(self, t1_stats):
-        states = enumerate_states(5, 4)
-        eps_th = long_term_metrics(k_active_policy(states), t1_stats, 5,
-                                   4).w_s_bar
+        path = greedy_policy_path(t1_stats, 5, 4)
         for frac in (0.1, 0.33, 0.5, 0.77, 0.95):
-            eps_w = frac * eps_th
-            pol = low_regime_policy(eps_w, eps_th, 5, 4, stats=t1_stats)
-            m = long_term_metrics(pol, t1_stats, 5, 4)
-            assert abs(m.w_s_bar - eps_w) <= 1e-9
-            assert abs(m.t_s_bar - t1_stats.t_sk * eps_w) <= 1e-9
-            # only known-message states transmit, all with one probability
-            probs_k = {pol.prob(s) for s in states if s.phi == PHI_K}
-            assert len(probs_k) == 1
-            assert all(pol.prob(s) == 0.0 for s in states if s.phi == PHI_U)
+            eps_w = frac * path.eps_th
+            pol, m = optimal_policy(eps_w, path, t1_stats, 5, 4)
+            assert abs(m.w_s_bar - eps_w) <= 1e-14
+            assert abs(m.t_s_bar - t1_stats.t_sk * eps_w) <= 1e-14
+            # only known-message states transmit, one of them randomized
+            assert all(p == 0.0 for s, p in pol.probs.items()
+                       if s.phi == PHI_U)
+            fractional = [s for s, p in pol.probs.items()
+                          if p not in (0.0, 1.0)]
+            assert len(fractional) == 1 and fractional[0].phi == PHI_K
 
     def test_few_evaluations_per_budget(self, t1_stats, monkeypatch):
-        states = enumerate_states(5, 4)
-        eps_th = long_term_metrics(k_active_policy(states), t1_stats, 5,
-                                   4).w_s_bar
+        path = greedy_policy_path(t1_stats, 5, 4)
+        w_last = path.entries[-1].metrics.w_s_bar
         calls = []
 
         def counting(*args):
@@ -137,27 +146,33 @@ class TestLowRegimePolicy:
             return long_term_metrics(*args)
 
         monkeypatch.setattr(optimizer, "long_term_metrics", counting)
-        for frac in (0.1, 0.33, 0.5, 0.77, 0.95):
-            eps_w = frac * eps_th
+        for eps_w in (0.0, 0.3 * path.eps_th, path.eps_th,
+                      0.5 * (path.eps_th + w_last), w_last, 2.0 * w_last):
             calls.clear()
-            pol = low_regime_policy(eps_w, eps_th, 5, 4, stats=t1_stats)
-            assert len(calls) <= 15
-            w = long_term_metrics(pol, t1_stats, 5, 4).w_s_bar
-            assert abs(w - eps_w) <= optimizer.W_SOLVE_TOL
+            optimal_policy(eps_w, path, t1_stats, 5, 4)
+            assert len(calls) <= 1
 
-    def test_budget_above_threshold_rejected(self, t1_stats):
-        with pytest.raises(ValueError):
-            low_regime_policy(0.3, 0.25, 5, 4, stats=t1_stats)
-
-    def test_non_convergence_raises(self, t1_stats, monkeypatch):
-        # An evaluator whose access rate never reaches the budget must not
-        # yield a policy.
-        stuck = PolicyMetrics(t_s_bar=0.0, w_s_bar=0.0, t_p_bar=0.0,
-                              p_s_ratio=0.0)
-        monkeypatch.setattr(optimizer, "long_term_metrics",
-                            lambda *args: stuck)
-        with pytest.raises(RuntimeError, match="did not converge"):
-            low_regime_policy(0.1, 0.25, 5, 4, stats=t1_stats)
+    def test_unreachable_known_states(self):
+        # With no primary outage while the secondary is idle, the cycle
+        # ends after one slot and no known-message state is ever reached:
+        # the ladder entries all tie at zero access rate.
+        rng = np.random.default_rng(5)
+        stats = dataclasses.replace(make_random_stats(rng), q_pp_idle=0.0)
+        deadline, cap = 4, 3
+        path = greedy_policy_path(stats, deadline, cap)
+        ladder = path.entries[:deadline]
+        assert path.eps_th == 0.0
+        assert all(e.metrics.w_s_bar == 0.0 for e in ladder)
+        pol, m = optimal_policy(0.0, path, stats, deadline, cap)
+        assert pol.probs == idle_policy(enumerate_states(deadline, cap)).probs
+        assert m.w_s_bar == 0.0
+        # the walk may also activate unreachable states before a reachable one
+        first = next(e for e in path.entries if e.metrics.w_s_bar > 0.0)
+        eps_w = 0.5 * first.metrics.w_s_bar
+        pol, m = optimal_policy(eps_w, path, stats, deadline, cap)
+        assert abs(m.w_s_bar - eps_w) <= 1e-14
+        fractional = [s for s, p in pol.probs.items() if p not in (0.0, 1.0)]
+        assert fractional == [first.chosen_state]
 
 
 class TestAccessRateBudget:
@@ -218,16 +233,33 @@ class TestGreedyPolicyPath:
             assert s1 <= s0 + 1e-9
 
     def test_idle_start_activates_known_states_first(self, t1_stats):
-        path = greedy_policy_path(t1_stats, 5, 4, start=IDLE_START)
+        path = greedy_policy_path(t1_stats, 5, 4)
         k_states = [s for s in enumerate_states(5, 4) if s.phi == PHI_K]
-        chosen = [e.chosen_state for e in path.entries[1:]]
-        assert chosen[:len(k_states)] == k_states
-        # after the known states are active the policy equals the standard
-        # walk's start, so both walks reach the same final policy
-        std = greedy_policy_path(t1_stats, 5, 4)
-        assert path.entries[len(k_states)].policy.probs == \
-            std.entries[0].policy.probs
-        assert path.entries[-1].policy.probs == std.entries[-1].policy.probs
+        ladder = path.entries[:len(k_states) + 1]
+        assert [e.chosen_state for e in ladder[1:]] == k_states
+        assert ladder[-1].policy.probs == \
+            k_active_policy(enumerate_states(5, 4)).probs
+        assert path.eps_th == ladder[-1].metrics.w_s_bar
+        for a, b in zip(ladder, ladder[1:]):
+            dw = b.metrics.w_s_bar - a.metrics.w_s_bar
+            dt = b.metrics.t_s_bar - a.metrics.t_s_bar
+            assert dw > 0.0
+            assert abs(dt / dw - t1_stats.t_sk) <= 1e-12
+
+    def test_known_states_dominate_along_ladder(self, t1_stats):
+        # While the ladder runs, every idle known-message state is at
+        # least as efficient as every idle unknown-message state, so the
+        # greedy rule would also activate the known-message states first.
+        deadline, cap = 5, 4
+        path = greedy_policy_path(t1_stats, deadline, cap)
+        for e in path.entries[:deadline]:
+            eta = {phi: [efficiency_report(e.policy, s, t1_stats, deadline,
+                                           cap).eta
+                         for s, p in e.policy.probs.items()
+                         if s.phi == phi and p == 0.0]
+                   for phi in (PHI_K, PHI_U)}
+            if eta[PHI_K]:
+                assert min(eta[PHI_K]) >= max(eta[PHI_U])
 
     def test_path_json(self, t1_stats):
         path = greedy_policy_path(t1_stats, 2, 1)
@@ -253,6 +285,23 @@ class TestOptimalPolicy:
         assert pol.probs == k_active_policy(enumerate_states(5, 4)).probs
         assert m.t_s_bar == pytest.approx(t1_stats.t_sk * path.eps_th,
                                           abs=1e-9)
+
+    def test_budget_at_a_path_rate_returns_that_policy(self):
+        # No blend at a path policy's own rate: the policy comes back
+        # exactly, the first of any entries that tie at that rate.
+        rng = np.random.default_rng(43)
+        for trial in range(40):
+            deadline = (2, 3, 4, 5)[trial % 4]
+            cap = int(rng.integers(0, deadline))
+            stats = make_random_stats(rng)
+            path = greedy_policy_path(stats, deadline, cap)
+            for e in path.entries:
+                w = e.metrics.w_s_bar
+                first = next(f for f in path.entries
+                             if f.metrics.w_s_bar == w)
+                pol, m = optimal_policy(w, path, stats, deadline, cap)
+                assert pol.probs == first.policy.probs
+                assert m == first.metrics
 
     def test_high_regime_meets_budget_exactly(self, t1_stats):
         path = greedy_policy_path(t1_stats, 5, 4)
@@ -303,3 +352,19 @@ def test_greedy_optimum_equals_oracle(stats, shape, budgets):
         _, m = optimal_policy(eps_w, path, stats, deadline, cap)
         star = oracle_optimum(eps_w, frontier, stats, deadline, cap)
         assert abs(m.t_s_bar - star) <= 1e-9
+
+
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(feasible_stats(), st.integers(1, 6), st.data())
+def test_optimal_policy_is_one_state_blend(stats, deadline, data):
+    cap = data.draw(st.integers(0, deadline - 1))
+    path = greedy_policy_path(stats, deadline, cap)
+    w_last = path.entries[-1].metrics.w_s_bar
+    eps_w = data.draw(st.floats(0.0, 1.1 * w_last))
+    pol, m = optimal_policy(eps_w, path, stats, deadline, cap)
+    fractional = [s for s, p in pol.probs.items() if p not in (0.0, 1.0)]
+    assert len(fractional) <= 1
+    assert abs(m.w_s_bar - min(eps_w, w_last)) <= 1e-12
+    if eps_w < path.eps_th:
+        assert all(p == 0.0 for s, p in pol.probs.items() if s.phi == PHI_U)
+        assert abs(m.t_s_bar - stats.t_sk * m.w_s_bar) <= 1e-12
