@@ -17,8 +17,10 @@ module computes:
   closed-form throughputs, so derived rates depend on no seed.
 
 Monte Carlo draws (in `link_stats` only) come from one `numpy` PCG64
-stream; chunks are drawn sequentially from that stream, so the statistics
-are a deterministic function of (params, mc_samples, seed).
+stream in a fixed order: per chunk of at most 2^20 samples, all of the
+chunk's gamma_s first, then its gamma_ps in blocks of 2^15, each gamma_ps
+paired with the gamma_s at the same position. The statistics are thus a
+deterministic function of (params, mc_samples, seed).
 """
 
 from __future__ import annotations
@@ -45,7 +47,8 @@ SU_INTERFERED_THROUGHPUT = "SU_INTERFERED_THROUGHPUT"
 RATE_BRACKET = (1e-3, 20.0)   # bits/s/Hz; throughput vanishes at both ends
 RATE_TOL = 1e-4
 
-_MC_CHUNK = 1 << 20
+_MC_CHUNK = 1 << 20           # samples per chunk; fixes how draws pair up
+_MC_BLOCK = 1 << 15           # samples classified at once, cache-sized
 MIN_MC_SAMPLES = 10 ** 5      # fewest Monte-Carlo draws `link_stats` takes
 
 
@@ -214,13 +217,16 @@ class RegionClassifier:
 
     def masks(self, snr_s: np.ndarray, snr_ps: np.ndarray):
         """Vectorized membership masks (pu_decodable, su_decodable, buffered)."""
-        mac = ((snr_s >= self.thr_su) & (snr_ps >= self.thr_p)
-               & (snr_s + snr_ps >= self.thr_sum))
-        pu_alone = (snr_s < self.thr_su) & (snr_ps >= self.thr_p * (1.0 + snr_s))
-        su_alone = (snr_ps < self.thr_p) & (snr_s >= self.thr_su * (1.0 + snr_ps))
+        s_ok = snr_s >= self.thr_su
+        p_ok = snr_ps >= self.thr_p
+        mac = s_ok & p_ok & (snr_s + snr_ps >= self.thr_sum)
+        # On NaN the negated comparison holds, but the alone-region's own
+        # comparison fails, so NaN still lands in neither alone-region.
+        pu_alone = ~s_ok & (snr_ps >= self.thr_p * (1.0 + snr_s))
+        su_alone = ~p_ok & (snr_s >= self.thr_su * (1.0 + snr_ps))
         in_gp = mac | pu_alone
         in_gs = mac | su_alone
-        buffered = ~in_gp & ~in_gs & (snr_s >= self.thr_su)
+        buffered = s_ok & ~(in_gp | in_gs)
         return in_gp, in_gs, buffered
 
     def su_decode_probability(self, mean_snr_s: float,
@@ -296,26 +302,42 @@ def outage_pp(params: SystemParams, su_active: bool) -> float:
     return 1.0 - clear
 
 
+def _exponential_into(rng: np.random.Generator, mean: float,
+                      out: np.ndarray) -> np.ndarray:
+    """Fill ``out`` with exponential draws of mean ``mean``, bit-identical to
+    ``rng.exponential(mean, len(out))`` and consuming the same stream."""
+    rng.standard_exponential(out=out)
+    out *= mean
+    return out
+
+
 def _mc_region_probs(params: SystemParams, rate_su: float, mc_samples: int,
                      seed: int):
     """Monte Carlo estimates (Pr decode PU, Pr decode SU, Pr buffer).
 
-    Chunks are drawn sequentially from one seeded generator; per chunk the
-    draw order is (gamma_s, gamma_ps).
+    Chunks of at most `_MC_CHUNK` samples are drawn sequentially from one
+    seeded generator. Per chunk, all of its gamma_s are drawn first, then
+    its gamma_ps in blocks of `_MC_BLOCK`, each block paired by position
+    with the matching gamma_s slice and classified while cache-resident.
+    The exponential sampler consumes the stream one draw at a time, so the
+    blocks reproduce the chunk's one-shot gamma_ps array exactly.
     """
     cls = RegionClassifier(rate_su, params.rate_p)
     rng = np.random.default_rng(seed)
+    gs_buf = np.empty(min(_MC_CHUNK, mc_samples))
+    gps_buf = np.empty(min(_MC_BLOCK, mc_samples))
     n_gp = n_gs = n_buf = 0
-    remaining = mc_samples
-    while remaining > 0:
-        m = min(_MC_CHUNK, remaining)
-        gs = rng.exponential(params.mean_snr_s, m)
-        gps = rng.exponential(params.mean_snr_ps, m)
-        in_gp, in_gs, buf = cls.masks(gs, gps)
-        n_gp += int(in_gp.sum())
-        n_gs += int(in_gs.sum())
-        n_buf += int(buf.sum())
-        remaining -= m
+    for start in range(0, mc_samples, _MC_CHUNK):
+        gs = _exponential_into(rng, params.mean_snr_s,
+                               gs_buf[:min(_MC_CHUNK, mc_samples - start)])
+        for lo in range(0, len(gs), _MC_BLOCK):
+            gs_block = gs[lo:lo + _MC_BLOCK]
+            gps = _exponential_into(rng, params.mean_snr_ps,
+                                    gps_buf[:len(gs_block)])
+            in_gp, in_gs, buf = cls.masks(gs_block, gps)
+            n_gp += int(np.count_nonzero(in_gp))
+            n_gs += int(np.count_nonzero(in_gs))
+            n_buf += int(np.count_nonzero(buf))
     n = float(mc_samples)
     return n_gp / n, n_gs / n, n_buf / n
 

@@ -8,7 +8,9 @@ mixes (all three per-cycle quantities are affine in that one probability,
 and a projective image of a line is a line). The constrained optimum is
 therefore the frontier value at the access budget, read off the hull by
 linear interpolation. Nothing here calls the optimizer, so the check of
-the greedy construction is independent of it.
+the greedy construction is independent of it. The 2^N candidates are kept
+as (access rate, throughput, bitmask) triples; only the hull vertices that
+`enumerate_frontier` returns carry a `Policy`.
 """
 
 from __future__ import annotations
@@ -44,9 +46,9 @@ def policy_to_bitmask(policy: Policy, states: List[NetState]) -> int:
     return mask
 
 
-def _cross(o: FrontierPoint, a: FrontierPoint, b: FrontierPoint) -> float:
-    return ((a.w_s_bar - o.w_s_bar) * (b.t_s_bar - o.t_s_bar)
-            - (a.t_s_bar - o.t_s_bar) * (b.w_s_bar - o.w_s_bar))
+def _cross(o, a, b) -> float:
+    """Cross product of (a - o) and (b - o) on (w_s_bar, t_s_bar, ...) tuples."""
+    return ((a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0]))
 
 
 def enumerate_frontier(stats: LinkStats, deadline: int,
@@ -63,25 +65,26 @@ def enumerate_frontier(stats: LinkStats, deadline: int,
                          f"({len(states)} > {MAX_ENUM_STATES})")
     points = []
     for mask in range(1 << len(states)):
-        pol = policy_from_bitmask(mask, states)
-        m = long_term_metrics(pol, stats, deadline, buffer_size)
-        points.append(FrontierPoint(w_s_bar=m.w_s_bar, t_s_bar=m.t_s_bar,
-                                    policy=pol))
-    points.sort(key=lambda p: (p.w_s_bar, p.t_s_bar))
+        m = long_term_metrics(policy_from_bitmask(mask, states), stats,
+                              deadline, buffer_size)
+        points.append((m.w_s_bar, m.t_s_bar, mask))
+    points.sort()
     # Keep only the best throughput at (numerically) equal access rates.
-    dedup: List[FrontierPoint] = []
+    dedup = []
     for p in points:
-        if dedup and abs(p.w_s_bar - dedup[-1].w_s_bar) <= 1e-14:
+        if dedup and abs(p[0] - dedup[-1][0]) <= 1e-14:
             dedup[-1] = p
         else:
             dedup.append(p)
-    hull: List[FrontierPoint] = []
+    hull = []
     for p in dedup:
         while len(hull) >= 2 and _cross(hull[-2], hull[-1], p) >= 0.0:
             hull.pop()
         hull.append(p)
-    best = max(range(len(hull)), key=lambda i: hull[i].t_s_bar)
-    return hull[:best + 1]
+    best = max(range(len(hull)), key=lambda i: hull[i][1])
+    return [FrontierPoint(w_s_bar=w, t_s_bar=t,
+                          policy=policy_from_bitmask(mask, states))
+            for w, t, mask in hull[:best + 1]]
 
 
 def oracle_optimum(eps_w: float, frontier: List[FrontierPoint],

@@ -4,12 +4,16 @@ from __future__ import annotations
 
 import math
 
-from typing import Dict
+from typing import Dict, List
 
+import numpy as np
 from hypothesis import strategies as st
 
-from cogarq import CycleValues, LinkStats, NetState, Policy, SystemParams
-from cogarq.mdp import ACTIVE, IDLE, PHI_K, PHI_U, ROOT, enumerate_states
+from cogarq import (CycleValues, FrontierPoint, LinkStats, NetState, Policy,
+                    RegionClassifier, SystemParams)
+from cogarq.mdp import (ACTIVE, IDLE, PHI_K, PHI_U, ROOT, enumerate_states,
+                        long_term_metrics)
+from cogarq.oracle import policy_from_bitmask
 
 TABLE1_SNRS = dict(mean_snr_s=5.0, mean_snr_p=10.0, mean_snr_sp=2.0,
                    mean_snr_ps=5.0)
@@ -189,3 +193,69 @@ def reference_cycle_values(policy: Policy, stats: LinkStats, deadline: int,
         v[s] = mu + cont_v
         dur[s] = 1.0 + cont_d
     return CycleValues(g=g, v=v, dur=dur)
+
+
+# Independent references for the channel estimator and the oracle: the
+# one-shot bodies that the streamed and bitmask versions replaced.
+
+def reference_masks(cls: RegionClassifier, snr_s, snr_ps):
+    """(pu_decodable, su_decodable, buffered), each comparison written out."""
+    mac = ((snr_s >= cls.thr_su) & (snr_ps >= cls.thr_p)
+           & (snr_s + snr_ps >= cls.thr_sum))
+    pu_alone = (snr_s < cls.thr_su) & (snr_ps >= cls.thr_p * (1.0 + snr_s))
+    su_alone = (snr_ps < cls.thr_p) & (snr_s >= cls.thr_su * (1.0 + snr_ps))
+    in_gp = mac | pu_alone
+    in_gs = mac | su_alone
+    buffered = ~in_gp & ~in_gs & (snr_s >= cls.thr_su)
+    return in_gp, in_gs, buffered
+
+
+def reference_region_probs(params: SystemParams, rate_su: float,
+                           mc_samples: int, seed: int):
+    """Monte-Carlo (Pr decode PU, Pr decode SU, Pr buffer), drawing each
+    chunk of 2^20 samples as one gamma_s array, then one gamma_ps array."""
+    cls = RegionClassifier(rate_su, params.rate_p)
+    rng = np.random.default_rng(seed)
+    n_gp = n_gs = n_buf = 0
+    remaining = mc_samples
+    while remaining > 0:
+        m = min(1 << 20, remaining)
+        gs = rng.exponential(params.mean_snr_s, m)
+        gps = rng.exponential(params.mean_snr_ps, m)
+        in_gp, in_gs, buf = reference_masks(cls, gs, gps)
+        n_gp += int(in_gp.sum())
+        n_gs += int(in_gs.sum())
+        n_buf += int(buf.sum())
+        remaining -= m
+    n = float(mc_samples)
+    return n_gp / n, n_gs / n, n_buf / n
+
+
+def reference_frontier(stats: LinkStats, deadline: int,
+                       buffer_size: int) -> List[FrontierPoint]:
+    """Upper-left hull built on a `FrontierPoint` per deterministic policy."""
+    def cross(o, a, b):
+        return ((a.w_s_bar - o.w_s_bar) * (b.t_s_bar - o.t_s_bar)
+                - (a.t_s_bar - o.t_s_bar) * (b.w_s_bar - o.w_s_bar))
+
+    states = enumerate_states(deadline, buffer_size)
+    points = []
+    for mask in range(1 << len(states)):
+        pol = policy_from_bitmask(mask, states)
+        m = long_term_metrics(pol, stats, deadline, buffer_size)
+        points.append(FrontierPoint(w_s_bar=m.w_s_bar, t_s_bar=m.t_s_bar,
+                                    policy=pol))
+    points.sort(key=lambda p: (p.w_s_bar, p.t_s_bar))
+    dedup: List[FrontierPoint] = []
+    for p in points:
+        if dedup and abs(p.w_s_bar - dedup[-1].w_s_bar) <= 1e-14:
+            dedup[-1] = p
+        else:
+            dedup.append(p)
+    hull: List[FrontierPoint] = []
+    for p in dedup:
+        while len(hull) >= 2 and cross(hull[-2], hull[-1], p) >= 0.0:
+            hull.pop()
+        hull.append(p)
+    best = max(range(len(hull)), key=lambda i: hull[i].t_s_bar)
+    return hull[:best + 1]

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ from cogarq import (BOTH_DECODED, BUFFERED, LOST, PU_IDLE_THROUGHPUT, PU_ONLY,
                     optimize_rate, outage_pp, region_membership)
 from cogarq.channel import RATE_BRACKET, _mc_region_probs
 
-from support import table1_params
+from support import reference_masks, reference_region_probs, table1_params
 
 
 class TestOutagePP:
@@ -86,6 +87,53 @@ class TestRegionMembership:
     def test_negative_snr_rejected(self):
         with pytest.raises(ValueError):
             region_membership(-0.1, 1.0, 1.0, 1.0)
+
+
+class TestMasksMatchReference:
+    """`masks` shares its comparisons; the written-out regions pin it."""
+
+    RATE_PAIRS = [(1.12, 2.52), (1.91, 2.52), (0.3, 0.05), (4.0, 6.0)]
+
+    @staticmethod
+    def assert_same(cls, snr_s, snr_ps):
+        for got, want in zip(cls.masks(snr_s, snr_ps),
+                             reference_masks(cls, snr_s, snr_ps)):
+            assert got.dtype == want.dtype == bool
+            assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("rate_su,rate_p", RATE_PAIRS)
+    def test_random_draws(self, rate_su, rate_p):
+        rng = np.random.default_rng(31)
+        cls = RegionClassifier(rate_su, rate_p)
+        self.assert_same(cls, rng.exponential(5.0, 50_000),
+                         rng.exponential(5.0, 50_000))
+
+    @pytest.mark.parametrize("rate_su,rate_p", RATE_PAIRS)
+    def test_points_on_every_boundary(self, rate_su, rate_p):
+        rng = np.random.default_rng(32)
+        cls = RegionClassifier(rate_su, rate_p)
+        x = rng.exponential(5.0, 2_000)
+        a, b = np.full_like(x, cls.thr_su), np.full_like(x, cls.thr_p)
+        pairs = [(a, x), (x, b), (a, b), (x, cls.thr_sum - x),
+                 (cls.thr_sum - x, x), (x, cls.thr_p * (1.0 + x)),
+                 (cls.thr_su * (1.0 + x), x), (np.nextafter(a, 0.0), x),
+                 (x, np.nextafter(b, 0.0)), (np.zeros_like(x), x),
+                 (x, np.zeros_like(x))]
+        for snr_s, snr_ps in pairs:
+            self.assert_same(cls, snr_s, snr_ps)
+
+    def test_nan_and_inf_inputs(self):
+        cls = RegionClassifier(1.12, 2.52)
+        values = np.array([np.nan, np.inf, 0.0, cls.thr_su, cls.thr_p,
+                           cls.thr_sum, 0.5, 50.0])
+        snr_s, snr_ps = (g.ravel() for g in np.meshgrid(values, values))
+        self.assert_same(cls, snr_s, snr_ps)
+
+    def test_zero_dimensional_inputs(self):
+        cls = RegionClassifier(1.12, 2.52)
+        for snr_s, snr_ps in ((0.0, 10.0), (2.0, 1.0), (1.2, 0.0),
+                              (np.nan, 1.0)):
+            self.assert_same(cls, np.asarray(snr_s), np.asarray(snr_ps))
 
 
 @st.composite
@@ -266,3 +314,35 @@ class TestOptimizeRate:
     def test_unknown_objective(self, t1_params):
         with pytest.raises(ValueError):
             optimize_rate("NOPE", t1_params)
+
+
+class TestStreamedEstimator:
+    """The block-streamed estimator against the one-shot reference: a
+    partial last block, several chunks and a partial last chunk."""
+
+    @pytest.mark.parametrize("samples,seed", [(10 ** 5, 7), (10 ** 6, 1),
+                                              (3 * 10 ** 6 + 17, 3),
+                                              (10 ** 7, 1234)])
+    def test_matches_one_shot_reference(self, t1_params, samples, seed):
+        rate_su = t1_params.rate_su
+        probs = _mc_region_probs(t1_params, rate_su, samples, seed)
+        assert probs == reference_region_probs(t1_params, rate_su, samples,
+                                               seed)
+        assert all(type(p) is float for p in probs)
+
+    @pytest.mark.parametrize("link", ["mean_snr_s", "mean_snr_ps"])
+    def test_dead_link_consumes_the_same_draws(self, link):
+        params = table1_params(**{link: 0.0})
+        n = (1 << 20) + 12_345
+        assert _mc_region_probs(params, params.rate_su, n, 9) == \
+            reference_region_probs(params, params.rate_su, n, 9)
+
+    @pytest.mark.parametrize("samples", [10 ** 6, 3 * 10 ** 6 + 17])
+    def test_peak_memory_below_12_mb(self, t1_params, samples):
+        tracemalloc.start()
+        try:
+            link_stats(t1_params, samples, seed=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 12 * 2 ** 20

@@ -1,13 +1,15 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cogarq import (Policy, enumerate_frontier, enumerate_states,
                     greedy_policy_path, long_term_metrics, optimal_policy,
                     oracle_optimum)
+from cogarq import oracle
 from cogarq.oracle import (frontier_csv_rows, policy_from_bitmask,
                            policy_to_bitmask)
 
-from support import make_random_stats
+from support import feasible_stats, make_random_stats, reference_frontier
 
 
 class TestEnumerateFrontier:
@@ -63,6 +65,34 @@ class TestEnumerateFrontier:
     def test_size_cap(self, t1_stats):
         with pytest.raises(ValueError):
             enumerate_frontier(t1_stats, 5, 4)   # 19 states
+
+
+class TestFrontierMatchesReference:
+    """The bitmask-triple enumeration against the `FrontierPoint` one."""
+
+    @settings(max_examples=60, derandomize=True, deadline=None)
+    @given(feasible_stats(), st.integers(1, 3), st.data())
+    def test_random_stats(self, stats, deadline, data):
+        cap = data.draw(st.integers(0, deadline - 1))
+        assert enumerate_frontier(stats, deadline, cap) == \
+            reference_frontier(stats, deadline, cap)
+
+    def test_table1_desk_scale(self, t1_stats):
+        assert enumerate_frontier(t1_stats, 4, 3) == \
+            reference_frontier(t1_stats, 4, 3)
+
+    def test_one_evaluation_per_policy(self, t1_stats, monkeypatch):
+        calls = []
+
+        def counting(policy, *args):
+            calls.append(policy)
+            return long_term_metrics(policy, *args)
+
+        monkeypatch.setattr(oracle, "long_term_metrics", counting)
+        enumerate_frontier(t1_stats, 3, 2)
+        states = enumerate_states(3, 2)
+        assert [policy_to_bitmask(p, states) for p in calls] == \
+            list(range(1 << len(states)))
 
 
 class TestOracleOptimum:
