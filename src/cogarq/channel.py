@@ -207,8 +207,9 @@ class RegionClassifier:
     """
 
     def __init__(self, rate_su: float, rate_p: float):
-        if rate_su < 0 or rate_p < 0:
-            raise ValueError("rates must be nonnegative")
+        if not (math.isfinite(rate_su) and math.isfinite(rate_p)
+                and rate_su >= 0 and rate_p >= 0):
+            raise ValueError("rates must be finite and nonnegative")
         self.rate_su = rate_su
         self.rate_p = rate_p
         self.thr_su = 2.0 ** rate_su - 1.0          # rate_su <= C(x) iff x >= thr_su
@@ -283,8 +284,9 @@ class RegionClassifier:
 def region_membership(snr_s: float, snr_ps: float, rate_su: float,
                       rate_p: float) -> str:
     """Classify one instantaneous SNR pair at the secondary receiver."""
-    if snr_s < 0 or snr_ps < 0:
-        raise ValueError("SNRs must be nonnegative")
+    if not (math.isfinite(snr_s) and math.isfinite(snr_ps)
+            and snr_s >= 0 and snr_ps >= 0):
+        raise ValueError("SNRs must be finite and nonnegative")
     return RegionClassifier(rate_su, rate_p).label(snr_s, snr_ps)
 
 

@@ -15,15 +15,16 @@ inside each call: per state in canonical order, its at most three
 successors (stay, grow, learn) with their probabilities under each action,
 its one-slot throughput at access probability 1 and 0, and its attempt
 index. State indices are arithmetic in (t, b), so the backward pass runs
-over plain lists; `Policy`, `NetState` and `CycleValues` dicts appear only
-at the API boundary.
+over plain lists. `CycleValues` keeps those lists in table index order
+(``table.index`` maps a `NetState` to its position); `Policy` dicts and
+`NetState` keys appear only at the API boundary.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, NamedTuple, Optional, Tuple
+from typing import Dict, List, Mapping, NamedTuple, Tuple
 
 import numpy as np
 
@@ -34,10 +35,6 @@ PHI_K = "K"
 
 ACTIVE = "ACTIVE"
 IDLE = "IDLE"
-
-THROUGHPUT = "THROUGHPUT"
-ACCESS = "ACCESS"
-DURATION = "DURATION"
 
 
 @dataclass(frozen=True)
@@ -180,11 +177,6 @@ class TransitionTable(NamedTuple):
     r_active: List[float]
     r_idle: List[float]
 
-    def describes(self, stats: LinkStats, deadline: int,
-                  buffer_size: int) -> bool:
-        return (self.stats is stats and self.deadline == deadline
-                and self.buffer_size == buffer_size)
-
     def index(self, state: NetState) -> int:
         validate_state(state, self.deadline, self.buffer_size)
         if state.phi == PHI_K:
@@ -278,9 +270,8 @@ def transition_table(stats: LinkStats, deadline: int,
                            p_act, p_idl, r_act, r_idl)
 
 
-def _access_vector(policy: Policy, table: TransitionTable
-                   ) -> Tuple[List[float], List[NetState]]:
-    """The policy's access probabilities and its states, by table index.
+def _access_vector(policy: Policy, table: TransitionTable) -> List[float]:
+    """The policy's access probabilities, by table index.
 
     Raises ValueError unless the policy covers the state space exactly
     with probabilities in [0, 1].
@@ -292,7 +283,6 @@ def _access_vector(policy: Policy, table: TransitionTable
     deadline, cap = table.deadline, table.buffer_size
     offsets, n_u = table.offsets, table.n_unknown
     mu = [0.0] * n
-    keys: List[NetState] = [ROOT] * n
     for s, p in probs.items():
         t, b = s.t, s.b
         if s.phi == PHI_U and 1 <= t <= deadline and 0 <= b < t and b <= cap:
@@ -304,8 +294,7 @@ def _access_vector(policy: Policy, table: TransitionTable
         if not 0.0 <= p <= 1.0:
             raise ValueError(f"access probability {p} at {s} outside [0, 1]")
         mu[i] = p
-        keys[i] = s
-    return mu, keys
+    return mu
 
 
 def _backward(table: TransitionTable, mu: List[float]
@@ -339,17 +328,15 @@ def _backward(table: TransitionTable, mu: List[float]
 
 @dataclass
 class CycleValues:
-    """Expected per-cycle reward, accesses, and slots from each start state.
-
-    ``table`` is the transition table the values were computed from, kept
-    so that per-state derivatives need not rebuild it.
+    """Expected per-cycle reward, accesses, and slots from each start state,
+    in ``table`` index order: the values from state s are at
+    ``table.index(s)``, and index 0 is the cycle root.
     """
 
-    g: Dict[NetState, float]
-    v: Dict[NetState, float]
-    dur: Dict[NetState, float]
-    table: Optional[TransitionTable] = field(default=None, repr=False,
-                                             compare=False)
+    g: List[float]
+    v: List[float]
+    dur: List[float]
+    table: TransitionTable = field(repr=False, compare=False)
 
 
 @dataclass(frozen=True)
@@ -383,27 +370,6 @@ def transition_row(state: NetState, action: str, stats: LinkStats,
     return {table.state(j): p for j, p in row.items()}
 
 
-def state_reward(state: NetState, policy_prob: float, stats: LinkStats,
-                 kind: str) -> float:
-    """Expected one-slot reward accrued in ``state`` under access probability
-    ``policy_prob``.
-
-    THROUGHPUT mixes the table's rewards at access probability 1 and 0
-    (see `_throughput_ends`). ACCESS counts channel uses; DURATION counts
-    slots.
-    """
-    if not 0.0 <= policy_prob <= 1.0:
-        raise ValueError("policy_prob must lie in [0, 1]")
-    if kind == ACCESS:
-        return policy_prob
-    if kind == DURATION:
-        return 1.0
-    if kind != THROUGHPUT:
-        raise ValueError(f"unknown reward kind {kind!r}")
-    r1, r0 = _throughput_ends(state.phi, state.b, stats)
-    return policy_prob * r1 + (1.0 - policy_prob) * r0
-
-
 def cycle_values(policy: Policy, stats: LinkStats, deadline: int,
                  buffer_size: int) -> CycleValues:
     """Per-cycle expected reward/access/duration from every state.
@@ -413,10 +379,8 @@ def cycle_values(policy: Policy, stats: LinkStats, deadline: int,
     cycle.
     """
     table = transition_table(stats, deadline, buffer_size)
-    mu, keys = _access_vector(policy, table)
-    g, v, d = _backward(table, mu)
-    return CycleValues(g=dict(zip(keys, g)), v=dict(zip(keys, v)),
-                       dur=dict(zip(keys, d)), table=table)
+    g, v, d = _backward(table, _access_vector(policy, table))
+    return CycleValues(g=g, v=v, dur=d, table=table)
 
 
 def ratio_metrics(g: float, v: float, d: float,
@@ -433,13 +397,12 @@ def long_term_metrics(policy: Policy, stats: LinkStats, deadline: int,
                       buffer_size: int) -> PolicyMetrics:
     """Long-term averages via the renewal-reward ratio at the cycle root."""
     table = transition_table(stats, deadline, buffer_size)
-    mu, _ = _access_vector(policy, table)
-    g, v, d = _backward(table, mu)
+    g, v, d = _backward(table, _access_vector(policy, table))
     return ratio_metrics(g[0], v[0], d[0], stats)
 
 
 def metrics_from_cycle_values(cv: CycleValues, stats: LinkStats) -> PolicyMetrics:
-    return ratio_metrics(cv.g[ROOT], cv.v[ROOT], cv.dur[ROOT], stats)
+    return ratio_metrics(cv.g[0], cv.v[0], cv.dur[0], stats)
 
 
 def stationary_distribution(policy: Policy, stats: LinkStats, deadline: int,
@@ -452,7 +415,7 @@ def stationary_distribution(policy: Policy, stats: LinkStats, deadline: int,
     unreachable from the root are transient and come out with zero mass.
     """
     table = transition_table(stats, deadline, buffer_size)
-    mu, keys = _access_vector(policy, table)
+    mu = _access_vector(policy, table)
     n = len(mu)
     pmat = np.zeros((n, n))
     for i in range(n):
@@ -468,7 +431,7 @@ def stationary_distribution(policy: Policy, stats: LinkStats, deadline: int,
         raise RuntimeError("stationary distribution solve failed "
                            "(chain unexpectedly not unichain)") from exc
     pi = np.where(np.abs(pi) < 1e-15, 0.0, pi)
-    return {s: float(pi[i]) for i, s in enumerate(keys)}
+    return {table.state(i): float(pi[i]) for i in range(n)}
 
 
 def occupancy_metrics(policy: Policy, stats: LinkStats, deadline: int,

@@ -2,19 +2,16 @@
 
 Both operating constraints (bounded primary throughput loss, bounded
 secondary power) collapse into a single ceiling on the long-term secondary
-access rate. The optimum under every ceiling lies on one frontier path
-that starts from the all-idle policy and activates one state per entry.
-Known-message states come first, in canonical order: while every
-unknown-message state is idle nothing is buffered, so each known-message
-access earns exactly the clean-channel throughput t_sk and this ladder
-traces the straight line t_s = t_sk w up to ``eps_th``, the access rate
-of the "transmit only when the primary message is known" policy. From
-there a greedy walk activates idle states one at a time in decreasing
-order of access efficiency (marginal throughput per marginal access
-rate). The constrained optimum is the path's last policy, a path policy
-that meets the budget, or a one-state randomization between two
-consecutive path policies; a constrained optimum needs randomization in
-at most one state (Beutler & Ross 1985).
+access rate. The optimum under every ceiling lies on one frontier path: a
+greedy walk that starts from the all-idle policy and, per entry,
+activates the idle state with the highest access efficiency (marginal
+throughput per marginal access rate), known- and unknown-message states
+alike. A known-message state with no positive efficiency (t_sk = 0) is
+never activated. The constrained optimum is the path's last policy, a
+path policy that meets the budget, or a one-state randomization between
+two consecutive path policies; a constrained optimum needs randomization
+in at most one state (Beutler & Ross 1985). ``eps_th`` is the access rate
+of the "transmit only when the primary message is known" policy.
 
 A state is visited at most once per renewal cycle, so the per-cycle
 reward, accesses and duration are affine in any one state's access
@@ -32,10 +29,10 @@ from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
 from .channel import LinkStats
-from .mdp import (PHI_K, PHI_U, ROOT, CycleValues, NetState, Policy,
-                  PolicyMetrics, cycle_values, enumerate_states, idle_policy,
+from .mdp import (CycleValues, NetState, Policy, PolicyMetrics, cycle_values,
+                  enumerate_states, idle_policy, k_active_policy,
                   long_term_metrics, metrics_from_cycle_values,
-                  policy_to_json_obj, transition_table)
+                  policy_to_json_obj)
 
 
 @dataclass(frozen=True)
@@ -58,9 +55,9 @@ class PathEntry:
 
 @dataclass(frozen=True)
 class PolicyPath:
-    """Frontier path from the all-idle policy: the known-message ladder,
-    then the greedy walk, with each entry's policy and metrics. ``eps_th``
-    is the access rate of the ladder's last entry."""
+    """Frontier path from the all-idle policy, with each entry's policy and
+    metrics. ``eps_th`` is the access rate of the known-message-only
+    policy (`k_active_policy`)."""
 
     entries: List[PathEntry]
     eps_th: float
@@ -95,13 +92,12 @@ def cycle_derivatives(policy: Policy, state: NetState, stats: LinkStats,
     therefore has one-step form: the table's one-slot reward at access
     probability 1 minus that at 0 (exact, since the reward is affine in
     it) plus the action-difference of the table row weighted by the
-    downstream values. The table that ``values`` came from is reused.
+    downstream values. ``values`` must come from ``policy`` on the same
+    statistics and sizes; its table is reused.
     """
     if values is None:
         values = cycle_values(policy, stats, deadline, buffer_size)
     table = values.table
-    if table is None or not table.describes(stats, deadline, buffer_size):
-        table = transition_table(stats, deadline, buffer_size)
     i = table.index(state)
     g_p, v_p, d_p = table.r_active[i] - table.r_idle[i], 1.0, 0.0
     for k in range(3 * i, 3 * i + 3):
@@ -109,10 +105,9 @@ def cycle_derivatives(policy: Policy, state: NetState, stats: LinkStats,
         if j == 0:              # the cycle ends: no continuation
             continue
         dp = table.p_active[k] - table.p_idle[k]
-        nxt = table.state(j)
-        g_p += dp * values.g[nxt]
-        v_p += dp * values.v[nxt]
-        d_p += dp * values.dur[nxt]
+        g_p += dp * values.g[j]
+        v_p += dp * values.v[j]
+        d_p += dp * values.dur[j]
     return g_p, v_p, d_p
 
 
@@ -145,12 +140,6 @@ def efficiency_report(policy: Policy, state: NetState, stats: LinkStats,
                             d_prime=d_p, eta=eta)
 
 
-def efficiency(policy: Policy, state: NetState, stats: LinkStats,
-               deadline: int, buffer_size: int) -> float:
-    return efficiency_report(policy, state, stats, deadline,
-                             buffer_size).eta
-
-
 def blend_policies(pol_a: Policy, pol_b: Policy, lam: float) -> Policy:
     """Pointwise mixture lam * pol_a + (1 - lam) * pol_b."""
     return Policy({s: lam * pa + (1.0 - lam) * pol_b.probs[s]
@@ -179,50 +168,34 @@ def greedy_policy_path(stats: LinkStats, deadline: int,
                        buffer_size: int) -> PolicyPath:
     """Frontier path from the all-idle policy, one activated state per entry.
 
-    The known-message states come first, one at a time in canonical order:
-    with every unknown-message state idle, each earns exactly t_sk per
-    access, the highest access efficiency any state can have, so this
-    ladder is the frontier up to ``eps_th``, the access rate of its last
-    entry (the known-message-only policy). The walk then activates, per
-    stage, the idle state with the highest access efficiency, stopping when
-    no idle state has positive efficiency. Ties break toward the earliest
-    state in canonical order so the walk is reproducible.
-
-    The ladder's optimality presumes the clean-channel throughput
-    dominates an interfered access plus its buffered top-up, which holds
-    whenever the clean rate is chosen to maximize the clean-channel
-    throughput.
+    Per stage the walk activates the idle state with the highest access
+    efficiency, known- or unknown-message alike, and stops when no idle
+    state has positive efficiency; so a known-message state with t_sk = 0
+    is never activated. Ties break toward the earliest state in canonical
+    order so the walk is reproducible. ``eps_th`` is the access rate of
+    the known-message-only policy, computed on its own.
     """
     states = enumerate_states(deadline, buffer_size)
-    ladder = [s for s in states if s.phi == PHI_K]
-    eps_th_index = len(ladder)
-    # canonical order, so the first best state found wins a tie
-    idle_set = [s for s in states if s.phi == PHI_U]
-
+    idle_set = list(states)     # canonical order: the first best state wins
     policy = idle_policy(states)
     values = cycle_values(policy, stats, deadline, buffer_size)
     metrics = metrics_from_cycle_values(values, stats)
     entries = [PathEntry(policy=policy, metrics=metrics, chosen_state=None)]
-    while ladder or idle_set:
-        if ladder:
-            best = ladder.pop(0)
-        else:
-            best, best_eta = None, -math.inf
-            for s in idle_set:
-                rep = efficiency_report(policy, s, stats, deadline,
-                                        buffer_size, values, metrics)
-                if rep.eta > best_eta:
-                    best, best_eta = s, rep.eta
-            if best is None or best_eta <= 0.0:
-                break
-            idle_set.remove(best)
+    while idle_set:
+        etas = [efficiency_report(policy, s, stats, deadline, buffer_size,
+                                  values, metrics).eta for s in idle_set]
+        best_eta = max(etas)
+        if best_eta <= 0.0:
+            break
+        best = idle_set.pop(etas.index(best_eta))
         policy = policy.with_prob(best, 1.0)
         values = cycle_values(policy, stats, deadline, buffer_size)
         metrics = metrics_from_cycle_values(values, stats)
         entries.append(PathEntry(policy=policy, metrics=metrics,
                                  chosen_state=best))
-    return PolicyPath(entries=entries,
-                      eps_th=entries[eps_th_index].metrics.w_s_bar)
+    eps_th = long_term_metrics(k_active_policy(states), stats, deadline,
+                               buffer_size).w_s_bar
+    return PolicyPath(entries=entries, eps_th=eps_th)
 
 
 def optimal_policy(eps_w: float, path: PolicyPath, stats: LinkStats,
@@ -232,14 +205,20 @@ def optimal_policy(eps_w: float, path: PolicyPath, stats: LinkStats,
 
     A budget at or above the path's final access rate gets the final
     policy, and a path policy whose access rate equals the budget is
-    returned as it is (the idle policy at zero, the known-message-only
-    policy at ``eps_th``). Otherwise the budget falls strictly between
-    consecutive path policies a and b, which differ in one state. Blending
-    them with weight lam on a makes the per-cycle accesses v and duration d
-    affine in lam, so the blend meeting the budget exactly solves
+    returned as it is (the first of any entries that tie at that rate).
+    Otherwise the budget falls strictly between consecutive path policies a
+    and b, which differ in one state. Blending them with weight lam on a
+    makes the per-cycle accesses v and duration d affine in lam, so the
+    blend meeting the budget exactly solves
     lam v_a + (1 - lam) v_b = eps_w (lam d_a + (1 - lam) d_b) in closed
-    form. Below ``eps_th`` both are ladder policies, so one known-message
-    state randomizes and every access earns t_sk.
+    form.
+
+    ``eps_th`` is the access rate of the known-message-only policy. When a
+    known-message access (t_sk) beats every other access, as under the
+    paper's rate choice, the walk activates the known-message states
+    first, so a budget below ``eps_th`` randomizes one of them and every
+    access earns t_sk. A known-message state with no positive efficiency
+    (t_sk = 0) is never activated.
     """
     if not (math.isfinite(eps_w) and eps_w >= 0.0):
         raise ValueError("eps_w must be finite and nonnegative")
@@ -254,8 +233,8 @@ def optimal_policy(eps_w: float, path: PolicyPath, stats: LinkStats,
     pol_a, pol_b = path.entries[j - 1].policy, entry.policy
     cv_a = cycle_values(pol_a, stats, deadline, buffer_size)
     cv_b = cycle_values(pol_b, stats, deadline, buffer_size)
-    v_a, d_a = cv_a.v[ROOT], cv_a.dur[ROOT]
-    v_b, d_b = cv_b.v[ROOT], cv_b.dur[ROOT]
+    v_a, d_a = cv_a.v[0], cv_a.dur[0]
+    v_b, d_b = cv_b.v[0], cv_b.dur[0]
     # v - eps_w d is positive at b and negative at a, so the
     # denominator is negative; the clamp only absorbs rounding.
     lam = (eps_w * d_b - v_b) / ((v_a - v_b) - eps_w * (d_a - d_b))

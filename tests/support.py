@@ -4,12 +4,12 @@ from __future__ import annotations
 
 import math
 
-from typing import Dict, List
+from typing import Dict, List, NamedTuple
 
 import numpy as np
 from hypothesis import strategies as st
 
-from cogarq import (CycleValues, FrontierPoint, LinkStats, NetState, Policy,
+from cogarq import (FrontierPoint, LinkStats, NetState, Policy,
                     RegionClassifier, SystemParams)
 from cogarq.mdp import (ACTIVE, IDLE, PHI_K, PHI_U, ROOT, enumerate_states,
                         long_term_metrics)
@@ -169,8 +169,16 @@ def reference_throughput(state: NetState, mu: float,
     return mu * stats.t_su + decode_pu * state.b * stats.rate_su
 
 
+class ReferenceValues(NamedTuple):
+    """Per-cycle reward, accesses and slots from each state, by state."""
+
+    g: Dict[NetState, float]
+    v: Dict[NetState, float]
+    dur: Dict[NetState, float]
+
+
 def reference_cycle_values(policy: Policy, stats: LinkStats, deadline: int,
-                           buffer_size: int) -> CycleValues:
+                           buffer_size: int) -> ReferenceValues:
     g: Dict[NetState, float] = {}
     v: Dict[NetState, float] = {}
     dur: Dict[NetState, float] = {}
@@ -192,7 +200,7 @@ def reference_cycle_values(policy: Policy, stats: LinkStats, deadline: int,
         g[s] = reference_throughput(s, mu, stats) + cont_g
         v[s] = mu + cont_v
         dur[s] = 1.0 + cont_d
-    return CycleValues(g=g, v=v, dur=dur)
+    return ReferenceValues(g=g, v=v, dur=dur)
 
 
 # Independent references for the channel estimator and the oracle: the

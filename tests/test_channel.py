@@ -88,6 +88,18 @@ class TestRegionMembership:
         with pytest.raises(ValueError):
             region_membership(-0.1, 1.0, 1.0, 1.0)
 
+    @pytest.mark.parametrize("snrs", [(5.0, math.nan), (math.nan, 1.0),
+                                      (math.inf, 1.0), (5.0, math.inf)])
+    def test_non_finite_snr_rejected(self, snrs):
+        with pytest.raises(ValueError, match="finite"):
+            region_membership(*snrs, 1.12, 2.52)
+
+    @pytest.mark.parametrize("rates", [(math.nan, 1.0), (1.0, math.nan),
+                                       (math.inf, 2.52), (1.12, -math.inf)])
+    def test_non_finite_rates_rejected(self, rates):
+        with pytest.raises(ValueError, match="finite"):
+            RegionClassifier(*rates)
+
 
 class TestMasksMatchReference:
     """`masks` shares its comparisons; the written-out regions pin it."""

@@ -233,6 +233,29 @@ def test_oracle_csv(config_file, tmp_path):
     assert float(first[0]) == 0.0
 
 
+def test_solve_matches_oracle_when_clean_access_is_poor(tmp_path):
+    # With r_sk = 0.3 a known-message access earns less than an
+    # interfered access plus its buffered top-up, so the optimum at this
+    # budget is not known-message-only; `solve` must reach the
+    # brute-force chord.
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(dict(CONFIG, rate_p=2.0, rate_su=1.2,
+                                    rate_sk=0.3, deadline_D=4, buffer_B=3)))
+    common = ["--config", str(path), "--seed", "1"]
+    solved, frontier = tmp_path / "solved.json", tmp_path / "frontier.csv"
+    assert main(["solve", *common, "--eps-w", "0.2",
+                 "--out", str(solved)]) == 0
+    assert main(["oracle", *common, "--D", "4", "--B", "3",
+                 "--out", str(frontier)]) == 0
+    vertices = [tuple(map(float, line.split(",")[:2]))
+                for line in frontier.read_text().splitlines()[1:]]
+    (w_a, t_a), (w_b, t_b) = next(
+        (a, b) for a, b in zip(vertices, vertices[1:]) if a[0] <= 0.2 <= b[0])
+    chord = t_a + (t_b - t_a) * (0.2 - w_a) / (w_b - w_a)
+    t_s = json.loads(solved.read_text())["metrics"]["t_s_bar"]
+    assert abs(t_s - chord) <= 1e-9
+
+
 def test_sweep_csv(config_file, tmp_path):
     out = tmp_path / "sweep.csv"
     rc = main(["sweep", "--config", config_file, "--kind", "TS_VS_TP",

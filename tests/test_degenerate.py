@@ -10,7 +10,7 @@ from cogarq import (LinkStats, NetState, a0_a1, b_max, cycle_values,
 from cogarq.degenerate import (cycle_value_closed, delta_s, g_prime_closed,
                                hp_bound, v_prime_closed)
 from cogarq.mdp import PHI_K, PHI_U
-from cogarq.optimizer import cycle_derivatives, efficiency
+from cogarq.optimizer import cycle_derivatives, efficiency_report
 from cogarq.oracle import policy_from_bitmask
 
 from support import (first_idle_thresholds, is_threshold_policy,
@@ -115,8 +115,8 @@ class TestThresholdStructure:
         for seed in range(5):
             st = _degenerate_stats(seed)
             deadline, cap = 5, 4
-            # the walk part: the known-message ladder leaves known-message
-            # states idle
+            # the path from the entry where every known-message state is
+            # active; earlier entries leave some of them idle
             walk = greedy_policy_path(st, deadline, cap).entries[deadline - 1:]
             prev = None
             for e in walk:
@@ -166,8 +166,9 @@ class TestThresholdStructure:
             pol = e.policy
             idle = {(s.t, s.b) for s, p in pol.probs.items()
                     if s.phi == PHI_U and p == 0.0}
-            eta = {tb: efficiency(pol, NetState(tb[0], tb[1], PHI_U), st,
-                                  deadline, cap) for tb in idle}
+            eta = {tb: efficiency_report(pol, NetState(tb[0], tb[1], PHI_U),
+                                         st, deadline, cap).eta
+                   for tb in idle}
             for (t, b) in idle:
                 if (t, b + 1) in idle:
                     assert eta[(t, b)] > eta[(t, b + 1)]
@@ -185,8 +186,9 @@ class TestClosedForms:
             for s in e.policy.probs:
                 if s.phi == PHI_K or e.policy.probs[s] == 0.0:
                     v, g = cycle_value_closed(s, st, deadline)
-                    assert abs(v - cv.v[s]) <= 1e-9
-                    assert abs(g - cv.g[s]) <= 1e-9
+                    i = cv.table.index(s)
+                    assert abs(v - cv.v[i]) <= 1e-9
+                    assert abs(g - cv.g[i]) <= 1e-9
 
     def test_derivatives_on_threshold_policies(self):
         st = _degenerate_stats(22)

@@ -2,10 +2,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 
-from cogarq import (ACCESS, ACTIVE, DURATION, IDLE, NetState, Policy,
-                    THROUGHPUT, cycle_values, enumerate_states, idle_policy,
-                    k_active_policy, long_term_metrics, policy_from_json_obj,
-                    policy_to_json_obj, state_reward, stationary_distribution,
+from cogarq import (ACTIVE, IDLE, NetState, Policy, cycle_values,
+                    enumerate_states, idle_policy, k_active_policy,
+                    long_term_metrics, policy_from_json_obj,
+                    policy_to_json_obj, stationary_distribution,
                     transition_row)
 from cogarq.mdp import (PHI_K, PHI_U, ROOT, occupancy_metrics,
                         transition_table, validate_state)
@@ -106,31 +106,44 @@ class TestTransitionRow:
 
 
 class TestStateReward:
+    """The one-slot reward the table carries: throughput at access
+    probability 1 (`r_active`) and 0 (`r_idle`), one access per
+    transmission and one slot per step."""
+
     def test_known_state_full_access(self, t1_stats):
-        r = state_reward(NetState(3, 0, PHI_K), 1.0, t1_stats, THROUGHPUT)
+        table = transition_table(t1_stats, 5, 4)
+        r = table.r_active[table.index(NetState(3, 0, PHI_K))]
         assert r == pytest.approx(1.10, abs=0.01)
 
     def test_idle_empty_buffer_zero(self, t1_stats):
-        assert state_reward(NetState(2, 0, PHI_U), 0.0, t1_stats,
-                            THROUGHPUT) == 0.0
+        table = transition_table(t1_stats, 5, 4)
+        assert table.r_idle[table.index(NetState(2, 0, PHI_U))] == 0.0
 
     def test_idle_buffered_recovery(self, t1_stats):
-        r = state_reward(NetState(3, 2, PHI_U), 0.0, t1_stats, THROUGHPUT)
+        table = transition_table(t1_stats, 5, 4)
+        r = table.r_idle[table.index(NetState(3, 2, PHI_U))]
         # (1 - 0.61) * 2 * 1.12 at Table-I numbers
         assert r == pytest.approx(0.874, abs=0.02)
         assert r == pytest.approx(
             (1 - t1_stats.q_ps_idle) * 2 * t1_stats.rate_su, abs=1e-15)
 
     def test_access_and_duration(self, t1_stats):
+        # (2, 1, U) is a deadline state at D = 2: its cycle values are its
+        # one-slot accesses and slots alone.
         s = NetState(2, 1, PHI_U)
-        assert state_reward(s, 0.37, t1_stats, ACCESS) == 0.37
-        assert state_reward(s, 0.37, t1_stats, DURATION) == 1.0
+        pol = idle_policy(enumerate_states(2, 1)).with_prob(s, 0.37)
+        cv = cycle_values(pol, t1_stats, 2, 1)
+        i = cv.table.index(s)
+        assert cv.v[i] == 0.37
+        assert cv.dur[i] == 1.0
 
     def test_bad_inputs(self, t1_stats):
+        states = enumerate_states(2, 1)
         with pytest.raises(ValueError):
-            state_reward(NetState(1, 0, PHI_U), 1.2, t1_stats, ACCESS)
+            cycle_values(idle_policy(states).with_prob(NetState(1, 0, PHI_U),
+                                                       1.2), t1_stats, 2, 1)
         with pytest.raises(ValueError):
-            state_reward(NetState(1, 0, PHI_U), 0.5, t1_stats, "BITS")
+            transition_row(NetState(1, 0, PHI_U), "BITS", t1_stats, 2, 1)
 
 
 class TestCycleValues:
@@ -138,9 +151,10 @@ class TestCycleValues:
         states = enumerate_states(1, 0)
         pol = Policy({states[0]: 0.4})
         cv = cycle_values(pol, t1_stats, 1, 0)
-        assert cv.g[ROOT] == pytest.approx(0.4 * t1_stats.t_su)
-        assert cv.v[ROOT] == pytest.approx(0.4)
-        assert cv.dur[ROOT] == 1.0
+        assert cv.table.index(ROOT) == 0
+        assert cv.g[0] == pytest.approx(0.4 * t1_stats.t_su)
+        assert cv.v[0] == pytest.approx(0.4)
+        assert cv.dur[0] == 1.0
 
     def test_idle_duration_geometric(self, t1_stats):
         # idle chain: survival probability q_pp_idle per attempt
@@ -149,8 +163,8 @@ class TestCycleValues:
             cv = cycle_values(idle_policy(states), t1_stats, deadline,
                               deadline - 1)
             expected = sum(t1_stats.q_pp_idle ** k for k in range(deadline))
-            assert cv.dur[ROOT] == pytest.approx(expected, abs=1e-12)
-            assert cv.v[ROOT] == 0.0
+            assert cv.dur[0] == pytest.approx(expected, abs=1e-12)
+            assert cv.v[0] == 0.0
 
     def test_bounds(self):
         rng = np.random.default_rng(42)
@@ -160,10 +174,11 @@ class TestCycleValues:
             pol = make_random_policy(rng, states)
             cv = cycle_values(pol, stats, deadline, cap)
             for s in states:
-                assert 0.0 <= cv.v[s] <= cv.dur[s]
-                assert cv.dur[s] >= 1.0
-                assert cv.dur[s] <= deadline - s.t + 1 + 1e-12
-                assert cv.g[s] >= 0.0
+                i = cv.table.index(s)
+                assert 0.0 <= cv.v[i] <= cv.dur[i]
+                assert cv.dur[i] >= 1.0
+                assert cv.dur[i] <= deadline - s.t + 1 + 1e-12
+                assert cv.g[i] >= 0.0
 
 
 class TestLongTermMetrics:
@@ -242,9 +257,10 @@ def _assert_matches_reference(policy, stats, deadline, cap):
     cv = cycle_values(policy, stats, deadline, cap)
     ref = reference_cycle_values(policy, stats, deadline, cap)
     for s in states:
-        assert abs(cv.g[s] - ref.g[s]) <= 1e-12
-        assert abs(cv.v[s] - ref.v[s]) <= 1e-12
-        assert abs(cv.dur[s] - ref.dur[s]) <= 1e-12
+        i = cv.table.index(s)
+        assert abs(cv.g[i] - ref.g[s]) <= 1e-12
+        assert abs(cv.v[i] - ref.v[s]) <= 1e-12
+        assert abs(cv.dur[i] - ref.dur[s]) <= 1e-12
         for action in (ACTIVE, IDLE):
             row = transition_row(s, action, stats, deadline, cap)
             ref_row = reference_transition_row(s, action, stats, deadline,
