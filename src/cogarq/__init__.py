@@ -12,14 +12,12 @@ from .experiments import (DEADLINE, EXPLICIT, FIC_BIC, FIC_ONLY, GPS_RATIO,
                           GSP_RATIO, NO_IC, PM_KNOWN, RSU_EQ_RSK, RSU_RATIO,
                           RSU_STAR, SCHEMES, TS_VS_TP, Scenario, derive_rates,
                           evaluate_scheme, sweep, write_csv)
-from .mdp import (ACTIVE, IDLE, PHI_K, PHI_U, ROOT, CycleValues, NetState,
-                  Policy, PolicyMetrics, cycle_values, enumerate_states,
-                  idle_policy, k_active_policy, long_term_metrics,
-                  policy_from_json_obj, policy_to_json_obj,
-                  stationary_distribution, transition_row)
+from .mdp import (PHI_K, PHI_U, ROOT, CycleValues, NetState, Policy,
+                  PolicyMetrics, cycle_values, enumerate_states, idle_policy,
+                  k_active_policy, long_term_metrics, policy_from_json_obj,
+                  policy_to_json_obj, stationary_distribution)
 from .optimizer import (EfficiencyReport, PolicyPath, access_rate_budget,
-                        blend_policies, cycle_derivatives, efficiency_report,
-                        greedy_policy_path, optimal_policy)
+                        efficiency_report, greedy_policy_path, optimal_policy)
 from .oracle import FrontierPoint, enumerate_frontier, oracle_optimum
 from .simulator import (SimConfig, SimResult, empirical_transition_check,
                         run)

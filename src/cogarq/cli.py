@@ -87,12 +87,10 @@ def _cmd_derive_params(args) -> int:
 
 def _cmd_solve(args) -> int:
     params, stats = _prepared(args)
-    deadline = params.deadline_D
-    buffer_size = params.buffer_B
     eps_w = (args.eps_w if args.eps_w is not None
              else access_rate_budget(stats, params.eps_pu, params.power_ratio))
-    path = greedy_policy_path(stats, deadline, buffer_size)
-    policy, metrics = optimal_policy(eps_w, path, stats, deadline, buffer_size)
+    path = greedy_policy_path(stats, params.deadline_D, params.buffer_B)
+    policy, metrics = optimal_policy(eps_w, path)
     _emit(json.dumps({
         "eps_w": eps_w,
         "eps_th": path.eps_th,

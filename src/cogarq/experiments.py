@@ -116,7 +116,7 @@ def evaluate_scheme(scenario: Scenario, eps_w: float, stats: LinkStats,
     buffer_size = deadline - 1 if scenario.scheme == FIC_BIC else 0
     if path is None:
         path = greedy_policy_path(stats, deadline, buffer_size)
-    _, metrics = optimal_policy(eps_w, path, stats, deadline, buffer_size)
+    _, metrics = optimal_policy(eps_w, path)
     return metrics
 
 

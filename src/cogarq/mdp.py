@@ -16,8 +16,10 @@ successors (stay, grow, learn) with their probabilities under each action,
 its one-slot throughput at access probability 1 and 0, and its attempt
 index. State indices are arithmetic in (t, b), so the backward pass runs
 over plain lists. `CycleValues` keeps those lists in table index order
-(``table.index`` maps a `NetState` to its position); `Policy` dicts and
-`NetState` keys appear only at the API boundary.
+(``table.index`` maps a `NetState` to its position) together with the
+table, so its metrics and its rows (``table.row``, successors keyed by
+index) need no rebuild; `Policy` dicts and `NetState` keys appear only at
+the API boundary.
 """
 
 from __future__ import annotations
@@ -32,9 +34,6 @@ from .channel import LinkStats
 
 PHI_U = "U"
 PHI_K = "K"
-
-ACTIVE = "ACTIVE"
-IDLE = "IDLE"
 
 
 @dataclass(frozen=True)
@@ -124,8 +123,15 @@ def policy_to_json_obj(policy: Policy) -> list:
 
 
 def policy_from_json_obj(obj: list) -> Policy:
-    return Policy({NetState(r["t"], r["b"], r["phi"]): float(r["prob"])
-                   for r in obj})
+    """Policy from its JSON rows; a state given twice is rejected, since
+    one row would silently override the other."""
+    probs: Dict[NetState, float] = {}
+    for r in obj:
+        s = NetState(r["t"], r["b"], r["phi"])
+        if s in probs:
+            raise ValueError(f"state {s} appears twice in the policy")
+        probs[s] = float(r["prob"])
+    return Policy(probs)
 
 
 def _u_offset(t: int, buffer_size: int) -> int:
@@ -358,18 +364,6 @@ class PolicyMetrics:
                           indent=2)
 
 
-def transition_row(state: NetState, action: str, stats: LinkStats,
-                   deadline: int, buffer_size: int) -> Dict[NetState, float]:
-    """One-step transition probabilities from ``state`` under ``action``,
-    read from the transition table. An ACK or the deadline restarts the
-    cycle at (1, 0, U)."""
-    if action not in (ACTIVE, IDLE):
-        raise ValueError(f"unknown action {action!r}")
-    table = transition_table(stats, deadline, buffer_size)
-    row = table.row(table.index(state), 1.0 if action == ACTIVE else 0.0)
-    return {table.state(j): p for j, p in row.items()}
-
-
 def cycle_values(policy: Policy, stats: LinkStats, deadline: int,
                  buffer_size: int) -> CycleValues:
     """Per-cycle expected reward/access/duration from every state.
@@ -401,8 +395,8 @@ def long_term_metrics(policy: Policy, stats: LinkStats, deadline: int,
     return ratio_metrics(g[0], v[0], d[0], stats)
 
 
-def metrics_from_cycle_values(cv: CycleValues, stats: LinkStats) -> PolicyMetrics:
-    return ratio_metrics(cv.g[0], cv.v[0], cv.dur[0], stats)
+def metrics_from_cycle_values(cv: CycleValues) -> PolicyMetrics:
+    return ratio_metrics(cv.g[0], cv.v[0], cv.dur[0], cv.table.stats)
 
 
 def stationary_distribution(policy: Policy, stats: LinkStats, deadline: int,

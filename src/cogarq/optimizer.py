@@ -17,13 +17,15 @@ A state is visited at most once per renewal cycle, so the per-cycle
 reward, accesses and duration are affine in any one state's access
 probability; the walk's marginal quantities (read from the MDP's
 transition table) and the budget-meeting blend weight are therefore
-closed forms, and no step iterates to a tolerance.
+closed forms, and no step iterates to a tolerance. Each path policy is
+evaluated once: its cycle values give the next stage's efficiencies, and
+its entry keeps the per-cycle accesses and slots the blend weight needs,
+so a solve evaluates only the blend it returns.
 """
 
 from __future__ import annotations
 
 import bisect
-import json
 import math
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
@@ -31,8 +33,7 @@ from typing import List, Optional, Tuple
 from .channel import LinkStats
 from .mdp import (CycleValues, NetState, Policy, PolicyMetrics, cycle_values,
                   enumerate_states, idle_policy, k_active_policy,
-                  long_term_metrics, metrics_from_cycle_values,
-                  policy_to_json_obj)
+                  long_term_metrics, metrics_from_cycle_values)
 
 
 @dataclass(frozen=True)
@@ -48,56 +49,50 @@ class EfficiencyReport:
 
 @dataclass(frozen=True)
 class PathEntry:
+    """One path policy, its metrics, the state it activated (None for the
+    all-idle start), and its per-cycle accesses ``v`` and slots ``d`` from
+    the cycle root."""
+
     policy: Policy
     metrics: PolicyMetrics
     chosen_state: Optional[NetState]
+    v: float
+    d: float
 
 
 @dataclass(frozen=True)
 class PolicyPath:
-    """Frontier path from the all-idle policy, with each entry's policy and
-    metrics. ``eps_th`` is the access rate of the known-message-only
+    """Frontier path from the all-idle policy for one (stats, deadline,
+    buffer size). ``eps_th`` is the access rate of the known-message-only
     policy (`k_active_policy`)."""
 
     entries: List[PathEntry]
     eps_th: float
-
-    def to_json_obj(self) -> dict:
-        return {
-            "eps_th": self.eps_th,
-            "path": [{
-                "policy": policy_to_json_obj(e.policy),
-                "t_s_bar": e.metrics.t_s_bar,
-                "w_s_bar": e.metrics.w_s_bar,
-                "chosen_state": (None if e.chosen_state is None else
-                                 {"t": e.chosen_state.t, "b": e.chosen_state.b,
-                                  "phi": e.chosen_state.phi}),
-            } for e in self.entries],
-        }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_obj(), indent=2)
+    stats: LinkStats
+    deadline: int
+    buffer_size: int
 
 
-def cycle_derivatives(policy: Policy, state: NetState, stats: LinkStats,
-                      deadline: int, buffer_size: int,
-                      values: Optional[CycleValues] = None,
-                      ) -> Tuple[float, float, float]:
-    """d/d(mu(state)) of the per-cycle reward, accesses, and duration at
-    ``state``.
+def efficiency_report(values: CycleValues,
+                      state: NetState) -> EfficiencyReport:
+    """Access efficiency at ``state`` under the policy ``values`` were
+    computed from: marginal long-term secondary throughput per marginal
+    access rate when this state's access probability is perturbed.
 
-    The attempt index increases strictly within a cycle, so a state is
-    never revisited before the cycle ends and the downstream cycle values
-    do not depend on this state's own access probability. The derivative
-    therefore has one-step form: the table's one-slot reward at access
-    probability 1 minus that at 0 (exact, since the reward is affine in
-    it) plus the action-difference of the table row weighted by the
-    downstream values. ``values`` must come from ``policy`` on the same
-    statistics and sizes; its table is reused.
+    g', v' and d' are the derivatives of the per-cycle reward, accesses
+    and duration with respect to this state's access probability. The
+    attempt index increases strictly within a cycle, so a state is never
+    revisited before the cycle ends and the downstream cycle values do not
+    depend on its own access probability. The derivative therefore has
+    one-step form: the table's one-slot reward at access probability 1
+    minus that at 0 (exact, since the reward is affine in it) plus the
+    action-difference of the table row weighted by the downstream values.
+    It stays well defined for states the policy never reaches (it is the
+    limit obtained by mixing in a vanishing amount of an
+    everywhere-exploring policy).
     """
-    if values is None:
-        values = cycle_values(policy, stats, deadline, buffer_size)
     table = values.table
+    g, v, dur = values.g, values.v, values.dur
     i = table.index(state)
     g_p, v_p, d_p = table.r_active[i] - table.r_idle[i], 1.0, 0.0
     for k in range(3 * i, 3 * i + 3):
@@ -105,45 +100,19 @@ def cycle_derivatives(policy: Policy, state: NetState, stats: LinkStats,
         if j == 0:              # the cycle ends: no continuation
             continue
         dp = table.p_active[k] - table.p_idle[k]
-        g_p += dp * values.g[j]
-        v_p += dp * values.v[j]
-        d_p += dp * values.dur[j]
-    return g_p, v_p, d_p
-
-
-def efficiency_report(policy: Policy, state: NetState, stats: LinkStats,
-                      deadline: int, buffer_size: int,
-                      values: Optional[CycleValues] = None,
-                      metrics: Optional[PolicyMetrics] = None,
-                      ) -> EfficiencyReport:
-    """Access efficiency at ``state``: marginal long-term secondary
-    throughput per marginal access rate when this state's access
-    probability is perturbed.
-
-    Computed directly from the cycle recursions, which stay well defined
-    for states the current policy never reaches (it is the limit obtained
-    by mixing in a vanishing amount of an everywhere-exploring policy).
-    """
-    if values is None:
-        values = cycle_values(policy, stats, deadline, buffer_size)
-    if metrics is None:
-        metrics = metrics_from_cycle_values(values, stats)
-    g_p, v_p, d_p = cycle_derivatives(policy, state, stats, deadline,
-                                      buffer_size, values)
-    den = v_p - d_p * metrics.w_s_bar
+        g_p += dp * g[j]
+        v_p += dp * v[j]
+        d_p += dp * dur[j]
+    # the long-term throughput and access rate, as `ratio_metrics` has them
+    t_s, w_s = g[0] / dur[0], v[0] / dur[0]
+    den = v_p - d_p * w_s
     if den <= 0.0:
         raise RuntimeError(
             f"access-rate derivative {den} <= 0 at {state}; this contradicts "
             "the positivity guarantee and indicates an implementation bug")
-    eta = (g_p - d_p * metrics.t_s_bar) / den
+    eta = (g_p - d_p * t_s) / den
     return EfficiencyReport(state=state, g_prime=g_p, v_prime=v_p,
                             d_prime=d_p, eta=eta)
-
-
-def blend_policies(pol_a: Policy, pol_b: Policy, lam: float) -> Policy:
-    """Pointwise mixture lam * pol_a + (1 - lam) * pol_b."""
-    return Policy({s: lam * pa + (1.0 - lam) * pol_b.probs[s]
-                   for s, pa in pol_a.probs.items()})
 
 
 def access_rate_budget(stats: LinkStats, eps_pu: float,
@@ -178,40 +147,43 @@ def greedy_policy_path(stats: LinkStats, deadline: int,
     states = enumerate_states(deadline, buffer_size)
     idle_set = list(states)     # canonical order: the first best state wins
     policy = idle_policy(states)
-    values = cycle_values(policy, stats, deadline, buffer_size)
-    metrics = metrics_from_cycle_values(values, stats)
-    entries = [PathEntry(policy=policy, metrics=metrics, chosen_state=None)]
-    while idle_set:
-        etas = [efficiency_report(policy, s, stats, deadline, buffer_size,
-                                  values, metrics).eta for s in idle_set]
+    best = None
+    entries = []
+    while True:
+        values = cycle_values(policy, stats, deadline, buffer_size)
+        entries.append(PathEntry(policy=policy,
+                                 metrics=metrics_from_cycle_values(values),
+                                 chosen_state=best, v=values.v[0],
+                                 d=values.dur[0]))
+        if not idle_set:
+            break
+        etas = [efficiency_report(values, s).eta for s in idle_set]
         best_eta = max(etas)
         if best_eta <= 0.0:
             break
         best = idle_set.pop(etas.index(best_eta))
         policy = policy.with_prob(best, 1.0)
-        values = cycle_values(policy, stats, deadline, buffer_size)
-        metrics = metrics_from_cycle_values(values, stats)
-        entries.append(PathEntry(policy=policy, metrics=metrics,
-                                 chosen_state=best))
     eps_th = long_term_metrics(k_active_policy(states), stats, deadline,
                                buffer_size).w_s_bar
-    return PolicyPath(entries=entries, eps_th=eps_th)
+    return PolicyPath(entries=entries, eps_th=eps_th, stats=stats,
+                      deadline=deadline, buffer_size=buffer_size)
 
 
-def optimal_policy(eps_w: float, path: PolicyPath, stats: LinkStats,
-                   deadline: int, buffer_size: int,
-                   ) -> Tuple[Policy, PolicyMetrics]:
-    """Best policy under the access-rate budget ``eps_w``.
+def optimal_policy(eps_w: float,
+                   path: PolicyPath) -> Tuple[Policy, PolicyMetrics]:
+    """Best policy under the access-rate budget ``eps_w`` on ``path``'s
+    scenario.
 
     A budget at or above the path's final access rate gets the final
     policy, and a path policy whose access rate equals the budget is
     returned as it is (the first of any entries that tie at that rate).
     Otherwise the budget falls strictly between consecutive path policies a
-    and b, which differ in one state. Blending them with weight lam on a
-    makes the per-cycle accesses v and duration d affine in lam, so the
-    blend meeting the budget exactly solves
+    and b, where b activates one more state. Blending them with weight lam
+    on a makes the per-cycle accesses v and duration d affine in lam, so
+    the blend meeting the budget exactly solves
     lam v_a + (1 - lam) v_b = eps_w (lam d_a + (1 - lam) d_b) in closed
-    form.
+    form, from the v and d the path entries carry; the blend is a with b's
+    activated state at access probability 1 - lam.
 
     ``eps_th`` is the access rate of the known-message-only policy. When a
     known-message access (t_sk) beats every other access, as under the
@@ -230,13 +202,10 @@ def optimal_policy(eps_w: float, path: PolicyPath, stats: LinkStats,
     entry = path.entries[j]
     if entry.metrics.w_s_bar == eps_w:
         return entry.policy, entry.metrics
-    pol_a, pol_b = path.entries[j - 1].policy, entry.policy
-    cv_a = cycle_values(pol_a, stats, deadline, buffer_size)
-    cv_b = cycle_values(pol_b, stats, deadline, buffer_size)
-    v_a, d_a = cv_a.v[0], cv_a.dur[0]
-    v_b, d_b = cv_b.v[0], cv_b.dur[0]
+    a, b = path.entries[j - 1], entry
     # v - eps_w d is positive at b and negative at a, so the
     # denominator is negative; the clamp only absorbs rounding.
-    lam = (eps_w * d_b - v_b) / ((v_a - v_b) - eps_w * (d_a - d_b))
-    pol = blend_policies(pol_a, pol_b, min(max(lam, 0.0), 1.0))
-    return pol, long_term_metrics(pol, stats, deadline, buffer_size)
+    lam = (eps_w * b.d - b.v) / ((a.v - b.v) - eps_w * (a.d - b.d))
+    pol = a.policy.with_prob(b.chosen_state, 1.0 - min(max(lam, 0.0), 1.0))
+    return pol, long_term_metrics(pol, path.stats, path.deadline,
+                                  path.buffer_size)

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from cogarq import (FrontierPoint, LinkStats, NetState, Policy,
                     RegionClassifier, SystemParams)
-from cogarq.mdp import (ACTIVE, IDLE, PHI_K, PHI_U, ROOT, enumerate_states,
+from cogarq.mdp import (PHI_K, PHI_U, ROOT, enumerate_states,
                         long_term_metrics)
 from cogarq.oracle import policy_from_bitmask
 
@@ -131,13 +131,23 @@ def is_threshold_policy(policy: Policy, deadline: int) -> bool:
     return True
 
 
+def table_row(table, state: NetState, access_prob: float
+              ) -> Dict[NetState, float]:
+    """The transition table's successor distribution of ``state`` at
+    ``access_prob``, keyed by state instead of table index."""
+    return {table.state(j): p
+            for j, p in table.row(table.index(state), access_prob).items()}
+
+
 # Independent reference for the MDP core: the per-state dict recursion the
 # flat transition table replaced, with its rows and rewards written out.
 
-def reference_transition_row(state: NetState, action: str, stats: LinkStats,
+def reference_transition_row(state: NetState, active: bool, stats: LinkStats,
                              deadline: int, buffer_size: int
                              ) -> Dict[NetState, float]:
-    if action == ACTIVE:
+    """Successor distribution of ``state`` when the secondary transmits
+    (``active``) or stays idle."""
+    if active:
         q_pp, q_ps, p_buf = stats.q_pp_active, stats.q_ps_active, stats.p_buf
     else:
         q_pp, q_ps, p_buf = stats.q_pp_idle, stats.q_ps_idle, 0.0
@@ -186,9 +196,9 @@ def reference_cycle_values(policy: Policy, stats: LinkStats, deadline: int,
                     key=lambda s: -s.t):
         mu = policy.prob(s)
         row = {}
-        for action, weight in ((ACTIVE, mu), (IDLE, 1.0 - mu)):
+        for active, weight in ((True, mu), (False, 1.0 - mu)):
             for nxt, p in reference_transition_row(
-                    s, action, stats, deadline, buffer_size).items():
+                    s, active, stats, deadline, buffer_size).items():
                 row[nxt] = row.get(nxt, 0.0) + weight * p
         cont_g = cont_v = cont_d = 0.0
         for nxt, p in row.items():

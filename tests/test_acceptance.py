@@ -20,9 +20,8 @@ from cogarq import (DEADLINE, EXPLICIT, FIC_BIC, FIC_ONLY, GPS_RATIO, NO_IC,
                     optimize_rate, oracle_optimum, run, sweep)
 from cogarq.degenerate import cycle_value_closed, g_prime_closed, \
     v_prime_closed
-from cogarq.mdp import ACTIVE, IDLE, PHI_K, PHI_U, transition_row
-from cogarq.optimizer import cycle_derivatives
-from cogarq.mdp import occupancy_metrics
+from cogarq.mdp import PHI_K, PHI_U, occupancy_metrics
+from cogarq.optimizer import efficiency_report
 
 from support import (first_idle_thresholds, is_threshold_policy,
                      make_random_policy, make_random_stats,
@@ -86,7 +85,7 @@ def test_criterion_2_low_regime_exactness():
     worst = 0.0
     for k in range(1, 21):
         eps_w = eps_th * k / 20
-        _, m = optimal_policy(eps_w, path, stats, deadline, cap)
+        _, m = optimal_policy(eps_w, path)
         worst = max(worst, abs(m.w_s_bar - eps_w),
                     abs(m.t_s_bar - stats.t_sk * eps_w))
         assert abs(m.w_s_bar - eps_w) <= 1e-9
@@ -107,7 +106,7 @@ def test_criterion_3_desk_scale_optimality():
                 frontier = enumerate_frontier(stats, deadline, cap)
                 path = greedy_policy_path(stats, deadline, cap)
                 for eps_w in (0.1, 0.3, 0.5, 0.8):
-                    _, m = optimal_policy(eps_w, path, stats, deadline, cap)
+                    _, m = optimal_policy(eps_w, path)
                     star = oracle_optimum(eps_w, frontier, stats, deadline,
                                           cap)
                     gap = abs(m.t_s_bar - star)
@@ -175,8 +174,8 @@ def test_criterion_4_degenerate_structure():
                     assert abs(v - cv.v[i]) <= 1e-9
                     assert abs(g - cv.g[i]) <= 1e-9
                 if idle_u:
-                    g_p, v_p, _ = cycle_derivatives(e.policy, s, stats,
-                                                    deadline, cap, cv)
+                    r = efficiency_report(cv, s)
+                    g_p, v_p = r.g_prime, r.v_prime
                     assert abs(g_p - g_prime_closed(s.t, s.b, stats,
                                                     deadline)) <= 1e-9
                     assert abs(v_p - v_prime_closed(s.t, stats,
@@ -275,18 +274,18 @@ def test_criterion_7_invariant_suites():
         stats = make_random_stats(rng)
         states = enumerate_states(deadline, cap)
         pol = make_random_policy(rng, states, lo=0.02, hi=0.95)
+        cv = cycle_values(pol, stats, deadline, cap)
         for s in states:
-            for action in (ACTIVE, IDLE):
-                row = transition_row(s, action, stats, deadline, cap)
+            for access_prob in (1.0, 0.0):
+                row = cv.table.row(cv.table.index(s), access_prob)
                 assert abs(sum(row.values()) - 1.0) <= 1e-12
         m = long_term_metrics(pol, stats, deadline, cap)
         t_s_pi, w_s_pi = occupancy_metrics(pol, stats, deadline, cap)
         assert abs(t_s_pi - m.t_s_bar) <= 1e-9
         assert abs(w_s_pi - m.w_s_bar) <= 1e-9
-        cv = cycle_values(pol, stats, deadline, cap)
         for s in states:
-            g_p, v_p, d_p = cycle_derivatives(pol, s, stats, deadline, cap,
-                                              cv)
+            r = efficiency_report(cv, s)
+            g_p, v_p, d_p = r.g_prime, r.v_prime, r.d_prime
             assert v_p - d_p * m.w_s_bar > 0.0
             bumped = cycle_values(pol.with_prob(s, pol.prob(s) + delta),
                                   stats, deadline, cap)

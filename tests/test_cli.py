@@ -280,3 +280,24 @@ def test_policy_file_round_trip(tmp_path):
     obj = policy_to_json_obj(k_active_policy(states))
     text = json.dumps(obj)
     assert json.loads(text) == obj
+
+
+def test_simulate_rejects_repeated_state(tmp_path, capsys):
+    # A state given twice would let the later row silently override the
+    # earlier one.
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(dict(CONFIG, deadline_D=4, buffer_B=3)))
+    obj = policy_to_json_obj(k_active_policy(enumerate_states(4, 3)))
+    obj.append({"t": 4, "b": 0, "phi": "K", "prob": 0.0})
+    policy_file = tmp_path / "policy.json"
+    policy_file.write_text(json.dumps(obj))
+    rc = main(["simulate", "--config", str(path), "--policy-file",
+               str(policy_file), "--slots", "1000"])
+    assert rc == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1
+    diag = json.loads(lines[0])
+    assert diag["error"] == "ValueError"
+    assert "appears twice" in diag["message"]

@@ -10,7 +10,7 @@ from cogarq import (LinkStats, NetState, a0_a1, b_max, cycle_values,
 from cogarq.degenerate import (cycle_value_closed, delta_s, g_prime_closed,
                                hp_bound, v_prime_closed)
 from cogarq.mdp import PHI_K, PHI_U
-from cogarq.optimizer import cycle_derivatives, efficiency_report
+from cogarq.optimizer import efficiency_report
 from cogarq.oracle import policy_from_bitmask
 
 from support import (first_idle_thresholds, is_threshold_policy,
@@ -164,10 +164,11 @@ class TestThresholdStructure:
         walk = greedy_policy_path(st, deadline, cap).entries[deadline - 1:]
         for e in walk[:4]:
             pol = e.policy
+            cv = cycle_values(pol, st, deadline, cap)
             idle = {(s.t, s.b) for s, p in pol.probs.items()
                     if s.phi == PHI_U and p == 0.0}
-            eta = {tb: efficiency_report(pol, NetState(tb[0], tb[1], PHI_U),
-                                         st, deadline, cap).eta
+            eta = {tb: efficiency_report(cv,
+                                         NetState(tb[0], tb[1], PHI_U)).eta
                    for tb in idle}
             for (t, b) in idle:
                 if (t, b + 1) in idle:
@@ -198,8 +199,8 @@ class TestClosedForms:
             cv = cycle_values(e.policy, st, deadline, cap)
             for s in e.policy.probs:
                 if s.phi == PHI_U and e.policy.probs[s] == 0.0:
-                    g_p, v_p, d_p = cycle_derivatives(e.policy, s, st,
-                                                      deadline, cap, cv)
+                    r = efficiency_report(cv, s)
+                    g_p, v_p, d_p = r.g_prime, r.v_prime, r.d_prime
                     assert abs(g_p - g_prime_closed(s.t, s.b, st, deadline)) \
                         <= 1e-9
                     assert abs(v_p - v_prime_closed(s.t, st, deadline)) <= 1e-9

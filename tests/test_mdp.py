@@ -2,17 +2,16 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 
-from cogarq import (ACTIVE, IDLE, NetState, Policy, cycle_values,
-                    enumerate_states, idle_policy, k_active_policy,
-                    long_term_metrics, policy_from_json_obj,
-                    policy_to_json_obj, stationary_distribution,
-                    transition_row)
+from cogarq import (NetState, Policy, cycle_values, enumerate_states,
+                    idle_policy, k_active_policy, long_term_metrics,
+                    policy_from_json_obj, policy_to_json_obj,
+                    stationary_distribution)
 from cogarq.mdp import (PHI_K, PHI_U, ROOT, occupancy_metrics,
                         transition_table, validate_state)
 
 from support import (feasible_stats, make_random_policy, make_random_stats,
                      reference_cycle_values, reference_transition_row,
-                     sized_policies)
+                     sized_policies, table_row)
 
 RANDOM_CASES = [(2, 0), (2, 1), (3, 0), (3, 2), (5, 4), (5, 2)]
 
@@ -56,19 +55,24 @@ class TestEnumerateStates:
 
 
 class TestTransitionRow:
+    """Rows of the transition table at access probability 1 (active) and
+    0 (idle), keyed by state."""
+
     def test_deadline_rows_restart(self, t1_stats):
+        table = transition_table(t1_stats, 5, 4)
         for state in (NetState(5, 2, PHI_U), NetState(5, 0, PHI_K)):
-            for action in (ACTIVE, IDLE):
-                assert transition_row(state, action, t1_stats, 5, 4) == {
-                    ROOT: 1.0}
+            for access_prob in (1.0, 0.0):
+                assert table_row(table, state, access_prob) == {ROOT: 1.0}
 
     def test_known_message_idle_row(self, t1_stats):
-        row = transition_row(NetState(3, 0, PHI_K), IDLE, t1_stats, 5, 4)
+        row = table_row(transition_table(t1_stats, 5, 4),
+                        NetState(3, 0, PHI_K), 0.0)
         assert row[ROOT] == pytest.approx(1 - t1_stats.q_pp_idle)
         assert row[NetState(4, 0, PHI_K)] == pytest.approx(t1_stats.q_pp_idle)
 
     def test_buffer_growth_mass(self, t1_stats):
-        row = transition_row(NetState(2, 1, PHI_U), ACTIVE, t1_stats, 5, 4)
+        row = table_row(transition_table(t1_stats, 5, 4),
+                        NetState(2, 1, PHI_U), 1.0)
         # Table-I numbers: roughly 0.68 * 0.26
         assert row[NetState(3, 2, PHI_U)] == pytest.approx(0.177, abs=0.01)
         assert row[NetState(3, 2, PHI_U)] == pytest.approx(
@@ -76,7 +80,8 @@ class TestTransitionRow:
 
     def test_buffer_clamp_reroutes_mass(self, t1_stats):
         # with buffer size 1, the growth mass folds into the stay entry
-        row = transition_row(NetState(2, 1, PHI_U), ACTIVE, t1_stats, 5, 1)
+        row = table_row(transition_table(t1_stats, 5, 1),
+                        NetState(2, 1, PHI_U), 1.0)
         assert NetState(3, 2, PHI_U) not in row
         stay = t1_stats.q_pp_active * (t1_stats.q_ps_active - t1_stats.p_buf)
         grow = t1_stats.q_pp_active * t1_stats.p_buf
@@ -86,19 +91,19 @@ class TestTransitionRow:
         rng = np.random.default_rng(0)
         for deadline, cap in RANDOM_CASES:
             stats = make_random_stats(rng)
+            table = transition_table(stats, deadline, cap)
             for state in enumerate_states(deadline, cap):
-                for action in (ACTIVE, IDLE):
-                    row = transition_row(state, action, stats, deadline, cap)
+                for access_prob in (1.0, 0.0):
+                    row = table_row(table, state, access_prob)
                     assert abs(sum(row.values()) - 1.0) <= 1e-12
                     assert all(p >= 0.0 for p in row.values())
 
     def test_mixed_row_interpolates(self, t1_stats):
         s = NetState(2, 0, PHI_U)
-        row_a = transition_row(s, ACTIVE, t1_stats, 5, 4)
-        row_i = transition_row(s, IDLE, t1_stats, 5, 4)
         table = transition_table(t1_stats, 5, 4)
-        mixed = {table.state(j): p
-                 for j, p in table.row(table.index(s), 0.3).items()}
+        row_a = table_row(table, s, 1.0)
+        row_i = table_row(table, s, 0.0)
+        mixed = table_row(table, s, 0.3)
         assert set(mixed) == set(row_a) | set(row_i)
         for nxt in mixed:
             expected = 0.3 * row_a.get(nxt, 0.0) + 0.7 * row_i.get(nxt, 0.0)
@@ -142,8 +147,6 @@ class TestStateReward:
         with pytest.raises(ValueError):
             cycle_values(idle_policy(states).with_prob(NetState(1, 0, PHI_U),
                                                        1.2), t1_stats, 2, 1)
-        with pytest.raises(ValueError):
-            transition_row(NetState(1, 0, PHI_U), "BITS", t1_stats, 2, 1)
 
 
 class TestCycleValues:
@@ -252,7 +255,7 @@ class TestStationaryDistribution:
 def _assert_matches_reference(policy, stats, deadline, cap):
     """Table core against the dict recursion at every state, and the
     stationary distribution against a solve of the matrix assembled from
-    `transition_row`."""
+    the table's rows."""
     states = enumerate_states(deadline, cap)
     cv = cycle_values(policy, stats, deadline, cap)
     ref = reference_cycle_values(policy, stats, deadline, cap)
@@ -261,9 +264,9 @@ def _assert_matches_reference(policy, stats, deadline, cap):
         assert abs(cv.g[i] - ref.g[s]) <= 1e-12
         assert abs(cv.v[i] - ref.v[s]) <= 1e-12
         assert abs(cv.dur[i] - ref.dur[s]) <= 1e-12
-        for action in (ACTIVE, IDLE):
-            row = transition_row(s, action, stats, deadline, cap)
-            ref_row = reference_transition_row(s, action, stats, deadline,
+        for active in (True, False):
+            row = table_row(cv.table, s, 1.0 if active else 0.0)
+            ref_row = reference_transition_row(s, active, stats, deadline,
                                                cap)
             for nxt in set(row) | set(ref_row):
                 assert abs(row.get(nxt, 0.0) - ref_row.get(nxt, 0.0)) <= 1e-15
@@ -273,9 +276,8 @@ def _assert_matches_reference(policy, stats, deadline, cap):
     pmat = np.zeros((n, n))
     for s in states:
         mu = policy.prob(s)
-        for action, weight in ((ACTIVE, mu), (IDLE, 1.0 - mu)):
-            for nxt, p in transition_row(s, action, stats, deadline,
-                                         cap).items():
+        for access_prob, weight in ((1.0, mu), (0.0, 1.0 - mu)):
+            for nxt, p in table_row(cv.table, s, access_prob).items():
                 pmat[idx[s], idx[nxt]] += weight * p
     a = np.vstack([(pmat.T - np.eye(n))[:-1], np.ones(n)])
     rhs = np.zeros(n)

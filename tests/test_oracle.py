@@ -114,8 +114,7 @@ class TestOracleOptimum:
                     frontier = enumerate_frontier(stats, deadline, cap)
                     path = greedy_policy_path(stats, deadline, cap)
                     for eps_w in (0.1, 0.3, 0.5, 0.8):
-                        _, m = optimal_policy(eps_w, path, stats, deadline,
-                                              cap)
+                        _, m = optimal_policy(eps_w, path)
                         star = oracle_optimum(eps_w, frontier, stats,
                                               deadline, cap)
                         assert abs(m.t_s_bar - star) <= 1e-6
