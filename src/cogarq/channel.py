@@ -25,7 +25,6 @@ deterministic function of (params, mc_samples, seed).
 
 from __future__ import annotations
 
-import json
 import math
 import numbers
 from dataclasses import dataclass, asdict
@@ -56,6 +55,12 @@ def check_mc_samples(mc_samples: int) -> None:
     """Reject a Monte-Carlo sample count below `MIN_MC_SAMPLES`."""
     if mc_samples < MIN_MC_SAMPLES:
         raise ValueError("mc_samples must be at least 1e5")
+
+
+def check_integer(name: str, value) -> None:
+    """Reject a bool or a non-integer ``value`` for the integer ``name``."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
 def _success(rate: float, mean_snr: float) -> float:
@@ -89,10 +94,7 @@ class SystemParams:
 
     def __post_init__(self):
         for name in ("deadline_D", "buffer_B"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value,
-                                                         numbers.Integral):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
+            check_integer(name, getattr(self, name))
         for name in ("mean_snr_s", "mean_snr_p", "mean_snr_sp", "mean_snr_ps",
                      "rate_p", "rate_su", "rate_sk", "eps_pu", "power_ratio"):
             value = getattr(self, name)
@@ -116,9 +118,6 @@ class SystemParams:
         fields = asdict(self)
         fields.update(changes)
         return SystemParams(**fields)
-
-    def to_json(self) -> str:
-        return json.dumps(asdict(self), indent=2)
 
     @staticmethod
     def from_json_obj(obj: dict) -> "SystemParams":
@@ -180,9 +179,6 @@ class LinkStats:
             raise ValueError("p_buf cannot exceed q_ps_active")
         if min(self.t_su, self.t_sk, self.rate_su) < 0:
             raise ValueError("throughputs and rates must be nonnegative")
-
-    def to_json(self) -> str:
-        return json.dumps(asdict(self), indent=2)
 
     @staticmethod
     def from_json_obj(obj: dict) -> "LinkStats":

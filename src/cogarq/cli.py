@@ -80,7 +80,7 @@ def _prepared(args):
 def _cmd_derive_params(args) -> int:
     params, stats = _prepared(args)
     eps_w = access_rate_budget(stats, params.eps_pu, params.power_ratio)
-    _emit(json.dumps({"params": asdict(params), "stats": json.loads(stats.to_json()),
+    _emit(json.dumps({"params": asdict(params), "stats": asdict(stats),
                       "eps_w": eps_w}, indent=2), args.out)
     return 0
 
@@ -95,7 +95,7 @@ def _cmd_solve(args) -> int:
         "eps_w": eps_w,
         "eps_th": path.eps_th,
         "policy": policy_to_json_obj(policy),
-        "metrics": json.loads(metrics.to_json()),
+        "metrics": asdict(metrics),
     }, indent=2), args.out)
     return 0
 
@@ -111,8 +111,8 @@ def _cmd_simulate(args) -> int:
     analytic = None
     if args.with_analytic:
         stats = link_stats(params, args.mc_samples, args.seed)
-        analytic = json.loads(long_term_metrics(
-            policy, stats, params.deadline_D, params.buffer_B).to_json())
+        analytic = asdict(long_term_metrics(
+            policy, stats, params.deadline_D, params.buffer_B))
     out = json.loads(result.to_json())
     if analytic is not None:
         out["analytic"] = analytic

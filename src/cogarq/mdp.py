@@ -10,27 +10,27 @@ at the deadline, so a single backward pass over t yields the expected
 per-cycle reward, accesses, and duration, whose ratios are the long-term
 throughput and access rate.
 
+`StateSpace` owns the state layout of one (D, B): which states exist,
+their canonical index order, and a `Policy`'s access vector in that order.
 Every evaluator reads one flat transition table per (stats, D, B), built
-inside each call: per state in canonical order, its at most three
-successors (stay, grow, learn) with their probabilities under each action,
-its one-slot throughput at access probability 1 and 0, and its attempt
-index. State indices are arithmetic in (t, b), so the backward pass runs
-over plain lists. `CycleValues` keeps those lists in table index order
-(``table.index`` maps a `NetState` to its position) together with the
-table, so its metrics and its rows (``table.row``, successors keyed by
+inside each call: per state index, its at most three successors (stay,
+grow, learn) with their probabilities under each action and its one-slot
+throughput at access probability 1 and 0. The backward pass runs over
+plain lists. `CycleValues` keeps those lists in index order together with
+the table, so its metrics and its rows (``table.row``, successors keyed by
 index) need no rebuild; `Policy` dicts and `NetState` keys appear only at
 the API boundary.
 """
 
 from __future__ import annotations
 
-import json
+import numbers
 from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, NamedTuple, Tuple
 
 import numpy as np
 
-from .channel import LinkStats
+from .channel import LinkStats, check_integer
 
 PHI_U = "U"
 PHI_K = "K"
@@ -51,41 +51,6 @@ class NetState:
 ROOT = NetState(1, 0, PHI_U)
 
 
-def _check_sizes(deadline: int, buffer_size: int) -> None:
-    if deadline < 1:
-        raise ValueError("deadline must be >= 1")
-    if not 0 <= buffer_size <= deadline - 1:
-        raise ValueError("buffer_size must lie in [0, deadline - 1]")
-
-
-def enumerate_states(deadline: int, buffer_size: int) -> List[NetState]:
-    """Canonical ordered state space.
-
-    Unknown-message states sorted by (t, b) first, then known-message
-    states sorted by t. Buffer levels are limited both by the attempt
-    index (at attempt t at most t - 1 signals can have been buffered) and
-    by the configured buffer size.
-    """
-    _check_sizes(deadline, buffer_size)
-    states = [NetState(t, b, PHI_U)
-              for t in range(1, deadline + 1)
-              for b in range(0, min(t - 1, buffer_size) + 1)]
-    states += [NetState(t, 0, PHI_K) for t in range(2, deadline + 1)]
-    return states
-
-
-def validate_state(state: NetState, deadline: int, buffer_size: int) -> None:
-    ok = 1 <= state.t <= deadline
-    if state.phi == PHI_K:
-        ok = ok and state.b == 0 and state.t >= 2
-    elif state.phi == PHI_U:
-        ok = ok and 0 <= state.b <= min(state.t - 1, buffer_size)
-    else:
-        ok = False
-    if not ok:
-        raise ValueError(f"invalid state {state} for D={deadline}, B={buffer_size}")
-
-
 @dataclass(frozen=True)
 class Policy:
     """Stationary randomized access policy: state -> transmit probability."""
@@ -99,13 +64,6 @@ class Policy:
         new = dict(self.probs)
         new[state] = p
         return Policy(new)
-
-    def validate(self, states: List[NetState]) -> None:
-        if set(self.probs.keys()) != set(states):
-            raise ValueError("policy does not cover the state space exactly")
-        for s, p in self.probs.items():
-            if not 0.0 <= p <= 1.0:
-                raise ValueError(f"access probability {p} at {s} outside [0, 1]")
 
 
 def idle_policy(states: List[NetState]) -> Policy:
@@ -123,22 +81,99 @@ def policy_to_json_obj(policy: Policy) -> list:
 
 
 def policy_from_json_obj(obj: list) -> Policy:
-    """Policy from its JSON rows; a state given twice is rejected, since
-    one row would silently override the other."""
+    """Policy from its JSON rows. A row's t and b must be integers and its
+    prob a number, since JSON true would read as 1 and "0.5" would parse;
+    a state given twice is rejected, since one row would silently override
+    the other."""
     probs: Dict[NetState, float] = {}
     for r in obj:
+        check_integer("t", r["t"])
+        check_integer("b", r["b"])
+        prob = r["prob"]
+        if isinstance(prob, bool) or not isinstance(prob, numbers.Real):
+            raise ValueError(f"prob must be a number, got {prob!r}")
         s = NetState(r["t"], r["b"], r["phi"])
         if s in probs:
             raise ValueError(f"state {s} appears twice in the policy")
-        probs[s] = float(r["prob"])
+        probs[s] = float(prob)
     return Policy(probs)
 
 
-def _u_offset(t: int, buffer_size: int) -> int:
-    """Number of unknown-message states before attempt t: attempts below
-    buffer_size + 2 hold t' levels each, later ones buffer_size + 1."""
-    growing = min(t - 1, buffer_size + 1)
-    return growing * (growing + 1) // 2 + (t - 1 - growing) * (buffer_size + 1)
+class StateSpace(NamedTuple):
+    """The states of one (deadline, buffer size) in canonical index order.
+
+    The unknown-message states come first, sorted by (t, b), then the
+    known-message states (t, 0, K), t >= 2, sorted by t: the order of
+    `NetState.key`. At attempt t at most t - 1 signals can have been
+    buffered, and at most ``buffer_size``. ``offsets[t]`` counts the
+    unknown-message states before attempt t, so the unknown-message state
+    (t, b) sits at ``offsets[t] + b`` and the known-message state t at
+    ``n_unknown + t - 2``; ``layer[i]`` is the attempt index of state i,
+    and index 0 is the cycle root. Built by `state_space`.
+    """
+
+    deadline: int
+    buffer_size: int
+    offsets: List[int]
+    n_unknown: int
+    layer: List[int]
+
+    def index(self, state: NetState) -> int:
+        """Index of ``state``; ValueError for a state outside the space."""
+        t, b = state.t, state.b
+        if (state.phi == PHI_U and 0 <= b < t <= self.deadline
+                and b <= self.buffer_size):
+            return self.offsets[t] + b
+        if state.phi == PHI_K and 2 <= t <= self.deadline and b == 0:
+            return self.n_unknown + t - 2
+        raise ValueError(f"invalid state {state} for D={self.deadline}, "
+                         f"B={self.buffer_size}")
+
+    def state(self, i: int) -> NetState:
+        """The state at index ``i``."""
+        t = self.layer[i]
+        if i >= self.n_unknown:
+            return NetState(t, 0, PHI_K)
+        return NetState(t, i - self.offsets[t], PHI_U)
+
+    def vector(self, policy: Policy) -> List[float]:
+        """The policy's access probabilities, by index.
+
+        Raises ValueError unless the policy covers the space exactly with
+        probabilities in [0, 1].
+        """
+        n = len(self.layer)
+        if len(policy.probs) != n:
+            raise ValueError("policy does not cover the state space exactly")
+        mu = [0.0] * n
+        for s, p in policy.probs.items():
+            i = self.index(s)
+            if not 0.0 <= p <= 1.0:
+                raise ValueError(f"access probability {p} at {s} outside [0, 1]")
+            mu[i] = p
+        return mu
+
+
+def state_space(deadline: int, buffer_size: int) -> StateSpace:
+    """The state space of a deadline and buffer size; ValueError unless
+    deadline >= 1 and buffer_size lies in [0, deadline - 1]."""
+    if deadline < 1:
+        raise ValueError("deadline must be >= 1")
+    if not 0 <= buffer_size <= deadline - 1:
+        raise ValueError("buffer_size must lie in [0, deadline - 1]")
+    offsets, layer = [0, 0], []
+    for t in range(1, deadline + 1):
+        levels = min(t - 1, buffer_size) + 1
+        offsets.append(offsets[-1] + levels)
+        layer += [t] * levels
+    layer += range(2, deadline + 1)
+    return StateSpace(deadline, buffer_size, offsets, offsets[-1], layer)
+
+
+def enumerate_states(deadline: int, buffer_size: int) -> List[NetState]:
+    """The states of `state_space` (deadline, buffer_size), in index order."""
+    space = state_space(deadline, buffer_size)
+    return [space.state(i) for i in range(len(space.layer))]
 
 
 def _throughput_ends(phi: str, b: int, stats: LinkStats) -> Tuple[float, float]:
@@ -158,9 +193,7 @@ def _throughput_ends(phi: str, b: int, stats: LinkStats) -> Tuple[float, float]:
 class TransitionTable(NamedTuple):
     """Transition data of one (stats, deadline, buffer size).
 
-    States are indexed in canonical order (`enumerate_states`); the
-    unknown-message state (t, b) sits at ``offsets[t] + b`` and the
-    known-message state t at ``n_unknown + t - 2``. State i moves to
+    States are indexed as in ``space`` (`StateSpace`). State i moves to
     ``succ[3i + k]`` (k = stay, grow, learn) with probability
     ``p_active[3i + k]`` when it transmits and ``p_idle[3i + k]`` when it
     is idle; the rest of its mass (an ACK, or the deadline) ends the cycle.
@@ -172,28 +205,12 @@ class TransitionTable(NamedTuple):
     """
 
     stats: LinkStats
-    deadline: int
-    buffer_size: int
-    offsets: List[int]
-    n_unknown: int
-    layer: List[int]
+    space: StateSpace
     succ: List[int]
     p_active: List[float]
     p_idle: List[float]
     r_active: List[float]
     r_idle: List[float]
-
-    def index(self, state: NetState) -> int:
-        validate_state(state, self.deadline, self.buffer_size)
-        if state.phi == PHI_K:
-            return self.n_unknown + state.t - 2
-        return self.offsets[state.t] + state.b
-
-    def state(self, i: int) -> NetState:
-        t = self.layer[i]
-        if i >= self.n_unknown:
-            return NetState(t, 0, PHI_K)
-        return NetState(t, i - self.offsets[t], PHI_U)
 
     def row(self, i: int, access_prob: float) -> Dict[int, float]:
         """Successor distribution of state i when it transmits with
@@ -220,11 +237,9 @@ def transition_table(stats: LinkStats, deadline: int,
     jump to the known-message chain). Known-message states stay on that
     chain until ACK or deadline. Idle slots never buffer.
     """
-    _check_sizes(deadline, buffer_size)
+    space = state_space(deadline, buffer_size)
     stats.validate()
-    cap = buffer_size
-    offsets = [_u_offset(t, cap) for t in range(deadline + 2)]
-    n_u = offsets[deadline + 1]
+    cap, offsets, n_u = buffer_size, space.offsets, space.n_unknown
     q_a, q_i = stats.q_pp_active, stats.q_pp_idle
     stay_a = q_a * (stats.q_ps_active - stats.p_buf)
     grow_a = q_a * stats.p_buf
@@ -236,15 +251,13 @@ def transition_table(stats: LinkStats, deadline: int,
     r1_u = [r1 for r1, _ in ends]
     r0_u = [r0 for _, r0 in ends]
 
-    layer: List[int] = []
     succ: List[int] = []
     p_act: List[float] = []
     p_idl: List[float] = []
     r_act: List[float] = []
     r_idl: List[float] = []
     for t in range(1, deadline + 1):
-        levels = min(t - 1, cap) + 1
-        layer += [t] * levels
+        levels = offsets[t + 1] - offsets[t]
         r_act += r1_u[:levels]
         r_idl += r0_u[:levels]
         if t == deadline:
@@ -260,7 +273,6 @@ def transition_table(stats: LinkStats, deadline: int,
             p_act += (full_a, 0.0, learn_a)
         p_idl += (stay_i, 0.0, learn_i) * levels
     for t in range(2, deadline + 1):
-        layer.append(t)
         if t < deadline:
             succ += (n_u + t - 1, 0, 0)
             p_act += (q_a, 0.0, 0.0)
@@ -272,35 +284,7 @@ def transition_table(stats: LinkStats, deadline: int,
     r1_k, r0_k = _throughput_ends(PHI_K, 0, stats)
     r_act += [r1_k] * (deadline - 1)
     r_idl += [r0_k] * (deadline - 1)
-    return TransitionTable(stats, deadline, cap, offsets, n_u, layer, succ,
-                           p_act, p_idl, r_act, r_idl)
-
-
-def _access_vector(policy: Policy, table: TransitionTable) -> List[float]:
-    """The policy's access probabilities, by table index.
-
-    Raises ValueError unless the policy covers the state space exactly
-    with probabilities in [0, 1].
-    """
-    n = len(table.layer)
-    probs = policy.probs
-    if len(probs) != n:
-        raise ValueError("policy does not cover the state space exactly")
-    deadline, cap = table.deadline, table.buffer_size
-    offsets, n_u = table.offsets, table.n_unknown
-    mu = [0.0] * n
-    for s, p in probs.items():
-        t, b = s.t, s.b
-        if s.phi == PHI_U and 1 <= t <= deadline and 0 <= b < t and b <= cap:
-            i = offsets[t] + b
-        elif s.phi == PHI_K and 2 <= t <= deadline and b == 0:
-            i = n_u + t - 2
-        else:
-            raise ValueError("policy does not cover the state space exactly")
-        if not 0.0 <= p <= 1.0:
-            raise ValueError(f"access probability {p} at {s} outside [0, 1]")
-        mu[i] = p
-    return mu
+    return TransitionTable(stats, space, succ, p_act, p_idl, r_act, r_idl)
 
 
 def _backward(table: TransitionTable, mu: List[float]
@@ -336,7 +320,7 @@ def _backward(table: TransitionTable, mu: List[float]
 class CycleValues:
     """Expected per-cycle reward, accesses, and slots from each start state,
     in ``table`` index order: the values from state s are at
-    ``table.index(s)``, and index 0 is the cycle root.
+    ``table.space.index(s)``, and index 0 is the cycle root.
     """
 
     g: List[float]
@@ -358,11 +342,6 @@ class PolicyMetrics:
     t_p_bar: float
     p_s_ratio: float
 
-    def to_json(self) -> str:
-        return json.dumps({"t_s_bar": self.t_s_bar, "w_s_bar": self.w_s_bar,
-                           "t_p_bar": self.t_p_bar, "p_s_ratio": self.p_s_ratio},
-                          indent=2)
-
 
 def cycle_values(policy: Policy, stats: LinkStats, deadline: int,
                  buffer_size: int) -> CycleValues:
@@ -373,7 +352,7 @@ def cycle_values(policy: Policy, stats: LinkStats, deadline: int,
     cycle.
     """
     table = transition_table(stats, deadline, buffer_size)
-    g, v, d = _backward(table, _access_vector(policy, table))
+    g, v, d = _backward(table, table.space.vector(policy))
     return CycleValues(g=g, v=v, dur=d, table=table)
 
 
@@ -391,7 +370,7 @@ def long_term_metrics(policy: Policy, stats: LinkStats, deadline: int,
                       buffer_size: int) -> PolicyMetrics:
     """Long-term averages via the renewal-reward ratio at the cycle root."""
     table = transition_table(stats, deadline, buffer_size)
-    g, v, d = _backward(table, _access_vector(policy, table))
+    g, v, d = _backward(table, table.space.vector(policy))
     return ratio_metrics(g[0], v[0], d[0], stats)
 
 
@@ -409,7 +388,7 @@ def stationary_distribution(policy: Policy, stats: LinkStats, deadline: int,
     unreachable from the root are transient and come out with zero mass.
     """
     table = transition_table(stats, deadline, buffer_size)
-    mu = _access_vector(policy, table)
+    mu = table.space.vector(policy)
     n = len(mu)
     pmat = np.zeros((n, n))
     for i in range(n):
@@ -425,7 +404,7 @@ def stationary_distribution(policy: Policy, stats: LinkStats, deadline: int,
         raise RuntimeError("stationary distribution solve failed "
                            "(chain unexpectedly not unichain)") from exc
     pi = np.where(np.abs(pi) < 1e-15, 0.0, pi)
-    return {table.state(i): float(pi[i]) for i in range(n)}
+    return {table.space.state(i): float(pi[i]) for i in range(n)}
 
 
 def occupancy_metrics(policy: Policy, stats: LinkStats, deadline: int,

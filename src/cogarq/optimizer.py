@@ -93,7 +93,7 @@ def efficiency_report(values: CycleValues,
     """
     table = values.table
     g, v, dur = values.g, values.v, values.dur
-    i = table.index(state)
+    i = table.space.index(state)
     g_p, v_p, d_p = table.r_active[i] - table.r_idle[i], 1.0, 0.0
     for k in range(3 * i, 3 * i + 3):
         j = table.succ[k]

@@ -20,7 +20,8 @@ from dataclasses import dataclass
 from typing import List
 
 from .channel import LinkStats
-from .mdp import NetState, Policy, enumerate_states, long_term_metrics
+from .mdp import (NetState, Policy, StateSpace, enumerate_states,
+                  long_term_metrics, state_space)
 
 MAX_ENUM_STATES = 16
 
@@ -36,10 +37,9 @@ def policy_from_bitmask(mask: int, states: List[NetState]) -> Policy:
     return Policy({s: float((mask >> i) & 1) for i, s in enumerate(states)})
 
 
-def policy_to_bitmask(policy: Policy, states: List[NetState]) -> int:
+def policy_to_bitmask(policy: Policy, space: StateSpace) -> int:
     mask = 0
-    for i, s in enumerate(states):
-        p = policy.probs[s]
+    for i, p in enumerate(space.vector(policy)):
         if p not in (0.0, 1.0):
             raise ValueError("bitmask only defined for deterministic policies")
         mask |= int(p) << i
@@ -111,7 +111,7 @@ def oracle_optimum(eps_w: float, frontier: List[FrontierPoint],
 
 def frontier_csv_rows(frontier: List[FrontierPoint], deadline: int,
                       buffer_size: int) -> List[dict]:
-    states = enumerate_states(deadline, buffer_size)
+    space = state_space(deadline, buffer_size)
     return [{"w_s_bar": p.w_s_bar, "t_s_bar": p.t_s_bar,
-             "policy_bitmask": policy_to_bitmask(p.policy, states)}
+             "policy_bitmask": policy_to_bitmask(p.policy, space)}
             for p in frontier]

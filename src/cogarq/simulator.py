@@ -33,15 +33,14 @@ from __future__ import annotations
 
 import json
 import math
-import numbers
 from collections import Counter
 from dataclasses import dataclass, asdict
 from typing import Optional
 
 import numpy as np
 
-from .channel import LinkStats, RegionClassifier, SystemParams
-from .mdp import Policy, _u_offset, enumerate_states, transition_table
+from .channel import LinkStats, RegionClassifier, SystemParams, check_integer
+from .mdp import Policy, state_space, transition_table
 
 _CHUNK = 1 << 14      # cycles simulated together
 
@@ -55,16 +54,14 @@ class SimConfig:
 
     def __post_init__(self):
         for name in ("num_slots", "seed"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value,
-                                                         numbers.Integral):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
+            check_integer(name, getattr(self, name))
         if self.num_slots < 1:
             raise ValueError("num_slots must be >= 1")
         if self.seed < 0:
             raise ValueError("seed must be >= 0")
-        self.policy.validate(enumerate_states(self.params.deadline_D,
-                                              self.params.buffer_B))
+        # raises unless the policy covers the scenario's states exactly
+        state_space(self.params.deadline_D,
+                    self.params.buffer_B).vector(self.policy)
 
 
 @dataclass(frozen=True)
@@ -97,18 +94,14 @@ class SimResult:
 class _Chain:
     """Scenario constants and the layer-by-layer simulation of cycles.
 
-    States are indexed in canonical order (`enumerate_states`), as in
-    `mdp.TransitionTable`: unknown-message (t, b) at ``offsets[t] + b``,
-    known-message t at ``n_unknown + t - 2``; index 0 is the root.
+    States are indexed as in ``space`` (`mdp.StateSpace`), the layout of
+    `mdp.TransitionTable`; index 0 is the root.
     """
 
     def __init__(self, params: SystemParams, policy: Policy):
         self.params = params
-        self.states = enumerate_states(params.deadline_D, params.buffer_B)
-        self.mu = np.array([policy.probs[s] for s in self.states])
-        self.offsets = [_u_offset(t, params.buffer_B)
-                        for t in range(params.deadline_D + 2)]
-        self.n_unknown = self.offsets[-1]
+        self.space = state_space(params.deadline_D, params.buffer_B)
+        self.mu = np.array(self.space.vector(policy))
         self.cls = RegionClassifier(params.rate_su, params.rate_p)
         self.thr_sk = 2.0 ** params.rate_sk - 1.0
 
@@ -128,7 +121,8 @@ class _Chain:
         deadline, cap = p.deadline_D, p.buffer_B
         rsu, rsk = p.rate_su, p.rate_sk
         thr_p = self.cls.thr_p
-        offsets, n_u, n_states = self.offsets, self.n_unknown, len(self.states)
+        offsets, n_u = self.space.offsets, self.space.n_unknown
+        n_states = len(self.space.layer)
         counts = (np.zeros(2 * n_states * n_states, dtype=np.int64)
                   if collect_transitions else None)
         cyc = np.arange(n)
@@ -261,7 +255,7 @@ def _simulate(params: SystemParams, policy: Policy, num_slots: int, seed: int,
         num_slots=num_slots,
     )
     if collect_transitions:
-        n = len(chain.states)
+        n = len(chain.space.layer)
         counts = counts.reshape(n, 2, n)
     return result, counts
 
@@ -282,7 +276,7 @@ def empirical_transition_check(config: SimConfig, stats: LinkStats) -> float:
                           config.seed, collect_transitions=True)
     table = transition_table(stats, config.params.deadline_D,
                              config.params.buffer_B)
-    n = len(table.layer)
+    n = len(table.space.layer)
     analytic = np.zeros((n, 2, n))
     for i in range(n):
         for action in (0, 1):

@@ -135,8 +135,9 @@ def table_row(table, state: NetState, access_prob: float
               ) -> Dict[NetState, float]:
     """The transition table's successor distribution of ``state`` at
     ``access_prob``, keyed by state instead of table index."""
-    return {table.state(j): p
-            for j, p in table.row(table.index(state), access_prob).items()}
+    space = table.space
+    return {space.state(j): p
+            for j, p in table.row(space.index(state), access_prob).items()}
 
 
 # Independent reference for the MDP core: the per-state dict recursion the

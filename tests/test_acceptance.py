@@ -170,7 +170,7 @@ def test_criterion_4_degenerate_structure():
                 idle_u = s.phi == PHI_U and e.policy.probs[s] == 0.0
                 if s.phi == PHI_K or idle_u:
                     v, g = cycle_value_closed(s, stats, deadline)
-                    i = cv.table.index(s)
+                    i = cv.table.space.index(s)
                     assert abs(v - cv.v[i]) <= 1e-9
                     assert abs(g - cv.g[i]) <= 1e-9
                 if idle_u:
@@ -277,7 +277,7 @@ def test_criterion_7_invariant_suites():
         cv = cycle_values(pol, stats, deadline, cap)
         for s in states:
             for access_prob in (1.0, 0.0):
-                row = cv.table.row(cv.table.index(s), access_prob)
+                row = cv.table.row(cv.table.space.index(s), access_prob)
                 assert abs(sum(row.values()) - 1.0) <= 1e-12
         m = long_term_metrics(pol, stats, deadline, cap)
         t_s_pi, w_s_pi = occupancy_metrics(pol, stats, deadline, cap)
@@ -289,7 +289,7 @@ def test_criterion_7_invariant_suites():
             assert v_p - d_p * m.w_s_bar > 0.0
             bumped = cycle_values(pol.with_prob(s, pol.prob(s) + delta),
                                   stats, deadline, cap)
-            i = cv.table.index(s)
+            i = cv.table.space.index(s)
             assert abs((bumped.g[i] - cv.g[i]) / delta - g_p) <= 1e-5
             assert abs((bumped.v[i] - cv.v[i]) / delta - v_p) <= 1e-5
             assert abs((bumped.dur[i] - cv.dur[i]) / delta - d_p) <= 1e-5

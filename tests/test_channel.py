@@ -296,7 +296,8 @@ class TestLinkStats:
 
     def test_json_round_trip(self, t1_stats):
         import json
-        obj = json.loads(t1_stats.to_json())
+        from dataclasses import asdict
+        obj = json.loads(json.dumps(asdict(t1_stats)))
         for key in ("q_pp_idle", "q_pp_active", "q_ps_idle", "q_ps_active",
                     "p_buf", "t_su", "t_sk", "t_p_idle", "t_p_active"):
             assert key in obj

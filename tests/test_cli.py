@@ -284,20 +284,30 @@ def test_policy_file_round_trip(tmp_path):
 
 def test_simulate_rejects_repeated_state(tmp_path, capsys):
     # A state given twice would let the later row silently override the
-    # earlier one.
+    # earlier one. A row's JSON true would read as the integer 1, 1.0 as a
+    # buffer level, and "0.5" would parse as a float, so those are rejected
+    # as well.
     path = tmp_path / "scenario.json"
     path.write_text(json.dumps(dict(CONFIG, deadline_D=4, buffer_B=3)))
-    obj = policy_to_json_obj(k_active_policy(enumerate_states(4, 3)))
-    obj.append({"t": 4, "b": 0, "phi": "K", "prob": 0.0})
+    rows = policy_to_json_obj(k_active_policy(enumerate_states(4, 3)))
+    cases = [(rows + [{"t": 4, "b": 0, "phi": "K", "prob": 0.0}],
+              "appears twice")]
+    # rows 0, 1 and 2 are (1, 0, U), (2, 0, U) and (2, 1, U)
+    for i, key, value in ((0, "t", True), (2, "b", 1.0), (1, "prob", "0.5"),
+                          (1, "prob", True)):
+        bad = [dict(r) for r in rows]
+        bad[i][key] = value
+        cases.append((bad, f"{key} must be"))
     policy_file = tmp_path / "policy.json"
-    policy_file.write_text(json.dumps(obj))
-    rc = main(["simulate", "--config", str(path), "--policy-file",
-               str(policy_file), "--slots", "1000"])
-    assert rc == 1
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    lines = captured.err.splitlines()
-    assert len(lines) == 1
-    diag = json.loads(lines[0])
-    assert diag["error"] == "ValueError"
-    assert "appears twice" in diag["message"]
+    for obj, message in cases:
+        policy_file.write_text(json.dumps(obj))
+        rc = main(["simulate", "--config", str(path), "--policy-file",
+                   str(policy_file), "--slots", "1000"])
+        assert rc == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1
+        diag = json.loads(lines[0])
+        assert diag["error"] == "ValueError"
+        assert message in diag["message"]

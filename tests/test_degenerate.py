@@ -187,7 +187,7 @@ class TestClosedForms:
             for s in e.policy.probs:
                 if s.phi == PHI_K or e.policy.probs[s] == 0.0:
                     v, g = cycle_value_closed(s, st, deadline)
-                    i = cv.table.index(s)
+                    i = cv.table.space.index(s)
                     assert abs(v - cv.v[i]) <= 1e-9
                     assert abs(g - cv.g[i]) <= 1e-9
 

@@ -6,8 +6,8 @@ from cogarq import (NetState, Policy, cycle_values, enumerate_states,
                     idle_policy, k_active_policy, long_term_metrics,
                     policy_from_json_obj, policy_to_json_obj,
                     stationary_distribution)
-from cogarq.mdp import (PHI_K, PHI_U, ROOT, occupancy_metrics,
-                        transition_table, validate_state)
+from cogarq.mdp import (PHI_K, PHI_U, ROOT, occupancy_metrics, state_space,
+                        transition_table)
 
 from support import (feasible_stats, make_random_policy, make_random_stats,
                      reference_cycle_values, reference_transition_row,
@@ -47,11 +47,45 @@ class TestEnumerateStates:
         with pytest.raises(ValueError):
             enumerate_states(3, -1)
 
-    def test_state_invariants_validated(self):
+
+@pytest.mark.parametrize("deadline,cap",
+                         [(d, b) for d in range(1, 10) for b in range(d)])
+def test_state_space(deadline, cap):
+    space = state_space(deadline, cap)
+    n = len(space.layer)
+    states = [space.state(i) for i in range(n)]
+    assert [space.index(s) for s in states] == list(range(n))
+    assert states == enumerate_states(deadline, cap)
+    # the layout written out on its own, in the order of NetState.key
+    expected = [NetState(t, b, PHI_U) for t in range(1, deadline + 1)
+                for b in range(min(t - 1, cap) + 1)]
+    expected += [NetState(t, 0, PHI_K) for t in range(2, deadline + 1)]
+    assert states == sorted(expected, key=NetState.key)
+    assert n == len(expected)
+
+    rng = np.random.default_rng(10 * deadline + cap)
+    probs = {s: float(rng.random()) for s in states}
+    vector = [probs[s] for s in states]
+    items = list(probs.items())
+    for order in (items, items[::-1], [items[i] for i in rng.permutation(n)]):
+        assert space.vector(Policy(dict(order))) == vector
+
+    with pytest.raises(ValueError):         # a missing state
+        space.vector(Policy(dict(items[:-1])))
+    outside = [NetState(deadline + 1, 0, PHI_U),
+               NetState(deadline, cap + 1, PHI_U),          # b > B
+               NetState(1, 0, PHI_K),                       # K needs t >= 2
+               NetState(1, 0, "X")]
+    outside += [NetState(t, t, PHI_U)                       # b <= t - 1
+                for t in range(1, deadline + 1)]
+    for bad in outside:
         with pytest.raises(ValueError):
-            validate_state(NetState(1, 0, PHI_K), 5, 4)   # K needs t >= 2
+            space.index(bad)
         with pytest.raises(ValueError):
-            validate_state(NetState(2, 2, PHI_U), 5, 4)   # b <= t - 1
+            space.vector(Policy(dict(items[:-1] + [(bad, 0.5)])))
+    for p in (float("nan"), -0.1, 1.1):
+        with pytest.raises(ValueError):
+            space.vector(Policy({**probs, states[-1]: p}))
 
 
 class TestTransitionRow:
@@ -117,16 +151,16 @@ class TestStateReward:
 
     def test_known_state_full_access(self, t1_stats):
         table = transition_table(t1_stats, 5, 4)
-        r = table.r_active[table.index(NetState(3, 0, PHI_K))]
+        r = table.r_active[table.space.index(NetState(3, 0, PHI_K))]
         assert r == pytest.approx(1.10, abs=0.01)
 
     def test_idle_empty_buffer_zero(self, t1_stats):
         table = transition_table(t1_stats, 5, 4)
-        assert table.r_idle[table.index(NetState(2, 0, PHI_U))] == 0.0
+        assert table.r_idle[table.space.index(NetState(2, 0, PHI_U))] == 0.0
 
     def test_idle_buffered_recovery(self, t1_stats):
         table = transition_table(t1_stats, 5, 4)
-        r = table.r_idle[table.index(NetState(3, 2, PHI_U))]
+        r = table.r_idle[table.space.index(NetState(3, 2, PHI_U))]
         # (1 - 0.61) * 2 * 1.12 at Table-I numbers
         assert r == pytest.approx(0.874, abs=0.02)
         assert r == pytest.approx(
@@ -138,7 +172,7 @@ class TestStateReward:
         s = NetState(2, 1, PHI_U)
         pol = idle_policy(enumerate_states(2, 1)).with_prob(s, 0.37)
         cv = cycle_values(pol, t1_stats, 2, 1)
-        i = cv.table.index(s)
+        i = cv.table.space.index(s)
         assert cv.v[i] == 0.37
         assert cv.dur[i] == 1.0
 
@@ -154,7 +188,7 @@ class TestCycleValues:
         states = enumerate_states(1, 0)
         pol = Policy({states[0]: 0.4})
         cv = cycle_values(pol, t1_stats, 1, 0)
-        assert cv.table.index(ROOT) == 0
+        assert cv.table.space.index(ROOT) == 0
         assert cv.g[0] == pytest.approx(0.4 * t1_stats.t_su)
         assert cv.v[0] == pytest.approx(0.4)
         assert cv.dur[0] == 1.0
@@ -177,7 +211,7 @@ class TestCycleValues:
             pol = make_random_policy(rng, states)
             cv = cycle_values(pol, stats, deadline, cap)
             for s in states:
-                i = cv.table.index(s)
+                i = cv.table.space.index(s)
                 assert 0.0 <= cv.v[i] <= cv.dur[i]
                 assert cv.dur[i] >= 1.0
                 assert cv.dur[i] <= deadline - s.t + 1 + 1e-12
@@ -208,9 +242,10 @@ class TestLongTermMetrics:
 
     def test_metrics_json(self, t1_stats):
         import json
+        from dataclasses import asdict
         states = enumerate_states(2, 1)
         m = long_term_metrics(k_active_policy(states), t1_stats, 2, 1)
-        obj = json.loads(m.to_json())
+        obj = json.loads(json.dumps(asdict(m)))
         assert set(obj) == {"t_s_bar", "w_s_bar", "t_p_bar", "p_s_ratio"}
 
 
@@ -260,7 +295,7 @@ def _assert_matches_reference(policy, stats, deadline, cap):
     cv = cycle_values(policy, stats, deadline, cap)
     ref = reference_cycle_values(policy, stats, deadline, cap)
     for s in states:
-        i = cv.table.index(s)
+        i = cv.table.space.index(s)
         assert abs(cv.g[i] - ref.g[s]) <= 1e-12
         assert abs(cv.v[i] - ref.v[s]) <= 1e-12
         assert abs(cv.dur[i] - ref.dur[s]) <= 1e-12
@@ -332,12 +367,3 @@ class TestPolicySerialization:
             ("b", "phi", "prob", "t")] * len(states)
         back = policy_from_json_obj(obj)
         assert back.probs == pol.probs
-
-    def test_validation(self, t1_stats):
-        states = enumerate_states(2, 1)
-        pol = Policy({states[0]: 0.5})
-        with pytest.raises(ValueError):
-            pol.validate(states)
-        bad = Policy({s: 1.5 for s in states})
-        with pytest.raises(ValueError):
-            bad.validate(states)

@@ -56,7 +56,7 @@ class TestCycleDerivatives:
                 g_p, v_p, d_p = r.g_prime, r.v_prime, r.d_prime
                 bumped = cycle_values(pol.with_prob(s, pol.prob(s) + delta),
                                       stats, deadline, cap)
-                i = cv.table.index(s)
+                i = cv.table.space.index(s)
                 assert abs((bumped.g[i] - cv.g[i]) / delta - g_p) <= 1e-5
                 assert abs((bumped.v[i] - cv.v[i]) / delta - v_p) <= 1e-5
                 assert abs((bumped.dur[i] - cv.dur[i]) / delta - d_p) <= 1e-5

@@ -6,6 +6,7 @@ from cogarq import (Policy, enumerate_frontier, enumerate_states,
                     greedy_policy_path, long_term_metrics, optimal_policy,
                     oracle_optimum)
 from cogarq import oracle
+from cogarq.mdp import state_space
 from cogarq.oracle import (frontier_csv_rows, policy_from_bitmask,
                            policy_to_bitmask)
 
@@ -90,9 +91,9 @@ class TestFrontierMatchesReference:
 
         monkeypatch.setattr(oracle, "long_term_metrics", counting)
         enumerate_frontier(t1_stats, 3, 2)
-        states = enumerate_states(3, 2)
-        assert [policy_to_bitmask(p, states) for p in calls] == \
-            list(range(1 << len(states)))
+        space = state_space(3, 2)
+        assert [policy_to_bitmask(p, space) for p in calls] == \
+            list(range(1 << len(space.layer)))
 
 
 class TestOracleOptimum:
@@ -125,13 +126,13 @@ class TestBitmask:
         states = enumerate_states(3, 1)
         for mask in (0, 5, (1 << len(states)) - 1):
             pol = policy_from_bitmask(mask, states)
-            assert policy_to_bitmask(pol, states) == mask
+            assert policy_to_bitmask(pol, state_space(3, 1)) == mask
 
     def test_rejects_randomized(self, t1_stats):
         states = enumerate_states(2, 0)
         pol = Policy({s: 0.5 for s in states})
         with pytest.raises(ValueError):
-            policy_to_bitmask(pol, states)
+            policy_to_bitmask(pol, state_space(2, 0))
 
     def test_csv_rows(self, t1_stats):
         frontier = enumerate_frontier(t1_stats, 2, 1)
