@@ -294,6 +294,11 @@ def _backward(table: TransitionTable, mu: List[float]
     Successors lie one attempt later, and every known-message state and
     every later attempt comes after a state in canonical order, so one
     pass from the last index to the first sees each successor finished.
+    ``mu[i]`` may also be an array of access probabilities, one per
+    policy: the pass then runs elementwise over all of them, with the
+    root's ``0.0`` broadcasting as the zero sink, and each value equals
+    the one a single-policy pass gives, since numpy rounds each float64
+    step as Python does.
     """
     n = len(mu)
     g = [0.0] * n

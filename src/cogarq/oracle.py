@@ -1,7 +1,9 @@
 """Brute-force certification of the greedy optimizer at desk scale.
 
-Every deterministic policy over a small state space is evaluated exactly;
-the upper-left convex hull of the resulting (access rate, throughput)
+Every deterministic policy over a small state space is evaluated exactly,
+all of them in one array backward pass over one transition table: state
+i's row of the access matrix holds bit i of every policy bitmask. The
+upper-left convex hull of the resulting (access rate, throughput)
 cloud is the achievable frontier, because a policy randomized in a single
 state traces the straight chord between the two deterministic policies it
 mixes (all three per-cycle quantities are affine in that one probability,
@@ -9,21 +11,27 @@ and a projective image of a line is a line). The constrained optimum is
 therefore the frontier value at the access budget, read off the hull by
 linear interpolation. Nothing here calls the optimizer, so the check of
 the greedy construction is independent of it. The 2^N candidates are kept
-as (access rate, throughput, bitmask) triples; only the hull vertices that
-`enumerate_frontier` returns carry a `Policy`.
+as access-rate and throughput arrays indexed by bitmask, and the hull is
+built on (access rate, throughput, bitmask) triples; only the vertices that
+`enumerate_frontier` returns carry a `Policy`, and each is re-evaluated by
+`long_term_metrics`, which must reproduce its batched values exactly.
 """
 
 from __future__ import annotations
 
 import bisect
 from dataclasses import dataclass
-from typing import List
+from typing import List, Tuple
+
+import numpy as np
 
 from .channel import LinkStats
-from .mdp import (NetState, Policy, StateSpace, enumerate_states,
-                  long_term_metrics, state_space)
+from .mdp import (NetState, Policy, StateSpace, TransitionTable, _backward,
+                  enumerate_states, long_term_metrics, state_space,
+                  transition_table)
 
 MAX_ENUM_STATES = 16
+_MASK_BLOCK = 1 << 10         # policies per array pass; bounds its memory
 
 
 @dataclass(frozen=True)
@@ -51,40 +59,65 @@ def _cross(o, a, b) -> float:
     return ((a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0]))
 
 
+def _bitmask_metrics(table: TransitionTable
+                     ) -> Tuple[np.ndarray, np.ndarray]:
+    """Access rate and throughput of every deterministic policy, by bitmask.
+
+    Blocks of `_MASK_BLOCK` bitmasks go through `_backward` as one access
+    matrix whose row i holds bit i of each mask, as in
+    `policy_from_bitmask`; numpy rounds each elementwise step as Python
+    does, so every value equals `long_term_metrics` of that policy.
+    """
+    n_states = len(table.space.layer)
+    n_masks = 1 << n_states
+    w, t = np.empty(n_masks), np.empty(n_masks)
+    for start in range(0, n_masks, _MASK_BLOCK):
+        masks = np.arange(start, min(start + _MASK_BLOCK, n_masks))
+        mu = [((masks >> i) & 1).astype(float) for i in range(n_states)]
+        g, v, d = _backward(table, mu)
+        w[masks], t[masks] = v[0] / d[0], g[0] / d[0]
+    return w, t
+
+
 def enumerate_frontier(stats: LinkStats, deadline: int,
                        buffer_size: int) -> List[FrontierPoint]:
     """Upper-left hull of all deterministic policies, sorted by access rate.
 
     Vertices are strict corners (collinear interior points are dropped)
     and the chain is truncated at its throughput maximum, so slopes are
-    strictly decreasing and positive left to right.
+    strictly decreasing and positive left to right. Each vertex is
+    evaluated again by `long_term_metrics`; RuntimeError unless that
+    reproduces its batched (w_s_bar, t_s_bar) exactly.
     """
     states = enumerate_states(deadline, buffer_size)
     if len(states) > MAX_ENUM_STATES:
         raise ValueError(f"state space too large to enumerate "
                          f"({len(states)} > {MAX_ENUM_STATES})")
-    points = []
-    for mask in range(1 << len(states)):
-        m = long_term_metrics(policy_from_bitmask(mask, states), stats,
-                              deadline, buffer_size)
-        points.append((m.w_s_bar, m.t_s_bar, mask))
-    points.sort()
-    # Keep only the best throughput at (numerically) equal access rates.
-    dedup = []
-    for p in points:
-        if dedup and abs(p[0] - dedup[-1][0]) <= 1e-14:
-            dedup[-1] = p
-        else:
-            dedup.append(p)
+    w, t = _bitmask_metrics(transition_table(stats, deadline, buffer_size))
+    # Ascending (w, t, mask): lexsort is stable, so ties keep mask order.
+    order = np.lexsort((t, w))
+    # Keep only the best throughput at (numerically) equal access rates:
+    # drop each point whose successor lies within 1e-14 of it.
+    order = order[np.append(np.abs(np.diff(w[order])) > 1e-14, True)]
     hull = []
-    for p in dedup:
-        while len(hull) >= 2 and _cross(hull[-2], hull[-1], p) >= 0.0:
-            hull.pop()
-        hull.append(p)
+    for start in range(0, len(order), _MASK_BLOCK):
+        block = order[start:start + _MASK_BLOCK]
+        for p in zip(w[block].tolist(), t[block].tolist(), block.tolist()):
+            while len(hull) >= 2 and _cross(hull[-2], hull[-1], p) >= 0.0:
+                hull.pop()
+            hull.append(p)
     best = max(range(len(hull)), key=lambda i: hull[i][1])
-    return [FrontierPoint(w_s_bar=w, t_s_bar=t,
-                          policy=policy_from_bitmask(mask, states))
-            for w, t, mask in hull[:best + 1]]
+    frontier = []
+    for w_s, t_s, mask in hull[:best + 1]:
+        policy = policy_from_bitmask(mask, states)
+        m = long_term_metrics(policy, stats, deadline, buffer_size)
+        if (m.w_s_bar, m.t_s_bar) != (w_s, t_s):
+            raise RuntimeError(f"batched frontier value ({w_s!r}, {t_s!r}) "
+                               f"of policy {mask} differs from its "
+                               f"evaluation ({m.w_s_bar!r}, {m.t_s_bar!r})")
+        frontier.append(FrontierPoint(w_s_bar=w_s, t_s_bar=t_s,
+                                      policy=policy))
+    return frontier
 
 
 def oracle_optimum(eps_w: float, frontier: List[FrontierPoint],

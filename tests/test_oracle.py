@@ -1,3 +1,6 @@
+import dataclasses
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -6,9 +9,9 @@ from cogarq import (Policy, enumerate_frontier, enumerate_states,
                     greedy_policy_path, long_term_metrics, optimal_policy,
                     oracle_optimum)
 from cogarq import oracle
-from cogarq.mdp import state_space
-from cogarq.oracle import (frontier_csv_rows, policy_from_bitmask,
-                           policy_to_bitmask)
+from cogarq.mdp import state_space, transition_table
+from cogarq.oracle import (_bitmask_metrics, frontier_csv_rows,
+                           policy_from_bitmask, policy_to_bitmask)
 
 from support import feasible_stats, make_random_stats, reference_frontier
 
@@ -63,9 +66,34 @@ class TestEnumerateFrontier:
             assert any(abs(p.w_s_bar - w) < 1e-12 and abs(p.t_s_bar - t) < 1e-12
                        for w, t in pts)
 
-    def test_size_cap(self, t1_stats):
-        with pytest.raises(ValueError):
-            enumerate_frontier(t1_stats, 5, 4)   # 19 states
+    def test_size_cap(self, t1_stats, monkeypatch):
+        def forbidden(*args):
+            raise AssertionError("built before the size check")
+
+        monkeypatch.setattr(oracle, "transition_table", forbidden)
+        monkeypatch.setattr(oracle, "_bitmask_metrics", forbidden)
+        monkeypatch.setattr(oracle, "_backward", forbidden)
+        for deadline, cap, n in ((5, 4, 19), (9, 0, 17)):
+            assert len(enumerate_states(deadline, cap)) == n
+            with pytest.raises(ValueError, match=f"{n} > 16"):
+                enumerate_frontier(t1_stats, deadline, cap)
+
+    def test_size_cap_accepts_16_states(self, t1_stats):
+        assert len(enumerate_states(5, 2)) == oracle.MAX_ENUM_STATES
+        for p in enumerate_frontier(t1_stats, 5, 2):
+            m = long_term_metrics(p.policy, t1_stats, 5, 2)
+            assert (m.w_s_bar, m.t_s_bar) == (p.w_s_bar, p.t_s_bar)
+
+    def test_peak_memory_below_10_mb(self, t1_stats):
+        # 2^16 policies; holding each as a Python (w, t, mask) triple
+        # alone takes about 9.3 MiB.
+        tracemalloc.start()
+        try:
+            enumerate_frontier(t1_stats, 5, 2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 10 * 2 ** 20
 
 
 class TestFrontierMatchesReference:
@@ -83,17 +111,39 @@ class TestFrontierMatchesReference:
             reference_frontier(t1_stats, 4, 3)
 
     def test_one_evaluation_per_policy(self, t1_stats, monkeypatch):
+        # The batched pass evaluates every bitmask once, each exactly as
+        # `long_term_metrics` does; only the vertices are evaluated again.
         calls = []
 
         def counting(policy, *args):
             calls.append(policy)
             return long_term_metrics(policy, *args)
 
-        monkeypatch.setattr(oracle, "long_term_metrics", counting)
-        enumerate_frontier(t1_stats, 3, 2)
-        space = state_space(3, 2)
-        assert [policy_to_bitmask(p, space) for p in calls] == \
-            list(range(1 << len(space.layer)))
+        for deadline, cap in ((3, 2), (4, 3)):
+            states = enumerate_states(deadline, cap)
+            w, t = _bitmask_metrics(transition_table(t1_stats, deadline, cap))
+            assert len(w) == len(t) == 1 << len(states)
+            for mask, batched in enumerate(zip(w.tolist(), t.tolist())):
+                m = long_term_metrics(policy_from_bitmask(mask, states),
+                                      t1_stats, deadline, cap)
+                assert (m.w_s_bar, m.t_s_bar) == batched
+
+            calls.clear()
+            with monkeypatch.context() as mp:
+                mp.setattr(oracle, "long_term_metrics", counting)
+                frontier = enumerate_frontier(t1_stats, deadline, cap)
+            space = state_space(deadline, cap)
+            assert [policy_to_bitmask(p, space) for p in calls] == \
+                [policy_to_bitmask(p.policy, space) for p in frontier]
+
+    def test_vertex_mismatch_raises(self, t1_stats, monkeypatch):
+        def shifted(policy, *args):
+            m = long_term_metrics(policy, *args)
+            return dataclasses.replace(m, t_s_bar=m.t_s_bar + 1e-15)
+
+        monkeypatch.setattr(oracle, "long_term_metrics", shifted)
+        with pytest.raises(RuntimeError, match="differs from its evaluation"):
+            enumerate_frontier(t1_stats, 3, 2)
 
 
 class TestOracleOptimum:
