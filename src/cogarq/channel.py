@@ -416,6 +416,8 @@ def optimize_rate(objective: str, params: SystemParams) -> float:
 
     Each objective is the rate times an exact decode probability; the
     interfered secondary one uses `RegionClassifier.su_decode_probability`.
+    Raises ValueError when the maximizer lies within ``RATE_TOL`` of an
+    edge of ``RATE_BRACKET``, where the true optimum may lie outside it.
     """
     lo, hi = RATE_BRACKET
     clean_link = {PU_IDLE_THROUGHPUT: "mean_snr_p",
@@ -425,15 +427,21 @@ def optimize_rate(objective: str, params: SystemParams) -> float:
         snr = getattr(params, name)
         if snr <= 0:
             raise ValueError(f"{name} must be positive")
-        return _golden_max(lambda r: r * _success(r, snr), lo, hi, RATE_TOL)
-    if objective == SU_INTERFERED_THROUGHPUT:
+
+        def throughput(r: float) -> float:
+            return r * _success(r, snr)
+    elif objective == SU_INTERFERED_THROUGHPUT:
         if params.mean_snr_s <= 0:
             raise ValueError("mean_snr_s must be positive")
 
-        def t_su_of(r: float) -> float:
+        def throughput(r: float) -> float:
             cls = RegionClassifier(r, params.rate_p)
             return r * cls.su_decode_probability(params.mean_snr_s,
                                                  params.mean_snr_ps)
-
-        return _golden_max(t_su_of, lo, hi, RATE_TOL)
-    raise ValueError(f"unknown objective {objective!r}")
+    else:
+        raise ValueError(f"unknown objective {objective!r}")
+    rate = _golden_max(throughput, lo, hi, RATE_TOL)
+    if min(rate - lo, hi - rate) <= RATE_TOL:
+        raise ValueError(f"{objective} maximizer {rate!r} lies at the edge "
+                         f"of the rate bracket [{lo}, {hi}]")
+    return rate

@@ -13,10 +13,10 @@ Subcommands:
 
 Config files are JSON objects mirroring the SystemParams field names, plus
 an optional ``rate_policy`` of RSU_STAR (default), RSU_EQ_RSK, or EXPLICIT;
-any other key is rejected; EXPLICIT needs all three rates, the others
-derive them. Derived rates are exact; ``--mc-samples`` (at least
-`channel.MIN_MC_SAMPLES`) and ``--seed`` drive the Monte-Carlo link
-statistics and the simulator only.
+any other key is rejected, and the four mean SNRs and ``deadline_D`` are
+required; EXPLICIT needs all three rates, the others derive them. Derived
+rates are exact; ``--mc-samples`` (at least `channel.MIN_MC_SAMPLES`) and
+``--seed`` drive the Monte-Carlo link statistics and the simulator only.
 Every error, a malformed command line included, exits 1 with a one-line
 JSON diagnostic on stderr; ``--help`` exits 0.
 """
@@ -39,6 +39,8 @@ from .simulator import SimConfig, run
 DEFAULT_MC = 10 ** 6
 DEFAULT_SEED = 1234
 CONFIG_KEYS = frozenset(f.name for f in fields(SystemParams)) | {"rate_policy"}
+REQUIRED_KEYS = ("mean_snr_s", "mean_snr_p", "mean_snr_sp", "mean_snr_ps",
+                 "deadline_D")
 
 
 def _load_scenario(path: str):
@@ -49,6 +51,9 @@ def _load_scenario(path: str):
     unknown = sorted(set(obj) - CONFIG_KEYS)
     if unknown:
         raise ValueError(f"unknown config keys: {', '.join(unknown)}")
+    absent = [k for k in REQUIRED_KEYS if k not in obj]
+    if absent:
+        raise ValueError(f"missing config keys: {', '.join(absent)}")
     rate_policy = obj.pop("rate_policy", RSU_STAR)
     missing = [k for k in ("rate_p", "rate_su", "rate_sk") if k not in obj]
     if rate_policy == EXPLICIT and missing:

@@ -11,11 +11,12 @@ per-cycle reward, accesses, and duration, whose ratios are the long-term
 throughput and access rate.
 
 `StateSpace` owns the state layout of one (D, B): which states exist,
-their canonical index order, and a `Policy`'s access vector in that order.
-Every evaluator reads one flat transition table per (stats, D, B), built
-inside each call: per state index, its at most three successors (stay,
-grow, learn) with their probabilities under each action and its one-slot
-throughput at access probability 1 and 0. The backward pass runs over
+their canonical index order, each state's buffer level and at most three
+successors (stay, grow, learn), and a `Policy`'s access vector in that
+order. Every evaluator reads one flat transition table per (stats, D, B),
+built inside each call: per state index, the probabilities of its
+successors under each action and its one-slot throughput at access
+probability 1 and 0. The backward pass runs over
 plain lists. `CycleValues` keeps those lists in index order together with
 the table, so its metrics and its rows (``table.row``, successors keyed by
 index) need no rebuild; `Policy` dicts and `NetState` keys appear only at
@@ -81,12 +82,21 @@ def policy_to_json_obj(policy: Policy) -> list:
 
 
 def policy_from_json_obj(obj: list) -> Policy:
-    """Policy from its JSON rows. A row's t and b must be integers and its
-    prob a number, since JSON true would read as 1 and "0.5" would parse;
-    a state given twice is rejected, since one row would silently override
-    the other."""
+    """Policy from its JSON rows: a list of objects with keys t, b, phi
+    and prob. A row's t and b must be integers and its prob a number,
+    since JSON true would read as 1 and "0.5" would parse; a state given
+    twice is rejected, since one row would silently override the other."""
+    if not isinstance(obj, list):
+        raise ValueError("a policy is a list of rows, got "
+                         + type(obj).__name__)
     probs: Dict[NetState, float] = {}
-    for r in obj:
+    for i, r in enumerate(obj):
+        if not isinstance(r, dict):
+            raise ValueError(f"policy row {i} is not an object: {r!r}")
+        missing = [k for k in ("t", "b", "phi", "prob") if k not in r]
+        if missing:
+            raise ValueError(f"policy row {i} lacks {', '.join(missing)}: "
+                             f"{r!r}")
         check_integer("t", r["t"])
         check_integer("b", r["b"])
         prob = r["prob"]
@@ -108,8 +118,15 @@ class StateSpace(NamedTuple):
     buffered, and at most ``buffer_size``. ``offsets[t]`` counts the
     unknown-message states before attempt t, so the unknown-message state
     (t, b) sits at ``offsets[t] + b`` and the known-message state t at
-    ``n_unknown + t - 2``; ``layer[i]`` is the attempt index of state i,
-    and index 0 is the cycle root. Built by `state_space`.
+    ``n_unknown + t - 2``; ``layer[i]`` and ``level[i]`` are the attempt
+    index and buffer level (0 if known) of state i, and index 0 is the
+    cycle root. After a NACK, state i moves to ``succ[3i + k]`` when the
+    secondary receiver decodes nothing (k = 0: stay at the same level, or
+    move along the known chain), buffers a secondary signal (k = 1: grow)
+    or decodes the primary message (k = 2: learn). Successor 0, the root,
+    marks an outcome that ends the cycle or cannot happen: every one at
+    the deadline, grow at a full buffer, grow and learn once known.
+    Built by `state_space`.
     """
 
     deadline: int
@@ -117,6 +134,8 @@ class StateSpace(NamedTuple):
     offsets: List[int]
     n_unknown: int
     layer: List[int]
+    level: List[int]
+    succ: List[int]
 
     def index(self, state: NetState) -> int:
         """Index of ``state``; ValueError for a state outside the space."""
@@ -131,10 +150,8 @@ class StateSpace(NamedTuple):
 
     def state(self, i: int) -> NetState:
         """The state at index ``i``."""
-        t = self.layer[i]
-        if i >= self.n_unknown:
-            return NetState(t, 0, PHI_K)
-        return NetState(t, i - self.offsets[t], PHI_U)
+        return NetState(self.layer[i], self.level[i],
+                        PHI_K if i >= self.n_unknown else PHI_U)
 
     def vector(self, policy: Policy) -> List[float]:
         """The policy's access probabilities, by index.
@@ -161,13 +178,24 @@ def state_space(deadline: int, buffer_size: int) -> StateSpace:
         raise ValueError("deadline must be >= 1")
     if not 0 <= buffer_size <= deadline - 1:
         raise ValueError("buffer_size must lie in [0, deadline - 1]")
-    offsets, layer = [0, 0], []
+    offsets, layer, level = [0, 0], [], []
     for t in range(1, deadline + 1):
         levels = min(t - 1, buffer_size) + 1
         offsets.append(offsets[-1] + levels)
         layer += [t] * levels
+        level += range(levels)
+    n_u = offsets[-1]
+    succ: List[int] = []
+    for t in range(1, deadline):
+        nxt, learn = offsets[t + 1], n_u + t - 1
+        for b in range(nxt - offsets[t]):
+            succ += (nxt + b, nxt + b + 1 if b < buffer_size else 0, learn)
+    succ += [0] * (3 * (n_u - offsets[deadline]))      # the deadline
+    for t in range(2, deadline + 1):                    # the known chain
+        succ += (n_u + t - 1 if t < deadline else 0, 0, 0)
     layer += range(2, deadline + 1)
-    return StateSpace(deadline, buffer_size, offsets, offsets[-1], layer)
+    level += [0] * (deadline - 1)
+    return StateSpace(deadline, buffer_size, offsets, n_u, layer, level, succ)
 
 
 def enumerate_states(deadline: int, buffer_size: int) -> List[NetState]:
@@ -193,15 +221,14 @@ def _throughput_ends(phi: str, b: int, stats: LinkStats) -> Tuple[float, float]:
 class TransitionTable(NamedTuple):
     """Transition data of one (stats, deadline, buffer size).
 
-    States are indexed as in ``space`` (`StateSpace`). State i moves to
-    ``succ[3i + k]`` (k = stay, grow, learn) with probability
-    ``p_active[3i + k]`` when it transmits and ``p_idle[3i + k]`` when it
-    is idle; the rest of its mass (an ACK, or the deadline) ends the cycle.
-    Successor index 0, the root, marks that end or an unused slot: a new
-    cycle carries no continuation value, and the backward pass reads the
-    root's value before writing it, so the root doubles as the zero sink.
-    ``r_active`` and ``r_idle`` are the one-slot throughput at access
-    probability 1 and 0; it is affine in between.
+    State i moves to ``succ[3i + k]``, the list ``space.succ`` of
+    `StateSpace`, with probability ``p_active[3i + k]`` when it
+    transmits and ``p_idle[3i + k]`` when it is idle; the rest of its mass
+    (an ACK, or the deadline) ends the cycle. A new cycle carries no
+    continuation value, and the backward pass reads the root's value
+    before writing it, so the root doubles as the zero sink. ``r_active``
+    and ``r_idle`` are the one-slot throughput at access probability 1
+    and 0; it is affine in between.
     """
 
     stats: LinkStats
@@ -228,62 +255,35 @@ class TransitionTable(NamedTuple):
 
 def transition_table(stats: LinkStats, deadline: int,
                      buffer_size: int) -> TransitionTable:
-    """Build the flat transition table of one scenario.
-
-    On a NACK from an unknown-message state the successor depends on what
-    the secondary receiver decoded: nothing (stay at the same buffer
-    level), a buffered secondary signal (grow by one; at a full buffer the
-    signal is dropped and the mass stays), or the primary message (learn:
-    jump to the known-message chain). Known-message states stay on that
-    chain until ACK or deadline. Idle slots never buffer.
-    """
+    """The outcome probabilities and one-slot rewards of ``stats`` on
+    the layout of `state_space` (deadline, buffer_size). Idle slots never
+    buffer."""
     space = state_space(deadline, buffer_size)
     stats.validate()
-    cap, offsets, n_u = buffer_size, space.offsets, space.n_unknown
     q_a, q_i = stats.q_pp_active, stats.q_pp_idle
     stay_a = q_a * (stats.q_ps_active - stats.p_buf)
     grow_a = q_a * stats.p_buf
     learn_a = q_a * (1.0 - stats.q_ps_active)
-    full_a = stay_a + grow_a
-    stay_i = q_i * stats.q_ps_idle
-    learn_i = q_i * (1.0 - stats.q_ps_idle)
-    ends = [_throughput_ends(PHI_U, b, stats) for b in range(cap + 1)]
-    r1_u = [r1 for r1, _ in ends]
-    r0_u = [r0 for _, r0 in ends]
-
-    succ: List[int] = []
+    idle_u = (q_i * stats.q_ps_idle, 0.0, q_i * (1.0 - stats.q_ps_idle))
+    # (active, idle) probabilities of (stay, grow, learn), by how many of
+    # them can happen: none, stay on the known chain, all but grow at a
+    # full buffer (the dropped signal's mass stays), or all three
+    rows = [((0.0, 0.0, 0.0), (0.0, 0.0, 0.0)),
+            ((q_a, 0.0, 0.0), (q_i, 0.0, 0.0)),
+            ((stay_a + grow_a, 0.0, learn_a), idle_u),
+            ((stay_a, grow_a, learn_a), idle_u)]
+    succ = space.succ
     p_act: List[float] = []
     p_idl: List[float] = []
-    r_act: List[float] = []
-    r_idl: List[float] = []
-    for t in range(1, deadline + 1):
-        levels = offsets[t + 1] - offsets[t]
-        r_act += r1_u[:levels]
-        r_idl += r0_u[:levels]
-        if t == deadline:
-            succ += [0] * (3 * levels)
-            p_act += [0.0] * (3 * levels)
-            p_idl += [0.0] * (3 * levels)
-            continue
-        nxt, learn = offsets[t + 1], n_u + t - 1
-        for b in range(levels):
-            succ += (nxt + b, nxt + b + 1 if b < cap else 0, learn)
-        p_act += (stay_a, grow_a, learn_a) * min(levels, cap)
-        if levels > cap:
-            p_act += (full_a, 0.0, learn_a)
-        p_idl += (stay_i, 0.0, learn_i) * levels
-    for t in range(2, deadline + 1):
-        if t < deadline:
-            succ += (n_u + t - 1, 0, 0)
-            p_act += (q_a, 0.0, 0.0)
-            p_idl += (q_i, 0.0, 0.0)
-        else:
-            succ += (0, 0, 0)
-            p_act += (0.0, 0.0, 0.0)
-            p_idl += (0.0, 0.0, 0.0)
+    for k in range(0, len(succ), 3):
+        act, idl = rows[(succ[k] > 0) + (succ[k + 1] > 0) + (succ[k + 2] > 0)]
+        p_act += act
+        p_idl += idl
+    ends = [_throughput_ends(PHI_U, b, stats) for b in range(buffer_size + 1)]
     r1_k, r0_k = _throughput_ends(PHI_K, 0, stats)
-    r_act += [r1_k] * (deadline - 1)
-    r_idl += [r0_k] * (deadline - 1)
+    levels = space.level[:space.n_unknown]
+    r_act = [ends[b][0] for b in levels] + [r1_k] * (deadline - 1)
+    r_idl = [ends[b][1] for b in levels] + [r0_k] * (deadline - 1)
     return TransitionTable(stats, space, succ, p_act, p_idl, r_act, r_idl)
 
 

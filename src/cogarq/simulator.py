@@ -6,9 +6,9 @@ The simulator draws a chunk of cycles at once and advances them together,
 one attempt layer t = 1..D at a time: each layer is one array step over the
 cycles still alive (fading draws, the secondary access coin, the primary
 ACK/NACK, the secondary receiver's decode outcome from
-`RegionClassifier.masks`, and the next state by index arithmetic). Laying
-the chunk's cycles end to end in order gives the chain's sample path from
-the root, which is cut off exactly after ``num_slots`` slots. Decode
+`RegionClassifier.masks`, and the next state from `mdp.StateSpace.succ`).
+Laying the chunk's cycles end to end in order gives the chain's sample path
+from the root, which is cut off exactly after ``num_slots`` slots. Decode
 outcomes use the classification the link statistics use, so simulated
 transition frequencies estimate the analytic transition rows by
 construction.
@@ -22,7 +22,8 @@ y, y^2, y tau, tau and tau^2 are kept, so memory does not grow with
 
 Transition counts are one integer array indexed (state, action, next
 state) in transition-table index order, compared row by row with the
-table's rows by `empirical_transition_check`.
+table's rows by `empirical_transition_check`; a pass collects either the
+counts or the rewards, over the same draws.
 
 Reproducibility: one seeded generator; per chunk of cycles, then per layer
 t, the draw order is (gamma_s, gamma_p, gamma_sp, gamma_ps,
@@ -40,7 +41,7 @@ from typing import Optional
 import numpy as np
 
 from .channel import LinkStats, RegionClassifier, SystemParams, check_integer
-from .mdp import Policy, state_space, transition_table
+from .mdp import PHI_K, Policy, state_space, transition_table
 
 _CHUNK = 1 << 14      # cycles simulated together
 
@@ -94,14 +95,18 @@ class SimResult:
 class _Chain:
     """Scenario constants and the layer-by-layer simulation of cycles.
 
-    States are indexed as in ``space`` (`mdp.StateSpace`), the layout of
-    `mdp.TransitionTable`; index 0 is the root.
+    States are indexed as in `mdp.StateSpace`, whose ``succ`` and
+    ``level`` give each state's successors and buffer level; index 0 is
+    the root.
     """
 
     def __init__(self, params: SystemParams, policy: Policy):
         self.params = params
-        self.space = state_space(params.deadline_D, params.buffer_B)
-        self.mu = np.array(self.space.vector(policy))
+        space = state_space(params.deadline_D, params.buffer_B)
+        self.mu = np.array(space.vector(policy))
+        self.succ, self.level = np.array(space.succ), np.array(space.level)
+        self.known = np.array([space.state(i).phi == PHI_K
+                               for i in range(len(self.level))])
         self.cls = RegionClassifier(params.rate_su, params.rate_p)
         self.thr_sk = 2.0 ** params.rate_sk - 1.0
 
@@ -109,28 +114,28 @@ class _Chain:
                room: Optional[np.ndarray], collect_transitions: bool):
         """Simulate ``n`` cycles laid end to end from the root.
 
-        Returns (sums, lengths, counts). With ``room`` given, slot t of
+        Returns (sums, lengths, counts); the draws do not depend on
+        ``room`` or ``collect_transitions``. With ``room`` given, slot t of
         cycle c counts only if t <= room[c]; otherwise every slot counts.
-        The draws do not depend on ``room``. ``sums`` holds the totals over
-        counted slots and the moments of the cycles that end in a counted
-        slot; ``lengths`` the full length of every cycle; ``counts`` the
-        counted (state, action, next) transitions, at code
-        (2 state + active) * n_states + next, or None.
+        ``lengths`` holds the full length of every cycle. ``counts`` holds
+        the counted (state, action, next) transitions, at code (2 state +
+        active) * n_states + next, if ``collect_transitions``; otherwise
+        ``sums`` holds the totals over counted slots and the moments of
+        the cycles that end in a counted slot. The other one is None.
         """
         p = self.params
-        deadline, cap = p.deadline_D, p.buffer_B
+        deadline = p.deadline_D
         rsu, rsk = p.rate_su, p.rate_sk
         thr_p = self.cls.thr_p
-        offsets, n_u = self.space.offsets, self.space.n_unknown
-        n_states = len(self.space.layer)
+        n_states = len(self.level)
         counts = (np.zeros(2 * n_states * n_states, dtype=np.int64)
                   if collect_transitions else None)
+        sums = None if collect_transitions else Counter()
         cyc = np.arange(n)
         state = np.zeros(n, dtype=np.int64)
         y = {"t_s": np.zeros(n), "w_s": np.zeros(n)}
         lengths = np.zeros(n)
         acked = np.zeros(n, dtype=bool)
-        sums = Counter()
         for t in range(1, deadline + 1):
             m = len(cyc)
             if m == 0:
@@ -140,48 +145,47 @@ class _Chain:
             gsp = rng.exponential(p.mean_snr_sp, m)
             gps = rng.exponential(p.mean_snr_ps, m)
             u = rng.random(m)
-            known = state >= n_u
-            b = state - offsets[t]          # buffer level where unknown
+            known = self.known[state]
             active = u < self.mu[state]
             ack = gp >= thr_p * (1.0 + gsp * active)
             pu_dec, su_dec, buf_dec = self.cls.masks(gs, gps)
-            unknown_active = active & ~known
-            k_access = active & known
-            fic = k_access & (gs >= self.thr_sk)
-            fresh = unknown_active & su_dec
             decoded = ~known & np.where(active, pu_dec, gps >= thr_p)
-            buffered = unknown_active & buf_dec
-            bic = decoded * (b * rsu)
+            buffered = active & ~known & buf_dec
+            # the layout's successor: learn if the primary message was
+            # decoded, grow if a signal was buffered and the buffer has
+            # room, else stay; the root after an ACK or at the deadline
+            k = 3 * state
+            grow = buffered & (self.succ[k + 1] > 0)
+            nxt = np.where(ack, 0, self.succ[k + np.where(decoded, 2, grow)])
             end = ack | (t == deadline)
-            # the root after an ACK or the deadline; the known-message chain
-            # once the primary message is known; else the same buffer level
-            # one attempt later, one higher if a signal fits in the buffer
-            nxt = np.where(end, 0, np.where(
-                known | decoded, n_u + t - 1,
-                state + (offsets[t + 1] - offsets[t])
-                + (buffered & (b < cap))))
 
             # every live cycle is written; a cycle's last write is its end
             lengths[cyc] = t
-            acked[cyc] = ack
             live = slice(None) if room is None else room[cyc] >= t
-            counted = cyc[live]
-            y["t_s"][counted] += (fic * rsk + fresh * rsu + bic)[live]
-            y["w_s"][counted] += active[live]
-            sums["slots"] += len(counted)
-            sums["u_bits"] += rsu * int(np.count_nonzero(fresh[live]))
-            sums["fic_bits"] += rsk * int(np.count_nonzero(fic[live]))
-            sums["bic_bits"] += float(bic[live].sum())
-            sums["k_access_slots"] += int(np.count_nonzero(k_access[live]))
-            sums["buffered_events"] += int(np.count_nonzero(buffered[live]))
             if counts is not None:
                 hist = np.bincount(
                     ((2 * state + active) * n_states + nxt)[live])
                 counts[:len(hist)] += hist
+            else:
+                acked[cyc] = ack
+                counted = cyc[live]
+                k_access = active & known
+                fic = k_access & (gs >= self.thr_sk)
+                fresh = active & ~known & su_dec
+                bic = decoded * (self.level[state] * rsu)
+                y["t_s"][counted] += (fic * rsk + fresh * rsu + bic)[live]
+                y["w_s"][counted] += active[live]
+                sums["u_bits"] += rsu * int(np.count_nonzero(fresh[live]))
+                sums["fic_bits"] += rsk * int(np.count_nonzero(fic[live]))
+                sums["bic_bits"] += float(bic[live].sum())
+                sums["k_access_slots"] += int(k_access[live].sum())
+                sums["buffered_events"] += int(buffered[live].sum())
 
             stay = np.flatnonzero(~end)
             cyc, state = cyc[stay], nxt[stay]
 
+        if sums is None:
+            return None, lengths, counts
         # an ACK is a cycle's last slot, so only complete cycles carry one
         done = np.full(n, True) if room is None else lengths <= room
         y["t_p"] = p.rate_p * (acked & done)
@@ -216,30 +220,36 @@ def _ratio_stderr(sums: Counter, key: str) -> float:
 
 def _simulate(params: SystemParams, policy: Policy, num_slots: int, seed: int,
               collect_transitions: bool):
-    """Return (result, counts): ``counts[i, a, j]`` slots moved state i
-    under action a (0 idle, 1 active) to state j; None unless collected."""
+    """Return (result, counts) of the first ``num_slots`` slots of the
+    sample path of ``seed``. With ``collect_transitions``, result is None
+    and ``counts[i, a, j]`` the slots that moved state i under action a
+    (0 idle, 1 active) to state j; otherwise counts is None."""
     chain = _Chain(params, policy)
     rng = np.random.default_rng(seed)
-    sums = Counter()
-    counts = None
-    while sums["slots"] < num_slots:
-        left = num_slots - sums["slots"]
+    sums, counts, slots = Counter(), 0, 0
+    while slots < num_slots:
+        left = num_slots - slots
         n = min(_CHUNK, left)       # every cycle lasts at least one slot
         before = rng.bit_generator.state
         part, lengths, part_counts = chain.cycles(rng, n, None,
                                                   collect_transitions)
-        if part["slots"] > left:
+        total = int(lengths.sum())
+        if total > left:
             # the path ends inside this chunk: repeat its draws, counting
             # slot t of cycle c only if start[c] + t - 1 < left
             rng.bit_generator.state = before
             room = left - (np.cumsum(lengths) - lengths)
             part, _, part_counts = chain.cycles(rng, n, room,
                                                 collect_transitions)
-        sums.update(part)
+        slots += min(total, left)
         if collect_transitions:
-            counts = part_counts if counts is None else counts + part_counts
-
-    result = SimResult(
+            counts = counts + part_counts
+        else:
+            sums.update(part)
+    if collect_transitions:
+        n = len(chain.level)
+        return None, counts.reshape(n, 2, n)
+    return SimResult(
         t_s_emp=sums["t_s"] / num_slots,
         w_s_emp=sums["w_s"] / num_slots,
         t_p_emp=sums["t_p"] / num_slots,
@@ -253,11 +263,7 @@ def _simulate(params: SystemParams, policy: Policy, num_slots: int, seed: int,
         buffered_events=sums["buffered_events"],
         cycles_completed=sums["cycles_completed"],
         num_slots=num_slots,
-    )
-    if collect_transitions:
-        n = len(chain.space.layer)
-        counts = counts.reshape(n, 2, n)
-    return result, counts
+    ), None
 
 
 def run(config: SimConfig) -> SimResult:

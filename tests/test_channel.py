@@ -328,6 +328,25 @@ class TestOptimizeRate:
         with pytest.raises(ValueError):
             optimize_rate("NOPE", t1_params)
 
+    @pytest.mark.parametrize("objective", [
+        PU_IDLE_THROUGHPUT, SU_CLEAN_THROUGHPUT, SU_INTERFERED_THROUGHPUT])
+    @pytest.mark.parametrize("snr", [1e8, 1e-4])
+    def test_bracket_edge_rejected(self, t1_params, objective, snr):
+        # the clean-link optimum W0(snr) / ln 2 is 22.6 at 1e8 and 1.4e-4
+        # at 1e-4, both outside RATE_BRACKET; its edge is no optimum
+        params = t1_params.replace(mean_snr_s=snr, mean_snr_p=snr)
+        lo, hi = RATE_BRACKET
+        with pytest.raises(ValueError, match=rf"{objective} .* \[{lo}, {hi}\]"):
+            optimize_rate(objective, params)
+
+    def test_low_snr_rates_stay_inside_bracket(self, t1_params):
+        # the lowest-SNR scenario that still derives its rates
+        params = t1_params.replace(mean_snr_s=0.002)
+        assert optimize_rate(SU_CLEAN_THROUGHPUT, params) == pytest.approx(
+            0.00290, abs=1e-5)
+        assert optimize_rate(SU_INTERFERED_THROUGHPUT,
+                             params) == pytest.approx(0.00210, abs=1e-5)
+
 
 class TestStreamedEstimator:
     """The block-streamed estimator against the one-shot reference: a

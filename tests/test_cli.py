@@ -311,3 +311,51 @@ def test_simulate_rejects_repeated_state(tmp_path, capsys):
         diag = json.loads(lines[0])
         assert diag["error"] == "ValueError"
         assert message in diag["message"]
+
+
+@pytest.mark.parametrize("config, missing", [
+    ({"mean_snr_s": 5.0},
+     "mean_snr_p, mean_snr_sp, mean_snr_ps, deadline_D"),
+    ({k: v for k, v in CONFIG.items() if k != "deadline_D"}, "deadline_D"),
+    ({}, "mean_snr_s, mean_snr_p, mean_snr_sp, mean_snr_ps, deadline_D"),
+])
+def test_missing_required_keys_listed(tmp_path, capsys, config, missing):
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(config))
+    rc = main(["derive-params", "--config", str(path), "--mc-samples",
+               "100000"])
+    assert rc == 1
+    assert _one_line_error(capsys) == {
+        "error": "ValueError", "message": f"missing config keys: {missing}"}
+
+
+@pytest.mark.parametrize("snr", [1e8, 1e-4])
+def test_rate_at_bracket_edge_rejected(tmp_path, capsys, snr):
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(dict(CONFIG, rate_policy="RSU_STAR",
+                                    mean_snr_s=snr)))
+    rc = main(["derive-params", "--config", str(path), "--mc-samples",
+               "100000"])
+    assert rc == 1
+    obj = _one_line_error(capsys)
+    assert obj["error"] == "ValueError"
+    assert "SU_CLEAN_THROUGHPUT" in obj["message"]
+    assert "rate bracket" in obj["message"]
+
+
+def test_simulate_rejects_policy_object(config_file, tmp_path, capsys):
+    policy_file = tmp_path / "policy.json"
+    rows = policy_to_json_obj(k_active_policy(enumerate_states(3, 2)))
+    for obj, message in (({"rows": rows}, "list of rows"),
+                         (rows[:1] + [[3, 0, "K", 1.0]], "policy row 1"),
+                         ([dict(rows[0], prob=None)] + rows[1:],
+                          "prob must be"),
+                         ([{"t": 1, "b": 0, "phi": "U"}] + rows[1:],
+                          "policy row 0 lacks prob")):
+        policy_file.write_text(json.dumps(obj))
+        rc = main(["simulate", "--config", config_file, "--policy-file",
+                   str(policy_file), "--slots", "1000"])
+        assert rc == 1
+        diag = _one_line_error(capsys)
+        assert diag["error"] == "ValueError"
+        assert message in diag["message"]

@@ -88,6 +88,30 @@ def test_state_space(deadline, cap):
             space.vector(Policy({**probs, states[-1]: p}))
 
 
+@pytest.mark.parametrize("deadline,cap",
+                         [(d, b) for d in range(1, 9) for b in range(d)])
+def test_layout_matches_reference_rows(t1_stats, deadline, cap):
+    # the successors with positive mass in the reference rows, under either
+    # action, are exactly the layout's nonzero successors, slot by slot
+    space = state_space(deadline, cap)
+    assert len(space.succ) == 3 * len(space.layer)
+    for i, s in enumerate(enumerate_states(deadline, cap)):
+        assert space.level[i] == s.b
+        reached = set()
+        for active in (True, False):
+            row = reference_transition_row(s, active, t1_stats, deadline, cap)
+            reached |= {n for n, p in row.items() if p > 0.0 and n != ROOT}
+        stay, grow, learn = (space.state(j) if j else None
+                             for j in space.succ[3 * i:3 * i + 3])
+        assert {n for n in (stay, grow, learn) if n} == reached
+        # stay keeps the level and the flag, grow adds a level, learn
+        # makes an unknown message known
+        assert stay in (None, NetState(s.t + 1, s.b, s.phi))
+        assert grow in (None, NetState(s.t + 1, s.b + 1, PHI_U))
+        assert learn in (None, NetState(s.t + 1, 0, PHI_K))
+        assert learn is None or s.phi == PHI_U
+
+
 class TestTransitionRow:
     """Rows of the transition table at access probability 1 (active) and
     0 (idle), keyed by state."""
@@ -367,3 +391,23 @@ class TestPolicySerialization:
             ("b", "phi", "prob", "t")] * len(states)
         back = policy_from_json_obj(obj)
         assert back.probs == pol.probs
+
+    @pytest.mark.parametrize("obj", [
+        {"t": 1, "b": 0, "phi": "U", "prob": 0.5},
+        "policy", 3, None])
+    def test_non_list_rejected(self, obj):
+        with pytest.raises(ValueError, match="list of rows"):
+            policy_from_json_obj(obj)
+
+    @pytest.mark.parametrize("row", [[1, 0, "U", 0.5], "t", 0.5, None])
+    def test_non_object_row_rejected(self, row):
+        rows = policy_to_json_obj(idle_policy(enumerate_states(2, 1)))
+        with pytest.raises(ValueError, match="policy row 2 is not an object"):
+            policy_from_json_obj(rows[:2] + [row] + rows[2:])
+
+    @pytest.mark.parametrize("key", ["t", "b", "phi", "prob"])
+    def test_row_missing_key_rejected(self, key):
+        rows = policy_to_json_obj(idle_policy(enumerate_states(2, 1)))
+        rows[1] = {k: v for k, v in rows[1].items() if k != key}
+        with pytest.raises(ValueError, match=f"policy row 1 lacks {key}"):
+            policy_from_json_obj(rows)

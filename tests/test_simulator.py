@@ -8,7 +8,7 @@ from cogarq import (BOTH_DECODED, BUFFERED, LOST, PU_ONLY, SU_ONLY, Policy,
                     RegionClassifier, SimConfig, enumerate_states,
                     empirical_transition_check, idle_policy, k_active_policy,
                     long_term_metrics, region_membership, run)
-from cogarq.mdp import PHI_K
+from cogarq.mdp import PHI_K, state_space
 from cogarq.simulator import _CHUNK, _Chain, _simulate
 
 from support import make_random_policy, sized_policies, table1_params
@@ -90,10 +90,13 @@ class TestBookkeeping:
            st.integers(0, 2 ** 32))
     def test_counts_match_result(self, sized, slots, seed):
         # exact identities between the transition counts and the result
-        # of one run pin the cut at num_slots and the per-layer sums
+        # of the same sample path pin the cut at num_slots and the
+        # per-layer sums
         deadline, cap, policy = sized
         params = table1_params(deadline_D=deadline, buffer_B=cap)
-        r, counts = _simulate(params, policy, slots, seed,
+        r, _ = _simulate(params, policy, slots, seed,
+                         collect_transitions=False)
+        _, counts = _simulate(params, policy, slots, seed,
                               collect_transitions=True)
         known = [i for i, s in enumerate(enumerate_states(deadline, cap))
                  if s.phi == PHI_K]
@@ -199,6 +202,24 @@ class TestEmpiricalTransitionCheck:
                               collect_transitions=True)
         # the root is the only state: every active slot restarts the cycle
         assert counts.tolist() == [[[0], [10_000]]]
+
+    @pytest.mark.parametrize("deadline,cap", [(1, 0), (3, 0), (6, 0),
+                                              (6, 5)])
+    def test_counts_only_on_layout_successors(self, deadline, cap):
+        # every simulated move goes to a successor of the layout or, at an
+        # ACK or the deadline, to the root
+        params = table1_params(deadline_D=deadline, buffer_B=cap)
+        space = state_space(deadline, cap)
+        pol = make_random_policy(np.random.default_rng(deadline + cap),
+                                 enumerate_states(deadline, cap))
+        _, counts = _simulate(params, pol, 200_000, 5,
+                              collect_transitions=True)
+        for i, a, j in zip(*np.nonzero(counts)):
+            assert j == 0 or j in space.succ[3 * i:3 * i + 3], (i, a, j)
+            # an idle slot buffers nothing, so it never grows
+            assert a == 1 or j == 0 or j != space.succ[3 * i + 1], (i, j)
+        # and every outcome the layout allows at the root happens
+        assert all(counts[0, :, j].sum() > 0 for j in space.succ[:3] if j)
 
     def test_always_active_moderate_slots(self, t1_params, t1_stats):
         states = enumerate_states(5, 4)
