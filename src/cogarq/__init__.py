@@ -2,10 +2,9 @@
 retransmitting primary user, with interference cancellation at the
 secondary receiver."""
 
-from .channel import (BOTH_DECODED, BUFFERED, LOST, PU_IDLE_THROUGHPUT,
-                      PU_ONLY, SU_CLEAN_THROUGHPUT, SU_INTERFERED_THROUGHPUT,
-                      SU_ONLY, LinkStats, RegionClassifier, SystemParams,
-                      link_stats, optimize_rate, outage_pp, region_membership)
+from .channel import (PU_IDLE_THROUGHPUT, SU_CLEAN_THROUGHPUT,
+                      SU_INTERFERED_THROUGHPUT, LinkStats, RegionClassifier,
+                      SystemParams, link_stats, optimize_rate, outage_pp)
 from .degenerate import (DegenerateParams, a0_a1, b_max, degenerate_params,
                          delta_s, hp_condition, unconstrained_optimal)
 from .experiments import (DEADLINE, EXPLICIT, FIC_BIC, FIC_ONLY, GPS_RATIO,

@@ -6,13 +6,15 @@ module computes:
 
 - primary outage probabilities with the secondary idle or transmitting
   (closed form),
-- the joint-decoding outcome of a secondary slot at the secondary receiver
-  (five-way classification of the (gamma_s, gamma_ps) plane),
+- the joint-decoding regions of a secondary slot at the secondary receiver
+  (`RegionClassifier.masks`, the one classifier of the (gamma_s, gamma_ps)
+  plane),
 - the exact probability that the secondary receiver decodes the secondary
   message (closed form over the same decode region),
 - the fading-averaged probabilities and per-slot expected throughputs that
-  drive the access-policy optimization (`LinkStats`), mixing closed forms
-  with seeded Monte Carlo for the two-dimensional region probabilities,
+  drive the access-policy optimization (`LinkStats`): every one exact
+  except Pr(decode PU) (so ``q_ps_active``) and Pr(buffer) (``p_buf``),
+  which are seeded Monte Carlo over shared draws,
 - single-variable rate optimization by grid-seeded golden-section search on
   closed-form throughputs, so derived rates depend on no seed.
 
@@ -20,7 +22,8 @@ Monte Carlo draws (in `link_stats` only) come from one `numpy` PCG64
 stream in a fixed order: per chunk of at most 2^20 samples, all of the
 chunk's gamma_s first, then its gamma_ps in blocks of 2^15, each gamma_ps
 paired with the gamma_s at the same position. The statistics are thus a
-deterministic function of (params, mc_samples, seed).
+deterministic function of (params, mc_samples, seed), and ``t_su`` of
+params alone.
 """
 
 from __future__ import annotations
@@ -30,13 +33,6 @@ import numbers
 from dataclasses import dataclass, asdict
 
 import numpy as np
-
-# Decoding outcome labels for a secondary-active slot.
-BOTH_DECODED = "BOTH_DECODED"
-PU_ONLY = "PU_ONLY"
-SU_ONLY = "SU_ONLY"
-BUFFERED = "BUFFERED"
-LOST = "LOST"
 
 # Rate-optimization objectives.
 PU_IDLE_THROUGHPUT = "PU_IDLE_THROUGHPUT"
@@ -98,6 +94,8 @@ class SystemParams:
         for name in ("mean_snr_s", "mean_snr_p", "mean_snr_sp", "mean_snr_ps",
                      "rate_p", "rate_su", "rate_sk", "eps_pu", "power_ratio"):
             value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Real):
+                raise ValueError(f"{name} must be a real number, got {value!r}")
             if not math.isfinite(value):
                 raise ValueError(f"{name} must be finite, got {value!r}")
         if min(self.mean_snr_s, self.mean_snr_p, self.mean_snr_sp,
@@ -137,8 +135,10 @@ class LinkStats:
     is undecodable now but clean enough to buffer for later recovery.
     Throughputs ``t_*`` are expected bits/s/Hz per relevant slot. The rates
     are carried along because the buffered-recovery reward and the
-    degenerate-network thresholds need them. ``stderr_*`` report Monte
-    Carlo standard errors (zero for analytically constructed stats).
+    degenerate-network thresholds need them. From `link_stats`, every field
+    is exact except ``q_ps_active`` and ``p_buf``, which are Monte Carlo;
+    ``stderr_*`` report their standard errors (zero for analytically
+    constructed stats).
     """
 
     q_pp_idle: float
@@ -155,7 +155,6 @@ class LinkStats:
     rate_sk: float
     stderr_q_ps_active: float = 0.0
     stderr_p_buf: float = 0.0
-    stderr_t_su: float = 0.0
 
     def validate(self) -> None:
         """Reject statistics that no physical scenario can produce.
@@ -195,19 +194,17 @@ class RegionClassifier:
     of primary interference (the clean-channel constraint still holds) is
     buffered for later interference-cancellation recovery.
 
-    `masks` is the one definition of the regions: `label` classifies a
-    single draw by calling it, and the exact decode probability integrates
-    the same thresholds, so every consumer classifies identically.
-    Boundary ties follow the non-strict inequalities of the defining
-    regions; under continuous fading they have measure zero.
+    `masks` is the one definition of the regions, and the exact decode
+    probability integrates the same thresholds, so every consumer
+    classifies identically. Boundary ties follow the non-strict
+    inequalities of the defining regions; under continuous fading they
+    have measure zero.
     """
 
     def __init__(self, rate_su: float, rate_p: float):
         if not (math.isfinite(rate_su) and math.isfinite(rate_p)
                 and rate_su >= 0 and rate_p >= 0):
             raise ValueError("rates must be finite and nonnegative")
-        self.rate_su = rate_su
-        self.rate_p = rate_p
         self.thr_su = 2.0 ** rate_su - 1.0          # rate_su <= C(x) iff x >= thr_su
         self.thr_p = 2.0 ** rate_p - 1.0
         self.thr_sum = 2.0 ** (rate_su + rate_p) - 1.0
@@ -221,10 +218,10 @@ class RegionClassifier:
         # comparison fails, so NaN still lands in neither alone-region.
         pu_alone = ~s_ok & (snr_ps >= self.thr_p * (1.0 + snr_s))
         su_alone = ~p_ok & (snr_s >= self.thr_su * (1.0 + snr_ps))
-        in_gp = mac | pu_alone
-        in_gs = mac | su_alone
-        buffered = s_ok & ~(in_gp | in_gs)
-        return in_gp, in_gs, buffered
+        pu_dec = mac | pu_alone
+        su_dec = mac | su_alone
+        buffered = s_ok & ~(pu_dec | su_dec)
+        return pu_dec, su_dec, buffered
 
     def su_decode_probability(self, mean_snr_s: float,
                               mean_snr_ps: float) -> float:
@@ -240,11 +237,12 @@ class RegionClassifier:
           snr_s >= a.
 
         Every exponent is kept nonpositive, so no term overflows anywhere
-        in the rate bracket.
+        in the rate bracket. An absent secondary link (mean 0) gives zero.
         """
-        if mean_snr_s <= 0 or mean_snr_ps < 0:
-            raise ValueError("mean_snr_s must be positive and mean_snr_ps "
-                             "nonnegative")
+        if mean_snr_s < 0 or mean_snr_ps < 0:
+            raise ValueError("mean SNRs must be nonnegative")
+        if mean_snr_s == 0.0:
+            return 0.0
         a, b = self.thr_su, self.thr_p
         u = 1.0 / mean_snr_s
         if mean_snr_ps == 0.0:
@@ -261,29 +259,6 @@ class RegionClassifier:
         ratio = -math.expm1(-gap) / abs(m) if gap > 0.0 else a * b
         binding = math.exp(max(e_near, e_far)) * ratio * v
         return alone + binding + math.exp(e_far)
-
-    def label(self, snr_s: float, snr_ps: float) -> str:
-        """Five-way classification of one (snr_s, snr_ps) draw by `masks`."""
-        in_gp, in_gs, buffered = self.masks(np.asarray(snr_s),
-                                            np.asarray(snr_ps))
-        if in_gp and in_gs:
-            return BOTH_DECODED
-        if in_gp:
-            return PU_ONLY
-        if in_gs:
-            return SU_ONLY
-        if buffered:
-            return BUFFERED
-        return LOST
-
-
-def region_membership(snr_s: float, snr_ps: float, rate_su: float,
-                      rate_p: float) -> str:
-    """Classify one instantaneous SNR pair at the secondary receiver."""
-    if not (math.isfinite(snr_s) and math.isfinite(snr_ps)
-            and snr_s >= 0 and snr_ps >= 0):
-        raise ValueError("SNRs must be finite and nonnegative")
-    return RegionClassifier(rate_su, rate_p).label(snr_s, snr_ps)
 
 
 def outage_pp(params: SystemParams, su_active: bool) -> float:
@@ -311,7 +286,13 @@ def _exponential_into(rng: np.random.Generator, mean: float,
 
 def _mc_region_probs(params: SystemParams, rate_su: float, mc_samples: int,
                      seed: int):
-    """Monte Carlo estimates (Pr decode PU, Pr decode SU, Pr buffer).
+    """Monte Carlo estimates (Pr decode PU, Pr buffer) from shared draws.
+
+    A buffered draw decodes neither message, so on shared draws the
+    estimates always satisfy Pr(buffer) <= 1 - Pr(decode PU), the
+    p_buf <= q_ps_active that `LinkStats.validate` enforces. Pr(decode SU)
+    is exact (`RegionClassifier.su_decode_probability`) and is not
+    estimated here.
 
     Chunks of at most `_MC_CHUNK` samples are drawn sequentially from one
     seeded generator. Per chunk, all of its gamma_s are drawn first, then
@@ -324,7 +305,7 @@ def _mc_region_probs(params: SystemParams, rate_su: float, mc_samples: int,
     rng = np.random.default_rng(seed)
     gs_buf = np.empty(min(_MC_CHUNK, mc_samples))
     gps_buf = np.empty(min(_MC_BLOCK, mc_samples))
-    n_gp = n_gs = n_buf = 0
+    n_gp = n_buf = 0
     for start in range(0, mc_samples, _MC_CHUNK):
         gs = _exponential_into(rng, params.mean_snr_s,
                                gs_buf[:min(_MC_CHUNK, mc_samples - start)])
@@ -332,12 +313,11 @@ def _mc_region_probs(params: SystemParams, rate_su: float, mc_samples: int,
             gs_block = gs[lo:lo + _MC_BLOCK]
             gps = _exponential_into(rng, params.mean_snr_ps,
                                     gps_buf[:len(gs_block)])
-            in_gp, in_gs, buf = cls.masks(gs_block, gps)
-            n_gp += int(np.count_nonzero(in_gp))
-            n_gs += int(np.count_nonzero(in_gs))
+            pu_dec, _, buf = cls.masks(gs_block, gps)
+            n_gp += int(np.count_nonzero(pu_dec))
             n_buf += int(np.count_nonzero(buf))
     n = float(mc_samples)
-    return n_gp / n, n_gs / n, n_buf / n
+    return n_gp / n, n_buf / n
 
 
 def _binomial_se(p: float, n: int) -> float:
@@ -348,20 +328,22 @@ def link_stats(params: SystemParams, mc_samples: int = 10_000_000,
                seed: int = 1234) -> LinkStats:
     """Compute all fading-averaged link statistics for one scenario.
 
-    Single-variable exponential outages use closed forms; the joint
-    decoding probabilities at the secondary receiver (two-dimensional
-    piecewise region) use Monte Carlo with the given sample count and
-    seed. Deterministic for fixed (params, mc_samples, seed).
+    Single-variable exponential outages and the secondary decode
+    probability behind ``t_su`` are exact; Pr(decode PU) and Pr(buffer) at
+    the secondary receiver (``q_ps_active`` and ``p_buf``) use Monte Carlo
+    with the given sample count and seed. Deterministic for fixed (params,
+    mc_samples, seed); ``t_su`` depends on params alone.
     """
     check_mc_samples(mc_samples)
     q_pp_i = outage_pp(params, su_active=False)
     q_pp_a = outage_pp(params, su_active=True)
     q_ps_i = 1.0 - _success(params.rate_p, params.mean_snr_ps)
 
-    pr_gp, pr_gs, p_buf = _mc_region_probs(params, params.rate_su,
-                                           mc_samples, seed)
+    pr_gp, p_buf = _mc_region_probs(params, params.rate_su, mc_samples, seed)
     q_ps_a = 1.0 - pr_gp
-    t_su = params.rate_su * pr_gs
+    cls = RegionClassifier(params.rate_su, params.rate_p)
+    t_su = params.rate_su * cls.su_decode_probability(params.mean_snr_s,
+                                                      params.mean_snr_ps)
 
     return LinkStats(
         q_pp_idle=q_pp_i,
@@ -378,7 +360,6 @@ def link_stats(params: SystemParams, mc_samples: int = 10_000_000,
         rate_sk=params.rate_sk,
         stderr_q_ps_active=_binomial_se(q_ps_a, mc_samples),
         stderr_p_buf=_binomial_se(p_buf, mc_samples),
-        stderr_t_su=params.rate_su * _binomial_se(pr_gs, mc_samples),
     )
 
 

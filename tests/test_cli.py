@@ -34,13 +34,19 @@ def test_derive_params(config_file, tmp_path, capsys):
 def test_derived_rates_ignore_the_seed(tmp_path):
     path = tmp_path / "scenario.json"
     path.write_text(json.dumps(dict(CONFIG, rate_policy="RSU_STAR")))
-    rates = []
+    rates, stats = [], []
     for seed in ("1", "2"):
         out = tmp_path / f"params_{seed}.json"
         assert main(["derive-params", "--config", str(path), "--seed", seed,
                      "--mc-samples", "100000", "--out", str(out)]) == 0
-        rates.append(json.loads(out.read_text())["params"]["rate_su"])
+        obj = json.loads(out.read_text())
+        rates.append(obj["params"]["rate_su"])
+        stats.append(obj["stats"])
     assert rates[0] == rates[1]
+    # t_su is exact; p_buf is the Monte-Carlo estimate the seed drives
+    assert stats[0]["t_su"] == stats[1]["t_su"]
+    assert stats[0]["p_buf"] != stats[1]["p_buf"]
+    assert "stderr_t_su" not in stats[0]
 
 
 @pytest.mark.parametrize("change", [
@@ -51,6 +57,12 @@ def test_derived_rates_ignore_the_seed(tmp_path):
     {"deadline_D": 5.5},
     {"buffer_B": 1.5},
     {"power_ratoi": 0.5},
+    {"mean_snr_s": True, "rate_policy": "RSU_STAR"},
+    {"rate_su": True},
+    {"mean_snr_s": "5.0"},
+    {"mean_snr_ps": None},
+    {"rate_p": [2.52]},
+    {"eps_pu": False},
 ])
 def test_invalid_config_rejected(tmp_path, capsys, change):
     path = tmp_path / "scenario.json"

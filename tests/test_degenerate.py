@@ -55,7 +55,7 @@ class TestHpCondition:
         params = table1_params(rate_su=1.91, mean_snr_sp=0.0)
         st = link_stats(params, mc_samples=10 ** 6, seed=5)
         d = delta_s(st)
-        se = (st.stderr_t_su + 1.91 * st.stderr_p_buf) / st.rate_su
+        se = 1.91 * st.stderr_p_buf / st.rate_su
         assert abs(d) <= 3 * se + 1e-6
         assert hp_condition(st) or d >= 0.0
 

@@ -4,10 +4,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cogarq import (BOTH_DECODED, BUFFERED, LOST, PU_ONLY, SU_ONLY, Policy,
-                    RegionClassifier, SimConfig, enumerate_states,
+from cogarq import (Policy, RegionClassifier, SimConfig, enumerate_states,
                     empirical_transition_check, idle_policy, k_active_policy,
-                    long_term_metrics, region_membership, run)
+                    long_term_metrics, run)
 from cogarq.mdp import PHI_K, state_space
 from cogarq.simulator import _CHUNK, _Chain, _simulate
 
@@ -162,9 +161,8 @@ class TestRegenerativeErrors:
 
 class TestDecodeConsistency:
     def test_inline_predicates_match_region_membership(self, t1_params):
-        # the simulator decodes with `masks`, and `label` (behind
-        # `region_membership`) classifies by calling it; the scalar
-        # predicates below are the independent reference both must match
+        # the simulator decodes with `masks`, one draw or many; the scalar
+        # predicates below are the independent reference it must match
         cls = RegionClassifier(t1_params.rate_su, t1_params.rate_p)
         rng = np.random.default_rng(17)
         gs = rng.exponential(5.0, 100_000)
@@ -181,11 +179,8 @@ class TestDecodeConsistency:
             assert sim_gp == bool(in_gp[i])
             assert sim_gs == bool(in_gs[i])
             assert sim_buf == bool(buf[i])
-            expected = (BOTH_DECODED if sim_gp and sim_gs else
-                        PU_ONLY if sim_gp else SU_ONLY if sim_gs else
-                        BUFFERED if sim_buf else LOST)
-            assert region_membership(a, b, t1_params.rate_su,
-                                     t1_params.rate_p) == expected
+            one = cls.masks(np.asarray(a), np.asarray(b))
+            assert tuple(bool(m) for m in one) == (sim_gp, sim_gs, sim_buf)
 
 
 class TestEmpiricalTransitionCheck:
