@@ -15,8 +15,8 @@ module computes:
   drive the access-policy optimization (`LinkStats`): every one exact
   except Pr(decode PU) (so ``q_ps_active``) and Pr(buffer) (``p_buf``),
   which are seeded Monte Carlo over shared draws,
-- single-variable rate optimization by grid-seeded golden-section search on
-  closed-form throughputs, so derived rates depend on no seed.
+- exact rate optimization, by bisection on the sign of each closed-form
+  throughput's slope, so derived rates depend on no seed.
 
 Monte Carlo draws (in `link_stats` only) come from one `numpy` PCG64
 stream in a fixed order: per chunk of at most 2^20 samples, all of the
@@ -40,7 +40,6 @@ SU_CLEAN_THROUGHPUT = "SU_CLEAN_THROUGHPUT"
 SU_INTERFERED_THROUGHPUT = "SU_INTERFERED_THROUGHPUT"
 
 RATE_BRACKET = (1e-3, 20.0)   # bits/s/Hz; throughput vanishes at both ends
-RATE_TOL = 1e-4
 
 _MC_CHUNK = 1 << 20           # samples per chunk; fixes how draws pair up
 _MC_BLOCK = 1 << 15           # samples classified at once, cache-sized
@@ -225,40 +224,58 @@ class RegionClassifier:
 
     def su_decode_probability(self, mean_snr_s: float,
                               mean_snr_ps: float) -> float:
-        """Exact Pr(su_decodable) under Rayleigh fading on both links.
-
-        With a = thr_su and b = thr_p, the region of `masks` splits along
-        snr_ps into three parts, each an exponential integral:
-
-        - secondary alone, snr_ps < b and snr_s >= a (1 + snr_ps);
-        - both, sum-rate constraint binding, b <= snr_ps < b (1 + a) and
-          snr_s >= thr_sum - snr_ps;
-        - both, sum-rate constraint slack, snr_ps >= b (1 + a) and
-          snr_s >= a.
-
-        Every exponent is kept nonpositive, so no term overflows anywhere
-        in the rate bracket. An absent secondary link (mean 0) gives zero.
-        """
+        """Exact Pr(su_decodable) under Rayleigh fading on both links
+        (`_decode_probability`); zero for an absent secondary link."""
         if mean_snr_s < 0 or mean_snr_ps < 0:
             raise ValueError("mean SNRs must be nonnegative")
         if mean_snr_s == 0.0:
             return 0.0
-        a, b = self.thr_su, self.thr_p
-        u = 1.0 / mean_snr_s
-        if mean_snr_ps == 0.0:
-            return math.exp(-a * u)
-        v = 1.0 / mean_snr_ps
-        kappa = v + a * u
-        alone = math.exp(-a * u) * -math.expm1(-kappa * b) * v / kappa
-        # v (e^e_near - e^e_far) / m: the two exponents differ by m a b,
-        # and the quotient tends to v a b e^e_near as m -> 0.
-        m = v - u
-        e_near = -b * v - a * (1.0 + b) * u
-        e_far = -b * (1.0 + a) * v - a * u
-        gap = abs(m) * a * b
-        ratio = -math.expm1(-gap) / abs(m) if gap > 0.0 else a * b
-        binding = math.exp(max(e_near, e_far)) * ratio * v
-        return alone + binding + math.exp(e_far)
+        return _decode_probability(self.thr_su, self.thr_p, mean_snr_s,
+                                   mean_snr_ps)
+
+
+def _decode_probability(a: float, b: float, mean_snr_s: float,
+                        mean_snr_ps: float, slope: bool = False):
+    """Exact P = Pr(su_decodable) at thr_su = a, thr_p = b under Rayleigh
+    fading, mean_snr_s > 0, or (P, dP/da) if ``slope``. With
+    u = 1 / mean_snr_s, the region of `RegionClassifier.masks` splits
+    along snr_ps into three exponential integrals:
+
+    - secondary alone, snr_ps < b and snr_s >= a (1 + snr_ps);
+    - both, sum-rate constraint binding, b <= snr_ps < b (1 + a) and
+      snr_s >= thr_sum - snr_ps;
+    - both, sum-rate constraint slack, snr_ps >= b (1 + a) and
+      snr_s >= a.
+
+    Differentiating under the integrals, the boundary terms at
+    snr_ps = b (1 + a) cancel and dP/da = -u [alone + int_0^b snr_ps
+    (alone integrand) + (1 + b) binding + slack]. Every exponent is kept
+    nonpositive, so no term overflows anywhere in the rate bracket.
+    """
+    u = 1.0 / mean_snr_s
+    clean = math.exp(-a * u)
+    if mean_snr_ps == 0.0:
+        return (clean, -u * clean) if slope else clean
+    v = 1.0 / mean_snr_ps
+    kappa = v + a * u
+    x = kappa * b
+    below = -math.expm1(-x)
+    alone = clean * below * v / kappa
+    # v (e^e_near - e^e_far) / m: the two exponents differ by m a b,
+    # and the quotient tends to v a b e^e_near as m -> 0.
+    m = v - u
+    e_near = -b * v - a * (1.0 + b) * u
+    e_far = -b * (1.0 + a) * v - a * u
+    gap = abs(m) * a * b
+    ratio = -math.expm1(-gap) / abs(m) if gap > 0.0 else a * b
+    binding = math.exp(max(e_near, e_far)) * ratio * v
+    slack = math.exp(e_far)
+    p = alone + binding + slack
+    if not slope:
+        return p
+    # int_0^b y v e^(-kappa y) dy = v (1 - e^-x (1 + x)) / kappa^2
+    moment = clean * (below - x * math.exp(-x)) * v / kappa ** 2
+    return p, -u * (alone + moment + (1.0 + b) * binding + slack)
 
 
 def outage_pp(params: SystemParams, su_active: bool) -> float:
@@ -363,66 +380,46 @@ def link_stats(params: SystemParams, mc_samples: int = 10_000_000,
     )
 
 
-def _golden_max(f, lo: float, hi: float, tol: float, n_grid: int = 65) -> float:
-    """Maximize a unimodal-after-bracketing scalar function.
-
-    A coarse grid first brackets the maximum (robust against flat tails
-    where the objective is exactly zero), then golden-section refines to
-    absolute tolerance ``tol`` on the argument. Ties prefer the left
-    subinterval, so plateaus cannot push the bracket off the peak.
-    """
-    grid = np.linspace(lo, hi, n_grid)
-    vals = [f(float(x)) for x in grid]
-    i = int(np.argmax(vals))
-    a = float(grid[max(i - 1, 0)])
-    b = float(grid[min(i + 1, n_grid - 1)])
-    inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
-    c = b - inv_phi * (b - a)
-    d = a + inv_phi * (b - a)
-    fc, fd = f(c), f(d)
-    while b - a > tol:
-        if fc >= fd:
-            b, d, fd = d, c, fc
-            c = b - inv_phi * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + inv_phi * (b - a)
-            fd = f(d)
-    return 0.5 * (a + b)
-
-
 def optimize_rate(objective: str, params: SystemParams) -> float:
     """Find the rate maximizing one of the three per-slot throughputs.
 
-    Each objective is the rate times an exact decode probability; the
-    interfered secondary one uses `RegionClassifier.su_decode_probability`.
-    Raises ValueError when the maximizer lies within ``RATE_TOL`` of an
-    edge of ``RATE_BRACKET``, where the true optimum may lie outside it.
+    Each is r P(r), P the `_decode_probability` at thr_su = 2^r - 1 of a
+    link with no cross link (primary, clean secondary) or, for
+    ``SU_INTERFERED_THROUGHPUT``, with the real one. The best of 65 points
+    over ``RATE_BRACKET`` brackets the peak (unimodality is not proven);
+    bisection on the sign of the exact slope P + r ln 2 2^r dP/da shrinks
+    it to two adjacent doubles and returns the lower. Raises ValueError
+    when the slope at a bracket end the grid picked points out of it.
     """
-    lo, hi = RATE_BRACKET
-    clean_link = {PU_IDLE_THROUGHPUT: "mean_snr_p",
-                  SU_CLEAN_THROUGHPUT: "mean_snr_s"}
-    if objective in clean_link:
-        name = clean_link[objective]
-        snr = getattr(params, name)
-        if snr <= 0:
-            raise ValueError(f"{name} must be positive")
-
-        def throughput(r: float) -> float:
-            return r * _success(r, snr)
-    elif objective == SU_INTERFERED_THROUGHPUT:
-        if params.mean_snr_s <= 0:
-            raise ValueError("mean_snr_s must be positive")
-
-        def throughput(r: float) -> float:
-            cls = RegionClassifier(r, params.rate_p)
-            return r * cls.su_decode_probability(params.mean_snr_s,
-                                                 params.mean_snr_ps)
-    else:
+    links = {PU_IDLE_THROUGHPUT: ("mean_snr_p", 0.0),
+             SU_CLEAN_THROUGHPUT: ("mean_snr_s", 0.0),
+             SU_INTERFERED_THROUGHPUT: ("mean_snr_s", params.mean_snr_ps)}
+    if objective not in links:
         raise ValueError(f"unknown objective {objective!r}")
-    rate = _golden_max(throughput, lo, hi, RATE_TOL)
-    if min(rate - lo, hi - rate) <= RATE_TOL:
-        raise ValueError(f"{objective} maximizer {rate!r} lies at the edge "
-                         f"of the rate bracket [{lo}, {hi}]")
-    return rate
+    name, mean_snr_ps = links[objective]
+    mean_snr = getattr(params, name)
+    if mean_snr <= 0:
+        raise ValueError(f"{name} must be positive")
+    thr_p = 2.0 ** params.rate_p - 1.0
+    ln2 = math.log(2.0)
+
+    def rising(r: float) -> bool:
+        two_r = 2.0 ** r
+        p, dp_da = _decode_probability(two_r - 1.0, thr_p, mean_snr,
+                                       mean_snr_ps, slope=True)
+        return p + r * ln2 * two_r * dp_da > 0.0
+
+    lo, hi = RATE_BRACKET
+    grid = np.linspace(lo, hi, 65).tolist()
+    values = [r * _decode_probability(2.0 ** r - 1.0, thr_p, mean_snr,
+                                      mean_snr_ps) for r in grid]
+    i = values.index(max(values))
+    if (i == 0 and not rising(lo)) or (i == len(grid) - 1 and rising(hi)):
+        raise ValueError(f"{objective} maximizer lies outside the rate "
+                         f"bracket [{lo}, {hi}]")
+    a, b = grid[max(i - 1, 0)], grid[min(i + 1, len(grid) - 1)]
+    mid = 0.5 * (a + b)
+    while a < mid < b:
+        a, b = (mid, b) if rising(mid) else (a, mid)
+        mid = 0.5 * (a + b)
+    return a

@@ -28,7 +28,7 @@ import json
 import sys
 from dataclasses import asdict, fields
 
-from .channel import SystemParams, link_stats
+from .channel import SystemParams, check_integer, link_stats
 from .experiments import (EXPLICIT, RSU_STAR, SWEEP_KINDS, Scenario,
                           derive_rates, rows_to_csv, sweep)
 from .mdp import (long_term_metrics, policy_from_json_obj, policy_to_json_obj)
@@ -61,6 +61,7 @@ def _load_scenario(path: str):
                          + ", ".join(missing))
     # Placeholder rates keep the config small when they are derived.
     obj.update(dict.fromkeys(missing, 1.0))
+    check_integer("deadline_D", obj["deadline_D"])   # before the default B
     obj.setdefault("buffer_B", obj["deadline_D"] - 1)
     obj.setdefault("eps_pu", 0.2)
     obj.setdefault("power_ratio", 1.0)

@@ -78,8 +78,8 @@ def derive_rates(params: SystemParams, rate_policy: str) -> SystemParams:
     """Replace the rates in ``params`` according to the rate policy, one of
     `RATE_POLICIES`; any other value raises ValueError.
 
-    Every derived rate maximizes a closed-form throughput, so the result
-    is exact and depends on no seed.
+    Every derived rate is the exact maximizer of a closed-form throughput
+    (`optimize_rate`, to adjacent doubles) and depends on no seed.
     """
     _check_rate_policy(rate_policy)
     if rate_policy == EXPLICIT:

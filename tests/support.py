@@ -250,6 +250,38 @@ def reference_region_probs(params: SystemParams, rate_su: float,
     return n_gp / n, n_gs / n, n_buf / n
 
 
+def reference_su_throughput(rates, rate_p: float, mean_snr_s: float,
+                            mean_snr_ps: float) -> np.ndarray:
+    """r Pr(su_decodable) over an array of rates, both links present: the
+    three exponential integrals of the decode region evaluated in numpy."""
+    r = np.asarray(rates, dtype=float)
+    a, b = 2.0 ** r - 1.0, 2.0 ** rate_p - 1.0
+    u, v = 1.0 / mean_snr_s, 1.0 / mean_snr_ps
+    kappa = v + a * u
+    alone = np.exp(-a * u) * -np.expm1(-kappa * b) * v / kappa
+    # v (e^e_near - e^e_far) / (v - u), both exponents nonpositive
+    e_near = -b * v - a * (1.0 + b) * u
+    e_far = -b * (1.0 + a) * v - a * u
+    m = abs(v - u)
+    ratio = -np.expm1(-m * a * b) / m if m > 0.0 else a * b
+    binding = np.exp(np.maximum(e_near, e_far)) * ratio * v
+    return r * (alone + binding + np.exp(e_far))
+
+
+def lambert_w0(x: float) -> float:
+    """Principal branch of Lambert's W at x > 0, w e^w = x, by Halley's
+    iteration (Corless et al., "On the Lambert W function", 1996)."""
+    w = math.log1p(x)
+    for _ in range(100):
+        ew = math.exp(w)
+        f = w * ew - x
+        step = f / (ew * (w + 1.0) - (w + 2.0) * f / (2.0 * w + 2.0))
+        w -= step
+        if abs(step) <= 1e-15 * w:
+            return w
+    raise RuntimeError(f"Halley iteration for W0({x!r}) did not converge")
+
+
 def reference_frontier(stats: LinkStats, deadline: int,
                        buffer_size: int) -> List[FrontierPoint]:
     """Upper-left hull built on a `FrontierPoint` per deterministic policy."""

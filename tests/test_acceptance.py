@@ -202,7 +202,7 @@ def test_criterion_5_simulator_agreement():
         assert abs(r.t_p_emp - m.t_p_bar) <= 3 * r.stderr_t_p + 1e-12
     always = SimConfig(params=params,
                        policy=Policy({s: 1.0 for s in states}),
-                       num_slots=10 ** 7, seed=2026)
+                       num_slots=10 ** 8, seed=2026)
     err = empirical_transition_check(always, stats=stats)
     assert err <= 0.005
     _report(5, time.monotonic() - t0, 300,

@@ -8,9 +8,10 @@ from hypothesis import given, settings, strategies as st
 from cogarq import (PU_IDLE_THROUGHPUT, SU_CLEAN_THROUGHPUT,
                     SU_INTERFERED_THROUGHPUT, LinkStats, RegionClassifier,
                     SystemParams, link_stats, optimize_rate, outage_pp)
-from cogarq.channel import RATE_BRACKET, _mc_region_probs
+from cogarq.channel import RATE_BRACKET, _decode_probability, _mc_region_probs
 
-from support import reference_masks, reference_region_probs, table1_params
+from support import (lambert_w0, reference_masks, reference_region_probs,
+                     reference_su_throughput, table1_params)
 
 
 class TestOutagePP:
@@ -160,6 +161,13 @@ def decode_scenarios(draw):
 # The whole bracket, with extra weight below 4 bits/s/Hz where the decode
 # probability is neither 0 nor 1 for most scenarios.
 RATES = st.one_of(st.floats(*RATE_BRACKET), st.floats(RATE_BRACKET[0], 4.0))
+
+
+# log10 of the mean SNRs whose clean-link maximizer W0(snr) / ln 2 lies
+# strictly inside RATE_BRACKET, where r ln 2 2^r = snr.
+CLEAN_OPTIMA_LOG10_SNR = tuple(
+    math.log10(r * math.log(2.0) * 2.0 ** r)
+    for r in (RATE_BRACKET[0] * (1 + 1e-6), RATE_BRACKET[1] * (1 - 1e-6)))
 
 
 # Mean SNRs log-uniform over 1e-3..1e4, an absent link included.
@@ -373,12 +381,60 @@ class TestOptimizeRate:
             optimize_rate(objective, params)
 
     def test_low_snr_rates_stay_inside_bracket(self, t1_params):
-        # the lowest-SNR scenario that still derives its rates
+        # near the lower bracket edge the maximizers are exact too
         params = t1_params.replace(mean_snr_s=0.002)
         assert optimize_rate(SU_CLEAN_THROUGHPUT, params) == pytest.approx(
-            0.00290, abs=1e-5)
-        assert optimize_rate(SU_INTERFERED_THROUGHPUT,
-                             params) == pytest.approx(0.00210, abs=1e-5)
+            lambert_w0(0.002) / math.log(2.0), rel=1e-12)
+        r = optimize_rate(SU_INTERFERED_THROUGHPUT, params)
+        assert r == pytest.approx(0.00212153887658, rel=1e-9)
+        assert interfered_slope(r * (1.0 - 1e-9), params) > 0.0
+        assert interfered_slope(r * (1.0 + 1e-9), params) < 0.0
+
+    @settings(max_examples=200, derandomize=True, deadline=None)
+    @given(st.floats(*CLEAN_OPTIMA_LOG10_SNR).map(lambda e: 10.0 ** e))
+    def test_clean_rates_are_lambert_w(self, snr):
+        # r ln 2 2^r = snr at the peak of r exp(-(2^r - 1) / snr)
+        params = table1_params(mean_snr_s=snr, mean_snr_p=snr)
+        exact = lambert_w0(snr) / math.log(2.0)
+        for objective in (PU_IDLE_THROUGHPUT, SU_CLEAN_THROUGHPUT):
+            assert optimize_rate(objective, params) == pytest.approx(
+                exact, rel=1e-12)
+
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    @given(st.floats(-2.0, 4.0), st.floats(-2.0, 4.0), st.floats(0.05, 8.0))
+    def test_interfered_rate_is_the_global_peak(self, e_s, e_ps, rate_p):
+        # the 65-point bracket must not settle on a lesser local peak
+        params = table1_params(mean_snr_s=10.0 ** e_s,
+                               mean_snr_ps=10.0 ** e_ps, rate_p=rate_p)
+        fine = reference_su_throughput(np.linspace(*RATE_BRACKET, 20_001),
+                                       rate_p, params.mean_snr_s,
+                                       params.mean_snr_ps)
+        r = optimize_rate(SU_INTERFERED_THROUGHPUT, params)
+        at_r = reference_su_throughput([r], rate_p, params.mean_snr_s,
+                                       params.mean_snr_ps)[0]
+        assert at_r >= fine.max() * (1.0 - 1e-12)
+
+    @settings(max_examples=200, derandomize=True, deadline=None)
+    @given(decode_scenarios(), RATES)
+    def test_slope_matches_finite_difference(self, scenario, rate):
+        snr_s, snr_ps, rate_p = scenario
+        a, b = 2.0 ** rate - 1.0, 2.0 ** rate_p - 1.0
+        p, dp_da = _decode_probability(a, b, snr_s, snr_ps, slope=True)
+        assert p == _decode_probability(a, b, snr_s, snr_ps)
+        h = 1e-6 * a
+        diff = (_decode_probability(a + h, b, snr_s, snr_ps)
+                - _decode_probability(a - h, b, snr_s, snr_ps)) / (2 * h)
+        assert dp_da <= 0.0
+        assert dp_da == pytest.approx(diff, rel=1e-5, abs=1e-12)
+
+
+def interfered_slope(rate: float, params: SystemParams) -> float:
+    """d/dr of r Pr(su_decodable) at the cross link of ``params``."""
+    p, dp_da = _decode_probability(2.0 ** rate - 1.0,
+                                   2.0 ** params.rate_p - 1.0,
+                                   params.mean_snr_s, params.mean_snr_ps,
+                                   slope=True)
+    return p + rate * math.log(2.0) * 2.0 ** rate * dp_da
 
 
 class TestStreamedEstimator:

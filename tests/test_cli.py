@@ -49,6 +49,9 @@ def test_derived_rates_ignore_the_seed(tmp_path):
     assert "stderr_t_su" not in stats[0]
 
 
+ABSENT = object()   # marks a config key to leave out
+
+
 @pytest.mark.parametrize("change", [
     {"mean_snr_ps": float("nan")},
     {"mean_snr_s": float("inf")},
@@ -63,10 +66,16 @@ def test_derived_rates_ignore_the_seed(tmp_path):
     {"mean_snr_ps": None},
     {"rate_p": [2.52]},
     {"eps_pu": False},
+    # the default buffer_B = deadline_D - 1 must not run on a bad deadline
+    {"deadline_D": "5", "buffer_B": ABSENT},
+    {"deadline_D": None, "buffer_B": ABSENT},
+    {"deadline_D": [5], "buffer_B": ABSENT},
 ])
 def test_invalid_config_rejected(tmp_path, capsys, change):
     path = tmp_path / "scenario.json"
-    path.write_text(json.dumps(dict(CONFIG, **change)))
+    config = {k: v for k, v in dict(CONFIG, **change).items()
+              if v is not ABSENT}
+    path.write_text(json.dumps(config))
     rc = main(["solve", "--config", str(path), "--mc-samples", "100000"])
     assert rc != 0
     err = capsys.readouterr().err
