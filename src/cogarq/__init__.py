@@ -5,8 +5,8 @@ secondary receiver."""
 from .channel import (PU_IDLE_THROUGHPUT, SU_CLEAN_THROUGHPUT,
                       SU_INTERFERED_THROUGHPUT, LinkStats, RegionClassifier,
                       SystemParams, link_stats, optimize_rate, outage_pp)
-from .degenerate import (DegenerateParams, a0_a1, b_max, degenerate_params,
-                         delta_s, hp_condition, unconstrained_optimal)
+from .degenerate import (a0_a1, b_max, delta_s, hp_condition,
+                         unconstrained_optimal)
 from .experiments import (DEADLINE, EXPLICIT, FIC_BIC, FIC_ONLY, GPS_RATIO,
                           GSP_RATIO, NO_IC, PM_KNOWN, RSU_EQ_RSK, RSU_RATIO,
                           RSU_STAR, SCHEMES, TS_VS_TP, Scenario, derive_rates,

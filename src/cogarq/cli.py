@@ -142,7 +142,7 @@ def _cmd_oracle(args) -> int:
 def _cmd_sweep(args) -> int:
     params, rate_policy = _load_scenario(args.config)
     base = Scenario(params=params, rate_policy=rate_policy)
-    if args.grid:
+    if args.grid is not None:
         grid = [float(x) for x in args.grid.split(",")]
     else:
         defaults = {

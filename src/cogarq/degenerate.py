@@ -21,10 +21,8 @@ recursion-based machinery:
 
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import dataclass
-from typing import Dict, Tuple
+from typing import Tuple
 
 from .channel import LinkStats
 from .mdp import PHI_K, NetState, Policy, enumerate_states
@@ -32,12 +30,8 @@ from .mdp import PHI_K, NetState, Policy, enumerate_states
 DEGENERACY_TOL = 1e-12
 
 
-def is_degenerate(stats: LinkStats) -> bool:
-    return abs(stats.q_pp_active - stats.q_pp_idle) <= DEGENERACY_TOL
-
-
 def _require_degenerate(stats: LinkStats) -> float:
-    if not is_degenerate(stats):
+    if not abs(stats.q_pp_active - stats.q_pp_idle) <= DEGENERACY_TOL:
         raise ValueError(
             "stats are not degenerate: primary outage differs between idle "
             f"and active by {stats.q_pp_active - stats.q_pp_idle!r}")
@@ -79,22 +73,6 @@ def a0_a1(tau: int, q_pp: float, q_ps_idle: float,
     a0 = sum(x0 ** k for k in range(n_terms))
     a1 = sum(q_pp ** k for k in range(n_terms))
     return float(a0), float(a1)
-
-
-@dataclass(frozen=True)
-class DegenerateParams:
-    """Scenario summary for a degenerate network."""
-
-    q_pp: float
-    delta_s: float
-    hp_bound: float
-    b_max: Dict[int, int]
-
-    def to_json(self) -> str:
-        return json.dumps({"q_pp": self.q_pp, "delta_s": self.delta_s,
-                           "hp_bound": self.hp_bound,
-                           "b_max": {str(t): v for t, v in self.b_max.items()}},
-                          indent=2)
 
 
 def g_prime_closed(t: int, b: int, stats: LinkStats, deadline: int) -> float:
@@ -154,15 +132,6 @@ def b_max(t: int, stats: LinkStats, deadline: int) -> int:
            + (hp_bound(stats) - delta_s(stats)) * q_pp * dq * a0)
     den = dq * (1.0 - q_pp * (1.0 - stats.q_ps_idle) * a0)
     return int(math.ceil(num / den)) - 1
-
-
-def degenerate_params(stats: LinkStats, deadline: int) -> DegenerateParams:
-    return DegenerateParams(
-        q_pp=_require_degenerate(stats),
-        delta_s=delta_s(stats),
-        hp_bound=hp_bound(stats),
-        b_max={t: b_max(t, stats, deadline) for t in range(1, deadline + 1)},
-    )
 
 
 def unconstrained_optimal(stats: LinkStats, deadline: int,

@@ -18,9 +18,9 @@ built inside each call: per state index, the probabilities of its
 successors under each action and its one-slot throughput at access
 probability 1 and 0. The backward pass runs over
 plain lists. `CycleValues` keeps those lists in index order together with
-the table, so its metrics and its rows (``table.row``, successors keyed by
-index) need no rebuild; `Policy` dicts and `NetState` keys appear only at
-the API boundary.
+the table, so its metrics and its transition matrix (``table.matrix``)
+need no rebuild; `Policy` dicts and `NetState` keys appear only at the
+API boundary.
 """
 
 from __future__ import annotations
@@ -239,17 +239,17 @@ class TransitionTable(NamedTuple):
     r_active: List[float]
     r_idle: List[float]
 
-    def row(self, i: int, access_prob: float) -> Dict[int, float]:
-        """Successor distribution of state i when it transmits with
-        probability ``access_prob``, keyed by state index; the root (0)
-        takes the cycle-ending mass."""
-        out = {0: 1.0}
-        for k in range(3 * i, 3 * i + 3):
-            p = (access_prob * self.p_active[k]
-                 + (1.0 - access_prob) * self.p_idle[k])
-            out[0] -= p
-            if self.succ[k]:
-                out[self.succ[k]] = p
+    def matrix(self, mu: List[float]) -> np.ndarray:
+        """The (n, n) transition matrix when state i transmits with
+        probability ``mu[i]``; the root column (0) takes the cycle-ending
+        mass, ((1 - p0) - p1) - p2 over the three outcomes."""
+        n = len(mu)
+        m = np.asarray(mu, dtype=float)[:, None]
+        p = (m * np.reshape(self.p_active, (n, 3))
+             + (1.0 - m) * np.reshape(self.p_idle, (n, 3)))
+        out = np.zeros((n, n))
+        out[np.repeat(np.arange(n), 3), self.succ] = p.ravel()
+        out[:, 0] = ((1.0 - p[:, 0]) - p[:, 1]) - p[:, 2]
         return out
 
 
@@ -387,19 +387,15 @@ def stationary_distribution(policy: Policy, stats: LinkStats, deadline: int,
                             buffer_size: int) -> Dict[NetState, float]:
     """Steady-state occupancy of every state under ``policy``.
 
-    Solved directly as pi P = pi with unit total mass, P assembled from the
-    transition table's action-mixed rows. The cycle root is positive
+    Solved directly as pi P = pi with unit total mass, P the transition
+    table's action-mixed matrix. The cycle root is positive
     recurrent, so the chain is unichain and the solution is unique; states
     unreachable from the root are transient and come out with zero mass.
     """
     table = transition_table(stats, deadline, buffer_size)
     mu = table.space.vector(policy)
     n = len(mu)
-    pmat = np.zeros((n, n))
-    for i in range(n):
-        for j, p in table.row(i, mu[i]).items():
-            pmat[i, j] += p
-    a = pmat.T - np.eye(n)
+    a = table.matrix(mu).T - np.eye(n)
     a[-1, :] = 1.0
     rhs = np.zeros(n)
     rhs[-1] = 1.0

@@ -1,20 +1,18 @@
 """Brute-force certification of the greedy optimizer at desk scale.
 
 Every deterministic policy over a small state space is evaluated exactly,
-all of them in one array backward pass over one transition table: state
-i's row of the access matrix holds bit i of every policy bitmask. The
-upper-left convex hull of the resulting (access rate, throughput)
-cloud is the achievable frontier, because a policy randomized in a single
-state traces the straight chord between the two deterministic policies it
-mixes (all three per-cycle quantities are affine in that one probability,
-and a projective image of a line is a line). The constrained optimum is
-therefore the frontier value at the access budget, read off the hull by
-linear interpolation. Nothing here calls the optimizer, so the check of
-the greedy construction is independent of it. The 2^N candidates are kept
-as access-rate and throughput arrays indexed by bitmask, and the hull is
-built on (access rate, throughput, bitmask) triples; only the vertices that
-`enumerate_frontier` returns carry a `Policy`, and each is re-evaluated by
-`long_term_metrics`, which must reproduce its batched values exactly.
+all 2^N of them in one array backward pass (`_bitmask_metrics`). The
+upper-left convex hull of the resulting (access rate, throughput) cloud
+is the achievable frontier, because a policy randomized in a single state
+traces the straight chord between the two deterministic policies it mixes
+(all three per-cycle quantities are affine in that one probability, and a
+projective image of a line is a line). One gift-wrapping march over the
+two arrays finds the hull (`_march`); only its vertices carry a `Policy`,
+each re-evaluated by `long_term_metrics`, which must reproduce its batched
+values exactly. The constrained optimum is the frontier value at the
+access budget, read off the hull by linear interpolation. Nothing here
+calls the optimizer, so the check of the greedy construction is
+independent of it.
 """
 
 from __future__ import annotations
@@ -32,6 +30,7 @@ from .mdp import (NetState, Policy, StateSpace, TransitionTable, _backward,
 
 MAX_ENUM_STATES = 16
 _MASK_BLOCK = 1 << 10         # policies per array pass; bounds its memory
+SLOPE_RTOL = 1e-9             # slopes this close, relatively, are one edge
 
 
 @dataclass(frozen=True)
@@ -54,11 +53,6 @@ def policy_to_bitmask(policy: Policy, space: StateSpace) -> int:
     return mask
 
 
-def _cross(o, a, b) -> float:
-    """Cross product of (a - o) and (b - o) on (w_s_bar, t_s_bar, ...) tuples."""
-    return ((a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0]))
-
-
 def _bitmask_metrics(table: TransitionTable
                      ) -> Tuple[np.ndarray, np.ndarray]:
     """Access rate and throughput of every deterministic policy, by bitmask.
@@ -79,44 +73,49 @@ def _bitmask_metrics(table: TransitionTable
     return w, t
 
 
+def _march(w: np.ndarray, t: np.ndarray) -> List[int]:
+    """Indices of the upper-left hull vertices of the points (w[i], t[i]),
+    gift-wrapped from point 0, the leftmost: each step takes, of the
+    points ahead on the steepest ascent (slopes within `SLOPE_RTOL` of the
+    steepest count as equal), the farthest, then the higher throughput,
+    then the smaller index, and the march stops where no slope is positive.
+    """
+    hull = [0]
+    while True:
+        c = hull[-1]
+        ahead = np.flatnonzero(w > w[c])
+        slope = (t[ahead] - t[c]) / (w[ahead] - w[c])
+        steep = slope.max(initial=0.0)
+        if steep == 0.0:
+            return hull
+        edge = ahead[slope >= steep - SLOPE_RTOL * steep]
+        edge = edge[w[edge] == w[edge].max()]
+        hull.append(int(edge[t[edge] == t[edge].max()][0]))
+
+
 def enumerate_frontier(stats: LinkStats, deadline: int,
                        buffer_size: int) -> List[FrontierPoint]:
-    """Upper-left hull of all deterministic policies, sorted by access rate.
-
-    Vertices are strict corners (collinear interior points are dropped)
-    and the chain is truncated at its throughput maximum, so slopes are
-    strictly decreasing and positive left to right. Each vertex is
-    evaluated again by `long_term_metrics`; RuntimeError unless that
-    reproduces its batched (w_s_bar, t_s_bar) exactly.
-    """
+    """Upper-left hull of all deterministic policies, from the idle policy
+    at (0, 0) to the throughput peak; slopes within `SLOPE_RTOL` of each
+    other are one edge, so no vertex exists only by rounding. Each vertex
+    is the smallest bitmask at its (w_s_bar, t_s_bar) and is evaluated
+    again by `long_term_metrics`; RuntimeError unless that reproduces its
+    batched values exactly."""
     states = enumerate_states(deadline, buffer_size)
     if len(states) > MAX_ENUM_STATES:
         raise ValueError(f"state space too large to enumerate "
                          f"({len(states)} > {MAX_ENUM_STATES})")
     w, t = _bitmask_metrics(transition_table(stats, deadline, buffer_size))
-    # Ascending (w, t, mask): lexsort is stable, so ties keep mask order.
-    order = np.lexsort((t, w))
-    # Keep only the best throughput at (numerically) equal access rates:
-    # drop each point whose successor lies within 1e-14 of it.
-    order = order[np.append(np.abs(np.diff(w[order])) > 1e-14, True)]
-    hull = []
-    for start in range(0, len(order), _MASK_BLOCK):
-        block = order[start:start + _MASK_BLOCK]
-        for p in zip(w[block].tolist(), t[block].tolist(), block.tolist()):
-            while len(hull) >= 2 and _cross(hull[-2], hull[-1], p) >= 0.0:
-                hull.pop()
-            hull.append(p)
-    best = max(range(len(hull)), key=lambda i: hull[i][1])
     frontier = []
-    for w_s, t_s, mask in hull[:best + 1]:
+    for mask in _march(w, t):
+        w_s, t_s = float(w[mask]), float(t[mask])
         policy = policy_from_bitmask(mask, states)
         m = long_term_metrics(policy, stats, deadline, buffer_size)
         if (m.w_s_bar, m.t_s_bar) != (w_s, t_s):
             raise RuntimeError(f"batched frontier value ({w_s!r}, {t_s!r}) "
                                f"of policy {mask} differs from its "
                                f"evaluation ({m.w_s_bar!r}, {m.t_s_bar!r})")
-        frontier.append(FrontierPoint(w_s_bar=w_s, t_s_bar=t_s,
-                                      policy=policy))
+        frontier.append(FrontierPoint(w_s, t_s, policy))
     return frontier
 
 

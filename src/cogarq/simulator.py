@@ -283,11 +283,8 @@ def empirical_transition_check(config: SimConfig, stats: LinkStats) -> float:
     table = transition_table(stats, config.params.deadline_D,
                              config.params.buffer_B)
     n = len(table.space.layer)
-    analytic = np.zeros((n, 2, n))
-    for i in range(n):
-        for action in (0, 1):
-            for j, p in table.row(i, float(action)).items():
-                analytic[i, action, j] = p
+    analytic = np.stack([table.matrix([0.0] * n), table.matrix([1.0] * n)],
+                        axis=1)
     totals = counts.sum(axis=2)
     visited = totals > 0
     empirical = counts[visited] / totals[visited][:, None]

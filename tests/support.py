@@ -13,7 +13,7 @@ from cogarq import (FrontierPoint, LinkStats, NetState, Policy,
                     RegionClassifier, SystemParams)
 from cogarq.mdp import (PHI_K, PHI_U, ROOT, enumerate_states,
                         long_term_metrics)
-from cogarq.oracle import policy_from_bitmask
+from cogarq.oracle import SLOPE_RTOL, policy_from_bitmask
 
 TABLE1_SNRS = dict(mean_snr_s=5.0, mean_snr_p=10.0, mean_snr_sp=2.0,
                    mean_snr_ps=5.0)
@@ -136,8 +136,8 @@ def table_row(table, state: NetState, access_prob: float
     """The transition table's successor distribution of ``state`` at
     ``access_prob``, keyed by state instead of table index."""
     space = table.space
-    return {space.state(j): p
-            for j, p in table.row(space.index(state), access_prob).items()}
+    row = table.matrix([access_prob] * len(space.layer))[space.index(state)]
+    return {space.state(j): float(row[j]) for j in np.flatnonzero(row)}
 
 
 # Independent reference for the MDP core: the per-state dict recursion the
@@ -284,29 +284,32 @@ def lambert_w0(x: float) -> float:
 
 def reference_frontier(stats: LinkStats, deadline: int,
                        buffer_size: int) -> List[FrontierPoint]:
-    """Upper-left hull built on a `FrontierPoint` per deterministic policy."""
-    def cross(o, a, b):
-        return ((a.w_s_bar - o.w_s_bar) * (b.t_s_bar - o.t_s_bar)
-                - (a.t_s_bar - o.t_s_bar) * (b.w_s_bar - o.w_s_bar))
+    """Upper-left hull built on a `FrontierPoint` per deterministic policy,
+    by a monotone chain: vertices as `enumerate_frontier` defines them."""
+    def slope(a, b):
+        return (b.t_s_bar - a.t_s_bar) / (b.w_s_bar - a.w_s_bar)
 
     states = enumerate_states(deadline, buffer_size)
     points = []
     for mask in range(1 << len(states)):
         pol = policy_from_bitmask(mask, states)
         m = long_term_metrics(pol, stats, deadline, buffer_size)
-        points.append(FrontierPoint(w_s_bar=m.w_s_bar, t_s_bar=m.t_s_bar,
-                                    policy=pol))
-    points.sort(key=lambda p: (p.w_s_bar, p.t_s_bar))
-    dedup: List[FrontierPoint] = []
-    for p in points:
-        if dedup and abs(p.w_s_bar - dedup[-1].w_s_bar) <= 1e-14:
-            dedup[-1] = p
-        else:
-            dedup.append(p)
+        points.append((m.w_s_bar, -m.t_s_bar, mask,
+                       FrontierPoint(w_s_bar=m.w_s_bar, t_s_bar=m.t_s_bar,
+                                     policy=pol)))
+    # ascending access rate; at equal rates the highest throughput, then
+    # the smallest mask, comes first and alone survives
+    points.sort(key=lambda p: p[:3])
     hull: List[FrontierPoint] = []
-    for p in dedup:
-        while len(hull) >= 2 and cross(hull[-2], hull[-1], p) >= 0.0:
+    for *_, p in points:
+        if hull and p.w_s_bar == hull[-1].w_s_bar:
+            continue
+        while len(hull) >= 2:
+            edge = slope(hull[-2], hull[-1])
+            if slope(hull[-2], p) < edge - SLOPE_RTOL * abs(edge):
+                break
             hull.pop()
         hull.append(p)
-    best = max(range(len(hull)), key=lambda i: hull[i].t_s_bar)
-    return hull[:best + 1]
+    while len(hull) >= 2 and hull[-1].t_s_bar <= hull[-2].t_s_bar:
+        hull.pop()
+    return hull

@@ -275,10 +275,9 @@ def test_criterion_7_invariant_suites():
         states = enumerate_states(deadline, cap)
         pol = make_random_policy(rng, states, lo=0.02, hi=0.95)
         cv = cycle_values(pol, stats, deadline, cap)
-        for s in states:
-            for access_prob in (1.0, 0.0):
-                row = cv.table.row(cv.table.space.index(s), access_prob)
-                assert abs(sum(row.values()) - 1.0) <= 1e-12
+        for access_prob in (1.0, 0.0):
+            rows = cv.table.matrix([access_prob] * len(states))
+            assert np.abs(rows.sum(axis=1) - 1.0).max() <= 1e-12
         m = long_term_metrics(pol, stats, deadline, cap)
         t_s_pi, w_s_pi = occupancy_metrics(pol, stats, deadline, cap)
         assert abs(t_s_pi - m.t_s_bar) <= 1e-9

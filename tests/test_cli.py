@@ -172,6 +172,14 @@ def test_non_finite_sweep_grid_rejected(config_file, capsys, grid):
                    "message": "grid values must be finite"}
 
 
+def test_empty_sweep_grid_rejected(config_file, capsys):
+    # An empty grid is an error, not a request for the default grid.
+    rc = main(["sweep", "--config", config_file, "--kind", "TS_VS_TP",
+               "--grid", "", "--mc-samples", "100000"])
+    assert rc == 1
+    assert _one_line_error(capsys)["error"] == "ValueError"
+
+
 @pytest.mark.parametrize("argv", [
     ["solve", "--eps-w", "-inf"],
     ["sweep", "--kind", "TS_VS_TP", "--grid", "-inf,0.5"],

@@ -4,9 +4,8 @@ import numpy as np
 import pytest
 
 from cogarq import (LinkStats, NetState, a0_a1, b_max, cycle_values,
-                    degenerate_params, enumerate_states, greedy_policy_path,
-                    hp_condition, link_stats, long_term_metrics,
-                    unconstrained_optimal)
+                    enumerate_states, greedy_policy_path, hp_condition,
+                    link_stats, long_term_metrics, unconstrained_optimal)
 from cogarq.degenerate import (cycle_value_closed, delta_s, g_prime_closed,
                                hp_bound, v_prime_closed)
 from cogarq.mdp import PHI_K, PHI_U
@@ -101,13 +100,6 @@ class TestBMax:
             bm = b_max(t, st, 5)
             assert g_prime_closed(t, bm, st, 5) > 0.0
             assert g_prime_closed(t, bm + 1, st, 5) <= 0.0
-
-    def test_params_summary(self):
-        st = _degenerate_stats(1)
-        dp = degenerate_params(st, 4)
-        assert dp.q_pp == st.q_pp_idle
-        assert set(dp.b_max) == {1, 2, 3, 4}
-        assert "delta_s" in dp.to_json()
 
 
 class TestThresholdStructure:

@@ -16,6 +16,28 @@ from cogarq.oracle import (_bitmask_metrics, frontier_csv_rows,
 from support import feasible_stats, make_random_stats, reference_frontier
 
 
+def _check_frontier(stats, deadline, cap):
+    """The frontier, after checking that its slopes fall by more than the
+    tolerance, that each vertex carries the smallest mask at its exact
+    (w, t), and that the greedy path lies on it."""
+    frontier = enumerate_frontier(stats, deadline, cap)
+    slopes = [(b.t_s_bar - a.t_s_bar) / (b.w_s_bar - a.w_s_bar)
+              for a, b in zip(frontier, frontier[1:])]
+    assert all(s > 0.0 for s in slopes)
+    assert all(s1 < s0 - oracle.SLOPE_RTOL * s0
+               for s0, s1 in zip(slopes, slopes[1:]))
+    w, t = _bitmask_metrics(transition_table(stats, deadline, cap))
+    space = state_space(deadline, cap)
+    for p in frontier:
+        tied = np.flatnonzero((w == p.w_s_bar) & (t == p.t_s_bar))
+        assert policy_to_bitmask(p.policy, space) == tied[0]
+    for e in greedy_policy_path(stats, deadline, cap).entries:
+        m = e.metrics
+        assert abs(oracle_optimum(m.w_s_bar, frontier, stats, deadline, cap)
+                   - m.t_s_bar) <= 1e-12
+    return frontier
+
+
 class TestEnumerateFrontier:
     def test_single_slot(self, t1_stats):
         frontier = enumerate_frontier(t1_stats, 1, 0)
@@ -33,14 +55,31 @@ class TestEnumerateFrontier:
             slopes.append((b.t_s_bar - a.t_s_bar) / (b.w_s_bar - a.w_s_bar))
         assert all(s1 < s0 for s0, s1 in zip(slopes, slopes[1:]))
 
-    def test_greedy_path_metrics_are_frontier_vertices(self, t1_stats):
-        frontier = enumerate_frontier(t1_stats, 2, 1)
-        verts = {(round(p.w_s_bar, 10), round(p.t_s_bar, 10))
-                 for p in frontier}
-        path = greedy_policy_path(t1_stats, 2, 1)
-        for e in path.entries:
-            key = (round(e.metrics.w_s_bar, 10), round(e.metrics.t_s_bar, 10))
-            assert key in verts
+    @settings(max_examples=40, derandomize=True, deadline=None)
+    @given(feasible_stats(), st.integers(1, 3), st.data())
+    def test_greedy_path_metrics_are_frontier_vertices(self, stats, deadline,
+                                                        data):
+        cap = data.draw(st.integers(0, deadline - 1))
+        _check_frontier(stats, deadline, cap)
+
+    def test_frontier_properties_table1_desk_scale(self, t1_stats):
+        # The known-message states activated one at a time trace one line,
+        # whose interior corners turn only by rounding: none is a vertex.
+        assert len(_check_frontier(t1_stats, 4, 3)) == 12
+
+    def test_march_ignores_ulp_perturbations(self, t1_stats):
+        # Jitter every distinct (w, t) pair by up to four ulps, tied pairs
+        # alike so that exact ties stay ties: the vertex masks stay put.
+        rng = np.random.default_rng(5)
+        for deadline, cap in ((3, 2), (4, 3), (5, 2)):
+            w, t = _bitmask_metrics(transition_table(t1_stats, deadline, cap))
+            _, tie = np.unique(np.stack([w, t]), axis=1, return_inverse=True)
+            tie = tie.ravel()
+            masks = oracle._march(w, t)
+            for _ in range(5):
+                kw, kt = rng.integers(-4, 5, (2, tie.max() + 1))
+                assert oracle._march(w * (1.0 + kw[tie] * 2.0 ** -52),
+                                     t * (1.0 + kt[tie] * 2.0 ** -52)) == masks
 
     def test_no_policy_dominates_frontier(self, t1_stats):
         deadline, cap = 2, 1
