@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass, asdict
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -97,11 +97,23 @@ class SystemParams:
                 raise ValueError(f"{name} must be a real number, got {value!r}")
             if not math.isfinite(value):
                 raise ValueError(f"{name} must be finite, got {value!r}")
-        if min(self.mean_snr_s, self.mean_snr_p, self.mean_snr_sp,
-               self.mean_snr_ps) < 0:
-            raise ValueError("mean SNRs must be nonnegative")
+        for name in ("mean_snr_s", "mean_snr_p", "mean_snr_sp", "mean_snr_ps"):
+            value = getattr(self, name)
+            if value < 0:
+                raise ValueError("mean SNRs must be nonnegative")
+            if value > 0 and not math.isfinite(1.0 / value):
+                raise ValueError(f"{name}={value!r} has no finite reciprocal")
         if min(self.rate_p, self.rate_su, self.rate_sk) <= 0:
             raise ValueError("rates must be positive")
+        # 2^r - 1 must be a double; thr_sum also bounds thr_su * thr_p.
+        for name, rate in (("rate_p", self.rate_p), ("rate_su", self.rate_su),
+                           ("rate_sk", self.rate_sk),
+                           ("rate_su + rate_p", self.rate_su + self.rate_p)):
+            try:
+                2.0 ** rate
+            except OverflowError:
+                raise ValueError(f"{name}={rate!r} has a decode threshold "
+                                 "2^r - 1 beyond the double range") from None
         if self.deadline_D < 1:
             raise ValueError("deadline_D must be >= 1")
         if not 0 <= self.buffer_B <= self.deadline_D - 1:
@@ -164,6 +176,10 @@ class LinkStats:
         the primary message at the secondary receiver, and buffering is a
         sub-event of that decode failing.
         """
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if not math.isfinite(value):
+                raise ValueError(f"{f.name}={value} is not finite")
         for name in ("q_pp_idle", "q_pp_active", "q_ps_idle", "q_ps_active",
                      "p_buf"):
             value = getattr(self, name)
@@ -212,11 +228,15 @@ class RegionClassifier:
         """Vectorized membership masks (pu_decodable, su_decodable, buffered)."""
         s_ok = snr_s >= self.thr_su
         p_ok = snr_ps >= self.thr_p
-        mac = s_ok & p_ok & (snr_s + snr_ps >= self.thr_sum)
-        # On NaN the negated comparison holds, but the alone-region's own
-        # comparison fails, so NaN still lands in neither alone-region.
-        pu_alone = ~s_ok & (snr_ps >= self.thr_p * (1.0 + snr_s))
-        su_alone = ~p_ok & (snr_s >= self.thr_su * (1.0 + snr_ps))
+        # A sum or product beyond the double range is inf: still exact. A
+        # product 0 * inf is NaN only where the other SNR is inf, so its
+        # own mask already rules the alone-region out.
+        with np.errstate(over="ignore", invalid="ignore"):
+            mac = s_ok & p_ok & (snr_s + snr_ps >= self.thr_sum)
+            # On NaN the negated comparison holds, but the alone-region's
+            # own comparison fails, so NaN lands in neither alone-region.
+            pu_alone = ~s_ok & (snr_ps >= self.thr_p * (1.0 + snr_s))
+            su_alone = ~p_ok & (snr_s >= self.thr_su * (1.0 + snr_ps))
         pu_dec = mac | pu_alone
         su_dec = mac | su_alone
         buffered = s_ok & ~(pu_dec | su_dec)
@@ -250,11 +270,13 @@ def _decode_probability(a: float, b: float, mean_snr_s: float,
     Differentiating under the integrals, the boundary terms at
     snr_ps = b (1 + a) cancel and dP/da = -u [alone + int_0^b snr_ps
     (alone integrand) + (1 + b) binding + slack]. Every exponent is kept
-    nonpositive, so no term overflows anywhere in the rate bracket.
+    nonpositive, and every term stays finite for any params that
+    `SystemParams` accepts.
     """
     u = 1.0 / mean_snr_s
     clean = math.exp(-a * u)
-    if mean_snr_ps == 0.0:
+    # The region lies in snr_s >= a, so P <= clean underflows with it.
+    if mean_snr_ps == 0.0 or clean == 0.0:
         return (clean, -u * clean) if slope else clean
     v = 1.0 / mean_snr_ps
     kappa = v + a * u
@@ -273,8 +295,10 @@ def _decode_probability(a: float, b: float, mean_snr_s: float,
     p = alone + binding + slack
     if not slope:
         return p
-    # int_0^b y v e^(-kappa y) dy = v (1 - e^-x (1 + x)) / kappa^2
-    moment = clean * (below - x * math.exp(-x)) * v / kappa ** 2
+    # int_0^b y v e^(-kappa y) dy = v (1 - e^-x (1 + x)) / kappa^2 -> 0
+    # as x or kappa^2 overflows
+    tail = x * math.exp(-x) if x < math.inf else 0.0
+    moment = clean * (below - tail) * v / (kappa * kappa)
     return p, -u * (alone + moment + (1.0 + b) * binding + slack)
 
 
@@ -295,9 +319,11 @@ def outage_pp(params: SystemParams, su_active: bool) -> float:
 def _exponential_into(rng: np.random.Generator, mean: float,
                       out: np.ndarray) -> np.ndarray:
     """Fill ``out`` with exponential draws of mean ``mean``, bit-identical to
-    ``rng.exponential(mean, len(out))`` and consuming the same stream."""
+    ``rng.exponential(mean, len(out))`` and consuming the same stream
+    (which also gives inf, without a warning, beyond the double range)."""
     rng.standard_exponential(out=out)
-    out *= mean
+    with np.errstate(over="ignore"):
+        out *= mean
     return out
 
 

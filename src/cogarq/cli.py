@@ -29,8 +29,8 @@ import sys
 from dataclasses import asdict, fields
 
 from .channel import SystemParams, check_integer, link_stats
-from .experiments import (EXPLICIT, RSU_STAR, SWEEP_KINDS, Scenario,
-                          derive_rates, rows_to_csv, sweep)
+from .experiments import (DEFAULT_GRIDS, EXPLICIT, RSU_STAR, derive_rates,
+                          rows_to_csv, sweep)
 from .mdp import (long_term_metrics, policy_from_json_obj, policy_to_json_obj)
 from .optimizer import access_rate_budget, greedy_policy_path, optimal_policy
 from .oracle import enumerate_frontier, frontier_csv_rows
@@ -141,20 +141,10 @@ def _cmd_oracle(args) -> int:
 
 def _cmd_sweep(args) -> int:
     params, rate_policy = _load_scenario(args.config)
-    base = Scenario(params=params, rate_policy=rate_policy)
-    if args.grid is not None:
-        grid = [float(x) for x in args.grid.split(",")]
-    else:
-        defaults = {
-            "TS_VS_TP": [i / 20 for i in range(21)],
-            "GSP_RATIO": [i / 8 for i in range(17)],
-            "GPS_RATIO": [i / 4 for i in range(17)],
-            "RSU_RATIO": [0.1 + i * 0.05 for i in range(19)],
-            "DEADLINE": [1, 2, 3, 4, 5, 6],
-        }
-        grid = defaults[args.kind]
-    rows = sweep(args.kind, base, grid, mc_samples=args.mc_samples,
-                 seed=args.seed)
+    grid = (DEFAULT_GRIDS[args.kind] if args.grid is None
+            else [float(x) for x in args.grid.split(",")])
+    rows = sweep(args.kind, params, rate_policy, grid,
+                 mc_samples=args.mc_samples, seed=args.seed)
     _emit(rows_to_csv(rows), args.out)
     return 0
 
@@ -211,7 +201,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sweep", help="scheme-comparison sweep CSV")
     common(p)
-    p.add_argument("--kind", required=True, choices=list(SWEEP_KINDS))
+    p.add_argument("--kind", required=True, choices=list(DEFAULT_GRIDS))
     p.add_argument("--grid", default=None,
                    help="comma-separated grid values (default per kind)")
     p.set_defaults(func=_cmd_sweep)

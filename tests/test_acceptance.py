@@ -12,7 +12,7 @@ import numpy as np
 
 from cogarq import (DEADLINE, EXPLICIT, FIC_BIC, FIC_ONLY, GPS_RATIO, NO_IC,
                     PM_KNOWN, PU_IDLE_THROUGHPUT, Policy, RSU_STAR,
-                    SU_CLEAN_THROUGHPUT, SU_INTERFERED_THROUGHPUT, Scenario,
+                    SU_CLEAN_THROUGHPUT, SU_INTERFERED_THROUGHPUT,
                     SimConfig, SystemParams, TS_VS_TP, b_max, cycle_values,
                     empirical_transition_check, enumerate_frontier,
                     enumerate_states, greedy_policy_path, hp_condition,
@@ -213,9 +213,8 @@ def test_criterion_5_simulator_agreement():
 def test_criterion_6_figure_shapes():
     params = _derived_params()
     t0 = time.monotonic()
-    explicit = Scenario(params=params, rate_policy=EXPLICIT)
 
-    rows = sweep(TS_VS_TP, explicit, [i / 20 for i in range(21)],
+    rows = sweep(TS_VS_TP, params, EXPLICIT, [i / 20 for i in range(21)],
                  mc_samples=10 ** 6, seed=7)
     assert all(r["error"] == "" for r in rows)
     by_x = {}
@@ -232,8 +231,8 @@ def test_criterion_6_figure_shapes():
         else:
             assert vals[FIC_BIC] > vals[FIC_ONLY] + 1e-9
 
-    rows = sweep(DEADLINE, explicit, [1, 2, 3, 4, 5], mc_samples=10 ** 6,
-                 seed=7)
+    rows = sweep(DEADLINE, params, EXPLICIT, [1, 2, 3, 4, 5],
+                 mc_samples=10 ** 6, seed=7)
     dvals = {}
     for r in rows:
         assert r["error"] == ""
@@ -245,9 +244,9 @@ def test_criterion_6_figure_shapes():
     fic_curve = [dvals[d][FIC_BIC] for d in (1, 2, 3, 4, 5)]
     assert all(b >= a - 1e-9 for a, b in zip(fic_curve, fic_curve[1:]))
 
-    base = Scenario(params=table1_params(), rate_policy=RSU_STAR)
     grid = [i / 4 for i in range(17)]
-    rows = sweep(GPS_RATIO, base, grid, mc_samples=10 ** 6, seed=7)
+    rows = sweep(GPS_RATIO, table1_params(), RSU_STAR, grid,
+                 mc_samples=10 ** 6, seed=7)
     gvals = {}
     for r in rows:
         assert r["error"] == ""

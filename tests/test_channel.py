@@ -1,5 +1,7 @@
 import math
 import tracemalloc
+import warnings
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -92,6 +94,21 @@ class TestRegionMembership:
         for outcome in (in_gp & in_gs, in_gp & ~in_gs, ~in_gp & in_gs, buf,
                         lost):
             assert outcome.any()
+
+    def test_threshold_products_beyond_double_range(self):
+        # thr (1 + snr) overflows to inf, which no finite SNR reaches; the
+        # masks stay exact and raise no overflow warning
+        cls = RegionClassifier(1000.0, 20.0)      # thr_su about 1.07e301
+        gs, gps = np.array([1e300, 1e305]), np.array([1e307, 1e307])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            pu_dec, su_dec, buf = cls.masks(gs, gps)
+        # the primary decodes alone at gamma_s < thr_su; at gamma_s >=
+        # thr_su the sum falls short of thr_sum (about 1.12e307), so the
+        # slot is buffered
+        assert pu_dec.tolist() == [True, False]
+        assert su_dec.tolist() == [False, False]
+        assert buf.tolist() == [False, True]
 
     @pytest.mark.parametrize("rates", [(math.nan, 1.0), (1.0, math.nan),
                                        (math.inf, 2.52), (1.12, -math.inf)])
@@ -252,6 +269,28 @@ class TestSystemParamsValidation:
     def test_ints_and_numpy_reals_accepted(self, field, value):
         assert getattr(table1_params(**{field: value}), field) == value
 
+    @pytest.mark.parametrize("field", ["mean_snr_s", "mean_snr_p",
+                                       "mean_snr_sp", "mean_snr_ps"])
+    def test_snr_without_finite_reciprocal_rejected(self, field):
+        with pytest.raises(ValueError, match=field):
+            table1_params(**{field: 5e-324})
+        # the smallest normal double still has one
+        assert getattr(table1_params(**{field: 1e-308}), field) == 1e-308
+
+    @pytest.mark.parametrize("change,field", [
+        ({"rate_p": 1024.0}, "rate_p"),
+        ({"rate_su": 2000.0}, "rate_su"),
+        ({"rate_sk": 1e300}, "rate_sk"),
+        ({"rate_su": 600.0, "rate_p": 600.0}, "rate_su + rate_p"),
+    ])
+    def test_threshold_beyond_double_range_rejected(self, change, field):
+        with pytest.raises(ValueError, match=field.replace("+", r"\+")):
+            table1_params(**change)
+
+    def test_largest_thresholds_accepted(self):
+        p = table1_params(rate_su=1000.0, rate_p=23.0, rate_sk=1023.0)
+        assert math.isfinite(2.0 ** (p.rate_su + p.rate_p) - 1.0)
+
 
 class TestLinkStats:
     def test_table1_row1(self, t1_stats):
@@ -334,6 +373,14 @@ class TestLinkStats:
     def test_sample_floor_enforced(self, t1_params):
         with pytest.raises(ValueError):
             link_stats(t1_params, mc_samples=10 ** 4, seed=1)
+
+    @pytest.mark.parametrize("field", ["t_su", "t_p_active", "rate_sk",
+                                       "stderr_p_buf"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_validate_rejects_non_finite(self, t1_stats, field, value):
+        bad = LinkStats(**dict(asdict(t1_stats), **{field: value}))
+        with pytest.raises(ValueError, match=field):
+            bad.validate()
 
     def test_json_round_trip(self, t1_stats):
         import json
@@ -426,6 +473,24 @@ class TestOptimizeRate:
                 - _decode_probability(a - h, b, snr_s, snr_ps)) / (2 * h)
         assert dp_da <= 0.0
         assert dp_da == pytest.approx(diff, rel=1e-5, abs=1e-12)
+
+
+    @pytest.mark.parametrize("snr_ps", [1e-300, 1e-308])
+    def test_slope_at_vanishing_cross_link_is_clean_channel(self, snr_ps):
+        # kappa^2 and kappa b overflow here; the primary signal is
+        # undecodable, so the secondary decodes as on a clean channel
+        a, b = 2.0 ** 1.91 - 1.0, 2.0 ** 2.52 - 1.0
+        p, dp_da = _decode_probability(a, b, 5.0, snr_ps, slope=True)
+        clean = math.exp(-a / 5.0)
+        assert p == pytest.approx(clean, rel=1e-12)
+        assert dp_da == pytest.approx(-clean / 5.0, rel=1e-12)
+
+    def test_underflowed_clean_channel_decodes_nothing(self):
+        # e^(-a u) underflows, and with thr_p = 0 the cross-link exponent
+        # kappa b would be inf * 0
+        a, b = 1e10, 0.0
+        assert _decode_probability(a, b, 1e-300, 1e-300, slope=True) == (
+            0.0, 0.0)
 
 
 def interfered_slope(rate: float, params: SystemParams) -> float:

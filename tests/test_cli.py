@@ -1,6 +1,12 @@
+import contextlib
+import io
 import json
+import math
+import sys
+import warnings
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from cogarq.cli import main
 from cogarq.mdp import policy_to_json_obj, k_active_policy, enumerate_states
@@ -70,6 +76,12 @@ ABSENT = object()   # marks a config key to leave out
     {"deadline_D": "5", "buffer_B": ABSENT},
     {"deadline_D": None, "buffer_B": ABSENT},
     {"deadline_D": [5], "buffer_B": ABSENT},
+    # a positive SNR whose reciprocal overflows a double
+    {"mean_snr_ps": 5e-324},
+    {"mean_snr_s": 5e-324, "rate_su": 1000},
+    # a decode threshold 2^r - 1 beyond the double range
+    {"rate_sk": 2000},
+    {"rate_su": 600, "rate_p": 600},
 ])
 def test_invalid_config_rejected(tmp_path, capsys, change):
     path = tmp_path / "scenario.json"
@@ -388,3 +400,93 @@ def test_simulate_rejects_policy_object(config_file, tmp_path, capsys):
         diag = _one_line_error(capsys)
         assert diag["error"] == "ValueError"
         assert message in diag["message"]
+
+
+def test_subnormal_snr_sweep_rejected(tmp_path, capsys):
+    # 1 / 5e-324 overflows; the sweep must not write nan rows
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(dict(CONFIG, mean_snr_s=5e-324,
+                                    rate_su=1000)))
+    rc = main(["sweep", "--config", str(path), "--kind", "GPS_RATIO",
+               "--grid", "0.5,1", "--mc-samples", "100000"])
+    assert rc == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1
+    diag = json.loads(captured.err)
+    assert diag["error"] == "ValueError"
+    assert "mean_snr_s" in diag["message"]
+
+
+def _strict_json(text: str):
+    def reject(constant):
+        raise ValueError(f"non-finite JSON constant {constant}")
+    return json.loads(text, parse_constant=reject)
+
+
+@pytest.mark.parametrize("snr", [1e-300, 1e-308])
+def test_vanishing_cross_link_derives_clean_rate(tmp_path, capsys, snr):
+    # with no usable primary signal at the secondary receiver, the
+    # interfered rate is the clean-channel rate
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(dict(CONFIG, rate_policy="RSU_STAR",
+                                    mean_snr_ps=snr)))
+    rc = main(["derive-params", "--config", str(path), "--mc-samples",
+               "100000"])
+    assert rc == 0
+    params = _strict_json(capsys.readouterr().out)["params"]
+    assert params["rate_su"] == pytest.approx(params["rate_sk"], abs=1e-9)
+
+
+# Mean SNRs and rates at the edges of the double range, and log-uniform
+# between.
+EDGE_SNRS = st.one_of(
+    st.sampled_from([0.0, 5e-324, 1e-308, 1e-300, 1e300, sys.float_info.max]),
+    st.floats(-3.0, 4.0).map(lambda e: 10.0 ** e))
+EDGE_RATES = st.one_of(
+    st.sampled_from([5e-324, 1e-300, 2000.0]),
+    st.floats(-3.0, math.log10(2000.0)).map(lambda e: 10.0 ** e))
+
+
+@st.composite
+def edge_configs(draw):
+    config = {k: draw(EDGE_SNRS) for k in ("mean_snr_s", "mean_snr_p",
+                                           "mean_snr_sp", "mean_snr_ps")}
+    deadline = draw(st.integers(1, 3))
+    config.update(deadline_D=deadline,
+                  buffer_B=draw(st.integers(0, deadline - 1)))
+    if draw(st.booleans()):
+        config["rate_policy"] = "RSU_STAR"
+    else:
+        config["rate_policy"] = "EXPLICIT"
+        for k in ("rate_p", "rate_su", "rate_sk"):
+            config[k] = draw(EDGE_RATES)
+    return config
+
+
+@settings(max_examples=100, derandomize=True, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(edge_configs())
+def test_edge_configs_give_strict_json_or_value_error(tmp_path, config):
+    # every finite config either succeeds with strict JSON or fails with
+    # exactly one ValueError line, never NaN or another exception; a
+    # warning would be one more stderr line
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(config))
+    for command in ("derive-params", "solve"):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), \
+                contextlib.redirect_stderr(err), \
+                warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            rc = main([command, "--config", str(path), "--mc-samples",
+                       "100000"])
+        assert not caught, [str(w.message) for w in caught]
+        if rc == 0:
+            assert err.getvalue() == ""
+            _strict_json(out.getvalue())
+        else:
+            assert rc == 1 and out.getvalue() == ""
+            lines = err.getvalue().splitlines()
+            assert len(lines) == 1
+            assert json.loads(lines[0])["error"] == "ValueError", lines

@@ -2,7 +2,7 @@ import pytest
 
 from cogarq import (DEADLINE, EXPLICIT, FIC_BIC, FIC_ONLY, GSP_RATIO, NO_IC,
                     PM_KNOWN, RSU_EQ_RSK, RSU_RATIO, RSU_STAR, SCHEMES,
-                    TS_VS_TP, Scenario, access_rate_budget, derive_rates,
+                    TS_VS_TP, access_rate_budget, derive_rates,
                     evaluate_scheme, greedy_policy_path, link_stats, sweep)
 from cogarq.experiments import rows_to_csv
 
@@ -17,19 +17,14 @@ def t1_paths(t1_stats):
     }
 
 
-def _scenario(scheme, params=None):
-    return Scenario(params=params or table1_params(), rate_policy=EXPLICIT,
-                    scheme=scheme)
-
-
 class TestEvaluateScheme:
     def test_pm_known_upper_bound_value(self, t1_stats):
-        m = evaluate_scheme(_scenario(PM_KNOWN), 1.0, stats=t1_stats)
+        m = evaluate_scheme(PM_KNOWN, 1.0, stats=t1_stats)
         assert m.t_s_bar == pytest.approx(1.10, abs=0.01)
         assert m.w_s_bar == 1.0
 
     def test_no_ic_constant_access(self, t1_stats):
-        m = evaluate_scheme(_scenario(NO_IC), 0.37, stats=t1_stats)
+        m = evaluate_scheme(NO_IC, 0.37, stats=t1_stats)
         assert m.t_s_bar == pytest.approx(0.37 * t1_stats.t_su, abs=1e-12)
         assert m.w_s_bar == 0.37
         assert m.t_p_bar == pytest.approx(
@@ -37,13 +32,13 @@ class TestEvaluateScheme:
             - (t1_stats.t_p_idle - t1_stats.t_p_active) * 0.37, abs=1e-12)
 
     def test_budget_capped_at_one(self, t1_stats):
-        m = evaluate_scheme(_scenario(NO_IC), 3.0, stats=t1_stats)
+        m = evaluate_scheme(NO_IC, 3.0, stats=t1_stats)
         assert m.w_s_bar == 1.0
 
     def test_dominance_order(self, t1_stats, t1_paths):
         for eps_w in (0.15, 0.4, 0.8):
             vals = {
-                scheme: evaluate_scheme(_scenario(scheme), eps_w,
+                scheme: evaluate_scheme(scheme, eps_w,
                                         stats=t1_stats,
                                         path=t1_paths.get(scheme)).t_s_bar
                 for scheme in SCHEMES
@@ -55,15 +50,15 @@ class TestEvaluateScheme:
     def test_low_regime_needs_no_buffering(self, t1_stats, t1_paths):
         eps_th = t1_paths[FIC_BIC].eps_th
         for eps_w in (0.3 * eps_th, eps_th):
-            full = evaluate_scheme(_scenario(FIC_BIC), eps_w, stats=t1_stats,
+            full = evaluate_scheme(FIC_BIC, eps_w, stats=t1_stats,
                                    path=t1_paths[FIC_BIC])
-            nobuf = evaluate_scheme(_scenario(FIC_ONLY), eps_w,
+            nobuf = evaluate_scheme(FIC_ONLY, eps_w,
                                     stats=t1_stats, path=t1_paths[FIC_ONLY])
             assert abs(full.t_s_bar - nobuf.t_s_bar) <= 1e-9
         above = eps_th * 1.5
-        full = evaluate_scheme(_scenario(FIC_BIC), above, stats=t1_stats,
+        full = evaluate_scheme(FIC_BIC, above, stats=t1_stats,
                                path=t1_paths[FIC_BIC])
-        nobuf = evaluate_scheme(_scenario(FIC_ONLY), above, stats=t1_stats,
+        nobuf = evaluate_scheme(FIC_ONLY, above, stats=t1_stats,
                                 path=t1_paths[FIC_ONLY])
         assert full.t_s_bar > nobuf.t_s_bar + 1e-6
 
@@ -86,8 +81,8 @@ class TestDeriveRates:
 
 class TestSweep:
     def test_ts_vs_tp_spans_tp_range(self, t1_stats):
-        base = Scenario(params=table1_params(), rate_policy=EXPLICIT)
-        rows = sweep(TS_VS_TP, base, [0.0, 0.5, 1.0], mc_samples=200_000)
+        rows = sweep(TS_VS_TP, table1_params(), EXPLICIT, [0.0, 0.5, 1.0],
+                     mc_samples=200_000)
         assert all(r["error"] == "" for r in rows)
         fic = [r for r in rows if r["scheme"] == FIC_BIC]
         assert fic[0]["t_p_bar"] == pytest.approx(t1_stats.t_p_idle, abs=0.01)
@@ -95,34 +90,34 @@ class TestSweep:
                                                    abs=0.01)
 
     def test_deadline_one_collapses_ic_schemes(self):
-        base = Scenario(params=table1_params(), rate_policy=EXPLICIT)
-        rows = sweep(DEADLINE, base, [1], mc_samples=200_000)
+        rows = sweep(DEADLINE, table1_params(), EXPLICIT, [1],
+                     mc_samples=200_000)
         by_scheme = {r["scheme"]: r["t_s_bar"] for r in rows}
         assert by_scheme[FIC_BIC] == pytest.approx(by_scheme[NO_IC], abs=1e-9)
         assert by_scheme[FIC_ONLY] == pytest.approx(by_scheme[NO_IC], abs=1e-9)
         assert by_scheme[PM_KNOWN] >= by_scheme[FIC_BIC]
 
     def test_grid_validation(self):
-        base = Scenario(params=table1_params())
+        base = table1_params()
         with pytest.raises(ValueError):
-            sweep(TS_VS_TP, base, [])
+            sweep(TS_VS_TP, base, RSU_STAR, [])
         with pytest.raises(ValueError):
-            sweep(TS_VS_TP, base, [0.5, 0.1])
+            sweep(TS_VS_TP, base, RSU_STAR, [0.5, 0.1])
         with pytest.raises(ValueError):
-            sweep("NOPE", base, [0.1])
+            sweep("NOPE", base, RSU_STAR, [0.1])
 
     def test_sample_floor_rejected_before_first_point(self):
         # a count below the floor fails the sweep, not every row
-        base = Scenario(params=table1_params(), rate_policy=EXPLICIT)
         for kind, grid in ((TS_VS_TP, [0.3]), (GSP_RATIO, [0.0, 0.5])):
             with pytest.raises(ValueError, match="mc_samples"):
-                sweep(kind, base, grid, mc_samples=99_999)
+                sweep(kind, table1_params(), EXPLICIT, grid,
+                      mc_samples=99_999)
 
     def test_per_point_errors_recorded(self):
         # a fractional deadline cannot be realized; its rows carry the
         # error and the remaining points still evaluate
-        base = Scenario(params=table1_params(), rate_policy=EXPLICIT)
-        rows = sweep(DEADLINE, base, [1.5, 2], mc_samples=200_000)
+        rows = sweep(DEADLINE, table1_params(), EXPLICIT, [1.5, 2],
+                     mc_samples=200_000)
         bad = [r for r in rows if r["x"] == 1.5]
         good = [r for r in rows if r["x"] == 2]
         assert all(r["error"] != "" for r in bad)
@@ -132,24 +127,24 @@ class TestSweep:
         # more interference toward the primary receiver shrinks the
         # access budget, seen as a growing primary throughput at the
         # constrained optimum
-        base = Scenario(params=table1_params(), rate_policy=EXPLICIT)
-        rows = sweep(GSP_RATIO, base, [0.0, 0.2, 0.8], mc_samples=200_000)
+        rows = sweep(GSP_RATIO, table1_params(), EXPLICIT, [0.0, 0.2, 0.8],
+                     mc_samples=200_000)
         fic = [r for r in rows if r["scheme"] == FIC_BIC]
         assert all(r["error"] == "" for r in fic)
         assert fic[0]["w_s_bar"] == pytest.approx(1.0)   # no-harm point
         assert fic[2]["w_s_bar"] < fic[1]["w_s_bar"]
 
     def test_rsu_ratio_uses_explicit_rate(self):
-        base = Scenario(params=table1_params(), rate_policy=RSU_STAR)
-        rows = sweep(RSU_RATIO, base, [0.4, 1.0], mc_samples=200_000)
+        rows = sweep(RSU_RATIO, table1_params(), RSU_STAR, [0.4, 1.0],
+                     mc_samples=200_000)
         assert all(r["error"] == "" for r in rows)
         no_ic = [r for r in rows if r["scheme"] == NO_IC]
         assert len(no_ic) == 2
         assert all(r["t_s_bar"] > 0 for r in no_ic)
 
     def test_csv_shape(self):
-        base = Scenario(params=table1_params(), rate_policy=EXPLICIT)
-        rows = sweep(TS_VS_TP, base, [0.3], mc_samples=200_000)
+        rows = sweep(TS_VS_TP, table1_params(), EXPLICIT, [0.3],
+                     mc_samples=200_000)
         text = rows_to_csv(rows)
         lines = text.strip().splitlines()
         assert lines[0] == "x,scheme,t_s_bar,w_s_bar,t_p_bar,error"
@@ -164,19 +159,20 @@ POINT_PARAMS = {
 }
 
 
-def _fresh_rows(kind, base, grid, mc_samples, seed):
+def _fresh_rows(kind, base, rate_policy, grid, mc_samples, seed):
     """Reference sweep: every point derives its rates, link statistics and
     greedy paths afresh."""
     rows = []
     for x in grid:
-        params = derive_rates(POINT_PARAMS[kind](base.params, x),
-                              base.rate_policy)
+        params = derive_rates(POINT_PARAMS[kind](base, x), rate_policy)
         stats = link_stats(params, mc_samples, seed)
         eps_w = (float(x) if kind == TS_VS_TP else
                  access_rate_budget(stats, params.eps_pu, params.power_ratio))
+        deadline = params.deadline_D
+        paths = {FIC_BIC: greedy_policy_path(stats, deadline, deadline - 1),
+                 FIC_ONLY: greedy_policy_path(stats, deadline, 0)}
         for scheme in SCHEMES:
-            m = evaluate_scheme(Scenario(params=params, rate_policy=EXPLICIT,
-                                         scheme=scheme), eps_w, stats=stats)
+            m = evaluate_scheme(scheme, eps_w, stats, paths.get(scheme))
             rows.append({"x": x, "scheme": scheme, "t_s_bar": m.t_s_bar,
                          "w_s_bar": m.w_s_bar, "t_p_bar": m.t_p_bar,
                          "error": ""})
@@ -191,17 +187,18 @@ class TestSweepEquivalence:
         (GSP_RATIO, EXPLICIT, [0.0, 0.25, 1.0]),
     ])
     def test_rows_equal_per_point_evaluation(self, kind, rate_policy, grid):
-        base = Scenario(params=table1_params(), rate_policy=rate_policy)
-        rows = sweep(kind, base, grid, mc_samples=200_000, seed=9)
-        assert rows == _fresh_rows(kind, base, grid, 200_000, 9)
+        base = table1_params()
+        rows = sweep(kind, base, rate_policy, grid, mc_samples=200_000,
+                     seed=9)
+        assert rows == _fresh_rows(kind, base, rate_policy, grid, 200_000, 9)
 
     def test_gsp_ratio_primary_throughput_follows_x(self):
         # GSP_RATIO changes the secondary-to-primary gain, so each point
         # needs its own statistics: with none, the primary keeps its idle
         # throughput; with some, the constrained optimum gives up eps_pu
         # of it. A sweep reusing the x = 0 channel would repeat row 0.
-        base = Scenario(params=table1_params(), rate_policy=EXPLICIT)
-        rows = sweep(GSP_RATIO, base, [0.0, 0.5], mc_samples=200_000)
+        rows = sweep(GSP_RATIO, table1_params(), EXPLICIT, [0.0, 0.5],
+                     mc_samples=200_000)
         t_p = {(r["x"], r["scheme"]): r["t_p_bar"] for r in rows}
         idle = link_stats(table1_params(), 200_000).t_p_idle
         for scheme in SCHEMES:
@@ -210,10 +207,16 @@ class TestSweepEquivalence:
 
 
 class TestScenarioValidation:
-    def test_bad_scheme(self):
-        with pytest.raises(ValueError):
-            Scenario(params=table1_params(), scheme="MAGIC")
+    def test_bad_scheme(self, t1_stats):
+        with pytest.raises(ValueError, match="MAGIC"):
+            evaluate_scheme("MAGIC", 0.3, t1_stats)
+
+    @pytest.mark.parametrize("scheme", [FIC_BIC, FIC_ONLY])
+    def test_optimized_scheme_needs_path(self, t1_stats, scheme):
+        with pytest.raises(ValueError, match="path"):
+            evaluate_scheme(scheme, 0.3, t1_stats)
 
     def test_bad_rate_policy(self):
-        with pytest.raises(ValueError):
-            Scenario(params=table1_params(), rate_policy="MAGIC")
+        # raised before the first point, not recorded in the point's rows
+        with pytest.raises(ValueError, match="MAGIC"):
+            sweep(TS_VS_TP, table1_params(), "MAGIC", [0.3])
