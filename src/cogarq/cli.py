@@ -18,13 +18,17 @@ required; EXPLICIT needs all three rates, the others derive them. Derived
 rates are exact; ``--mc-samples`` (at least `channel.MIN_MC_SAMPLES`) and
 ``--seed`` drive the Monte-Carlo link statistics and the simulator only.
 Every error, a malformed command line included, exits 1 with a one-line
-JSON diagnostic on stderr; ``--help`` exits 0.
+JSON diagnostic on stderr; ``--help`` exits 0. Output is strict JSON, in
+which a missing ``simulate`` standard error is null, or finite CSV; any
+other non-finite value is a ValueError, never a printed NaN, and in a
+``sweep`` it is the grid point's row error.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import asdict, fields
 
@@ -68,6 +72,11 @@ def _load_scenario(path: str):
     return SystemParams.from_json_obj(obj), rate_policy
 
 
+def _json(obj) -> str:
+    """Strict JSON: a NaN or infinity raises ValueError."""
+    return json.dumps(obj, indent=2, allow_nan=False)
+
+
 def _emit(text: str, out: str | None) -> None:
     if out:
         with open(out, "w") as fh:
@@ -86,8 +95,8 @@ def _prepared(args):
 def _cmd_derive_params(args) -> int:
     params, stats = _prepared(args)
     eps_w = access_rate_budget(stats, params.eps_pu, params.power_ratio)
-    _emit(json.dumps({"params": asdict(params), "stats": asdict(stats),
-                      "eps_w": eps_w}, indent=2), args.out)
+    _emit(_json({"params": asdict(params), "stats": asdict(stats),
+                 "eps_w": eps_w}), args.out)
     return 0
 
 
@@ -97,12 +106,12 @@ def _cmd_solve(args) -> int:
              else access_rate_budget(stats, params.eps_pu, params.power_ratio))
     path = greedy_policy_path(stats, params.deadline_D, params.buffer_B)
     policy, metrics = optimal_policy(eps_w, path)
-    _emit(json.dumps({
+    _emit(_json({
         "eps_w": eps_w,
         "eps_th": path.eps_th,
         "policy": policy_to_json_obj(policy),
         "metrics": asdict(metrics),
-    }, indent=2), args.out)
+    }), args.out)
     return 0
 
 
@@ -122,7 +131,7 @@ def _cmd_simulate(args) -> int:
     out = json.loads(result.to_json())
     if analytic is not None:
         out["analytic"] = analytic
-    _emit(json.dumps(out, indent=2), args.out)
+    _emit(_json(out), args.out)
     return 0
 
 
@@ -132,6 +141,9 @@ def _cmd_oracle(args) -> int:
     buffer_size = args.B if args.B is not None else params.buffer_B
     frontier = enumerate_frontier(stats, deadline, buffer_size)
     rows = frontier_csv_rows(frontier, deadline, buffer_size)
+    if not all(math.isfinite(r[k]) for r in rows
+               for k in ("w_s_bar", "t_s_bar")):
+        raise ValueError("non-finite frontier metric")
     lines = ["w_s_bar,t_s_bar,policy_bitmask"]
     lines += [f"{r['w_s_bar']!r},{r['t_s_bar']!r},{r['policy_bitmask']}"
               for r in rows]

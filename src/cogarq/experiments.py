@@ -141,13 +141,14 @@ def sweep(kind: str, params: SystemParams, rate_policy: str,
     """Evaluate all four schemes along one parameter grid.
 
     Rows carry (x, scheme, t_s_bar, w_s_bar, t_p_bar, error); a failure at
-    one grid point is recorded in its rows' error field and the sweep
-    continues. For TS_VS_TP the grid is the access budget itself; for the
-    other kinds the budget comes from the scenario's constraints at each
-    point. ``rate_policy`` (one of `RATE_POLICIES`) derives the rates of
-    ``params`` at each point. ``mc_samples`` and ``seed`` drive
-    `link_stats` only. An unknown kind or rate policy, a bad grid, or a
-    count below `MIN_MC_SAMPLES` raises before the first point.
+    one grid point, a non-finite metric included, is recorded in the error
+    field of its four rows and the sweep continues. For TS_VS_TP the grid
+    is the access budget itself; for the other kinds the budget comes from
+    the scenario's constraints at each point. ``rate_policy`` (one of
+    `RATE_POLICIES`) derives the rates of ``params`` at each point.
+    ``mc_samples`` and ``seed`` drive `link_stats` only. An unknown kind
+    or rate policy, a bad grid, or a count below `MIN_MC_SAMPLES` raises
+    before the first point.
     """
     if kind not in DEFAULT_GRIDS:
         raise ValueError(f"unknown sweep kind {kind!r}")
@@ -180,11 +181,17 @@ def sweep(kind: str, params: SystemParams, rate_policy: str,
                 paths = {FIC_BIC: greedy_policy_path(stats, deadline,
                                                      deadline - 1),
                          FIC_ONLY: greedy_policy_path(stats, deadline, 0)}
+            point_rows = []
             for scheme in SCHEMES:
                 m = evaluate_scheme(scheme, eps_w, stats, paths.get(scheme))
-                rows.append({"x": x, "scheme": scheme, "t_s_bar": m.t_s_bar,
-                             "w_s_bar": m.w_s_bar, "t_p_bar": m.t_p_bar,
-                             "error": ""})
+                if not all(map(math.isfinite,
+                               (m.t_s_bar, m.w_s_bar, m.t_p_bar))):
+                    raise ValueError(f"non-finite {scheme} metric")
+                point_rows.append({"x": x, "scheme": scheme,
+                                   "t_s_bar": m.t_s_bar,
+                                   "w_s_bar": m.w_s_bar,
+                                   "t_p_bar": m.t_p_bar, "error": ""})
+            rows += point_rows
         except Exception as exc:  # noqa: BLE001 - per-point fault isolation
             for scheme in SCHEMES:
                 rows.append({"x": x, "scheme": scheme, "t_s_bar": "",

@@ -6,12 +6,21 @@ The simulator draws a chunk of cycles at once and advances them together,
 one attempt layer t = 1..D at a time: each layer is one array step over the
 cycles still alive (fading draws, the secondary access coin, the primary
 ACK/NACK, the secondary receiver's decode outcome from
-`RegionClassifier.masks`, and the next state from `mdp.StateSpace.succ`).
-Laying the chunk's cycles end to end in order gives the chain's sample path
-from the root, which is cut off exactly after ``num_slots`` slots. Decode
-outcomes use the classification the link statistics use, so simulated
-transition frequencies estimate the analytic transition rows by
-construction.
+`RegionClassifier.masks`, and the next state). Laying the chunk's cycles
+end to end in order gives the chain's sample path from the root, which is
+cut off exactly after ``num_slots`` slots. Decode outcomes use the
+classification the link statistics use, so simulated transition
+frequencies estimate the analytic transition rows by construction.
+
+The step costs little more than its draws. Each variate is drawn into a
+buffer allocated once per chunk (`channel._exponential_into`, bit-identical
+to ``rng.exponential``), and the ACK threshold is computed in place in the
+gamma_sp buffer. A slot's booleans (active, ACK, primary decoded while
+active, gamma_ps >= thr_p, secondary signal buffered) are packed into one
+5-bit outcome code, and ``_CODES * state + code`` is the slot's row in
+tables built once per chain from `mdp.StateSpace.succ`: the next state,
+whether the primary message is decoded, and the transition code. The
+counting pass only histograms rows; the reward pass reads the same bits.
 
 Standard errors come from the regenerative ratio estimator (Crane &
 Iglehart 1975; Asmussen & Glynn, *Stochastic Simulation*, ch. IV): with y
@@ -21,9 +30,10 @@ y, y^2, y tau, tau and tau^2 are kept, so memory does not grow with
 ``num_slots``.
 
 Transition counts are one integer array indexed (state, action, next
-state) in transition-table index order, compared row by row with the
-table's rows by `empirical_transition_check`; a pass collects either the
-counts or the rewards, over the same draws.
+state) in transition-table index order, folded from the row histogram
+and compared row by row with the table's rows by
+`empirical_transition_check`; a pass collects either the counts or the
+rewards, over the same draws.
 
 Reproducibility: one seeded generator; per chunk of cycles, then per layer
 t, the draw order is (gamma_s, gamma_p, gamma_sp, gamma_ps,
@@ -40,8 +50,9 @@ from typing import Optional
 
 import numpy as np
 
-from .channel import LinkStats, RegionClassifier, SystemParams, check_integer
-from .mdp import PHI_K, Policy, state_space, transition_table
+from .channel import (LinkStats, RegionClassifier, SystemParams,
+                      _exponential_into, check_integer)
+from .mdp import Policy, state_space, transition_table
 
 _CHUNK = 1 << 14      # cycles simulated together
 
@@ -70,7 +81,8 @@ class SimResult:
     """Empirical long-term averages with regenerative standard errors.
 
     A standard error is ``math.inf`` when fewer than two cycles complete,
-    null in `to_json`, since strict JSON has no infinity.
+    null in `to_json`, since strict JSON has no infinity; any other
+    non-finite field makes `to_json` raise ValueError.
     """
 
     t_s_emp: float
@@ -89,48 +101,78 @@ class SimResult:
 
     def to_json(self) -> str:
         return json.dumps({k: None if v == math.inf else v
-                           for k, v in asdict(self).items()}, indent=2)
+                           for k, v in asdict(self).items()}, indent=2,
+                          allow_nan=False)
+
+
+# The bits of a slot's outcome code: the secondary transmits (ACTIVE), the
+# primary receiver ACKs (ACK), and the secondary receiver decodes the
+# primary message while the secondary transmits (PU_DEC), would decode it
+# alone, gamma_ps >= thr_p (P_OK), or buffers the secondary signal (BUF).
+ACTIVE, ACK, PU_DEC, P_OK, BUF = 1, 2, 4, 8, 16
+_CODES = 32
 
 
 class _Chain:
     """Scenario constants and the layer-by-layer simulation of cycles.
 
-    States are indexed as in `mdp.StateSpace`, whose ``succ`` and
-    ``level`` give each state's successors and buffer level; index 0 is
-    the root.
+    States are indexed as in `mdp.StateSpace`; index 0 is the root. A slot
+    in state i with outcome code c is row ``_CODES * i + c`` of three
+    tables: ``next``, the state it leads to (the layout's ``succ``, or the
+    root after an ACK or at the deadline); ``decoded``, whether the
+    secondary receiver decodes the primary message; and ``transition``,
+    its transition code (2 i + active) * n_states + next.
     """
 
     def __init__(self, params: SystemParams, policy: Policy):
         self.params = params
         space = state_space(params.deadline_D, params.buffer_B)
         self.mu = np.array(space.vector(policy))
-        self.succ, self.level = np.array(space.succ), np.array(space.level)
-        self.known = np.array([space.state(i).phi == PHI_K
-                               for i in range(len(self.level))])
+        self.level = np.array(space.level)
+        n = len(self.level)
+        self.known = np.arange(n) >= space.n_unknown
         self.cls = RegionClassifier(params.rate_su, params.rate_p)
         self.thr_sk = 2.0 ** params.rate_sk - 1.0
+        code = np.arange(_CODES)
+        active = (code & ACTIVE) > 0
+        unknown = ~self.known[:, None]
+        decoded = unknown & ((code & np.where(active, PU_DEC, P_OK)) > 0)
+        # learn if the primary message was decoded, grow if a signal was
+        # buffered and the buffer has room, else stay
+        succ = np.array(space.succ).reshape(n, 3)
+        grow = unknown & active & ((code & BUF) > 0) & (succ[:, 1:2] > 0)
+        nxt = np.take_along_axis(succ, np.where(decoded, 2, grow), axis=1)
+        nxt[:, (code & ACK) > 0] = 0
+        self.next = nxt.ravel()
+        self.decoded = decoded.ravel()
+        self.transition = ((2 * np.arange(n)[:, None] + active) * n
+                           + nxt).ravel()
 
     def cycles(self, rng: np.random.Generator, n: int,
                room: Optional[np.ndarray], collect_transitions: bool):
         """Simulate ``n`` cycles laid end to end from the root.
 
-        Returns (sums, lengths, counts); the draws do not depend on
-        ``room`` or ``collect_transitions``. With ``room`` given, slot t of
-        cycle c counts only if t <= room[c]; otherwise every slot counts.
-        ``lengths`` holds the full length of every cycle. ``counts`` holds
-        the counted (state, action, next) transitions, at code (2 state +
-        active) * n_states + next, if ``collect_transitions``; otherwise
-        ``sums`` holds the totals over counted slots and the moments of
-        the cycles that end in a counted slot. The other one is None.
+        Returns (sums, lengths, rows); the draws do not depend on ``room``
+        or ``collect_transitions``. With ``room`` given, slot t of cycle c
+        counts only if t <= room[c]; otherwise every slot counts.
+        ``lengths`` holds the full length of every cycle. ``rows`` holds
+        the number of counted slots at each table row if
+        ``collect_transitions``; otherwise ``sums`` holds the totals over
+        counted slots and the moments of the cycles that end in a counted
+        slot. The other one is None.
         """
         p = self.params
         deadline = p.deadline_D
         rsu, rsk = p.rate_su, p.rate_sk
         thr_p = self.cls.thr_p
-        n_states = len(self.level)
-        counts = (np.zeros(2 * n_states * n_states, dtype=np.int64)
-                  if collect_transitions else None)
+        rows = (np.zeros(len(self.next), dtype=np.int64)
+                if collect_transitions else None)
         sums = None if collect_transitions else Counter()
+        # one buffer per variate and per bit, sliced to the cycles alive
+        gs_buf, gp_buf, gsp_buf, gps_buf, u_buf = np.empty((5, n))
+        active_buf, ack_buf, p_ok_buf = np.empty((3, n), dtype=bool)
+        code_buf = np.empty(n, dtype=np.uint8)
+        row_buf = np.empty(n, dtype=np.int64)
         cyc = np.arange(n)
         state = np.zeros(n, dtype=np.int64)
         y = {"t_s": np.zeros(n), "w_s": np.zeros(n)}
@@ -140,52 +182,58 @@ class _Chain:
             m = len(cyc)
             if m == 0:
                 break
-            gs = rng.exponential(p.mean_snr_s, m)
-            gp = rng.exponential(p.mean_snr_p, m)
-            gsp = rng.exponential(p.mean_snr_sp, m)
-            gps = rng.exponential(p.mean_snr_ps, m)
-            u = rng.random(m)
-            known = self.known[state]
-            active = u < self.mu[state]
-            ack = gp >= thr_p * (1.0 + gsp * active)
+            gs = _exponential_into(rng, p.mean_snr_s, gs_buf[:m])
+            gp = _exponential_into(rng, p.mean_snr_p, gp_buf[:m])
+            gsp = _exponential_into(rng, p.mean_snr_sp, gsp_buf[:m])
+            gps = _exponential_into(rng, p.mean_snr_ps, gps_buf[:m])
+            u = rng.random(out=u_buf[:m])
+            active = np.less(u, self.mu[state], out=active_buf[:m])
+            # gsp becomes the ACK threshold thr_p * (1 + gamma_sp * active)
+            np.multiply(gsp, active, out=gsp)
+            np.add(gsp, 1.0, out=gsp)
+            np.multiply(gsp, thr_p, out=gsp)
+            ack = np.greater_equal(gp, gsp, out=ack_buf[:m])
             pu_dec, su_dec, buf_dec = self.cls.masks(gs, gps)
-            decoded = ~known & np.where(active, pu_dec, gps >= thr_p)
-            buffered = active & ~known & buf_dec
-            # the layout's successor: learn if the primary message was
-            # decoded, grow if a signal was buffered and the buffer has
-            # room, else stay; the root after an ACK or at the deadline
-            k = 3 * state
-            grow = buffered & (self.succ[k + 1] > 0)
-            nxt = np.where(ack, 0, self.succ[k + np.where(decoded, 2, grow)])
-            end = ack | (t == deadline)
+            p_ok = np.greater_equal(gps, thr_p, out=p_ok_buf[:m])
+            # the outcome code, most significant bit first, doubled by uint8
+            # additions (numpy's uint8 shifts ran about four times slower)
+            code = code_buf[:m]
+            np.copyto(code, buf_dec.view(np.uint8))
+            for bit in (p_ok, pu_dec, ack, active):
+                np.add(code, code, out=code)
+                np.add(code, bit.view(np.uint8), out=code)
+            row = np.multiply(state, _CODES, out=row_buf[:m])
+            np.add(row, code, out=row)
+            nxt = self.next[row]
 
             # every live cycle is written; a cycle's last write is its end
             lengths[cyc] = t
             live = slice(None) if room is None else room[cyc] >= t
-            if counts is not None:
-                hist = np.bincount(
-                    ((2 * state + active) * n_states + nxt)[live])
-                counts[:len(hist)] += hist
+            if rows is not None:
+                rows += np.bincount(row[live], minlength=len(rows))
             else:
                 acked[cyc] = ack
                 counted = cyc[live]
+                known = self.known[state]
                 k_access = active & known
                 fic = k_access & (gs >= self.thr_sk)
                 fresh = active & ~known & su_dec
-                bic = decoded * (self.level[state] * rsu)
+                bic = self.decoded[row] * (self.level[state] * rsu)
                 y["t_s"][counted] += (fic * rsk + fresh * rsu + bic)[live]
                 y["w_s"][counted] += active[live]
                 sums["u_bits"] += rsu * int(np.count_nonzero(fresh[live]))
                 sums["fic_bits"] += rsk * int(np.count_nonzero(fic[live]))
                 sums["bic_bits"] += float(bic[live].sum())
-                sums["k_access_slots"] += int(k_access[live].sum())
-                sums["buffered_events"] += int(buffered[live].sum())
+                sums["k_access_slots"] += int(np.count_nonzero(k_access[live]))
+                sums["buffered_events"] += int(np.count_nonzero(
+                    (active & ~known & buf_dec)[live]))
 
-            stay = np.flatnonzero(~end)
+            # the root is never a successor within a cycle: next 0 ends it
+            stay = np.flatnonzero(nxt != 0)
             cyc, state = cyc[stay], nxt[stay]
 
         if sums is None:
-            return None, lengths, counts
+            return None, lengths, rows
         # an ACK is a cycle's last slot, so only complete cycles carry one
         done = np.full(n, True) if room is None else lengths <= room
         y["t_p"] = p.rate_p * (acked & done)
@@ -199,7 +247,7 @@ class _Chain:
             sums[key + "_cyc"] += float(whole.sum())
             sums[key + "_sq"] += float(whole @ whole)
             sums[key + "_tau"] += float(whole @ tau)
-        return sums, lengths, counts
+        return sums, lengths, None
 
 
 def _ratio_stderr(sums: Counter, key: str) -> float:
@@ -226,28 +274,30 @@ def _simulate(params: SystemParams, policy: Policy, num_slots: int, seed: int,
     (0 idle, 1 active) to state j; otherwise counts is None."""
     chain = _Chain(params, policy)
     rng = np.random.default_rng(seed)
-    sums, counts, slots = Counter(), 0, 0
+    sums, rows, slots = Counter(), 0, 0
     while slots < num_slots:
         left = num_slots - slots
         n = min(_CHUNK, left)       # every cycle lasts at least one slot
         before = rng.bit_generator.state
-        part, lengths, part_counts = chain.cycles(rng, n, None,
-                                                  collect_transitions)
+        part, lengths, part_rows = chain.cycles(rng, n, None,
+                                                collect_transitions)
         total = int(lengths.sum())
         if total > left:
             # the path ends inside this chunk: repeat its draws, counting
             # slot t of cycle c only if start[c] + t - 1 < left
             rng.bit_generator.state = before
             room = left - (np.cumsum(lengths) - lengths)
-            part, _, part_counts = chain.cycles(rng, n, room,
-                                                collect_transitions)
+            part, _, part_rows = chain.cycles(rng, n, room,
+                                              collect_transitions)
         slots += min(total, left)
         if collect_transitions:
-            counts = counts + part_counts
+            rows = rows + part_rows
         else:
             sums.update(part)
     if collect_transitions:
         n = len(chain.level)
+        counts = np.zeros(2 * n * n, dtype=np.int64)
+        np.add.at(counts, chain.transition, rows)
         return None, counts.reshape(n, 2, n)
     return SimResult(
         t_s_emp=sums["t_s"] / num_slots,

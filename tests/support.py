@@ -10,10 +10,11 @@ import numpy as np
 from hypothesis import strategies as st
 
 from cogarq import (FrontierPoint, LinkStats, NetState, Policy,
-                    RegionClassifier, SystemParams)
+                    RegionClassifier, SimResult, SystemParams)
 from cogarq.mdp import (PHI_K, PHI_U, ROOT, enumerate_states,
                         long_term_metrics)
 from cogarq.oracle import SLOPE_RTOL, policy_from_bitmask
+from cogarq.simulator import _CHUNK
 
 TABLE1_SNRS = dict(mean_snr_s=5.0, mean_snr_p=10.0, mean_snr_sp=2.0,
                    mean_snr_ps=5.0)
@@ -248,6 +249,132 @@ def reference_region_probs(params: SystemParams, rate_su: float,
         remaining -= m
     n = float(mc_samples)
     return n_gp / n, n_gs / n, n_buf / n
+
+
+def reference_simulation(params: SystemParams, policy: Policy,
+                         num_slots: int, seed: int):
+    """(SimResult, counts) of the first ``num_slots`` slots of the sample
+    path of ``seed``, each cycle moved in a Python loop.
+
+    The draws follow the simulator's documented order: per chunk of
+    min(`_CHUNK`, slots left) cycles, then per attempt t, gamma_s, gamma_p,
+    gamma_sp, gamma_ps and the access uniform over the cycles still alive.
+    Each slot decodes through `reference_masks` and moves by the state
+    definition, not by the layout's ``succ``: an ACK or the deadline ends
+    the cycle; decoding the primary message learns it, (t + 1, 0, K); a
+    signal buffered by an unknown-message state grows the buffer,
+    (t + 1, b + 1, U), while b < B; any other slot stays, (t + 1, b, phi).
+    The chunk's cycles are laid end to end by their lengths and cut after
+    ``num_slots`` slots, with no second pass over the draws.
+    ``counts[i, a, j]`` counts the slots that moved state i under action a
+    to state j. The regenerative standard errors sum (y - r tau)^2
+    directly.
+    """
+    deadline, cap = params.deadline_D, params.buffer_B
+    # states as (t, b, phi) tuples, which hash far faster than NetState
+    index = {(s.t, s.b, s.phi): i
+             for i, s in enumerate(enumerate_states(deadline, cap))}
+    mu = {(s.t, s.b, s.phi): p for s, p in policy.probs.items()}
+    root = (ROOT.t, ROOT.b, ROOT.phi)
+    n_states = len(index)
+    cls = RegionClassifier(params.rate_su, params.rate_p)
+    thr_p, thr_sk = cls.thr_p, 2.0 ** params.rate_sk - 1.0
+    rsu, rsk = params.rate_su, params.rate_sk
+    rng = np.random.default_rng(seed)
+    counts = np.zeros((n_states, 2, n_states), dtype=np.int64)
+    totals = dict.fromkeys(("t_s", "w_s", "fic", "fresh", "bic",
+                            "k_access", "buffered"), 0.0)
+    cycles = []         # (t_s, w_s, t_p, tau) of each complete cycle
+    slots = 0
+    while slots < num_slots:
+        n = min(_CHUNK, num_slots - slots)
+        state = [root] * n
+        alive = list(range(n))
+        layers = []
+        for t in range(1, deadline + 1):
+            if not alive:
+                break
+            m = len(alive)
+            gs = rng.exponential(params.mean_snr_s, m)
+            gp = rng.exponential(params.mean_snr_p, m)
+            gsp = rng.exponential(params.mean_snr_sp, m)
+            gps = rng.exponential(params.mean_snr_ps, m)
+            u = rng.random(m)
+            pu_dec, su_dec, buf = reference_masks(cls, gs, gps)
+            now = [state[c] for c in alive]
+            known = np.array([s[2] == PHI_K for s in now])
+            active = u < np.array([mu[s] for s in now])
+            ack = np.where(active, gp >= thr_p * (1.0 + gsp), gp >= thr_p)
+            decoded = ~known & np.where(active, pu_dec, gps >= thr_p)
+            grows = active & ~known & buf
+            nxt_index, still = [], []
+            for c, s, k, d, g in zip(alive, now, ack.tolist(),
+                                     decoded.tolist(), grows.tolist()):
+                _, b, phi = s
+                if k or t == deadline:
+                    nxt = root
+                elif d:
+                    nxt = (t + 1, 0, PHI_K)
+                elif g and b < cap:
+                    nxt = (t + 1, b + 1, PHI_U)
+                else:
+                    nxt = (t + 1, b, phi)
+                nxt_index.append(index[nxt])
+                if nxt != root:
+                    state[c] = nxt
+                    still.append(c)
+            level = np.array([s[1] for s in now])
+            layers.append(dict(
+                cycle=np.array(alive), t=t, ack=ack,
+                i=np.array([index[s] for s in now]), a=active,
+                j=np.array(nxt_index),
+                fic=(active & known & (gs >= thr_sk)) * rsk,
+                fresh=(active & ~known & su_dec) * rsu,
+                bic=decoded * level * rsu,
+                k_access=active & known, buffered=grows))
+            alive = still
+        # lay the cycles end to end: slot t of cycle c is slot start[c] + t
+        # of the chunk, and the path ends after num_slots slots
+        length = np.bincount(np.concatenate([x["cycle"] for x in layers]),
+                             minlength=n)
+        start = np.cumsum(length) - length
+        left = num_slots - slots
+        y = {key: np.zeros(n) for key in ("t_s", "w_s", "t_p")}
+        for x in layers:
+            keep = start[x["cycle"]] + x["t"] <= left
+            np.add.at(counts, (x["i"][keep], x["a"][keep].astype(int),
+                               x["j"][keep]), 1)
+            for key in ("fic", "fresh", "bic", "k_access", "buffered"):
+                totals[key] += math.fsum(x[key][keep])
+            y_ts = x["fic"] + x["fresh"] + x["bic"]
+            totals["t_s"] += math.fsum(y_ts[keep])
+            totals["w_s"] += math.fsum(x["a"][keep])
+            y["t_s"][x["cycle"]] += y_ts
+            y["w_s"][x["cycle"]] += x["a"]
+            y["t_p"][x["cycle"]] += x["ack"] * params.rate_p
+        whole = start + length <= left
+        cycles += zip(y["t_s"][whole], y["w_s"][whole], y["t_p"][whole],
+                      length[whole])
+        slots += min(int(length.sum()), left)
+    cyc = np.array(cycles, dtype=float).reshape(-1, 4)
+    tau = cyc[:, 3].sum()
+
+    def stderr(col):
+        if len(cyc) < 2:
+            return math.inf
+        y_c = cyc[:, col]
+        return math.sqrt(np.sum((y_c - y_c.sum() / tau * cyc[:, 3]) ** 2)
+                         ) / tau
+
+    result = SimResult(
+        t_s_emp=totals["t_s"] / num_slots, w_s_emp=totals["w_s"] / num_slots,
+        t_p_emp=cyc[:, 2].sum() / num_slots,
+        stderr_t_s=stderr(0), stderr_w_s=stderr(1), stderr_t_p=stderr(2),
+        fic_bits=totals["fic"], bic_bits=totals["bic"],
+        u_bits=totals["fresh"], k_access_slots=int(totals["k_access"]),
+        buffered_events=int(totals["buffered"]), cycles_completed=len(cyc),
+        num_slots=num_slots)
+    return result, counts
 
 
 def reference_su_throughput(rates, rate_p: float, mean_snr_s: float,

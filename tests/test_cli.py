@@ -1,4 +1,6 @@
 import contextlib
+import csv
+import dataclasses
 import io
 import json
 import math
@@ -8,6 +10,7 @@ import warnings
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from cogarq import cli, experiments
 from cogarq.cli import main
 from cogarq.mdp import policy_to_json_obj, k_active_policy, enumerate_states
 
@@ -490,3 +493,82 @@ def test_edge_configs_give_strict_json_or_value_error(tmp_path, config):
             lines = err.getvalue().splitlines()
             assert len(lines) == 1
             assert json.loads(lines[0])["error"] == "ValueError", lines
+
+
+def _with_nan(obj, field):
+    return dataclasses.replace(obj, **{field: math.nan})
+
+
+def _nan_budget(access_rate_budget):
+    return lambda *args: math.nan
+
+
+def _nan_solution(optimal_policy):
+    def patched(*args):
+        policy, metrics = optimal_policy(*args)
+        return policy, _with_nan(metrics, "t_p_bar")
+    return patched
+
+
+def _nan_field(field):
+    return lambda f: lambda *args: _with_nan(f(*args), field)
+
+
+def _nan_frontier(enumerate_frontier):
+    return lambda *args: [_with_nan(p, "t_s_bar")
+                          for p in enumerate_frontier(*args)]
+
+
+@pytest.mark.parametrize("command, target, patch", [
+    ("derive-params", "access_rate_budget", _nan_budget),
+    ("solve", "optimal_policy", _nan_solution),
+    ("simulate", "run", _nan_field("u_bits")),
+    ("simulate", "long_term_metrics", _nan_field("t_s_bar")),
+    ("oracle", "enumerate_frontier", _nan_frontier),
+], ids=["derive-params", "solve", "simulate", "simulate-analytic", "oracle"])
+def test_non_finite_output_is_a_value_error(config_file, tmp_path, capsys,
+                                            monkeypatch, command, target,
+                                            patch):
+    # a NaN that reaches the output exits 1 with one ValueError line and
+    # prints nothing
+    monkeypatch.setattr(cli, target, patch(getattr(cli, target)))
+    policy_file = tmp_path / "policy.json"
+    policy_file.write_text(json.dumps(
+        policy_to_json_obj(k_active_policy(enumerate_states(3, 2)))))
+    extra = {"simulate": ["--policy-file", str(policy_file), "--slots",
+                          "100", "--with-analytic"],
+             "oracle": ["--D", "2", "--B", "1"]}.get(command, [])
+    rc = main([command, "--config", config_file, "--mc-samples", "100000",
+               *extra])
+    assert rc == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1
+    assert json.loads(captured.err)["error"] == "ValueError"
+
+
+def test_non_finite_sweep_metric_is_a_row_error(config_file, monkeypatch,
+                                                capsys):
+    # a NaN metric at one grid point turns that point's four rows into
+    # errors; the other points are unchanged
+    evaluate = experiments.evaluate_scheme
+
+    def nan_at_half(scheme, eps_w, stats, path=None):
+        m = evaluate(scheme, eps_w, stats, path)
+        if eps_w == 0.5 and scheme == experiments.FIC_ONLY:
+            return _with_nan(m, "w_s_bar")
+        return m
+
+    monkeypatch.setattr(experiments, "evaluate_scheme", nan_at_half)
+    rc = main(["sweep", "--config", config_file, "--kind", "TS_VS_TP",
+               "--grid", "0.2,0.5,0.8", "--mc-samples", "100000"])
+    assert rc == 0
+    rows = list(csv.DictReader(io.StringIO(capsys.readouterr().out)))
+    assert [r["x"] for r in rows] == ["0.2"] * 4 + ["0.5"] * 4 + ["0.8"] * 4
+    for r in rows:
+        if r["x"] == "0.5":
+            assert r["error"] == "ValueError: non-finite FIC_ONLY metric"
+            assert r["t_s_bar"] == r["w_s_bar"] == r["t_p_bar"] == ""
+        else:
+            assert r["error"] == ""
+            assert math.isfinite(float(r["w_s_bar"]))

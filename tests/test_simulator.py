@@ -1,16 +1,18 @@
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cogarq import (Policy, RegionClassifier, SimConfig, enumerate_states,
-                    empirical_transition_check, idle_policy, k_active_policy,
-                    long_term_metrics, run)
+from cogarq import (Policy, RegionClassifier, SimConfig, SimResult,
+                    enumerate_states, empirical_transition_check, idle_policy,
+                    k_active_policy, long_term_metrics, run)
 from cogarq.mdp import PHI_K, state_space
 from cogarq.simulator import _CHUNK, _Chain, _simulate
 
-from support import make_random_policy, sized_policies, table1_params
+from support import (make_random_policy, reference_simulation,
+                     sized_policies, table1_params)
 
 
 def _config(params, policy, slots, seed):
@@ -126,6 +128,35 @@ class TestBookkeeping:
             _, longer = _simulate(t1_params, pol, slots + 1, 6, True)
             assert (short <= longer).all()
             assert (longer - short).sum() == 1
+
+
+class TestAgainstReference:
+    # the vectorized step against a reference that moves each cycle by the
+    # state definition; the paths end after one slot, inside the first
+    # chunk, or (at D = 1, one slot per cycle) two chunks later
+    @pytest.mark.parametrize("deadline,cap", [(1, 0), (2, 1), (3, 0),
+                                              (4, 3), (5, 2), (6, 5)])
+    def test_matches_reference(self, deadline, cap):
+        params = table1_params(deadline_D=deadline, buffer_B=cap)
+        rng = np.random.default_rng(10 * deadline + cap)
+        states = enumerate_states(deadline, cap)
+        for policy in [make_random_policy(rng, states) for _ in range(2)]:
+            for seed in (1, 7):
+                for slots in (1, 777, 2 * _CHUNK + 5):
+                    r, _ = _simulate(params, policy, slots, seed,
+                                     collect_transitions=False)
+                    _, counts = _simulate(params, policy, slots, seed,
+                                          collect_transitions=True)
+                    ref, ref_counts = reference_simulation(params, policy,
+                                                           slots, seed)
+                    assert counts.tolist() == ref_counts.tolist()
+                    for f in fields(SimResult):
+                        got, want = getattr(r, f.name), getattr(ref, f.name)
+                        if isinstance(want, int):
+                            assert got == want, f.name
+                        else:
+                            assert math.isclose(got, want, rel_tol=1e-12), (
+                                f.name, got, want)
 
 
 class TestRegenerativeErrors:
