@@ -18,12 +18,15 @@ module computes:
 - exact rate optimization, by bisection on the sign of each closed-form
   throughput's slope, so derived rates depend on no seed.
 
-Monte Carlo draws (in `link_stats` only) come from one `numpy` PCG64
-stream in a fixed order: per chunk of at most 2^20 samples, all of the
-chunk's gamma_s first, then its gamma_ps in blocks of 2^15, each gamma_ps
-paired with the gamma_s at the same position. The statistics are thus a
-deterministic function of (params, mc_samples, seed), and ``t_su`` of
-params alone.
+`link_stats` takes a sequence of scenarios and returns one `LinkStats`
+per scenario, from one pass over the Monte Carlo draws. The draws come
+from one `numpy` PCG64 stream in a fixed order: per chunk of at most 2^20
+samples, all of the chunk's standard exponential gamma_s first, then its
+gamma_ps in blocks of 2^15, each gamma_ps paired with the gamma_s at the
+same position. Every scenario scales the same standard draws by its own
+mean SNRs (common random numbers), so its statistics are a deterministic
+function of (params, mc_samples, seed), equal to those of a one-scenario
+call, and ``t_su`` a function of params alone.
 """
 
 from __future__ import annotations
@@ -31,6 +34,7 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import asdict, dataclass, fields
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
@@ -327,9 +331,10 @@ def _exponential_into(rng: np.random.Generator, mean: float,
     return out
 
 
-def _mc_region_probs(params: SystemParams, rate_su: float, mc_samples: int,
-                     seed: int):
-    """Monte Carlo estimates (Pr decode PU, Pr buffer) from shared draws.
+def _mc_region_probs(scenarios: Sequence[SystemParams], mc_samples: int,
+                     seed: int) -> List[Tuple[float, float]]:
+    """Monte Carlo estimates (Pr decode PU, Pr buffer) of each scenario,
+    in order, all from one pass of shared draws.
 
     A buffered draw decodes neither message, so on shared draws the
     estimates always satisfy Pr(buffer) <= 1 - Pr(decode PU), the
@@ -338,72 +343,98 @@ def _mc_region_probs(params: SystemParams, rate_su: float, mc_samples: int,
     estimated here.
 
     Chunks of at most `_MC_CHUNK` samples are drawn sequentially from one
-    seeded generator. Per chunk, all of its gamma_s are drawn first, then
-    its gamma_ps in blocks of `_MC_BLOCK`, each block paired by position
-    with the matching gamma_s slice and classified while cache-resident.
-    The exponential sampler consumes the stream one draw at a time, so the
-    blocks reproduce the chunk's one-shot gamma_ps array exactly.
+    seeded generator. Per chunk, all of its standard exponential gamma_s
+    are drawn first, then its standard gamma_ps in blocks of `_MC_BLOCK`,
+    each block paired by position with the matching gamma_s slice. The
+    exponential sampler consumes the stream one draw at a time, so the
+    blocks reproduce the chunk's one-shot gamma_ps array exactly. Each
+    scenario scales the block pair by its own means and classifies it with
+    its `RegionClassifier.masks` while the block is cache-resident: the
+    last one in place, the earlier ones into two scratch blocks, so one
+    scenario allocates no scratch at all. These are common random numbers:
+    the product of a standard draw and a mean is the draw ``rng.exponential``
+    makes at that mean, so each scenario's estimates equal those of a
+    one-scenario call at the same seed, bit for bit.
     """
-    cls = RegionClassifier(rate_su, params.rate_p)
+    if not scenarios:
+        return []
+    classifiers = [RegionClassifier(p.rate_su, p.rate_p) for p in scenarios]
+    n_gp = [0] * len(scenarios)
+    n_buf = [0] * len(scenarios)
+    last = len(scenarios) - 1
     rng = np.random.default_rng(seed)
     gs_buf = np.empty(min(_MC_CHUNK, mc_samples))
     gps_buf = np.empty(min(_MC_BLOCK, mc_samples))
-    n_gp = n_buf = 0
+    scratch = np.empty((2, len(gps_buf))) if last else None
     for start in range(0, mc_samples, _MC_CHUNK):
-        gs = _exponential_into(rng, params.mean_snr_s,
-                               gs_buf[:min(_MC_CHUNK, mc_samples - start)])
+        gs = rng.standard_exponential(
+            out=gs_buf[:min(_MC_CHUNK, mc_samples - start)])
         for lo in range(0, len(gs), _MC_BLOCK):
             gs_block = gs[lo:lo + _MC_BLOCK]
-            gps = _exponential_into(rng, params.mean_snr_ps,
-                                    gps_buf[:len(gs_block)])
-            pu_dec, _, buf = cls.masks(gs_block, gps)
-            n_gp += int(np.count_nonzero(pu_dec))
-            n_buf += int(np.count_nonzero(buf))
+            m = len(gs_block)
+            gps_block = rng.standard_exponential(out=gps_buf[:m])
+            for i, (params, cls) in enumerate(zip(scenarios, classifiers)):
+                if i == last:
+                    snr_s, snr_ps = gs_block, gps_block
+                else:
+                    snr_s, snr_ps = scratch[0, :m], scratch[1, :m]
+                # a product beyond the double range is inf, as
+                # rng.exponential gives it
+                with np.errstate(over="ignore"):
+                    np.multiply(gs_block, params.mean_snr_s, out=snr_s)
+                    np.multiply(gps_block, params.mean_snr_ps, out=snr_ps)
+                pu_dec, _, buf = cls.masks(snr_s, snr_ps)
+                n_gp[i] += int(np.count_nonzero(pu_dec))
+                n_buf[i] += int(np.count_nonzero(buf))
     n = float(mc_samples)
-    return n_gp / n, n_buf / n
+    return [(gp / n, b / n) for gp, b in zip(n_gp, n_buf)]
 
 
 def _binomial_se(p: float, n: int) -> float:
     return math.sqrt(max(p * (1.0 - p), 0.0) / n)
 
 
-def link_stats(params: SystemParams, mc_samples: int = 10_000_000,
-               seed: int = 1234) -> LinkStats:
-    """Compute all fading-averaged link statistics for one scenario.
+def link_stats(scenarios: Sequence[SystemParams],
+               mc_samples: int = 10_000_000,
+               seed: int = 1234) -> List[LinkStats]:
+    """Compute all fading-averaged link statistics of each scenario.
 
-    Single-variable exponential outages and the secondary decode
-    probability behind ``t_su`` are exact; Pr(decode PU) and Pr(buffer) at
-    the secondary receiver (``q_ps_active`` and ``p_buf``) use Monte Carlo
-    with the given sample count and seed. Deterministic for fixed (params,
-    mc_samples, seed); ``t_su`` depends on params alone.
+    Returns one `LinkStats` per scenario, in order. Single-variable
+    exponential outages and the secondary decode probability behind
+    ``t_su`` are exact; Pr(decode PU) and Pr(buffer) at the secondary
+    receiver (``q_ps_active`` and ``p_buf``) use Monte Carlo with the
+    given sample count and seed, over one pass of draws that every
+    scenario shares (`_mc_region_probs`). A scenario's statistics are a
+    deterministic function of (its params, mc_samples, seed), the same in
+    any batch; ``t_su`` depends on params alone.
     """
     check_mc_samples(mc_samples)
-    q_pp_i = outage_pp(params, su_active=False)
-    q_pp_a = outage_pp(params, su_active=True)
-    q_ps_i = 1.0 - _success(params.rate_p, params.mean_snr_ps)
-
-    pr_gp, p_buf = _mc_region_probs(params, params.rate_su, mc_samples, seed)
-    q_ps_a = 1.0 - pr_gp
-    cls = RegionClassifier(params.rate_su, params.rate_p)
-    t_su = params.rate_su * cls.su_decode_probability(params.mean_snr_s,
-                                                      params.mean_snr_ps)
-
-    return LinkStats(
-        q_pp_idle=q_pp_i,
-        q_pp_active=q_pp_a,
-        q_ps_idle=q_ps_i,
-        q_ps_active=q_ps_a,
-        p_buf=p_buf,
-        t_su=t_su,
-        t_sk=params.rate_sk * _success(params.rate_sk, params.mean_snr_s),
-        t_p_idle=params.rate_p * (1.0 - q_pp_i),
-        t_p_active=params.rate_p * (1.0 - q_pp_a),
-        rate_p=params.rate_p,
-        rate_su=params.rate_su,
-        rate_sk=params.rate_sk,
-        stderr_q_ps_active=_binomial_se(q_ps_a, mc_samples),
-        stderr_p_buf=_binomial_se(p_buf, mc_samples),
-    )
+    out = []
+    for params, (pr_gp, p_buf) in zip(
+            scenarios, _mc_region_probs(scenarios, mc_samples, seed)):
+        q_pp_i = outage_pp(params, su_active=False)
+        q_pp_a = outage_pp(params, su_active=True)
+        q_ps_a = 1.0 - pr_gp
+        cls = RegionClassifier(params.rate_su, params.rate_p)
+        t_su = params.rate_su * cls.su_decode_probability(params.mean_snr_s,
+                                                          params.mean_snr_ps)
+        out.append(LinkStats(
+            q_pp_idle=q_pp_i,
+            q_pp_active=q_pp_a,
+            q_ps_idle=1.0 - _success(params.rate_p, params.mean_snr_ps),
+            q_ps_active=q_ps_a,
+            p_buf=p_buf,
+            t_su=t_su,
+            t_sk=params.rate_sk * _success(params.rate_sk, params.mean_snr_s),
+            t_p_idle=params.rate_p * (1.0 - q_pp_i),
+            t_p_active=params.rate_p * (1.0 - q_pp_a),
+            rate_p=params.rate_p,
+            rate_su=params.rate_su,
+            rate_sk=params.rate_sk,
+            stderr_q_ps_active=_binomial_se(q_ps_a, mc_samples),
+            stderr_p_buf=_binomial_se(p_buf, mc_samples),
+        ))
+    return out
 
 
 def optimize_rate(objective: str, params: SystemParams) -> float:

@@ -88,7 +88,7 @@ def _emit(text: str, out: str | None) -> None:
 def _prepared(args):
     params, rate_policy = _load_scenario(args.config)
     params = derive_rates(params, rate_policy)
-    stats = link_stats(params, args.mc_samples, args.seed)
+    [stats] = link_stats([params], args.mc_samples, args.seed)
     return params, stats
 
 
@@ -125,7 +125,7 @@ def _cmd_simulate(args) -> int:
     result = run(config)
     analytic = None
     if args.with_analytic:
-        stats = link_stats(params, args.mc_samples, args.seed)
+        [stats] = link_stats([params], args.mc_samples, args.seed)
         analytic = asdict(long_term_metrics(
             policy, stats, params.deadline_D, params.buffer_B))
     out = json.loads(result.to_json())

@@ -16,9 +16,12 @@ for the optimized schemes. Sweeps (one kind per `DEFAULT_GRIDS` entry)
 derive transmission rates as dictated by the rate policy, compute link
 statistics and each optimized scheme's path, evaluate all four schemes,
 and emit one row per (grid point, scheme) with per-row error capture so
-a failing point does not abort the sweep. Kinds whose grid leaves every
-channel input unchanged (TS_VS_TP, DEADLINE) compute rates and
-statistics once per sweep; the others recompute them at each point.
+a failing point does not abort the sweep. A sweep first derives every
+point's params, then computes the statistics of all their distinct
+channels in one `link_stats` call (one pass over the Monte Carlo draws),
+then evaluates each point. Kinds whose grid leaves every channel input
+unchanged (TS_VS_TP, DEADLINE) derive rates once and pass one channel;
+the others derive them at each point.
 """
 
 from __future__ import annotations
@@ -125,14 +128,13 @@ def _point_params(kind: str, params: SystemParams, x: float) -> SystemParams:
     return params
 
 
-def _point_stats(kind: str, params: SystemParams, x: float,
-                 rate_policy: str, mc_samples: int, seed: int) -> LinkStats:
-    """Link statistics of the derived params at one grid point."""
+def _channel_params(kind: str, point: SystemParams, x: float,
+                    rate_policy: str) -> SystemParams:
+    """The derived params whose link statistics serve one grid point."""
     if kind == RSU_RATIO:
-        derived = derive_rates(params, RSU_EQ_RSK)
-        params = derived.replace(rate_su=x * derived.rate_sk)
-        rate_policy = EXPLICIT
-    return link_stats(derive_rates(params, rate_policy), mc_samples, seed)
+        derived = derive_rates(point, RSU_EQ_RSK)
+        return derived.replace(rate_su=x * derived.rate_sk)
+    return derive_rates(point, rate_policy)
 
 
 def sweep(kind: str, params: SystemParams, rate_policy: str,
@@ -146,9 +148,11 @@ def sweep(kind: str, params: SystemParams, rate_policy: str,
     is the access budget itself; for the other kinds the budget comes from
     the scenario's constraints at each point. ``rate_policy`` (one of
     `RATE_POLICIES`) derives the rates of ``params`` at each point.
-    ``mc_samples`` and ``seed`` drive `link_stats` only. An unknown kind
-    or rate policy, a bad grid, or a count below `MIN_MC_SAMPLES` raises
-    before the first point.
+    ``mc_samples`` and ``seed`` drive `link_stats` only, which the sweep
+    calls once for the distinct channels of all its points, so each
+    point's statistics equal a one-scenario call at that seed. An unknown
+    kind or rate policy, a bad grid, or a count below `MIN_MC_SAMPLES`
+    raises before the first point.
     """
     if kind not in DEFAULT_GRIDS:
         raise ValueError(f"unknown sweep kind {kind!r}")
@@ -161,14 +165,31 @@ def sweep(kind: str, params: SystemParams, rate_policy: str,
         raise ValueError("grid must be monotone nondecreasing")
     check_mc_samples(mc_samples)
 
-    rows: List[dict] = []
-    stats = paths = None
+    # Each point's params and channel, or the error that stopped it.
+    points = []
+    channel = None
     for x in grid:
         try:
             point = _point_params(kind, params, x)
-            if stats is None or kind not in FIXED_CHANNEL_KINDS:
-                stats = _point_stats(kind, point, x, rate_policy,
-                                     mc_samples, seed)
+            if channel is None or kind not in FIXED_CHANNEL_KINDS:
+                channel = _channel_params(kind, point, x, rate_policy)
+            points.append((x, point, channel))
+        except Exception as exc:  # noqa: BLE001 - per-point fault isolation
+            points.append((x, exc, None))
+
+    channels = list(dict.fromkeys(c for _, _, c in points if c is not None))
+    # one pass over the draws for every channel, and none if no point has one
+    stats_of = {}
+    if channels:
+        stats_of = dict(zip(channels, link_stats(channels, mc_samples, seed)))
+
+    rows: List[dict] = []
+    paths = None
+    for x, point, channel in points:
+        try:
+            if isinstance(point, Exception):
+                raise point
+            stats = stats_of[channel]
             if kind == TS_VS_TP:
                 eps_w = float(x)
             else:

@@ -29,11 +29,12 @@ the error of r is sqrt(sum (y - r tau)^2) / sum tau. Only running sums of
 y, y^2, y tau, tau and tau^2 are kept, so memory does not grow with
 ``num_slots``.
 
-Transition counts are one integer array indexed (state, action, next
-state) in transition-table index order, folded from the row histogram
-and compared row by row with the table's rows by
-`empirical_transition_check`; a pass collects either the counts or the
-rewards, over the same draws.
+Transition counts are folded from the row histogram into a Counter with
+one count per (state, action, next state) move the path makes, keyed by
+transition-table indices, and `empirical_transition_check` compares the
+visited (state, action) rows with the table's, so neither side is ever a
+dense n x 2 x n array; a pass collects either the counts or the rewards,
+over the same draws.
 
 Reproducibility: one seeded generator; per chunk of cycles, then per layer
 t, the draw order is (gamma_s, gamma_p, gamma_sp, gamma_ps,
@@ -268,10 +269,11 @@ def _ratio_stderr(sums: Counter, key: str) -> float:
 
 def _simulate(params: SystemParams, policy: Policy, num_slots: int, seed: int,
               collect_transitions: bool):
-    """Return (result, counts) of the first ``num_slots`` slots of the
+    """Return (result, moves) of the first ``num_slots`` slots of the
     sample path of ``seed``. With ``collect_transitions``, result is None
-    and ``counts[i, a, j]`` the slots that moved state i under action a
-    (0 idle, 1 active) to state j; otherwise counts is None."""
+    and ``moves`` a Counter of the moves the path makes: ``moves[(2 i + a)
+    n + j]`` slots moved state i under action a (0 idle, 1 active) to
+    state j, n the state count; otherwise moves is None."""
     chain = _Chain(params, policy)
     rng = np.random.default_rng(seed)
     sums, rows, slots = Counter(), 0, 0
@@ -295,10 +297,11 @@ def _simulate(params: SystemParams, policy: Policy, num_slots: int, seed: int,
         else:
             sums.update(part)
     if collect_transitions:
-        n = len(chain.level)
-        counts = np.zeros(2 * n * n, dtype=np.int64)
-        np.add.at(counts, chain.transition, rows)
-        return None, counts.reshape(n, 2, n)
+        moves = Counter()
+        for code, count in zip(chain.transition.tolist(), rows.tolist()):
+            if count:
+                moves[code] += count
+        return None, moves
     return SimResult(
         t_s_emp=sums["t_s"] / num_slots,
         w_s_emp=sums["w_s"] / num_slots,
@@ -327,15 +330,28 @@ def empirical_transition_check(config: SimConfig, stats: LinkStats) -> float:
     """Maximum absolute gap between empirical one-step transition
     frequencies (conditioned on state and action) and the analytic rows of
     ``stats``, over the (state, action) pairs the run visits.
+
+    Each visited row compares the successors seen with the table's
+    analytic ones (the layout's successors and the root, which takes the
+    cycle-ending mass as in `mdp.TransitionTable.matrix`), so a move to a
+    state the table does not allow is a gap too. Every other entry of the
+    row is zero on both sides, so memory stays linear in the state count.
     """
-    _, counts = _simulate(config.params, config.policy, config.num_slots,
-                          config.seed, collect_transitions=True)
+    _, moves = _simulate(config.params, config.policy, config.num_slots,
+                         config.seed, collect_transitions=True)
     table = transition_table(stats, config.params.deadline_D,
                              config.params.buffer_B)
     n = len(table.space.layer)
-    analytic = np.stack([table.matrix([0.0] * n), table.matrix([1.0] * n)],
-                        axis=1)
-    totals = counts.sum(axis=2)
-    visited = totals > 0
-    empirical = counts[visited] / totals[visited][:, None]
-    return float(np.abs(empirical - analytic[visited]).max())
+    totals = Counter()                      # by row 2 i + a
+    for code, count in moves.items():
+        totals[code // n] += count
+    gap = Counter({code: count / totals[code // n]
+                   for code, count in moves.items()})
+    for row in totals:
+        i = row // 2
+        p = (table.p_active if row % 2 else table.p_idle)[3 * i:3 * i + 3]
+        gap[row * n] -= ((1.0 - p[0]) - p[1]) - p[2]
+        for j, q in zip(table.succ[3 * i:3 * i + 3], p):
+            if j:
+                gap[row * n + j] -= q
+    return max(abs(g) for g in gap.values())

@@ -13,4 +13,4 @@ def t1_params():
 @pytest.fixture(scope="session")
 def t1_stats(t1_params):
     """Table-I link statistics at unit-test precision (1e6 samples)."""
-    return link_stats(t1_params, mc_samples=10 ** 6, seed=7)
+    return link_stats([t1_params], mc_samples=10 ** 6, seed=7)[0]

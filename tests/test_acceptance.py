@@ -44,7 +44,7 @@ def _derived_params() -> SystemParams:
 
 def _stats_hi():
     if "stats" not in _CACHE:
-        _CACHE["stats"] = link_stats(_derived_params(), 10 ** 7, seed=7)
+        _CACHE["stats"] = link_stats([_derived_params()], 10 ** 7, seed=7)[0]
     return _CACHE["stats"]
 
 
@@ -66,8 +66,8 @@ def test_criterion_1_table_reproduction():
                 "t_sk": 1.10}
     for name, value in expected.items():
         assert abs(getattr(stats, name) - value) <= 0.01, (name, value)
-    stats2 = link_stats(params.replace(rate_su=params.rate_sk), 10 ** 7,
-                        seed=7)
+    stats2 = link_stats([params.replace(rate_su=params.rate_sk)], 10 ** 7,
+                        seed=7)[0]
     assert abs(stats2.q_ps_active - 0.88) <= 0.01
     assert abs(stats2.p_buf - 0.37) <= 0.01
     assert abs(stats2.t_su - 0.40) <= 0.01
@@ -135,8 +135,8 @@ def _degenerate_scenarios(n: int = 10):
         rate_sk = optimize_rate(SU_CLEAN_THROUGHPUT, base)
         rate_su = rate_sk * float(rng.uniform(0.7, 1.0))
         params = base.replace(rate_p=rate_p, rate_sk=rate_sk, rate_su=rate_su)
-        stats = link_stats(params, mc_samples=2 * 10 ** 5,
-                           seed=int(rng.integers(1 << 30)))
+        stats = link_stats([params], mc_samples=2 * 10 ** 5,
+                           seed=int(rng.integers(1 << 30)))[0]
         if stats.q_ps_active > stats.q_ps_idle and hp_condition(stats):
             found.append(stats)
     _CACHE["degenerate"] = found
@@ -220,7 +220,7 @@ def test_criterion_6_figure_shapes():
     by_x = {}
     for r in rows:
         by_x.setdefault(r["x"], {})[r["scheme"]] = r["t_s_bar"]
-    eps_th = greedy_policy_path(link_stats(params, 10 ** 6, seed=7),
+    eps_th = greedy_policy_path(link_stats([params], 10 ** 6, seed=7)[0],
                                 params.deadline_D,
                                 params.deadline_D - 1).eps_th
     for x, vals in by_x.items():

@@ -11,6 +11,7 @@ from cogarq import (PU_IDLE_THROUGHPUT, SU_CLEAN_THROUGHPUT,
                     SU_INTERFERED_THROUGHPUT, LinkStats, RegionClassifier,
                     SystemParams, link_stats, optimize_rate, outage_pp)
 from cogarq.channel import RATE_BRACKET, _decode_probability, _mc_region_probs
+from cogarq.experiments import DEFAULT_GRIDS, GPS_RATIO
 
 from support import (lambert_w0, reference_masks, reference_region_probs,
                      reference_su_throughput, table1_params)
@@ -301,7 +302,8 @@ class TestLinkStats:
         assert t1_stats.t_sk == pytest.approx(1.10, abs=0.01)
 
     def test_table1_row2_equal_rates(self):
-        st = link_stats(table1_params(rate_su=1.91), mc_samples=10 ** 6, seed=7)
+        [st] = link_stats([table1_params(rate_su=1.91)], mc_samples=10 ** 6,
+                          seed=7)
         assert st.q_ps_active == pytest.approx(0.88, abs=0.01)
         assert st.p_buf == pytest.approx(0.37, abs=0.01)
         assert st.t_su == pytest.approx(0.40, abs=0.01)
@@ -321,7 +323,7 @@ class TestLinkStats:
     def test_buffering_identity(self, t1_params):
         # Pr(buffer) equals the clean-channel success probability minus
         # the exact interfered success probability, up to Monte Carlo error.
-        st = link_stats(t1_params, mc_samples=10 ** 6, seed=11)
+        st = link_stats([t1_params], mc_samples=10 ** 6, seed=11)[0]
         clean = math.exp(-(2.0 ** 1.12 - 1.0) / 5.0)
         pr_gs = st.t_su / st.rate_su
         se = st.stderr_p_buf
@@ -329,7 +331,7 @@ class TestLinkStats:
 
     def test_q_ps_idle_closed_form_matches_mc(self, t1_params):
         n = 10 ** 6
-        st = link_stats(t1_params, mc_samples=n, seed=13)
+        st = link_stats([t1_params], mc_samples=n, seed=13)[0]
         cls = RegionClassifier(0.0, t1_params.rate_p)
         rng = np.random.default_rng(17)
         gps = rng.exponential(5.0, n)
@@ -338,10 +340,10 @@ class TestLinkStats:
         assert abs(st.q_ps_idle - mc) <= 3 * se
 
     def test_deterministic_given_seed(self, t1_params):
-        a = link_stats(t1_params, mc_samples=10 ** 5, seed=5)
-        b = link_stats(t1_params, mc_samples=10 ** 5, seed=5)
+        a = link_stats([t1_params], mc_samples=10 ** 5, seed=5)[0]
+        b = link_stats([t1_params], mc_samples=10 ** 5, seed=5)[0]
         assert a == b
-        c = link_stats(t1_params, mc_samples=10 ** 5, seed=6)
+        c = link_stats([t1_params], mc_samples=10 ** 5, seed=6)[0]
         assert c != a
 
     @settings(max_examples=40, derandomize=True, deadline=None)
@@ -349,16 +351,17 @@ class TestLinkStats:
     def test_t_su_exact_and_seed_free(self, snr_s, snr_ps, rate_su, rate_p):
         params = table1_params(mean_snr_s=snr_s, mean_snr_ps=snr_ps,
                                rate_su=rate_su, rate_p=rate_p)
-        st = link_stats(params, mc_samples=10 ** 5, seed=1)
+        st = link_stats([params], mc_samples=10 ** 5, seed=1)[0]
         exact = RegionClassifier(rate_su, rate_p).su_decode_probability(
             snr_s, snr_ps)
         assert st.t_su == rate_su * exact
-        assert link_stats(params, mc_samples=10 ** 5, seed=2).t_su == st.t_su
-        assert link_stats(params, mc_samples=10 ** 5, seed=1) == st
+        [other_seed] = link_stats([params], mc_samples=10 ** 5, seed=2)
+        assert other_seed.t_su == st.t_su
+        assert link_stats([params], mc_samples=10 ** 5, seed=1)[0] == st
 
     def test_dead_cross_link(self):
         p = table1_params(mean_snr_ps=0.0)
-        st = link_stats(p, mc_samples=10 ** 5, seed=3)
+        st = link_stats([p], mc_samples=10 ** 5, seed=3)[0]
         assert st.q_ps_idle == 1.0
         assert st.q_ps_active == 1.0
         assert st.p_buf == 0.0
@@ -366,13 +369,13 @@ class TestLinkStats:
         assert st.t_su == pytest.approx(expected, abs=5e-3)
 
     def test_absent_secondary_link_no_clean_throughput(self):
-        st = link_stats(table1_params(mean_snr_s=0.0), mc_samples=10 ** 5,
-                        seed=3)
+        st = link_stats([table1_params(mean_snr_s=0.0)], mc_samples=10 ** 5,
+                        seed=3)[0]
         assert st.t_sk == 0.0
 
     def test_sample_floor_enforced(self, t1_params):
         with pytest.raises(ValueError):
-            link_stats(t1_params, mc_samples=10 ** 4, seed=1)
+            link_stats([t1_params], mc_samples=10 ** 4, seed=1)
 
     @pytest.mark.parametrize("field", ["t_su", "t_p_active", "rate_sk",
                                        "stderr_p_buf"])
@@ -502,17 +505,27 @@ def interfered_slope(rate: float, params: SystemParams) -> float:
     return p + rate * math.log(2.0) * 2.0 ** rate * dp_da
 
 
+# Scenarios that differ in both mean SNRs the draws are scaled by (a dead
+# cross link included), in the cross-link gain and in the secondary rate.
+BATCH = [table1_params(),
+         table1_params(mean_snr_s=0.5, mean_snr_ps=20.0),
+         table1_params(mean_snr_ps=0.0, rate_su=0.4),
+         table1_params(mean_snr_sp=0.1, rate_su=3.0),
+         table1_params(mean_snr_s=50.0, mean_snr_ps=1e-3, mean_snr_sp=8.0)]
+
+
 class TestStreamedEstimator:
-    """The block-streamed estimator against the one-shot reference: a
-    partial last block, several chunks and a partial last chunk."""
+    """The batched, block-streamed estimator against the one-shot reference
+    and against one-scenario calls: a partial last block, several chunks
+    and a partial last chunk."""
 
     @pytest.mark.parametrize("samples,seed", [(10 ** 5, 7), (10 ** 6, 1),
                                               (3 * 10 ** 6 + 17, 3),
                                               (10 ** 7, 1234)])
     def test_matches_one_shot_reference(self, t1_params, samples, seed):
-        rate_su = t1_params.rate_su
-        probs = _mc_region_probs(t1_params, rate_su, samples, seed)
-        ref = reference_region_probs(t1_params, rate_su, samples, seed)
+        [probs] = _mc_region_probs([t1_params], samples, seed)
+        ref = reference_region_probs(t1_params, t1_params.rate_su, samples,
+                                     seed)
         assert probs == (ref[0], ref[2])
         assert all(type(p) is float for p in probs)
 
@@ -521,15 +534,44 @@ class TestStreamedEstimator:
         params = table1_params(**{link: 0.0})
         n = (1 << 20) + 12_345
         ref = reference_region_probs(params, params.rate_su, n, 9)
-        assert _mc_region_probs(params, params.rate_su, n, 9) == (ref[0],
-                                                                  ref[2])
+        assert _mc_region_probs([params], n, 9) == [(ref[0], ref[2])]
+
+    @pytest.mark.parametrize("samples", [10 ** 5, 10 ** 6, (1 << 20) + 12_345])
+    def test_batch_equals_one_scenario_calls(self, samples):
+        batch = link_stats(BATCH, samples, seed=4)
+        assert len(batch) == len(BATCH)
+        for params, stats in zip(BATCH, batch):
+            assert stats == link_stats([params], samples, seed=4)[0]
+
+    def test_batch_matches_one_shot_reference(self):
+        n = (1 << 20) + 12_345
+        for params, probs in zip(BATCH, _mc_region_probs(BATCH, n, 5)):
+            ref = reference_region_probs(params, params.rate_su, n, 5)
+            assert probs == (ref[0], ref[2])
+
+    def test_empty_batch(self):
+        assert link_stats([], 10 ** 5, seed=1) == []
 
     @pytest.mark.parametrize("samples", [10 ** 6, 3 * 10 ** 6 + 17])
     def test_peak_memory_below_12_mb(self, t1_params, samples):
         tracemalloc.start()
         try:
-            link_stats(t1_params, samples, seed=1)
+            link_stats([t1_params], samples, seed=1)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
+        assert peak < 12 * 2 ** 20
+
+    def test_batch_peak_memory_below_12_mb(self):
+        # the 17 points of the default GPS_RATIO grid: two scratch blocks
+        # serve them all, so memory does not grow with the scenario count
+        scenarios = [table1_params(mean_snr_ps=x * 5.0)
+                     for x in DEFAULT_GRIDS[GPS_RATIO]]
+        tracemalloc.start()
+        try:
+            batch = link_stats(scenarios, 10 ** 6, seed=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(batch) == 17
         assert peak < 12 * 2 ** 20

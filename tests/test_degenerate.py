@@ -52,7 +52,7 @@ class TestHpCondition:
         # unknown-message state plus its buffered top-up is worth exactly
         # a clean access, so the margin is zero and the condition holds
         params = table1_params(rate_su=1.91, mean_snr_sp=0.0)
-        st = link_stats(params, mc_samples=10 ** 6, seed=5)
+        st = link_stats([params], mc_samples=10 ** 6, seed=5)[0]
         d = delta_s(st)
         se = 1.91 * st.stderr_p_buf / st.rate_su
         assert abs(d) <= 3 * se + 1e-6

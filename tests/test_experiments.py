@@ -1,10 +1,12 @@
 import pytest
 
-from cogarq import (DEADLINE, EXPLICIT, FIC_BIC, FIC_ONLY, GSP_RATIO, NO_IC,
-                    PM_KNOWN, RSU_EQ_RSK, RSU_RATIO, RSU_STAR, SCHEMES,
-                    TS_VS_TP, access_rate_budget, derive_rates,
-                    evaluate_scheme, greedy_policy_path, link_stats, sweep)
-from cogarq.experiments import rows_to_csv
+from cogarq import (DEADLINE, EXPLICIT, FIC_BIC, FIC_ONLY, GPS_RATIO,
+                    GSP_RATIO, NO_IC, PM_KNOWN, RSU_EQ_RSK, RSU_RATIO,
+                    RSU_STAR, SCHEMES, TS_VS_TP, access_rate_budget,
+                    derive_rates, evaluate_scheme, greedy_policy_path,
+                    link_stats, sweep)
+from cogarq import experiments
+from cogarq.experiments import DEFAULT_GRIDS, rows_to_csv
 
 from support import table1_params
 
@@ -156,6 +158,7 @@ POINT_PARAMS = {
     TS_VS_TP: lambda p, x: p,
     DEADLINE: lambda p, x: p.replace(deadline_D=int(x), buffer_B=int(x) - 1),
     GSP_RATIO: lambda p, x: p.replace(mean_snr_sp=x * p.mean_snr_p),
+    GPS_RATIO: lambda p, x: p.replace(mean_snr_ps=x * p.mean_snr_s),
 }
 
 
@@ -165,7 +168,7 @@ def _fresh_rows(kind, base, rate_policy, grid, mc_samples, seed):
     rows = []
     for x in grid:
         params = derive_rates(POINT_PARAMS[kind](base, x), rate_policy)
-        stats = link_stats(params, mc_samples, seed)
+        stats = link_stats([params], mc_samples, seed)[0]
         eps_w = (float(x) if kind == TS_VS_TP else
                  access_rate_budget(stats, params.eps_pu, params.power_ratio))
         deadline = params.deadline_D
@@ -200,10 +203,79 @@ class TestSweepEquivalence:
         rows = sweep(GSP_RATIO, table1_params(), EXPLICIT, [0.0, 0.5],
                      mc_samples=200_000)
         t_p = {(r["x"], r["scheme"]): r["t_p_bar"] for r in rows}
-        idle = link_stats(table1_params(), 200_000).t_p_idle
+        idle = link_stats([table1_params()], 200_000)[0].t_p_idle
         for scheme in SCHEMES:
             assert t_p[0.0, scheme] == pytest.approx(idle, abs=1e-9)
             assert t_p[0.5, scheme] == pytest.approx(0.8 * idle, abs=1e-9)
+
+
+class TestBatchedSweep:
+    """All points' statistics come from one `link_stats` call; a point's
+    rows do not depend on the other points of the sweep."""
+
+    @pytest.mark.parametrize("kind,grid", [
+        (TS_VS_TP, [0.1, 0.5, 0.9]), (GSP_RATIO, [0.0, 0.5, 1.0]),
+        (GPS_RATIO, [0.5, 1.0, 2.0]), (RSU_RATIO, [0.5, 0.8, 1.0]),
+        (DEADLINE, [2, 3, 4])])
+    def test_each_row_equals_a_one_point_sweep(self, kind, grid):
+        assert set(DEFAULT_GRIDS) == {TS_VS_TP, GSP_RATIO, GPS_RATIO,
+                                      RSU_RATIO, DEADLINE}
+        rows = sweep(kind, table1_params(), RSU_STAR, grid,
+                     mc_samples=10 ** 5, seed=3)
+        single = [row for x in grid
+                  for row in sweep(kind, table1_params(), RSU_STAR, [x],
+                                   mc_samples=10 ** 5, seed=3)]
+        assert rows == single
+        assert all(r["error"] == "" for r in rows)
+
+    @pytest.mark.parametrize("kind,grid,calls", [
+        (GPS_RATIO, [0.5, 1.0, 2.0], [3]), (GPS_RATIO, [1.0, 1.0], [1]),
+        (DEADLINE, [1, 2, 3], [1]), (TS_VS_TP, [0.1, 0.9], [1]),
+        (DEADLINE, [1.5, 2.5], [])])
+    def test_one_link_stats_call(self, monkeypatch, kind, grid, calls):
+        # one call with the distinct channels, and none without any
+        made = []
+
+        def counted(channels, mc_samples, seed):
+            made.append(len(channels))
+            return link_stats(channels, mc_samples, seed)
+        monkeypatch.setattr(experiments, "link_stats", counted)
+        sweep(kind, table1_params(), RSU_STAR, grid, mc_samples=10 ** 5)
+        assert made == calls
+
+    def test_failed_first_deadline_point(self):
+        # the first point fails before it has a channel; the later points
+        # still get the statistics of the one shared channel
+        base = table1_params()
+        rows = sweep(DEADLINE, base, RSU_STAR, [1.5, 2, 3],
+                     mc_samples=200_000, seed=9)
+        error = "ValueError: DEADLINE grid values must be integers, got 1.5"
+        assert rows[:4] == [{"x": 1.5, "scheme": scheme, "t_s_bar": "",
+                             "w_s_bar": "", "t_p_bar": "", "error": error}
+                            for scheme in SCHEMES]
+        assert rows[4:] == _fresh_rows(DEADLINE, base, RSU_STAR, [2, 3],
+                                       200_000, 9)
+
+    def test_failed_rate_derivation_isolated(self, monkeypatch):
+        # one GPS_RATIO point's rates cannot be derived: only its four
+        # rows carry the error, and the others keep their statistics
+        base = table1_params()
+        derive = experiments.derive_rates
+
+        def failing(params, rate_policy):
+            if params.mean_snr_ps == base.mean_snr_s:      # x = 1
+                raise ValueError("no rates here")
+            return derive(params, rate_policy)
+        monkeypatch.setattr(experiments, "derive_rates", failing)
+        rows = sweep(GPS_RATIO, base, RSU_STAR, [0.5, 1.0, 2.0],
+                     mc_samples=200_000, seed=9)
+        monkeypatch.undo()
+        assert [r["error"] for r in rows] == (
+            [""] * 4 + ["ValueError: no rates here"] * 4 + [""] * 4)
+        assert all(r[k] == "" for r in rows[4:8]
+                   for k in ("t_s_bar", "w_s_bar", "t_p_bar"))
+        assert rows[:4] + rows[8:] == _fresh_rows(GPS_RATIO, base, RSU_STAR,
+                                                  [0.5, 2.0], 200_000, 9)
 
 
 class TestScenarioValidation:

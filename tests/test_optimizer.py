@@ -395,7 +395,7 @@ def test_greedy_optimum_equals_oracle_under_explicit_rates(
     deadline, cap = shape
     params = table1_params(rate_p=rate_p, rate_su=rate_su, rate_sk=rate_sk,
                            deadline_D=deadline, buffer_B=cap)
-    stats = link_stats(params, mc_samples=10 ** 5, seed=seed)
+    stats = link_stats([params], mc_samples=10 ** 5, seed=seed)[0]
     try:
         stats.validate()
     except ValueError:

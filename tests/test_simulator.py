@@ -8,7 +8,8 @@ from hypothesis import given, settings, strategies as st
 from cogarq import (Policy, RegionClassifier, SimConfig, SimResult,
                     enumerate_states, empirical_transition_check, idle_policy,
                     k_active_policy, long_term_metrics, run)
-from cogarq.mdp import PHI_K, state_space
+from cogarq import simulator
+from cogarq.mdp import PHI_K, state_space, transition_table
 from cogarq.simulator import _CHUNK, _Chain, _simulate
 
 from support import (make_random_policy, reference_simulation,
@@ -17,6 +18,32 @@ from support import (make_random_policy, reference_simulation,
 
 def _config(params, policy, slots, seed):
     return SimConfig(params=params, policy=policy, num_slots=slots, seed=seed)
+
+
+def _dense(moves, n):
+    """A Counter of moves as dense (n, 2, n) transition counts."""
+    dense = np.zeros(2 * n * n, dtype=np.int64)
+    dense[list(moves)] = list(moves.values())
+    return dense.reshape(n, 2, n)
+
+
+def _counts(params, policy, slots, seed):
+    """The run's transition counts as a dense (n, 2, n) array."""
+    _, moves = _simulate(params, policy, slots, seed,
+                         collect_transitions=True)
+    return _dense(moves, len(state_space(params.deadline_D,
+                                         params.buffer_B).layer))
+
+
+def _dense_gap(counts, table):
+    """The transition gap over dense counts and stacked analytic rows."""
+    n = len(table.space.layer)
+    analytic = np.stack([table.matrix([0.0] * n), table.matrix([1.0] * n)],
+                        axis=1)
+    totals = counts.sum(axis=2)
+    visited = totals > 0
+    empirical = counts[visited] / totals[visited][:, None]
+    return float(np.abs(empirical - analytic[visited]).max())
 
 
 class TestRun:
@@ -97,8 +124,7 @@ class TestBookkeeping:
         params = table1_params(deadline_D=deadline, buffer_B=cap)
         r, _ = _simulate(params, policy, slots, seed,
                          collect_transitions=False)
-        _, counts = _simulate(params, policy, slots, seed,
-                              collect_transitions=True)
+        counts = _counts(params, policy, slots, seed)
         known = [i for i, s in enumerate(enumerate_states(deadline, cap))
                  if s.phi == PHI_K]
         # one path from the root: every state but the last is left as
@@ -124,8 +150,8 @@ class TestBookkeeping:
         _, lengths, _ = _Chain(t1_params, pol).cycles(
             np.random.default_rng(6), _CHUNK, None, False)
         for slots in (_CHUNK, _CHUNK + 1234, int(lengths.sum()) - 1):
-            _, short = _simulate(t1_params, pol, slots, 6, True)
-            _, longer = _simulate(t1_params, pol, slots + 1, 6, True)
+            short = _counts(t1_params, pol, slots, 6)
+            longer = _counts(t1_params, pol, slots + 1, 6)
             assert (short <= longer).all()
             assert (longer - short).sum() == 1
 
@@ -145,8 +171,7 @@ class TestAgainstReference:
                 for slots in (1, 777, 2 * _CHUNK + 5):
                     r, _ = _simulate(params, policy, slots, seed,
                                      collect_transitions=False)
-                    _, counts = _simulate(params, policy, slots, seed,
-                                          collect_transitions=True)
+                    counts = _counts(params, policy, slots, seed)
                     ref, ref_counts = reference_simulation(params, policy,
                                                            slots, seed)
                     assert counts.tolist() == ref_counts.tolist()
@@ -224,8 +249,7 @@ class TestEmpiricalTransitionCheck:
     def test_single_slot_deadline_only_restarts(self, t1_stats):
         params = table1_params(deadline_D=1, buffer_B=0)
         pol = Policy({s: 1.0 for s in enumerate_states(1, 0)})
-        _, counts = _simulate(params, pol, 10_000, 3,
-                              collect_transitions=True)
+        counts = _counts(params, pol, 10_000, 3)
         # the root is the only state: every active slot restarts the cycle
         assert counts.tolist() == [[[0], [10_000]]]
 
@@ -238,14 +262,46 @@ class TestEmpiricalTransitionCheck:
         space = state_space(deadline, cap)
         pol = make_random_policy(np.random.default_rng(deadline + cap),
                                  enumerate_states(deadline, cap))
-        _, counts = _simulate(params, pol, 200_000, 5,
-                              collect_transitions=True)
+        counts = _counts(params, pol, 200_000, 5)
         for i, a, j in zip(*np.nonzero(counts)):
             assert j == 0 or j in space.succ[3 * i:3 * i + 3], (i, a, j)
             # an idle slot buffers nothing, so it never grows
             assert a == 1 or j == 0 or j != space.succ[3 * i + 1], (i, j)
         # and every outcome the layout allows at the root happens
         assert all(counts[0, :, j].sum() > 0 for j in space.succ[:3] if j)
+
+    @pytest.mark.parametrize("deadline,cap,seed", [
+        (4, 3, 1), (4, 3, 2), (4, 3, 3), (4, 3, 4), (4, 3, 5), (1, 0, 1),
+        (6, 5, 2), (6, 0, 3)])
+    def test_equals_dense_reference(self, t1_stats, deadline, cap, seed):
+        # only visited rows, on their seen and analytic successors, give
+        # the dense comparison's gap to the last bit
+        params = table1_params(deadline_D=deadline, buffer_B=cap)
+        pol = make_random_policy(np.random.default_rng(seed),
+                                 enumerate_states(deadline, cap))
+        gap = empirical_transition_check(_config(params, pol, 100_000, seed),
+                                         stats=t1_stats)
+        dense = _counts(params, pol, 100_000, seed)
+        assert gap == _dense_gap(dense, transition_table(t1_stats, deadline,
+                                                         cap))
+
+    def test_move_to_a_wrong_state_is_a_gap(self, monkeypatch, t1_stats):
+        # a move the table does not allow, here 30 slots from the root
+        # straight to the last known-message state, counts as a gap
+        params = table1_params(deadline_D=4, buffer_B=3)
+        pol = make_random_policy(np.random.default_rng(8),
+                                 enumerate_states(4, 3))
+        _, moves = _simulate(params, pol, 100_000, 8, True)
+        n = len(state_space(4, 3).layer)
+        moves[n - 1] += 30             # row 0: the root, idle
+        monkeypatch.setattr(simulator, "_simulate",
+                            lambda *args, **kwargs: (None, moves))
+        gap = empirical_transition_check(_config(params, pol, 100_000, 8),
+                                         stats=t1_stats)
+        idle_root = sum(c for code, c in moves.items() if code // n == 0)
+        assert gap >= 30 / idle_root
+        assert gap == _dense_gap(_dense(moves, n),
+                                 transition_table(t1_stats, 4, 3))
 
     def test_always_active_moderate_slots(self, t1_params, t1_stats):
         states = enumerate_states(5, 4)
