@@ -14,7 +14,8 @@ from .experiments import (DEADLINE, EXPLICIT, FIC_BIC, FIC_ONLY, GPS_RATIO,
 from .mdp import (PHI_K, PHI_U, ROOT, CycleValues, NetState, Policy,
                   PolicyMetrics, cycle_values, enumerate_states, idle_policy,
                   k_active_policy, long_term_metrics, policy_from_json_obj,
-                  policy_to_json_obj, stationary_distribution)
+                  policy_to_json_obj, stationary_distribution,
+                  transition_table)
 from .optimizer import (EfficiencyReport, PolicyPath, access_rate_budget,
                         efficiency_report, greedy_policy_path, optimal_policy)
 from .oracle import FrontierPoint, enumerate_frontier, oracle_optimum

@@ -35,7 +35,8 @@ from dataclasses import asdict, fields
 from .channel import SystemParams, check_integer, link_stats
 from .experiments import (DEFAULT_GRIDS, EXPLICIT, RSU_STAR, derive_rates,
                           rows_to_csv, sweep)
-from .mdp import (long_term_metrics, policy_from_json_obj, policy_to_json_obj)
+from .mdp import (long_term_metrics, policy_from_json_obj, policy_to_json_obj,
+                  transition_table)
 from .optimizer import access_rate_budget, greedy_policy_path, optimal_policy
 from .oracle import enumerate_frontier, frontier_csv_rows
 from .simulator import SimConfig, run
@@ -126,8 +127,8 @@ def _cmd_simulate(args) -> int:
     analytic = None
     if args.with_analytic:
         [stats] = link_stats([params], args.mc_samples, args.seed)
-        analytic = asdict(long_term_metrics(
-            policy, stats, params.deadline_D, params.buffer_B))
+        table = transition_table(stats, params.deadline_D, params.buffer_B)
+        analytic = asdict(long_term_metrics(policy, table))
     out = json.loads(result.to_json())
     if analytic is not None:
         out["analytic"] = analytic

@@ -13,14 +13,14 @@ throughput and access rate.
 `StateSpace` owns the state layout of one (D, B): which states exist,
 their canonical index order, each state's buffer level and at most three
 successors (stay, grow, learn), and a `Policy`'s access vector in that
-order. Every evaluator reads one flat transition table per (stats, D, B),
-built inside each call: per state index, the probabilities of its
-successors under each action and its one-slot throughput at access
-probability 1 and 0. The backward pass runs over
-plain lists. `CycleValues` keeps those lists in index order together with
-the table, so its metrics and its transition matrix (``table.matrix``)
-need no rebuild; `Policy` dicts and `NetState` keys appear only at the
-API boundary.
+order. `cycle_values` and `long_term_metrics` read one flat transition
+table per (stats, D, B), which the caller builds once (`transition_table`)
+and passes in: per state index, the probabilities of its successors under
+each action and its one-slot throughput at access probability 1 and 0. The
+backward pass runs over plain lists. `CycleValues` keeps those lists in
+index order together with the table, so its metrics and its transition
+matrix (``table.matrix``) need no rebuild; `Policy` dicts and `NetState`
+keys appear only at the API boundary.
 """
 
 from __future__ import annotations
@@ -171,13 +171,23 @@ class StateSpace(NamedTuple):
         return mu
 
 
-def state_space(deadline: int, buffer_size: int) -> StateSpace:
-    """The state space of a deadline and buffer size; ValueError unless
-    deadline >= 1 and buffer_size lies in [0, deadline - 1]."""
+def state_count(deadline: int, buffer_size: int) -> int:
+    """The number of states of `state_space` (deadline, buffer_size), in
+    closed form: min(t, B + 1) unknown-message states at each attempt t,
+    plus D - 1 known-message ones. ValueError unless deadline >= 1 and
+    buffer_size lies in [0, deadline - 1]."""
     if deadline < 1:
         raise ValueError("deadline must be >= 1")
     if not 0 <= buffer_size <= deadline - 1:
         raise ValueError("buffer_size must lie in [0, deadline - 1]")
+    full = buffer_size + 1      # attempts 1..full hold 1..full states each
+    return full * (full + 1) // 2 + (deadline - full) * full + deadline - 1
+
+
+def state_space(deadline: int, buffer_size: int) -> StateSpace:
+    """The state space of a deadline and buffer size; ValueError as in
+    `state_count`."""
+    state_count(deadline, buffer_size)      # raises for an invalid pair
     offsets, layer, level = [0, 0], [], []
     for t in range(1, deadline + 1):
         levels = min(t - 1, buffer_size) + 1
@@ -348,15 +358,12 @@ class PolicyMetrics:
     p_s_ratio: float
 
 
-def cycle_values(policy: Policy, stats: LinkStats, deadline: int,
-                 buffer_size: int) -> CycleValues:
+def cycle_values(policy: Policy, table: TransitionTable) -> CycleValues:
     """Per-cycle expected reward/access/duration from every state.
 
-    One backward pass over the transition table; transitions into the
-    cycle root (1, 0, U) contribute no continuation because they end the
-    cycle.
+    One backward pass over ``table``; transitions into the cycle root
+    (1, 0, U) contribute no continuation because they end the cycle.
     """
-    table = transition_table(stats, deadline, buffer_size)
     g, v, d = _backward(table, table.space.vector(policy))
     return CycleValues(g=g, v=v, dur=d, table=table)
 
@@ -371,12 +378,10 @@ def ratio_metrics(g: float, v: float, d: float,
     return PolicyMetrics(t_s_bar=t_s, w_s_bar=w_s, t_p_bar=t_p, p_s_ratio=w_s)
 
 
-def long_term_metrics(policy: Policy, stats: LinkStats, deadline: int,
-                      buffer_size: int) -> PolicyMetrics:
+def long_term_metrics(policy: Policy, table: TransitionTable) -> PolicyMetrics:
     """Long-term averages via the renewal-reward ratio at the cycle root."""
-    table = transition_table(stats, deadline, buffer_size)
     g, v, d = _backward(table, table.space.vector(policy))
-    return ratio_metrics(g[0], v[0], d[0], stats)
+    return ratio_metrics(g[0], v[0], d[0], table.stats)
 
 
 def metrics_from_cycle_values(cv: CycleValues) -> PolicyMetrics:

@@ -17,10 +17,11 @@ A state is visited at most once per renewal cycle, so the per-cycle
 reward, accesses and duration are affine in any one state's access
 probability; the walk's marginal quantities (read from the MDP's
 transition table) and the budget-meeting blend weight are therefore
-closed forms, and no step iterates to a tolerance. Each path policy is
-evaluated once: its cycle values give the next stage's efficiencies, and
-its entry keeps the per-cycle accesses and slots the blend weight needs,
-so a solve evaluates only the blend it returns.
+closed forms, and no step iterates to a tolerance. The walk builds that
+table once, and the path carries it. Each path policy is evaluated once:
+its cycle values give the next stage's efficiencies, and its entry keeps
+the per-cycle accesses and slots the blend weight needs, so a solve
+evaluates only the blend it returns, on the path's table.
 """
 
 from __future__ import annotations
@@ -31,9 +32,10 @@ from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
 from .channel import LinkStats
-from .mdp import (CycleValues, NetState, Policy, PolicyMetrics, cycle_values,
-                  enumerate_states, idle_policy, k_active_policy,
-                  long_term_metrics, metrics_from_cycle_values)
+from .mdp import (CycleValues, NetState, Policy, PolicyMetrics,
+                  TransitionTable, cycle_values, enumerate_states, idle_policy,
+                  k_active_policy, long_term_metrics,
+                  metrics_from_cycle_values, transition_table)
 
 
 @dataclass(frozen=True)
@@ -62,15 +64,13 @@ class PathEntry:
 
 @dataclass(frozen=True)
 class PolicyPath:
-    """Frontier path from the all-idle policy for one (stats, deadline,
-    buffer size). ``eps_th`` is the access rate of the known-message-only
-    policy (`k_active_policy`)."""
+    """Frontier path from the all-idle policy on the transition table
+    ``table`` of one (stats, deadline, buffer size). ``eps_th`` is the
+    access rate of the known-message-only policy (`k_active_policy`)."""
 
     entries: List[PathEntry]
     eps_th: float
-    stats: LinkStats
-    deadline: int
-    buffer_size: int
+    table: TransitionTable
 
 
 def efficiency_report(values: CycleValues,
@@ -144,13 +144,14 @@ def greedy_policy_path(stats: LinkStats, deadline: int,
     order so the walk is reproducible. ``eps_th`` is the access rate of
     the known-message-only policy, computed on its own.
     """
+    table = transition_table(stats, deadline, buffer_size)
     states = enumerate_states(deadline, buffer_size)
     idle_set = list(states)     # canonical order: the first best state wins
     policy = idle_policy(states)
     best = None
     entries = []
     while True:
-        values = cycle_values(policy, stats, deadline, buffer_size)
+        values = cycle_values(policy, table)
         entries.append(PathEntry(policy=policy,
                                  metrics=metrics_from_cycle_values(values),
                                  chosen_state=best, v=values.v[0],
@@ -163,10 +164,8 @@ def greedy_policy_path(stats: LinkStats, deadline: int,
             break
         best = idle_set.pop(etas.index(best_eta))
         policy = policy.with_prob(best, 1.0)
-    eps_th = long_term_metrics(k_active_policy(states), stats, deadline,
-                               buffer_size).w_s_bar
-    return PolicyPath(entries=entries, eps_th=eps_th, stats=stats,
-                      deadline=deadline, buffer_size=buffer_size)
+    eps_th = long_term_metrics(k_active_policy(states), table).w_s_bar
+    return PolicyPath(entries=entries, eps_th=eps_th, table=table)
 
 
 def optimal_policy(eps_w: float,
@@ -207,5 +206,4 @@ def optimal_policy(eps_w: float,
     # denominator is negative; the clamp only absorbs rounding.
     lam = (eps_w * b.d - b.v) / ((a.v - b.v) - eps_w * (a.d - b.d))
     pol = a.policy.with_prob(b.chosen_state, 1.0 - min(max(lam, 0.0), 1.0))
-    return pol, long_term_metrics(pol, path.stats, path.deadline,
-                                  path.buffer_size)
+    return pol, long_term_metrics(pol, path.table)

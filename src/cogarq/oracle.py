@@ -8,11 +8,11 @@ traces the straight chord between the two deterministic policies it mixes
 (all three per-cycle quantities are affine in that one probability, and a
 projective image of a line is a line). One gift-wrapping march over the
 two arrays finds the hull (`_march`); only its vertices carry a `Policy`,
-each re-evaluated by `long_term_metrics`, which must reproduce its batched
-values exactly. The constrained optimum is the frontier value at the
-access budget, read off the hull by linear interpolation. Nothing here
-calls the optimizer, so the check of the greedy construction is
-independent of it.
+each re-evaluated by `long_term_metrics` on the same transition table,
+which must reproduce its batched values exactly. The constrained optimum
+is the frontier value at the access budget, read off the hull by linear
+interpolation. Nothing here calls the optimizer, so the check of the
+greedy construction is independent of it.
 """
 
 from __future__ import annotations
@@ -25,8 +25,8 @@ import numpy as np
 
 from .channel import LinkStats
 from .mdp import (NetState, Policy, StateSpace, TransitionTable, _backward,
-                  enumerate_states, long_term_metrics, state_space,
-                  transition_table)
+                  enumerate_states, long_term_metrics, state_count,
+                  state_space, transition_table)
 
 MAX_ENUM_STATES = 16
 _MASK_BLOCK = 1 << 10         # policies per array pass; bounds its memory
@@ -100,17 +100,20 @@ def enumerate_frontier(stats: LinkStats, deadline: int,
     other are one edge, so no vertex exists only by rounding. Each vertex
     is the smallest bitmask at its (w_s_bar, t_s_bar) and is evaluated
     again by `long_term_metrics`; RuntimeError unless that reproduces its
-    batched values exactly."""
-    states = enumerate_states(deadline, buffer_size)
-    if len(states) > MAX_ENUM_STATES:
+    batched values exactly. A space of more than `MAX_ENUM_STATES` states
+    is refused, from its closed-form size, before any of it is built."""
+    n_states = state_count(deadline, buffer_size)
+    if n_states > MAX_ENUM_STATES:
         raise ValueError(f"state space too large to enumerate "
-                         f"({len(states)} > {MAX_ENUM_STATES})")
-    w, t = _bitmask_metrics(transition_table(stats, deadline, buffer_size))
+                         f"({n_states} > {MAX_ENUM_STATES})")
+    table = transition_table(stats, deadline, buffer_size)
+    w, t = _bitmask_metrics(table)
+    states = enumerate_states(deadline, buffer_size)
     frontier = []
     for mask in _march(w, t):
         w_s, t_s = float(w[mask]), float(t[mask])
         policy = policy_from_bitmask(mask, states)
-        m = long_term_metrics(policy, stats, deadline, buffer_size)
+        m = long_term_metrics(policy, table)
         if (m.w_s_bar, m.t_s_bar) != (w_s, t_s):
             raise RuntimeError(f"batched frontier value ({w_s!r}, {t_s!r}) "
                                f"of policy {mask} differs from its "

@@ -189,10 +189,15 @@ class _Chain:
             gps = _exponential_into(rng, p.mean_snr_ps, gps_buf[:m])
             u = rng.random(out=u_buf[:m])
             active = np.less(u, self.mu[state], out=active_buf[:m])
-            # gsp becomes the ACK threshold thr_p * (1 + gamma_sp * active)
-            np.multiply(gsp, active, out=gsp)
-            np.add(gsp, 1.0, out=gsp)
-            np.multiply(gsp, thr_p, out=gsp)
+            # gsp becomes the ACK threshold thr_p * (1 + gamma_sp * active),
+            # inf beyond the double range. An idle slot's is exactly thr_p:
+            # where gamma_sp overflowed to inf, inf * 0 is NaN, and fmax
+            # turns that NaN into 0.
+            with np.errstate(over="ignore", invalid="ignore"):
+                np.multiply(gsp, active, out=gsp)
+                np.fmax(gsp, 0.0, out=gsp)
+                np.add(gsp, 1.0, out=gsp)
+                np.multiply(gsp, thr_p, out=gsp)
             ack = np.greater_equal(gp, gsp, out=ack_buf[:m])
             pu_dec, su_dec, buf_dec = self.cls.masks(gs, gps)
             p_ok = np.greater_equal(gps, thr_p, out=p_ok_buf[:m])

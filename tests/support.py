@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from cogarq import (FrontierPoint, LinkStats, NetState, Policy,
                     RegionClassifier, SimResult, SystemParams)
 from cogarq.mdp import (PHI_K, PHI_U, ROOT, enumerate_states,
-                        long_term_metrics)
+                        long_term_metrics, transition_table)
 from cogarq.oracle import SLOPE_RTOL, policy_from_bitmask
 from cogarq.simulator import _CHUNK
 
@@ -304,7 +304,8 @@ def reference_simulation(params: SystemParams, policy: Policy,
             now = [state[c] for c in alive]
             known = np.array([s[2] == PHI_K for s in now])
             active = u < np.array([mu[s] for s in now])
-            ack = np.where(active, gp >= thr_p * (1.0 + gsp), gp >= thr_p)
+            with np.errstate(over="ignore"):    # inf beyond the doubles
+                ack = np.where(active, gp >= thr_p * (1.0 + gsp), gp >= thr_p)
             decoded = ~known & np.where(active, pu_dec, gps >= thr_p)
             grows = active & ~known & buf
             nxt_index, still = [], []
@@ -417,10 +418,11 @@ def reference_frontier(stats: LinkStats, deadline: int,
         return (b.t_s_bar - a.t_s_bar) / (b.w_s_bar - a.w_s_bar)
 
     states = enumerate_states(deadline, buffer_size)
+    table = transition_table(stats, deadline, buffer_size)
     points = []
     for mask in range(1 << len(states)):
         pol = policy_from_bitmask(mask, states)
-        m = long_term_metrics(pol, stats, deadline, buffer_size)
+        m = long_term_metrics(pol, table)
         points.append((m.w_s_bar, -m.t_s_bar, mask,
                        FrontierPoint(w_s_bar=m.w_s_bar, t_s_bar=m.t_s_bar,
                                      policy=pol)))

@@ -17,7 +17,8 @@ from cogarq import (DEADLINE, EXPLICIT, FIC_BIC, FIC_ONLY, GPS_RATIO, NO_IC,
                     empirical_transition_check, enumerate_frontier,
                     enumerate_states, greedy_policy_path, hp_condition,
                     link_stats, long_term_metrics, optimal_policy,
-                    optimize_rate, oracle_optimum, run, sweep)
+                    optimize_rate, oracle_optimum, run, sweep,
+                    transition_table)
 from cogarq.degenerate import cycle_value_closed, g_prime_closed, \
     v_prime_closed
 from cogarq.mdp import PHI_K, PHI_U, occupancy_metrics
@@ -151,7 +152,8 @@ def test_criterion_4_degenerate_structure():
         # the path from the entry where every known-message state is
         # active; earlier entries leave some of them idle, so their
         # policies are not threshold ones
-        walk = greedy_policy_path(stats, deadline, cap).entries[deadline - 1:]
+        path = greedy_policy_path(stats, deadline, cap)
+        walk = path.entries[deadline - 1:]
         prev = None
         for e in walk:
             assert is_threshold_policy(e.policy, deadline)
@@ -165,7 +167,7 @@ def test_criterion_4_degenerate_structure():
         for t in range(1, deadline + 1):
             assert final[t] == min(b_max(t, stats, deadline), min(t - 1, cap))
         for e in (walk[0], walk[len(walk) // 2], walk[-1]):
-            cv = cycle_values(e.policy, stats, deadline, cap)
+            cv = cycle_values(e.policy, path.table)
             for s in e.policy.probs:
                 idle_u = s.phi == PHI_U and e.policy.probs[s] == 0.0
                 if s.phi == PHI_K or idle_u:
@@ -190,11 +192,12 @@ def test_criterion_5_simulator_agreement():
     stats = _stats_hi()
     deadline, cap = 5, 4
     states = enumerate_states(deadline, cap)
+    table = transition_table(stats, deadline, cap)
     rng = np.random.default_rng(31415)
     t0 = time.monotonic()
     for i in range(10):
         pol = make_random_policy(rng, states)
-        m = long_term_metrics(pol, stats, deadline, cap)
+        m = long_term_metrics(pol, table)
         r = run(SimConfig(params=params, policy=pol, num_slots=10 ** 6,
                           seed=1000 + i))
         assert abs(r.t_s_emp - m.t_s_bar) <= 3 * r.stderr_t_s + 1e-12
@@ -273,11 +276,12 @@ def test_criterion_7_invariant_suites():
         stats = make_random_stats(rng)
         states = enumerate_states(deadline, cap)
         pol = make_random_policy(rng, states, lo=0.02, hi=0.95)
-        cv = cycle_values(pol, stats, deadline, cap)
+        table = transition_table(stats, deadline, cap)
+        cv = cycle_values(pol, table)
         for access_prob in (1.0, 0.0):
             rows = cv.table.matrix([access_prob] * len(states))
             assert np.abs(rows.sum(axis=1) - 1.0).max() <= 1e-12
-        m = long_term_metrics(pol, stats, deadline, cap)
+        m = long_term_metrics(pol, table)
         t_s_pi, w_s_pi = occupancy_metrics(pol, stats, deadline, cap)
         assert abs(t_s_pi - m.t_s_bar) <= 1e-9
         assert abs(w_s_pi - m.w_s_bar) <= 1e-9
@@ -286,7 +290,7 @@ def test_criterion_7_invariant_suites():
             g_p, v_p, d_p = r.g_prime, r.v_prime, r.d_prime
             assert v_p - d_p * m.w_s_bar > 0.0
             bumped = cycle_values(pol.with_prob(s, pol.prob(s) + delta),
-                                  stats, deadline, cap)
+                                  table)
             i = cv.table.space.index(s)
             assert abs((bumped.g[i] - cv.g[i]) / delta - g_p) <= 1e-5
             assert abs((bumped.v[i] - cv.v[i]) / delta - v_p) <= 1e-5

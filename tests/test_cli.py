@@ -427,6 +427,17 @@ def _strict_json(text: str):
     return json.loads(text, parse_constant=reject)
 
 
+def _finite_csv(text: str):
+    """Assert that the CSV has rows and every numeric cell is finite; a
+    row's error text (which may name inf) and its scheme are not numbers."""
+    rows = list(csv.DictReader(io.StringIO(text)))
+    assert rows
+    for row in rows:
+        for key, cell in row.items():
+            if key not in ("scheme", "error") and cell != "":
+                assert math.isfinite(float(cell)), (key, row)
+
+
 @pytest.mark.parametrize("snr", [1e-300, 1e-308])
 def test_vanishing_cross_link_derives_clean_rate(tmp_path, capsys, snr):
     # with no usable primary signal at the secondary receiver, the
@@ -471,23 +482,35 @@ def edge_configs(draw):
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(edge_configs())
 def test_edge_configs_give_strict_json_or_value_error(tmp_path, config):
-    # every finite config either succeeds with strict JSON or fails with
-    # exactly one ValueError line, never NaN or another exception; a
-    # warning would be one more stderr line
+    # every finite config makes every subcommand either succeed with strict
+    # JSON or finite CSV, or fail with exactly one ValueError line, never
+    # NaN or another exception; a warning would be one more stderr line
     path = tmp_path / "scenario.json"
     path.write_text(json.dumps(config))
-    for command in ("derive-params", "solve"):
+    policy = tmp_path / "policy.json"
+    policy.write_text(json.dumps(policy_to_json_obj(k_active_policy(
+        enumerate_states(config["deadline_D"], config["buffer_B"])))))
+    commands = {
+        "derive-params": [], "solve": [], "oracle": [],
+        "simulate": ["--policy-file", str(policy), "--slots", "1000",
+                     "--with-analytic"],
+        "sweep": ["--kind", "GPS_RATIO", "--grid", "0.5,2"],
+    }
+    for command, extra in commands.items():
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), \
                 contextlib.redirect_stderr(err), \
                 warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             rc = main([command, "--config", str(path), "--mc-samples",
-                       "100000"])
-        assert not caught, [str(w.message) for w in caught]
+                       "100000", *extra])
+        assert not caught, (command, [str(w.message) for w in caught])
         if rc == 0:
             assert err.getvalue() == ""
-            _strict_json(out.getvalue())
+            if command in ("oracle", "sweep"):
+                _finite_csv(out.getvalue())
+            else:
+                _strict_json(out.getvalue())
         else:
             assert rc == 1 and out.getvalue() == ""
             lines = err.getvalue().splitlines()

@@ -5,7 +5,8 @@ import pytest
 
 from cogarq import (LinkStats, NetState, a0_a1, b_max, cycle_values,
                     enumerate_states, greedy_policy_path, hp_condition,
-                    link_stats, long_term_metrics, unconstrained_optimal)
+                    link_stats, long_term_metrics, transition_table,
+                    unconstrained_optimal)
 from cogarq.degenerate import (cycle_value_closed, delta_s, g_prime_closed,
                                hp_bound, v_prime_closed)
 from cogarq.mdp import PHI_K, PHI_U
@@ -142,21 +143,23 @@ class TestThresholdStructure:
     def test_unconstrained_beats_all_deterministic_policies(self):
         st = _degenerate_stats(7)
         deadline, cap = 3, 2
+        table = transition_table(st, deadline, cap)
         best = long_term_metrics(unconstrained_optimal(st, deadline, cap),
-                                 st, deadline, cap).t_s_bar
+                                 table).t_s_bar
         states = enumerate_states(deadline, cap)
         for mask in range(1 << len(states)):
             pol = policy_from_bitmask(mask, states)
-            m = long_term_metrics(pol, st, deadline, cap)
+            m = long_term_metrics(pol, table)
             assert m.t_s_bar <= best + 1e-9
 
     def test_efficiency_ordering_on_idle_states(self):
         st = _degenerate_stats(13)
         deadline, cap = 5, 4
-        walk = greedy_policy_path(st, deadline, cap).entries[deadline - 1:]
+        path = greedy_policy_path(st, deadline, cap)
+        walk = path.entries[deadline - 1:]
         for e in walk[:4]:
             pol = e.policy
-            cv = cycle_values(pol, st, deadline, cap)
+            cv = cycle_values(pol, path.table)
             idle = {(s.t, s.b) for s, p in pol.probs.items()
                     if s.phi == PHI_U and p == 0.0}
             eta = {tb: efficiency_report(cv,
@@ -173,9 +176,10 @@ class TestClosedForms:
     def test_cycle_values_on_threshold_policies(self):
         st = _degenerate_stats(21)
         deadline, cap = 5, 4
-        walk = greedy_policy_path(st, deadline, cap).entries[deadline - 1:]
+        path = greedy_policy_path(st, deadline, cap)
+        walk = path.entries[deadline - 1:]
         for e in (walk[0], walk[len(walk) // 2], walk[-1]):
-            cv = cycle_values(e.policy, st, deadline, cap)
+            cv = cycle_values(e.policy, path.table)
             for s in e.policy.probs:
                 if s.phi == PHI_K or e.policy.probs[s] == 0.0:
                     v, g = cycle_value_closed(s, st, deadline)
@@ -186,9 +190,10 @@ class TestClosedForms:
     def test_derivatives_on_threshold_policies(self):
         st = _degenerate_stats(22)
         deadline, cap = 5, 4
-        walk = greedy_policy_path(st, deadline, cap).entries[deadline - 1:]
+        path = greedy_policy_path(st, deadline, cap)
+        walk = path.entries[deadline - 1:]
         for e in (walk[0], walk[2], walk[-1]):
-            cv = cycle_values(e.policy, st, deadline, cap)
+            cv = cycle_values(e.policy, path.table)
             for s in e.policy.probs:
                 if s.phi == PHI_U and e.policy.probs[s] == 0.0:
                     r = efficiency_report(cv, s)

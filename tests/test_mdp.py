@@ -6,8 +6,8 @@ from cogarq import (NetState, Policy, cycle_values, enumerate_states,
                     idle_policy, k_active_policy, long_term_metrics,
                     policy_from_json_obj, policy_to_json_obj,
                     stationary_distribution)
-from cogarq.mdp import (PHI_K, PHI_U, ROOT, occupancy_metrics, state_space,
-                        transition_table)
+from cogarq.mdp import (PHI_K, PHI_U, ROOT, occupancy_metrics, state_count,
+                        state_space, transition_table)
 
 from support import (feasible_stats, make_random_policy, make_random_stats,
                      reference_cycle_values, reference_transition_row,
@@ -40,12 +40,11 @@ class TestEnumerateStates:
         assert k_part == sorted(k_part, key=lambda s: s.t)
 
     def test_invalid_rejected(self):
-        with pytest.raises(ValueError):
-            enumerate_states(0, 0)
-        with pytest.raises(ValueError):
-            enumerate_states(3, 3)
-        with pytest.raises(ValueError):
-            enumerate_states(3, -1)
+        for deadline, cap in ((0, 0), (3, 3), (3, -1)):
+            with pytest.raises(ValueError):
+                enumerate_states(deadline, cap)
+            with pytest.raises(ValueError):
+                state_count(deadline, cap)
 
 
 @pytest.mark.parametrize("deadline,cap",
@@ -53,6 +52,7 @@ class TestEnumerateStates:
 def test_state_space(deadline, cap):
     space = state_space(deadline, cap)
     n = len(space.layer)
+    assert state_count(deadline, cap) == n
     states = [space.state(i) for i in range(n)]
     assert [space.index(s) for s in states] == list(range(n))
     assert states == enumerate_states(deadline, cap)
@@ -195,7 +195,7 @@ class TestStateReward:
         # one-slot accesses and slots alone.
         s = NetState(2, 1, PHI_U)
         pol = idle_policy(enumerate_states(2, 1)).with_prob(s, 0.37)
-        cv = cycle_values(pol, t1_stats, 2, 1)
+        cv = cycle_values(pol, transition_table(t1_stats, 2, 1))
         i = cv.table.space.index(s)
         assert cv.v[i] == 0.37
         assert cv.dur[i] == 1.0
@@ -204,14 +204,15 @@ class TestStateReward:
         states = enumerate_states(2, 1)
         with pytest.raises(ValueError):
             cycle_values(idle_policy(states).with_prob(NetState(1, 0, PHI_U),
-                                                       1.2), t1_stats, 2, 1)
+                                                       1.2),
+                         transition_table(t1_stats, 2, 1))
 
 
 class TestCycleValues:
     def test_single_slot_cycle(self, t1_stats):
         states = enumerate_states(1, 0)
         pol = Policy({states[0]: 0.4})
-        cv = cycle_values(pol, t1_stats, 1, 0)
+        cv = cycle_values(pol, transition_table(t1_stats, 1, 0))
         assert cv.table.space.index(ROOT) == 0
         assert cv.g[0] == pytest.approx(0.4 * t1_stats.t_su)
         assert cv.v[0] == pytest.approx(0.4)
@@ -221,8 +222,9 @@ class TestCycleValues:
         # idle chain: survival probability q_pp_idle per attempt
         for deadline in (2, 3, 5):
             states = enumerate_states(deadline, deadline - 1)
-            cv = cycle_values(idle_policy(states), t1_stats, deadline,
-                              deadline - 1)
+            cv = cycle_values(idle_policy(states),
+                              transition_table(t1_stats, deadline,
+                                               deadline - 1))
             expected = sum(t1_stats.q_pp_idle ** k for k in range(deadline))
             assert cv.dur[0] == pytest.approx(expected, abs=1e-12)
             assert cv.v[0] == 0.0
@@ -233,7 +235,7 @@ class TestCycleValues:
             stats = make_random_stats(rng)
             states = enumerate_states(deadline, cap)
             pol = make_random_policy(rng, states)
-            cv = cycle_values(pol, stats, deadline, cap)
+            cv = cycle_values(pol, transition_table(stats, deadline, cap))
             for s in states:
                 i = cv.table.space.index(s)
                 assert 0.0 <= cv.v[i] <= cv.dur[i]
@@ -245,7 +247,8 @@ class TestCycleValues:
 class TestLongTermMetrics:
     def test_idle_policy(self, t1_stats):
         states = enumerate_states(5, 4)
-        m = long_term_metrics(idle_policy(states), t1_stats, 5, 4)
+        m = long_term_metrics(idle_policy(states),
+                              transition_table(t1_stats, 5, 4))
         assert m.t_s_bar == 0.0
         assert m.w_s_bar == 0.0
         assert m.p_s_ratio == 0.0
@@ -253,7 +256,8 @@ class TestLongTermMetrics:
 
     def test_always_active_policy(self, t1_stats):
         states = enumerate_states(5, 4)
-        m = long_term_metrics(Policy({s: 1.0 for s in states}), t1_stats, 5, 4)
+        m = long_term_metrics(Policy({s: 1.0 for s in states}),
+                              transition_table(t1_stats, 5, 4))
         assert m.w_s_bar == pytest.approx(1.0, abs=1e-12)
         assert m.t_p_bar == pytest.approx(t1_stats.t_p_active, abs=1e-12)
 
@@ -261,14 +265,16 @@ class TestLongTermMetrics:
         # with accesses only in known-message states, throughput per unit
         # access is exactly the clean-channel throughput
         states = enumerate_states(5, 4)
-        m = long_term_metrics(k_active_policy(states), t1_stats, 5, 4)
+        m = long_term_metrics(k_active_policy(states),
+                              transition_table(t1_stats, 5, 4))
         assert m.t_s_bar == pytest.approx(t1_stats.t_sk * m.w_s_bar, abs=1e-12)
 
     def test_metrics_json(self, t1_stats):
         import json
         from dataclasses import asdict
         states = enumerate_states(2, 1)
-        m = long_term_metrics(k_active_policy(states), t1_stats, 2, 1)
+        m = long_term_metrics(k_active_policy(states),
+                              transition_table(t1_stats, 2, 1))
         obj = json.loads(json.dumps(asdict(m)))
         assert set(obj) == {"t_s_bar", "w_s_bar", "t_p_bar", "p_s_ratio"}
 
@@ -289,7 +295,7 @@ class TestStationaryDistribution:
             stats = make_random_stats(rng)
             states = enumerate_states(deadline, cap)
             pol = make_random_policy(rng, states)
-            m = long_term_metrics(pol, stats, deadline, cap)
+            m = long_term_metrics(pol, transition_table(stats, deadline, cap))
             t_s, w_s = occupancy_metrics(pol, stats, deadline, cap)
             assert abs(w_s - m.w_s_bar) <= 1e-9
             assert abs(t_s - m.t_s_bar) <= 1e-9
@@ -301,11 +307,12 @@ class TestStationaryDistribution:
             stats = make_random_stats(rng)
             states = enumerate_states(deadline, cap)
             pol = make_random_policy(rng, states, lo=0.05, hi=0.9)
-            base = long_term_metrics(pol, stats, deadline, cap).w_s_bar
+            table = transition_table(stats, deadline, cap)
+            base = long_term_metrics(pol, table).w_s_bar
             pi = stationary_distribution(pol, stats, deadline, cap)
             for s in states:
                 bumped = long_term_metrics(pol.with_prob(s, pol.prob(s) + 1e-4),
-                                           stats, deadline, cap).w_s_bar
+                                           table).w_s_bar
                 assert bumped >= base - 1e-14
                 if pi[s] > 1e-12:
                     assert bumped > base
@@ -316,7 +323,7 @@ def _assert_matches_reference(policy, stats, deadline, cap):
     stationary distribution against a solve of the matrix assembled from
     the table's rows."""
     states = enumerate_states(deadline, cap)
-    cv = cycle_values(policy, stats, deadline, cap)
+    cv = cycle_values(policy, transition_table(stats, deadline, cap))
     ref = reference_cycle_values(policy, stats, deadline, cap)
     for s in states:
         i = cv.table.space.index(s)
@@ -376,7 +383,7 @@ class TestStatsValidation:
         for change in bad_cases:
             bad = dataclasses.replace(t1_stats, **change)
             with pytest.raises(ValueError):
-                cycle_values(pol, bad, 2, 1)
+                cycle_values(pol, transition_table(bad, 2, 1))
             with pytest.raises(ValueError):
                 stationary_distribution(pol, bad, 2, 1)
 

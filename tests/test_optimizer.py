@@ -8,8 +8,9 @@ from cogarq import (NetState, Policy, access_rate_budget, cycle_values,
                     efficiency_report, enumerate_frontier, enumerate_states,
                     greedy_policy_path,
                     idle_policy, k_active_policy, link_stats,
-                    long_term_metrics, optimal_policy, oracle_optimum)
-from cogarq import optimizer
+                    long_term_metrics, optimal_policy, oracle_optimum,
+                    transition_table)
+from cogarq import mdp, optimizer, oracle
 from cogarq.mdp import PHI_K, PHI_U
 
 from support import (feasible_stats, make_random_policy, make_random_stats,
@@ -22,7 +23,8 @@ class TestCycleDerivatives:
     def test_deadline_state(self, t1_stats):
         pol = k_active_policy(enumerate_states(5, 4))
         s = NetState(5, 2, PHI_U)
-        r = efficiency_report(cycle_values(pol, t1_stats, 5, 4), s)
+        table = transition_table(t1_stats, 5, 4)
+        r = efficiency_report(cycle_values(pol, table), s)
         g_p, v_p, d_p = r.g_prime, r.v_prime, r.d_prime
         expected_g = (t1_stats.t_su
                       - (t1_stats.q_ps_active - t1_stats.q_ps_idle)
@@ -36,7 +38,7 @@ class TestCycleDerivatives:
         stats = make_random_stats(rng, degenerate=True)
         states = enumerate_states(4, 3)
         pol = make_random_policy(rng, states)
-        cv = cycle_values(pol, stats, 4, 3)
+        cv = cycle_values(pol, transition_table(stats, 4, 3))
         for s in states:
             d_p = efficiency_report(cv, s).d_prime
             if s.phi == PHI_U:
@@ -50,12 +52,13 @@ class TestCycleDerivatives:
             stats = make_random_stats(rng)
             states = enumerate_states(deadline, cap)
             pol = make_random_policy(rng, states, lo=0.05, hi=0.9)
-            cv = cycle_values(pol, stats, deadline, cap)
+            table = transition_table(stats, deadline, cap)
+            cv = cycle_values(pol, table)
             for s in states:
                 r = efficiency_report(cv, s)
                 g_p, v_p, d_p = r.g_prime, r.v_prime, r.d_prime
                 bumped = cycle_values(pol.with_prob(s, pol.prob(s) + delta),
-                                      stats, deadline, cap)
+                                      table)
                 i = cv.table.space.index(s)
                 assert abs((bumped.g[i] - cv.g[i]) / delta - g_p) <= 1e-5
                 assert abs((bumped.v[i] - cv.v[i]) / delta - v_p) <= 1e-5
@@ -70,8 +73,9 @@ class TestEfficiency:
             stats = make_random_stats(rng)
             states = enumerate_states(deadline, cap)
             pol = make_random_policy(rng, states)
-            m = long_term_metrics(pol, stats, deadline, cap)
-            cv = cycle_values(pol, stats, deadline, cap)
+            table = transition_table(stats, deadline, cap)
+            m = long_term_metrics(pol, table)
+            cv = cycle_values(pol, table)
             for s in states:
                 r = efficiency_report(cv, s)
                 assert r.v_prime - r.d_prime * m.w_s_bar > 0.0
@@ -83,7 +87,7 @@ class TestEfficiency:
         states = enumerate_states(5, 4)
         pol = k_active_policy(states)
         pol = pol.with_prob(NetState(3, 0, PHI_K), 0.0)  # partially active
-        cv = cycle_values(pol, t1_stats, 5, 4)
+        cv = cycle_values(pol, transition_table(t1_stats, 5, 4))
         for s in states:
             eta = efficiency_report(cv, s).eta
             if s.phi == PHI_K:
@@ -98,13 +102,14 @@ class TestEfficiency:
         pol = k_active_policy(states)
         explore = Policy({s: 0.5 for s in states})
         s = NetState(3, 2, PHI_U)      # unreachable without U accesses
-        eta0 = efficiency_report(cycle_values(pol, t1_stats, 5, 4), s).eta
+        table = transition_table(t1_stats, 5, 4)
+        eta0 = efficiency_report(cycle_values(pol, table), s).eta
         errs = []
         for upsilon in (1e-2, 1e-3):
             blended = Policy({x: upsilon * explore.probs[x]
                               + (1.0 - upsilon) * pol.probs[x]
                               for x in states})
-            cv = cycle_values(blended, t1_stats, 5, 4)
+            cv = cycle_values(blended, table)
             errs.append(abs(efficiency_report(cv, s).eta - eta0))
         assert errs[1] <= 0.2 * errs[0] + 1e-9
         assert errs[0] <= 0.5
@@ -291,7 +296,7 @@ class TestGreedyPolicyPath:
         deadline, cap = 5, 4
         path = greedy_policy_path(t1_stats, deadline, cap)
         for e in path.entries[:deadline]:
-            cv = cycle_values(e.policy, t1_stats, deadline, cap)
+            cv = cycle_values(e.policy, path.table)
             eta = {phi: [efficiency_report(cv, s).eta
                          for s, p in e.policy.probs.items()
                          if s.phi == phi and p == 0.0]
@@ -355,7 +360,8 @@ class TestOptimalPolicy:
                     continue
                 pol, m = optimal_policy(eps_w, path)
                 assert abs(m.w_s_bar - eps_w) <= 1e-14
-                assert m == long_term_metrics(pol, stats, deadline, cap)
+                assert m == long_term_metrics(
+                    pol, transition_table(stats, deadline, cap))
 
     def test_negative_budget_rejected(self, t1_stats):
         path = greedy_policy_path(t1_stats, 2, 1)
@@ -422,3 +428,35 @@ def test_optimal_policy_is_one_state_blend(stats, deadline, data):
     if eps_w < path.eps_th:
         assert all(p == 0.0 for s, p in pol.probs.items() if s.phi == PHI_U)
         assert abs(m.t_s_bar - stats.t_sk * m.w_s_bar) <= 1e-12
+
+
+def test_one_transition_table_per_walk_and_frontier(t1_stats, monkeypatch):
+    # A walk and a frontier each build their scenario's transition table
+    # once and evaluate every policy on it; a solve reads the path's table
+    # and builds none, and a refused frontier builds none either.
+    real = mdp.transition_table
+    built = []
+
+    def counting(*args):
+        built.append(args)
+        return real(*args)
+
+    for module in (mdp, optimizer, oracle):
+        monkeypatch.setattr(module, "transition_table", counting)
+    for deadline, cap in ((1, 0), (3, 2), (4, 3), (5, 2)):
+        built.clear()
+        path = greedy_policy_path(t1_stats, deadline, cap)
+        assert built == [(t1_stats, deadline, cap)]
+        assert path.table == real(t1_stats, deadline, cap)
+        built.clear()
+        w_last = path.entries[-1].metrics.w_s_bar
+        for eps_w in (0.0, 0.5 * path.eps_th, path.eps_th,
+                      0.5 * (path.eps_th + w_last), 2.0 * w_last):
+            optimal_policy(eps_w, path)
+        assert built == []
+        enumerate_frontier(t1_stats, deadline, cap)
+        assert built == [(t1_stats, deadline, cap)]
+    built.clear()
+    with pytest.raises(ValueError, match="19 > 16"):
+        enumerate_frontier(t1_stats, 5, 4)
+    assert built == []

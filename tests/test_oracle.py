@@ -85,9 +85,9 @@ class TestEnumerateFrontier:
         deadline, cap = 2, 1
         frontier = enumerate_frontier(t1_stats, deadline, cap)
         states = enumerate_states(deadline, cap)
+        table = transition_table(t1_stats, deadline, cap)
         for mask in range(1 << len(states)):
-            m = long_term_metrics(policy_from_bitmask(mask, states),
-                                  t1_stats, deadline, cap)
+            m = long_term_metrics(policy_from_bitmask(mask, states), table)
             best = oracle_optimum(m.w_s_bar, frontier, t1_stats, deadline, cap)
             assert m.t_s_bar <= best + 1e-9
 
@@ -95,10 +95,10 @@ class TestEnumerateFrontier:
         # recompute points in reversed mask order and re-hull them
         deadline, cap = 2, 1
         states = enumerate_states(deadline, cap)
+        table = transition_table(t1_stats, deadline, cap)
         pts = []
         for mask in reversed(range(1 << len(states))):
-            m = long_term_metrics(policy_from_bitmask(mask, states),
-                                  t1_stats, deadline, cap)
+            m = long_term_metrics(policy_from_bitmask(mask, states), table)
             pts.append((m.w_s_bar, m.t_s_bar))
         frontier = enumerate_frontier(t1_stats, deadline, cap)
         for p in frontier:
@@ -109,18 +109,22 @@ class TestEnumerateFrontier:
         def forbidden(*args):
             raise AssertionError("built before the size check")
 
-        monkeypatch.setattr(oracle, "transition_table", forbidden)
-        monkeypatch.setattr(oracle, "_bitmask_metrics", forbidden)
-        monkeypatch.setattr(oracle, "_backward", forbidden)
-        for deadline, cap, n in ((5, 4, 19), (9, 0, 17)):
-            assert len(enumerate_states(deadline, cap)) == n
+        # the refusal builds no per-state list, so a space far too large
+        # to hold is refused as fast as a small one
+        for name in ("enumerate_states", "state_space", "transition_table",
+                     "_bitmask_metrics", "_backward"):
+            monkeypatch.setattr(oracle, name, forbidden)
+        for deadline, cap, n in ((5, 4, 19), (9, 0, 17),
+                                 (10 ** 6, 10 ** 6 - 1, 500_001_499_999)):
+            if deadline < 10:
+                assert len(enumerate_states(deadline, cap)) == n
             with pytest.raises(ValueError, match=f"{n} > 16"):
                 enumerate_frontier(t1_stats, deadline, cap)
 
     def test_size_cap_accepts_16_states(self, t1_stats):
         assert len(enumerate_states(5, 2)) == oracle.MAX_ENUM_STATES
         for p in enumerate_frontier(t1_stats, 5, 2):
-            m = long_term_metrics(p.policy, t1_stats, 5, 2)
+            m = long_term_metrics(p.policy, transition_table(t1_stats, 5, 2))
             assert (m.w_s_bar, m.t_s_bar) == (p.w_s_bar, p.t_s_bar)
 
     def test_peak_memory_below_10_mb(self, t1_stats):
@@ -160,11 +164,12 @@ class TestFrontierMatchesReference:
 
         for deadline, cap in ((3, 2), (4, 3)):
             states = enumerate_states(deadline, cap)
-            w, t = _bitmask_metrics(transition_table(t1_stats, deadline, cap))
+            table = transition_table(t1_stats, deadline, cap)
+            w, t = _bitmask_metrics(table)
             assert len(w) == len(t) == 1 << len(states)
             for mask, batched in enumerate(zip(w.tolist(), t.tolist())):
                 m = long_term_metrics(policy_from_bitmask(mask, states),
-                                      t1_stats, deadline, cap)
+                                      table)
                 assert (m.w_s_bar, m.t_s_bar) == batched
 
             calls.clear()

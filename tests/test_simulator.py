@@ -1,4 +1,5 @@
 import math
+import warnings
 from dataclasses import fields
 
 import numpy as np
@@ -73,9 +74,10 @@ class TestRun:
     def test_random_policies_match_analytic(self, t1_params, t1_stats):
         rng = np.random.default_rng(31)
         states = enumerate_states(5, 4)
+        table = transition_table(t1_stats, 5, 4)
         for seed in (101, 202):
             pol = make_random_policy(rng, states)
-            m = long_term_metrics(pol, t1_stats, 5, 4)
+            m = long_term_metrics(pol, table)
             r = run(_config(t1_params, pol, 400_000, seed))
             assert abs(r.t_s_emp - m.t_s_bar) <= 3 * r.stderr_t_s + 1e-12
             assert abs(r.w_s_emp - m.w_s_bar) <= 3 * r.stderr_w_s + 1e-12
@@ -171,17 +173,39 @@ class TestAgainstReference:
                 for slots in (1, 777, 2 * _CHUNK + 5):
                     r, _ = _simulate(params, policy, slots, seed,
                                      collect_transitions=False)
-                    counts = _counts(params, policy, slots, seed)
-                    ref, ref_counts = reference_simulation(params, policy,
-                                                           slots, seed)
-                    assert counts.tolist() == ref_counts.tolist()
-                    for f in fields(SimResult):
-                        got, want = getattr(r, f.name), getattr(ref, f.name)
-                        if isinstance(want, int):
-                            assert got == want, f.name
-                        else:
-                            assert math.isclose(got, want, rel_tol=1e-12), (
-                                f.name, got, want)
+                    _assert_matches_reference(r, params, policy, slots,
+                                              seed)
+
+    @pytest.mark.parametrize("policy_kind", ["idle", "random"])
+    def test_overflowing_cross_link(self, policy_kind):
+        # About 17 % of the gamma_sp draws of mean 1e308 overflow to inf:
+        # an active slot's ACK threshold is then inf, an idle slot's stays
+        # thr_p (inf * 0 would be NaN and NACK every idle slot), and
+        # nothing warns.
+        params = table1_params(deadline_D=3, buffer_B=2, mean_snr_sp=1e308)
+        states = enumerate_states(3, 2)
+        policy = (idle_policy(states) if policy_kind == "idle"
+                  else make_random_policy(np.random.default_rng(3), states))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            r, _ = _simulate(params, policy, 10 ** 5, 1,
+                             collect_transitions=False)
+        _assert_matches_reference(r, params, policy, 10 ** 5, 1)
+
+
+def _assert_matches_reference(r, params, policy, slots, seed):
+    """``r``, the run of (params, policy, slots, seed), and its transition
+    counts equal those of `reference_simulation`."""
+    counts = _counts(params, policy, slots, seed)
+    ref, ref_counts = reference_simulation(params, policy, slots, seed)
+    assert counts.tolist() == ref_counts.tolist()
+    for f in fields(SimResult):
+        got, want = getattr(r, f.name), getattr(ref, f.name)
+        if isinstance(want, int):
+            assert got == want, f.name
+        else:
+            assert math.isclose(got, want, rel_tol=1e-12), (f.name, got,
+                                                            want)
 
 
 class TestRegenerativeErrors:
