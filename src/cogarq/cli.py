@@ -38,7 +38,7 @@ from .experiments import (DEFAULT_GRIDS, EXPLICIT, RSU_STAR, derive_rates,
 from .mdp import (long_term_metrics, policy_from_json_obj, policy_to_json_obj,
                   transition_table)
 from .optimizer import access_rate_budget, greedy_policy_path, optimal_policy
-from .oracle import enumerate_frontier, frontier_csv_rows
+from .oracle import check_enumerable, enumerate_frontier, frontier_csv_rows
 from .simulator import SimConfig, run
 
 DEFAULT_MC = 10 ** 6
@@ -86,15 +86,14 @@ def _emit(text: str, out: str | None) -> None:
         sys.stdout.write(text if text.endswith("\n") else text + "\n")
 
 
-def _prepared(args):
-    params, rate_policy = _load_scenario(args.config)
+def _prepared(args, params, rate_policy):
     params = derive_rates(params, rate_policy)
     [stats] = link_stats([params], args.mc_samples, args.seed)
     return params, stats
 
 
 def _cmd_derive_params(args) -> int:
-    params, stats = _prepared(args)
+    params, stats = _prepared(args, *_load_scenario(args.config))
     eps_w = access_rate_budget(stats, params.eps_pu, params.power_ratio)
     _emit(_json({"params": asdict(params), "stats": asdict(stats),
                  "eps_w": eps_w}), args.out)
@@ -102,7 +101,7 @@ def _cmd_derive_params(args) -> int:
 
 
 def _cmd_solve(args) -> int:
-    params, stats = _prepared(args)
+    params, stats = _prepared(args, *_load_scenario(args.config))
     eps_w = (args.eps_w if args.eps_w is not None
              else access_rate_budget(stats, params.eps_pu, params.power_ratio))
     path = greedy_policy_path(stats, params.deadline_D, params.buffer_B)
@@ -137,9 +136,11 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_oracle(args) -> int:
-    params, stats = _prepared(args)
+    params, rate_policy = _load_scenario(args.config)
     deadline = args.D if args.D is not None else params.deadline_D
     buffer_size = args.B if args.B is not None else params.buffer_B
+    check_enumerable(deadline, buffer_size)     # before any channel work
+    params, stats = _prepared(args, params, rate_policy)
     frontier = enumerate_frontier(stats, deadline, buffer_size)
     rows = frontier_csv_rows(frontier, deadline, buffer_size)
     if not all(math.isfinite(r[k]) for r in rows

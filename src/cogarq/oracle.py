@@ -93,6 +93,16 @@ def _march(w: np.ndarray, t: np.ndarray) -> List[int]:
         hull.append(int(edge[t[edge] == t[edge].max()][0]))
 
 
+def check_enumerable(deadline: int, buffer_size: int) -> None:
+    """ValueError unless (deadline, buffer_size) is a valid space of at most
+    `MAX_ENUM_STATES` states, judged from its closed-form size before any
+    of it is built."""
+    n_states = state_count(deadline, buffer_size)
+    if n_states > MAX_ENUM_STATES:
+        raise ValueError(f"state space too large to enumerate "
+                         f"({n_states} > {MAX_ENUM_STATES})")
+
+
 def enumerate_frontier(stats: LinkStats, deadline: int,
                        buffer_size: int) -> List[FrontierPoint]:
     """Upper-left hull of all deterministic policies, from the idle policy
@@ -100,12 +110,9 @@ def enumerate_frontier(stats: LinkStats, deadline: int,
     other are one edge, so no vertex exists only by rounding. Each vertex
     is the smallest bitmask at its (w_s_bar, t_s_bar) and is evaluated
     again by `long_term_metrics`; RuntimeError unless that reproduces its
-    batched values exactly. A space of more than `MAX_ENUM_STATES` states
-    is refused, from its closed-form size, before any of it is built."""
-    n_states = state_count(deadline, buffer_size)
-    if n_states > MAX_ENUM_STATES:
-        raise ValueError(f"state space too large to enumerate "
-                         f"({n_states} > {MAX_ENUM_STATES})")
+    batched values exactly. A space that `check_enumerable` refuses is
+    refused first."""
+    check_enumerable(deadline, buffer_size)
     table = transition_table(stats, deadline, buffer_size)
     w, t = _bitmask_metrics(table)
     states = enumerate_states(deadline, buffer_size)

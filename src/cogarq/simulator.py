@@ -13,14 +13,15 @@ classification the link statistics use, so simulated transition
 frequencies estimate the analytic transition rows by construction.
 
 The step costs little more than its draws. Each variate is drawn into a
-buffer allocated once per chunk (`channel._exponential_into`, bit-identical
+buffer allocated once per chain (`channel._exponential_into`, bit-identical
 to ``rng.exponential``), and the ACK threshold is computed in place in the
-gamma_sp buffer. A slot's booleans (active, ACK, primary decoded while
-active, gamma_ps >= thr_p, secondary signal buffered) are packed into one
-5-bit outcome code, and ``_CODES * state + code`` is the slot's row in
+gamma_sp buffer. A slot's seven booleans (`ACTIVE` to `SK_OK`) are packed
+into one outcome code, and ``_CODES * state + code`` is the slot's row in
 tables built once per chain from `mdp.StateSpace.succ`: the next state,
-whether the primary message is decoded, and the transition code. The
-counting pass only histograms rows; the reward pass reads the same bits.
+and what the slot adds to each output. The step only samples: slot t of
+cycle c is slot start[c] + t of its chunk, the path keeps it only if that
+is at most the slots left, so each chunk is drawn once, and every total is
+the row histogram times a table.
 
 Standard errors come from the regenerative ratio estimator (Crane &
 Iglehart 1975; Asmussen & Glynn, *Stochastic Simulation*, ch. IV): with y
@@ -33,8 +34,7 @@ Transition counts are folded from the row histogram into a Counter with
 one count per (state, action, next state) move the path makes, keyed by
 transition-table indices, and `empirical_transition_check` compares the
 visited (state, action) rows with the table's, so neither side is ever a
-dense n x 2 x n array; a pass collects either the counts or the rewards,
-over the same draws.
+dense n x 2 x n array.
 
 Reproducibility: one seeded generator; per chunk of cycles, then per layer
 t, the draw order is (gamma_s, gamma_p, gamma_sp, gamma_ps,
@@ -47,7 +47,6 @@ import json
 import math
 from collections import Counter
 from dataclasses import dataclass, asdict
-from typing import Optional
 
 import numpy as np
 
@@ -109,86 +108,91 @@ class SimResult:
 # The bits of a slot's outcome code: the secondary transmits (ACTIVE), the
 # primary receiver ACKs (ACK), and the secondary receiver decodes the
 # primary message while the secondary transmits (PU_DEC), would decode it
-# alone, gamma_ps >= thr_p (P_OK), or buffers the secondary signal (BUF).
-ACTIVE, ACK, PU_DEC, P_OK, BUF = 1, 2, 4, 8, 16
-_CODES = 32
+# alone, gamma_ps >= thr_p (P_OK), buffers the secondary signal (BUF),
+# decodes the secondary message (SU_DEC), or would decode it on a clean
+# channel at the known-message rate, gamma_s >= thr_sk (SK_OK).
+ACTIVE, ACK, PU_DEC, P_OK, BUF, SU_DEC, SK_OK = 1, 2, 4, 8, 16, 32, 64
+_CODES = 128
 
 
 class _Chain:
-    """Scenario constants and the layer-by-layer simulation of cycles.
+    """Scenario constants, row tables and the layer-by-layer sampler.
 
     States are indexed as in `mdp.StateSpace`; index 0 is the root. A slot
-    in state i with outcome code c is row ``_CODES * i + c`` of three
+    in state i with outcome code c is row ``_CODES * i + c`` of these
     tables: ``next``, the state it leads to (the layout's ``succ``, or the
-    root after an ACK or at the deadline); ``decoded``, whether the
-    secondary receiver decodes the primary message; and ``transition``,
-    its transition code (2 i + active) * n_states + next.
+    root after an ACK or at the deadline); ``cycle_adds``, what it adds to
+    its cycle's t_s, w_s and t_p; and ``counts``, what it adds to the
+    counts behind the summed `SimResult` fields.
     """
 
     def __init__(self, params: SystemParams, policy: Policy):
         self.params = params
         space = state_space(params.deadline_D, params.buffer_B)
         self.mu = np.array(space.vector(policy))
-        self.level = np.array(space.level)
-        n = len(self.level)
-        self.known = np.arange(n) >= space.n_unknown
+        n = len(space.layer)
         self.cls = RegionClassifier(params.rate_su, params.rate_p)
         self.thr_sk = 2.0 ** params.rate_sk - 1.0
         code = np.arange(_CODES)
-        active = (code & ACTIVE) > 0
-        unknown = ~self.known[:, None]
+        active, ack, buf, su_dec, sk_ok = (
+            (code & bit) > 0 for bit in (ACTIVE, ACK, BUF, SU_DEC, SK_OK))
+        unknown = (np.arange(n) < space.n_unknown)[:, None]
         decoded = unknown & ((code & np.where(active, PU_DEC, P_OK)) > 0)
         # learn if the primary message was decoded, grow if a signal was
         # buffered and the buffer has room, else stay
-        succ = np.array(space.succ).reshape(n, 3)
-        grow = unknown & active & ((code & BUF) > 0) & (succ[:, 1:2] > 0)
+        succ = np.array(space.succ, dtype=np.int32).reshape(n, 3)
+        grow = unknown & active & buf & (succ[:, 1:2] > 0)
         nxt = np.take_along_axis(succ, np.where(decoded, 2, grow), axis=1)
-        nxt[:, (code & ACK) > 0] = 0
+        nxt[:, ack] = 0
         self.next = nxt.ravel()
-        self.decoded = decoded.ravel()
-        self.transition = ((2 * np.arange(n)[:, None] + active) * n
-                           + nxt).ravel()
+        fic = active & ~unknown & sk_ok
+        fresh = active & unknown & su_dec
+        levels = decoded * np.array(space.level, dtype=np.int32)[:, None]
+        rsu, rsk = params.rate_su, params.rate_sk
+        cycle_adds = {"t_s": fic * rsk + fresh * rsu + levels * rsu,
+                      "w_s": active, "t_p": ack * params.rate_p}
+        counts = {"fic": fic, "fresh": fresh, "levels": levels,
+                  "k_access_slots": active & ~unknown,
+                  "buffered_events": active & unknown & buf}
+        # one entry per row: a table of the code alone repeats per state
+        self.cycle_adds, self.counts = (
+            {key: np.broadcast_to(table, (n, _CODES)).ravel()
+             for key, table in tables.items()}
+            for tables in (cycle_adds, counts))
+        # one buffer per variate and per bit, sliced to the cycles alive,
+        # and the cycle and row of each slot of a chunk, whose cycles last
+        # at most D slots; `cycles` fills them in place
+        self.draws = np.empty((5, _CHUNK))
+        self.bits = np.empty((4, _CHUNK), dtype=bool)
+        self.code = np.empty(_CHUNK, dtype=np.uint8)
+        self.slots = np.empty((2, _CHUNK * params.deadline_D),
+                              dtype=np.int32)
 
-    def cycles(self, rng: np.random.Generator, n: int,
-               room: Optional[np.ndarray], collect_transitions: bool):
-        """Simulate ``n`` cycles laid end to end from the root.
+    def cycles(self, rng: np.random.Generator, n: int):
+        """Draw ``n`` <= `_CHUNK` cycles from the root, one attempt layer
+        at a time.
 
-        Returns (sums, lengths, rows); the draws do not depend on ``room``
-        or ``collect_transitions``. With ``room`` given, slot t of cycle c
-        counts only if t <= room[c]; otherwise every slot counts.
-        ``lengths`` holds the full length of every cycle. ``rows`` holds
-        the number of counted slots at each table row if
-        ``collect_transitions``; otherwise ``sums`` holds the totals over
-        counted slots and the moments of the cycles that end in a counted
-        slot. The other one is None.
+        Returns (cycle, row): the cycle, 0..n-1, and the table row of
+        every slot drawn, layer after layer, each layer in cycle order;
+        both are int32 views that the next call overwrites (`np.take`
+        reads int32 indices without the cast that indexing makes).
         """
         p = self.params
-        deadline = p.deadline_D
-        rsu, rsk = p.rate_su, p.rate_sk
         thr_p = self.cls.thr_p
-        rows = (np.zeros(len(self.next), dtype=np.int64)
-                if collect_transitions else None)
-        sums = None if collect_transitions else Counter()
-        # one buffer per variate and per bit, sliced to the cycles alive
-        gs_buf, gp_buf, gsp_buf, gps_buf, u_buf = np.empty((5, n))
-        active_buf, ack_buf, p_ok_buf = np.empty((3, n), dtype=bool)
-        code_buf = np.empty(n, dtype=np.uint8)
-        row_buf = np.empty(n, dtype=np.int64)
-        cyc = np.arange(n)
-        state = np.zeros(n, dtype=np.int64)
-        y = {"t_s": np.zeros(n), "w_s": np.zeros(n)}
-        lengths = np.zeros(n)
-        acked = np.zeros(n, dtype=bool)
-        for t in range(1, deadline + 1):
-            m = len(cyc)
-            if m == 0:
-                break
+        gs_buf, gp_buf, gsp_buf, gps_buf, u_buf = self.draws
+        active_buf, ack_buf, p_ok_buf, sk_buf = self.bits
+        cycle, row = self.slots
+        cycle[:n] = np.arange(n)
+        state = np.zeros(n, dtype=np.int32)
+        drawn = 0
+        while len(state):
+            m = len(state)
             gs = _exponential_into(rng, p.mean_snr_s, gs_buf[:m])
             gp = _exponential_into(rng, p.mean_snr_p, gp_buf[:m])
             gsp = _exponential_into(rng, p.mean_snr_sp, gsp_buf[:m])
             gps = _exponential_into(rng, p.mean_snr_ps, gps_buf[:m])
             u = rng.random(out=u_buf[:m])
-            active = np.less(u, self.mu[state], out=active_buf[:m])
+            active = np.less(u, np.take(self.mu, state), out=active_buf[:m])
             # gsp becomes the ACK threshold thr_p * (1 + gamma_sp * active),
             # inf beyond the double range. An idle slot's is exactly thr_p:
             # where gamma_sp overflowed to inf, inf * 0 is NaN, and fmax
@@ -201,59 +205,59 @@ class _Chain:
             ack = np.greater_equal(gp, gsp, out=ack_buf[:m])
             pu_dec, su_dec, buf_dec = self.cls.masks(gs, gps)
             p_ok = np.greater_equal(gps, thr_p, out=p_ok_buf[:m])
+            sk_ok = np.greater_equal(gs, self.thr_sk, out=sk_buf[:m])
             # the outcome code, most significant bit first, doubled by uint8
             # additions (numpy's uint8 shifts ran about four times slower)
-            code = code_buf[:m]
-            np.copyto(code, buf_dec.view(np.uint8))
-            for bit in (p_ok, pu_dec, ack, active):
+            code = self.code[:m]
+            np.copyto(code, sk_ok.view(np.uint8))
+            for bit in (su_dec, buf_dec, p_ok, pu_dec, ack, active):
                 np.add(code, code, out=code)
                 np.add(code, bit.view(np.uint8), out=code)
-            row = np.multiply(state, _CODES, out=row_buf[:m])
-            np.add(row, code, out=row)
-            nxt = self.next[row]
-
-            # every live cycle is written; a cycle's last write is its end
-            lengths[cyc] = t
-            live = slice(None) if room is None else room[cyc] >= t
-            if rows is not None:
-                rows += np.bincount(row[live], minlength=len(rows))
-            else:
-                acked[cyc] = ack
-                counted = cyc[live]
-                known = self.known[state]
-                k_access = active & known
-                fic = k_access & (gs >= self.thr_sk)
-                fresh = active & ~known & su_dec
-                bic = self.decoded[row] * (self.level[state] * rsu)
-                y["t_s"][counted] += (fic * rsk + fresh * rsu + bic)[live]
-                y["w_s"][counted] += active[live]
-                sums["u_bits"] += rsu * int(np.count_nonzero(fresh[live]))
-                sums["fic_bits"] += rsk * int(np.count_nonzero(fic[live]))
-                sums["bic_bits"] += float(bic[live].sum())
-                sums["k_access_slots"] += int(np.count_nonzero(k_access[live]))
-                sums["buffered_events"] += int(np.count_nonzero(
-                    (active & ~known & buf_dec)[live]))
-
+            here = slice(drawn, drawn + m)
+            np.multiply(state, _CODES, out=row[here])
+            np.add(row[here], code, out=row[here])
+            nxt = np.take(self.next, row[here])
             # the root is never a successor within a cycle: next 0 ends it
             stay = np.flatnonzero(nxt != 0)
-            cyc, state = cyc[stay], nxt[stay]
+            drawn += m
+            np.take(cycle[here], stay, out=cycle[drawn:drawn + len(stay)])
+            state = nxt[stay]
+        return cycle[:drawn], row[:drawn]
 
-        if sums is None:
-            return None, lengths, rows
-        # an ACK is a cycle's last slot, so only complete cycles carry one
-        done = np.full(n, True) if room is None else lengths <= room
-        y["t_p"] = p.rate_p * (acked & done)
-        tau = lengths[done]
-        sums["cycles_completed"] += len(tau)
-        sums["tau"] += float(tau.sum())
-        sums["tau_sq"] += float(tau @ tau)
-        for key in ("t_s", "w_s", "t_p"):
-            sums[key] += float(y[key].sum())
-            whole = y[key][done]
-            sums[key + "_cyc"] += float(whole.sum())
-            sums[key + "_sq"] += float(whole @ whole)
-            sums[key + "_tau"] += float(whole @ tau)
-        return sums, lengths, None
+
+def _path(chain: _Chain, num_slots: int, seed: int):
+    """The first ``num_slots`` slots of the sample path of ``seed``.
+
+    Yields (n, done, cycle, row) per chunk of ``n`` cycles, of which the
+    first ``done`` are complete: the cycle and row of its slots on the
+    path, as `_Chain.cycles` orders them.
+    """
+    rng = np.random.default_rng(seed)
+    left = num_slots
+    while left:
+        n = done = min(_CHUNK, left)    # every cycle lasts at least one slot
+        cycle, row = chain.cycles(rng, n)
+        if len(row) > left:
+            # the path ends inside this chunk. Slot t of cycle c is slot
+            # start[c] + t of the chunk, so layer t (the cycles that last t
+            # slots or more, in order) keeps a prefix, those with
+            # start[c] + t <= left, which moves down in place
+            length = np.bincount(cycle, minlength=n)
+            end = np.cumsum(length)
+            done = int(np.searchsorted(end, left, side="right"))
+            start = end - length
+            kept = first = 0
+            for t in range(1, chain.params.deadline_D + 1):
+                alive = length >= t
+                k = np.count_nonzero(
+                    alive[:np.searchsorted(start, left - t, side="right")])
+                cycle[kept:kept + k] = cycle[first:first + k]
+                row[kept:kept + k] = row[first:first + k]
+                kept += k
+                first += np.count_nonzero(alive)
+            cycle, row = cycle[:kept], row[:kept]
+        left -= len(row)
+        yield n, done, cycle, row
 
 
 def _ratio_stderr(sums: Counter, key: str) -> float:
@@ -272,41 +276,27 @@ def _ratio_stderr(sums: Counter, key: str) -> float:
     return math.sqrt(max(sq, 0.0)) / tau
 
 
-def _simulate(params: SystemParams, policy: Policy, num_slots: int, seed: int,
-              collect_transitions: bool):
-    """Return (result, moves) of the first ``num_slots`` slots of the
-    sample path of ``seed``. With ``collect_transitions``, result is None
-    and ``moves`` a Counter of the moves the path makes: ``moves[(2 i + a)
-    n + j]`` slots moved state i under action a (0 idle, 1 active) to
-    state j, n the state count; otherwise moves is None."""
-    chain = _Chain(params, policy)
-    rng = np.random.default_rng(seed)
-    sums, rows, slots = Counter(), 0, 0
-    while slots < num_slots:
-        left = num_slots - slots
-        n = min(_CHUNK, left)       # every cycle lasts at least one slot
-        before = rng.bit_generator.state
-        part, lengths, part_rows = chain.cycles(rng, n, None,
-                                                collect_transitions)
-        total = int(lengths.sum())
-        if total > left:
-            # the path ends inside this chunk: repeat its draws, counting
-            # slot t of cycle c only if start[c] + t - 1 < left
-            rng.bit_generator.state = before
-            room = left - (np.cumsum(lengths) - lengths)
-            part, _, part_rows = chain.cycles(rng, n, room,
-                                              collect_transitions)
-        slots += min(total, left)
-        if collect_transitions:
-            rows = rows + part_rows
-        else:
-            sums.update(part)
-    if collect_transitions:
-        moves = Counter()
-        for code, count in zip(chain.transition.tolist(), rows.tolist()):
-            if count:
-                moves[code] += count
-        return None, moves
+def run(config: SimConfig) -> SimResult:
+    """Simulate the chain and return empirical long-term metrics."""
+    chain = _Chain(config.params, config.policy)
+    hist = np.zeros(len(chain.next), dtype=np.int64)
+    sums = Counter()
+    for n, done, cycle, row in _path(chain, config.num_slots, config.seed):
+        hist += np.bincount(row, minlength=len(hist))
+        tau = np.bincount(cycle, minlength=n)[:done]    # complete lengths
+        sums["cycles_completed"] += len(tau)
+        sums["tau"] += float(tau.sum())
+        sums["tau_sq"] += float(tau @ tau)
+        for key, table in chain.cycle_adds.items():
+            # each cycle's sum over its slots on the path, layer by layer
+            y = np.bincount(cycle, weights=np.take(table, row), minlength=n)
+            whole = y[:len(tau)]
+            sums[key] += float(y.sum())
+            sums[key + "_cyc"] += float(whole.sum())
+            sums[key + "_sq"] += float(whole @ whole)
+            sums[key + "_tau"] += float(whole @ tau)
+    count = {key: int(hist @ table) for key, table in chain.counts.items()}
+    p, num_slots = config.params, config.num_slots
     return SimResult(
         t_s_emp=sums["t_s"] / num_slots,
         w_s_emp=sums["w_s"] / num_slots,
@@ -314,21 +304,31 @@ def _simulate(params: SystemParams, policy: Policy, num_slots: int, seed: int,
         stderr_t_s=_ratio_stderr(sums, "t_s"),
         stderr_w_s=_ratio_stderr(sums, "w_s"),
         stderr_t_p=_ratio_stderr(sums, "t_p"),
-        fic_bits=sums["fic_bits"],
-        bic_bits=sums["bic_bits"],
-        u_bits=sums["u_bits"],
-        k_access_slots=sums["k_access_slots"],
-        buffered_events=sums["buffered_events"],
+        fic_bits=p.rate_sk * count["fic"],
+        bic_bits=p.rate_su * count["levels"],
+        u_bits=p.rate_su * count["fresh"],
+        k_access_slots=count["k_access_slots"],
+        buffered_events=count["buffered_events"],
         cycles_completed=sums["cycles_completed"],
         num_slots=num_slots,
-    ), None
+    )
 
 
-def run(config: SimConfig) -> SimResult:
-    """Simulate the chain and return empirical long-term metrics."""
-    result, _ = _simulate(config.params, config.policy, config.num_slots,
-                          config.seed, collect_transitions=False)
-    return result
+def _moves(config: SimConfig) -> Counter:
+    """The moves of the run's path: ``moves[(2 i + a) n + j]`` slots moved
+    state i under action a (0 idle, 1 active) to state j, n the state
+    count."""
+    chain = _Chain(config.params, config.policy)
+    hist = np.zeros(len(chain.next), dtype=np.int64)
+    for *_, row in _path(chain, config.num_slots, config.seed):
+        hist += np.bincount(row, minlength=len(hist))
+    seen = np.flatnonzero(hist)
+    codes = ((2 * (seen // _CODES) + (seen & ACTIVE)) * len(chain.mu)
+             + chain.next[seen])
+    moves = Counter()
+    for code, count in zip(codes.tolist(), hist[seen].tolist()):
+        moves[code] += count
+    return moves
 
 
 def empirical_transition_check(config: SimConfig, stats: LinkStats) -> float:
@@ -342,8 +342,7 @@ def empirical_transition_check(config: SimConfig, stats: LinkStats) -> float:
     state the table does not allow is a gap too. Every other entry of the
     row is zero on both sides, so memory stays linear in the state count.
     """
-    _, moves = _simulate(config.params, config.policy, config.num_slots,
-                         config.seed, collect_transitions=True)
+    moves = _moves(config)
     table = transition_table(stats, config.params.deadline_D,
                              config.params.buffer_B)
     n = len(table.space.layer)

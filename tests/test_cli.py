@@ -277,6 +277,20 @@ def test_oracle_csv(config_file, tmp_path):
     assert float(first[0]) == 0.0
 
 
+def test_oracle_refuses_oversized_space_before_channel_work(
+        config_file, capsys, monkeypatch):
+    def forbidden(*args):
+        raise AssertionError("channel work before the size check")
+
+    for name in ("link_stats", "derive_rates"):
+        monkeypatch.setattr(cli, name, forbidden)
+    assert main(["oracle", "--config", config_file, "--D", "1000",
+                 "--B", "999"]) == 1
+    assert _one_line_error(capsys) == {
+        "error": "ValueError",
+        "message": "state space too large to enumerate (501499 > 16)"}
+
+
 def test_solve_matches_oracle_when_clean_access_is_poor(tmp_path):
     # With r_sk = 0.3 a known-message access earns less than an
     # interfered access plus its buffered top-up, so the optimum at this

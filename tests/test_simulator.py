@@ -9,9 +9,9 @@ from hypothesis import given, settings, strategies as st
 from cogarq import (Policy, RegionClassifier, SimConfig, SimResult,
                     enumerate_states, empirical_transition_check, idle_policy,
                     k_active_policy, long_term_metrics, run)
-from cogarq import simulator
 from cogarq.mdp import PHI_K, state_space, transition_table
-from cogarq.simulator import _CHUNK, _Chain, _simulate
+from cogarq.simulator import (ACK, ACTIVE, P_OK, SK_OK, _CHUNK, _CODES,
+                              _Chain, _moves)
 
 from support import (make_random_policy, reference_simulation,
                      sized_policies, table1_params)
@@ -30,8 +30,7 @@ def _dense(moves, n):
 
 def _counts(params, policy, slots, seed):
     """The run's transition counts as a dense (n, 2, n) array."""
-    _, moves = _simulate(params, policy, slots, seed,
-                         collect_transitions=True)
+    moves = _moves(_config(params, policy, slots, seed))
     return _dense(moves, len(state_space(params.deadline_D,
                                          params.buffer_B).layer))
 
@@ -124,8 +123,7 @@ class TestBookkeeping:
         # per-layer sums
         deadline, cap, policy = sized
         params = table1_params(deadline_D=deadline, buffer_B=cap)
-        r, _ = _simulate(params, policy, slots, seed,
-                         collect_transitions=False)
+        r = run(_config(params, policy, slots, seed))
         counts = _counts(params, policy, slots, seed)
         known = [i for i, s in enumerate(enumerate_states(deadline, cap))
                  if s.phi == PHI_K]
@@ -145,13 +143,12 @@ class TestBookkeeping:
     def test_one_more_slot_adds_one_transition(self, t1_params):
         # runs of at least _CHUNK slots draw the same first chunk of
         # cycles, so the shorter run's path is a prefix of the longer's;
-        # a run as long as that chunk is the one cut that needs no second
-        # pass over its draws
+        # a run as long as that chunk ends at its last cycle's end
         pol = make_random_policy(np.random.default_rng(6),
                                  enumerate_states(5, 4))
-        _, lengths, _ = _Chain(t1_params, pol).cycles(
-            np.random.default_rng(6), _CHUNK, None, False)
-        for slots in (_CHUNK, _CHUNK + 1234, int(lengths.sum()) - 1):
+        _, row = _Chain(t1_params, pol).cycles(np.random.default_rng(6),
+                                               _CHUNK)
+        for slots in (_CHUNK, _CHUNK + 1234, len(row) - 1):
             short = _counts(t1_params, pol, slots, 6)
             longer = _counts(t1_params, pol, slots + 1, 6)
             assert (short <= longer).all()
@@ -171,8 +168,7 @@ class TestAgainstReference:
         for policy in [make_random_policy(rng, states) for _ in range(2)]:
             for seed in (1, 7):
                 for slots in (1, 777, 2 * _CHUNK + 5):
-                    r, _ = _simulate(params, policy, slots, seed,
-                                     collect_transitions=False)
+                    r = run(_config(params, policy, slots, seed))
                     _assert_matches_reference(r, params, policy, slots,
                                               seed)
 
@@ -188,8 +184,7 @@ class TestAgainstReference:
                   else make_random_policy(np.random.default_rng(3), states))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            r, _ = _simulate(params, policy, 10 ** 5, 1,
-                             collect_transitions=False)
+            r = run(_config(params, policy, 10 ** 5, 1))
         _assert_matches_reference(r, params, policy, 10 ** 5, 1)
 
 
@@ -206,6 +201,33 @@ def _assert_matches_reference(r, params, policy, slots, seed):
         else:
             assert math.isclose(got, want, rel_tol=1e-12), (f.name, got,
                                                             want)
+
+
+class TestOnePass:
+    @pytest.mark.parametrize("check", [False, True])
+    def test_every_chunk_is_drawn_once(self, monkeypatch, t1_stats, check):
+        # a path that ends inside a chunk draws that chunk once: no call
+        # of the sampler starts from a generator state seen before
+        params = table1_params(deadline_D=4, buffer_B=3)
+        pol = make_random_policy(np.random.default_rng(4),
+                                 enumerate_states(4, 3))
+        states, drawn = [], []
+        cycles = _Chain.cycles
+
+        def recorded(chain, rng, n):
+            states.append(repr(rng.bit_generator.state))
+            cycle, row = cycles(chain, rng, n)
+            drawn.append(len(row))
+            return cycle, row
+
+        monkeypatch.setattr(_Chain, "cycles", recorded)
+        config = _config(params, pol, 10 ** 6, 3)
+        if check:
+            empirical_transition_check(config, stats=t1_stats)
+        else:
+            run(config)
+        assert sum(drawn) > 10 ** 6 > sum(drawn[:-1])
+        assert len(set(states)) == len(states)
 
 
 class TestRegenerativeErrors:
@@ -310,22 +332,28 @@ class TestEmpiricalTransitionCheck:
                                                          cap))
 
     def test_move_to_a_wrong_state_is_a_gap(self, monkeypatch, t1_stats):
-        # a move the table does not allow, here 30 slots from the root
-        # straight to the last known-message state, counts as a gap
+        # a move the table does not allow, here from the idle root straight
+        # to the last known-message state on every NACKed slot that would
+        # otherwise stay and whose gamma_s >= thr_sk, counts as a gap
         params = table1_params(deadline_D=4, buffer_B=3)
         pol = make_random_policy(np.random.default_rng(8),
                                  enumerate_states(4, 3))
-        _, moves = _simulate(params, pol, 100_000, 8, True)
         n = len(state_space(4, 3).layer)
-        moves[n - 1] += 30             # row 0: the root, idle
-        monkeypatch.setattr(simulator, "_simulate",
-                            lambda *args, **kwargs: (None, moves))
+        code = np.arange(_CODES)
+        wrong = ((code & (ACTIVE | ACK | P_OK)) == 0) & ((code & SK_OK) > 0)
+        init = _Chain.__init__
+
+        def corrupted(chain, *args):
+            init(chain, *args)
+            chain.next[:_CODES][wrong] = n - 1     # the root's rows
+
+        monkeypatch.setattr(_Chain, "__init__", corrupted)
         gap = empirical_transition_check(_config(params, pol, 100_000, 8),
                                          stats=t1_stats)
-        idle_root = sum(c for code, c in moves.items() if code // n == 0)
-        assert gap >= 30 / idle_root
-        assert gap == _dense_gap(_dense(moves, n),
-                                 transition_table(t1_stats, 4, 3))
+        counts = _counts(params, pol, 100_000, 8)
+        assert counts[0, 0, n - 1] > 0
+        assert gap >= counts[0, 0, n - 1] / counts[0, 0].sum()
+        assert gap == _dense_gap(counts, transition_table(t1_stats, 4, 3))
 
     def test_always_active_moderate_slots(self, t1_params, t1_stats):
         states = enumerate_states(5, 4)
