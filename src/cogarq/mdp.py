@@ -17,10 +17,10 @@ order. `cycle_values` and `long_term_metrics` read one flat transition
 table per (stats, D, B), which the caller builds once (`transition_table`)
 and passes in: per state index, the probabilities of its successors under
 each action and its one-slot throughput at access probability 1 and 0. The
-backward pass runs over plain lists. `CycleValues` keeps those lists in
-index order together with the table, so its metrics and its transition
-matrix (``table.matrix``) need no rebuild; `Policy` dicts and `NetState`
-keys appear only at the API boundary.
+backward pass, and its forward mirror behind the occupancy, run over plain
+lists. `CycleValues` keeps those lists in index order together with the
+table, so its metrics need no rebuild; `Policy` dicts and `NetState` keys
+appear only at the API boundary.
 """
 
 from __future__ import annotations
@@ -28,8 +28,6 @@ from __future__ import annotations
 import numbers
 from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, NamedTuple, Tuple
-
-import numpy as np
 
 from .channel import LinkStats, check_integer
 
@@ -83,9 +81,10 @@ def policy_to_json_obj(policy: Policy) -> list:
 
 def policy_from_json_obj(obj: list) -> Policy:
     """Policy from its JSON rows: a list of objects with keys t, b, phi
-    and prob. A row's t and b must be integers and its prob a number,
-    since JSON true would read as 1 and "0.5" would parse; a state given
-    twice is rejected, since one row would silently override the other."""
+    and prob. A row's t and b must be integers, its phi "U" or "K" and its
+    prob a number, since JSON true would read as 1, a list would not hash
+    and "0.5" would parse; a state given twice is rejected, since one row
+    would silently override the other."""
     if not isinstance(obj, list):
         raise ValueError("a policy is a list of rows, got "
                          + type(obj).__name__)
@@ -102,6 +101,9 @@ def policy_from_json_obj(obj: list) -> Policy:
         prob = r["prob"]
         if isinstance(prob, bool) or not isinstance(prob, numbers.Real):
             raise ValueError(f"prob must be a number, got {prob!r}")
+        if r["phi"] not in (PHI_U, PHI_K):
+            raise ValueError(f"policy row {i}: phi must be {PHI_U!r} or "
+                             f"{PHI_K!r}, got {r['phi']!r}")
         s = NetState(r["t"], r["b"], r["phi"])
         if s in probs:
             raise ValueError(f"state {s} appears twice in the policy")
@@ -249,19 +251,6 @@ class TransitionTable(NamedTuple):
     r_active: List[float]
     r_idle: List[float]
 
-    def matrix(self, mu: List[float]) -> np.ndarray:
-        """The (n, n) transition matrix when state i transmits with
-        probability ``mu[i]``; the root column (0) takes the cycle-ending
-        mass, ((1 - p0) - p1) - p2 over the three outcomes."""
-        n = len(mu)
-        m = np.asarray(mu, dtype=float)[:, None]
-        p = (m * np.reshape(self.p_active, (n, 3))
-             + (1.0 - m) * np.reshape(self.p_idle, (n, 3)))
-        out = np.zeros((n, n))
-        out[np.repeat(np.arange(n), 3), self.succ] = p.ravel()
-        out[:, 0] = ((1.0 - p[:, 0]) - p[:, 1]) - p[:, 2]
-        return out
-
 
 def transition_table(stats: LinkStats, deadline: int,
                      buffer_size: int) -> TransitionTable:
@@ -331,6 +320,26 @@ def _backward(table: TransitionTable, mu: List[float]
     return g, v, d
 
 
+def _visits(table: TransitionTable, mu: List[float]) -> List[float]:
+    """Expected visits per cycle to every state, by index.
+
+    The mirror of `_backward`: every successor comes after its state in
+    canonical order, so one pass from the root to the last index sees
+    each state's inflow complete before passing it on. The root is
+    visited once per cycle; successor 0 has probability 0 in the table,
+    so it gains nothing. A state the policy cannot reach keeps exactly
+    zero, and the visits sum to the root's expected duration.
+    """
+    x = [0.0] * len(mu)
+    x[0] = 1.0
+    succ, p_act, p_idl = table.succ, table.p_active, table.p_idle
+    for i, m in enumerate(mu):
+        xi, u = x[i], 1.0 - m
+        for k in range(3 * i, 3 * i + 3):
+            x[succ[k]] += xi * (m * p_act[k] + u * p_idl[k])
+    return x
+
+
 @dataclass
 class CycleValues:
     """Expected per-cycle reward, accesses, and slots from each start state,
@@ -390,48 +399,38 @@ def metrics_from_cycle_values(cv: CycleValues) -> PolicyMetrics:
 
 def stationary_distribution(policy: Policy, stats: LinkStats, deadline: int,
                             buffer_size: int) -> Dict[NetState, float]:
-    """Steady-state occupancy of every state under ``policy``.
+    """Steady-state occupancy of every state under ``policy``, by index.
 
-    Solved directly as pi P = pi with unit total mass, P the transition
-    table's action-mixed matrix. The cycle root is positive
-    recurrent, so the chain is unichain and the solution is unique; states
-    unreachable from the root are transient and come out with zero mass.
+    By renewal-reward, a state's long-run share of slots is its expected
+    visits per cycle (`_visits`) over the expected cycle length, their
+    sum. A state unreachable from the root gets exactly zero.
     """
     table = transition_table(stats, deadline, buffer_size)
-    mu = table.space.vector(policy)
-    n = len(mu)
-    a = table.matrix(mu).T - np.eye(n)
-    a[-1, :] = 1.0
-    rhs = np.zeros(n)
-    rhs[-1] = 1.0
-    try:
-        pi = np.linalg.solve(a, rhs)
-    except np.linalg.LinAlgError as exc:
-        raise RuntimeError("stationary distribution solve failed "
-                           "(chain unexpectedly not unichain)") from exc
-    pi = np.where(np.abs(pi) < 1e-15, 0.0, pi)
-    return {table.space.state(i): float(pi[i]) for i in range(n)}
+    x = _visits(table, table.space.vector(policy))
+    total = sum(x)
+    return {table.space.state(i): xi / total for i, xi in enumerate(x)}
 
 
 def occupancy_metrics(policy: Policy, stats: LinkStats, deadline: int,
                       buffer_size: int) -> Tuple[float, float]:
-    """(t_s_bar, w_s_bar) recomputed from the stationary distribution.
+    """(t_s_bar, w_s_bar) recomputed from the expected visits per cycle.
 
     Independent accounting used to cross-check the renewal-reward route:
     the access rate is the occupancy-weighted access probability and the
     throughput splits into plain secondary bits, the clean-channel bonus
     in known-message states, and buffered-recovery bits.
     """
-    pi = stationary_distribution(policy, stats, deadline, buffer_size)
-    w_s = sum(pi[s] * policy.prob(s) for s in pi)
-    f_s = sum(pi[s] * policy.prob(s) * (stats.t_sk - stats.t_su)
-              for s in pi if s.phi == PHI_K)
+    table = transition_table(stats, deadline, buffer_size)
+    space = table.space
+    mu = space.vector(policy)
+    x = _visits(table, mu)
+    total = sum(x)
+    acc = [xi * m for xi, m in zip(x, mu)]
+    f_s = sum(acc[space.n_unknown:]) * (stats.t_sk - stats.t_su)
     b_s = 0.0
-    for s in pi:
-        if s.phi == PHI_U and s.b > 0:
-            mu = policy.prob(s)
-            decode = (1.0 - stats.q_ps_idle
-                      - mu * (stats.q_ps_active - stats.q_ps_idle))
-            b_s += pi[s] * s.b * stats.rate_su * decode
-    t_s = stats.t_su * w_s + f_s + b_s
-    return t_s, w_s
+    for i in range(space.n_unknown):
+        decode = (1.0 - stats.q_ps_idle
+                  - mu[i] * (stats.q_ps_active - stats.q_ps_idle))
+        b_s += x[i] * space.level[i] * stats.rate_su * decode
+    w_s = sum(acc) / total
+    return stats.t_su * w_s + (f_s + b_s) / total, w_s

@@ -337,8 +337,8 @@ def empirical_transition_check(config: SimConfig, stats: LinkStats) -> float:
     ``stats``, over the (state, action) pairs the run visits.
 
     Each visited row compares the successors seen with the table's
-    analytic ones (the layout's successors and the root, which takes the
-    cycle-ending mass as in `mdp.TransitionTable.matrix`), so a move to a
+    analytic ones (the table row's successors, and the root, which takes
+    the cycle-ending mass the row leaves), so a move to a
     state the table does not allow is a gap too. Every other entry of the
     row is zero on both sides, so memory stays linear in the state count.
     """

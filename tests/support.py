@@ -132,12 +132,27 @@ def is_threshold_policy(policy: Policy, deadline: int) -> bool:
     return True
 
 
+def reference_matrix(table, mu: List[float]) -> np.ndarray:
+    """The (n, n) transition matrix of ``table`` when state i transmits
+    with probability ``mu[i]``; the root column (0) takes the cycle-ending
+    mass, ((1 - p0) - p1) - p2 over the three outcomes."""
+    n = len(mu)
+    m = np.asarray(mu, dtype=float)[:, None]
+    p = (m * np.reshape(table.p_active, (n, 3))
+         + (1.0 - m) * np.reshape(table.p_idle, (n, 3)))
+    out = np.zeros((n, n))
+    out[np.repeat(np.arange(n), 3), table.succ] = p.ravel()
+    out[:, 0] = ((1.0 - p[:, 0]) - p[:, 1]) - p[:, 2]
+    return out
+
+
 def table_row(table, state: NetState, access_prob: float
               ) -> Dict[NetState, float]:
     """The transition table's successor distribution of ``state`` at
     ``access_prob``, keyed by state instead of table index."""
     space = table.space
-    row = table.matrix([access_prob] * len(space.layer))[space.index(state)]
+    row = reference_matrix(table, [access_prob] * len(space.layer)
+                           )[space.index(state)]
     return {space.state(j): float(row[j]) for j in np.flatnonzero(row)}
 
 

@@ -26,7 +26,8 @@ from cogarq.optimizer import efficiency_report
 
 from support import (first_idle_thresholds, is_threshold_policy,
                      make_random_policy, make_random_stats,
-                     max_accessed_levels, table1_params)
+                     max_accessed_levels, reference_matrix,
+                     table1_params)
 
 _CACHE = {}
 
@@ -279,7 +280,7 @@ def test_criterion_7_invariant_suites():
         table = transition_table(stats, deadline, cap)
         cv = cycle_values(pol, table)
         for access_prob in (1.0, 0.0):
-            rows = cv.table.matrix([access_prob] * len(states))
+            rows = reference_matrix(cv.table, [access_prob] * len(states))
             assert np.abs(rows.sum(axis=1) - 1.0).max() <= 1e-12
         m = long_term_metrics(pol, table)
         t_s_pi, w_s_pi = occupancy_metrics(pol, stats, deadline, cap)

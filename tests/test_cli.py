@@ -344,7 +344,8 @@ def test_simulate_rejects_repeated_state(tmp_path, capsys):
     # A state given twice would let the later row silently override the
     # earlier one. A row's JSON true would read as the integer 1, 1.0 as a
     # buffer level, and "0.5" would parse as a float, so those are rejected
-    # as well.
+    # as well, and so is a phi other than "U" or "K" (a list would not
+    # hash).
     path = tmp_path / "scenario.json"
     path.write_text(json.dumps(dict(CONFIG, deadline_D=4, buffer_B=3)))
     rows = policy_to_json_obj(k_active_policy(enumerate_states(4, 3)))
@@ -356,6 +357,10 @@ def test_simulate_rejects_repeated_state(tmp_path, capsys):
         bad = [dict(r) for r in rows]
         bad[i][key] = value
         cases.append((bad, f"{key} must be"))
+    for i, value in ((0, ["U"]), (1, {}), (2, 0)):
+        bad = [dict(r) for r in rows]
+        bad[i]["phi"] = value
+        cases.append((bad, f"policy row {i}: phi must be"))
     policy_file = tmp_path / "policy.json"
     for obj, message in cases:
         policy_file.write_text(json.dumps(obj))

@@ -6,8 +6,8 @@ from cogarq import (NetState, Policy, cycle_values, enumerate_states,
                     idle_policy, k_active_policy, long_term_metrics,
                     policy_from_json_obj, policy_to_json_obj,
                     stationary_distribution)
-from cogarq.mdp import (PHI_K, PHI_U, ROOT, occupancy_metrics, state_count,
-                        state_space, transition_table)
+from cogarq.mdp import (PHI_K, PHI_U, ROOT, _visits, occupancy_metrics,
+                        state_count, state_space, transition_table)
 
 from support import (feasible_stats, make_random_policy, make_random_stats,
                      reference_cycle_values, reference_transition_row,
@@ -288,6 +288,29 @@ class TestStationaryDistribution:
             if s.phi == PHI_U and s.b > 0:
                 assert pi[s] == 0.0
 
+    def test_mass_exactly_on_reachable_states(self, t1_stats):
+        # At D = 40 many reachable states hold less than 1e-15 of the mass
+        # (a deep buffer level), and every unreachable one must hold none.
+        deadline, cap = 40, 39
+        states = enumerate_states(deadline, cap)
+        table = transition_table(t1_stats, deadline, cap)
+        succ = table.space.succ
+        for policy in (Policy({s: 1.0 for s in states}), idle_policy(states),
+                       k_active_policy(states)):
+            mu = table.space.vector(policy)
+            reachable = {0}
+            for i in range(len(states)):        # successors come later
+                if i not in reachable:
+                    continue
+                m = mu[i]
+                for k in range(3 * i, 3 * i + 3):
+                    p = m * table.p_active[k] + (1.0 - m) * table.p_idle[k]
+                    if succ[k] and p > 0.0:
+                        reachable.add(succ[k])
+            pi = stationary_distribution(policy, t1_stats, deadline, cap)
+            for i, s in enumerate(states):
+                assert (pi[s] > 0.0) if i in reachable else (pi[s] == 0.0), s
+
     def test_matches_renewal_reward_on_random_policies(self):
         rng = np.random.default_rng(7)
         for trial in range(100):
@@ -321,7 +344,8 @@ class TestStationaryDistribution:
 def _assert_matches_reference(policy, stats, deadline, cap):
     """Table core against the dict recursion at every state, and the
     stationary distribution against a solve of the matrix assembled from
-    the table's rows."""
+    the table's rows, its visits per cycle summing to the root's
+    duration."""
     states = enumerate_states(deadline, cap)
     cv = cycle_values(policy, transition_table(stats, deadline, cap))
     ref = reference_cycle_values(policy, stats, deadline, cap)
@@ -353,6 +377,9 @@ def _assert_matches_reference(policy, stats, deadline, cap):
     assert list(pi) == states
     for s in states:
         assert abs(pi[s] - expected[idx[s]]) <= 1e-12
+    # renewal-reward: the visits per cycle sum to the cycle's duration
+    visits = _visits(cv.table, cv.table.space.vector(policy))
+    assert abs(sum(visits) - cv.dur[0]) <= 1e-12 * cv.dur[0]
 
 
 class TestTableMatchesReference:

@@ -270,15 +270,22 @@ class TestGreedyPolicyPath:
             assert s1 <= s0 + 1e-9
 
     def test_idle_start_activates_known_states_first(self, t1_stats):
-        # The known-message states tie at efficiency t_sk up to rounding,
-        # so only the set of the first D - 1 activations is pinned, not
-        # their order. A chord's rise dt is a difference of two rates near
-        # 0.4, so at D = 20, where a step's dw falls to 6e-7, its rounding
-        # is allowed beside the relative 1e-12.
-        for deadline in (5, 7, 10, 20):
+        # At the idle start every known-message state has efficiency t_sk
+        # exactly, the maximum, and the tie breaks toward the earliest,
+        # (2, 0, K). Later stages tie at t_sk up to rounding, so only the
+        # set of the first D - 1 activations is pinned, not their order. A
+        # chord's rise dt is a difference of two rates near 0.4, so at
+        # D = 20, where a step's dw falls to 6e-7, its rounding is allowed
+        # beside the relative 1e-12.
+        for deadline in (3, 5, 7, 10, 20):
             states = enumerate_states(deadline, deadline - 1)
             path = greedy_policy_path(t1_stats, deadline, deadline - 1)
             k_states = [s for s in states if s.phi == PHI_K]
+            idle = cycle_values(idle_policy(states), path.table)
+            etas = {s: efficiency_report(idle, s).eta for s in states}
+            assert all(etas[s] == t1_stats.t_sk for s in k_states)
+            assert max(etas.values()) == t1_stats.t_sk
+            assert path.entries[1].chosen_state == NetState(2, 0, PHI_K)
             first = path.entries[:len(k_states) + 1]
             assert {e.chosen_state for e in first[1:]} == set(k_states)
             assert first[-1].policy.probs == k_active_policy(states).probs

@@ -13,8 +13,8 @@ from cogarq.mdp import PHI_K, state_space, transition_table
 from cogarq.simulator import (ACK, ACTIVE, P_OK, SK_OK, _CHUNK, _CODES,
                               _Chain, _moves)
 
-from support import (make_random_policy, reference_simulation,
-                     sized_policies, table1_params)
+from support import (make_random_policy, reference_matrix,
+                     reference_simulation, sized_policies, table1_params)
 
 
 def _config(params, policy, slots, seed):
@@ -38,8 +38,8 @@ def _counts(params, policy, slots, seed):
 def _dense_gap(counts, table):
     """The transition gap over dense counts and stacked analytic rows."""
     n = len(table.space.layer)
-    analytic = np.stack([table.matrix([0.0] * n), table.matrix([1.0] * n)],
-                        axis=1)
+    analytic = np.stack([reference_matrix(table, [0.0] * n),
+                         reference_matrix(table, [1.0] * n)], axis=1)
     totals = counts.sum(axis=2)
     visited = totals > 0
     empirical = counts[visited] / totals[visited][:, None]
