@@ -6,16 +6,16 @@ mutant the runner copies ``src/``, ``tests/`` and ``pyproject.toml`` to a
 temporary directory, applies the mutant there and runs the Tier-1 suite
 with ``-x``. The mutant is killed when pytest exits 1 (tests failed). The
 gate fails on a survivor, on any other exit code (a collection or usage
-error proves nothing), and on an old text that no longer occurs exactly
-once, so a stale mutant cannot pass silently.
+error proves nothing; the tail of pytest's output is printed), on a run
+longer than ``TIMEOUT_S``, and on an old text that no longer occurs
+exactly once, so a stale mutant cannot pass silently.
 
 Equivalent mutants, which change no output any test could see, are listed
 apart with their reasons; they are checked to still apply, but not run.
 
 Run from anywhere (pytest does not collect this file):
 
-    python tests/mutation.py            # every mutant
-    python tests/mutation.py NAME ...   # the named mutants
+    python tests/mutation.py
 """
 
 from __future__ import annotations
@@ -31,6 +31,7 @@ from typing import NamedTuple
 
 REPO = Path(__file__).resolve().parents[1]
 PYTEST = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider"]
+TIMEOUT_S = 600     # one Tier-1 run takes well under a minute
 
 
 class Mutant(NamedTuple):
@@ -117,24 +118,21 @@ def _copy(tree: Path) -> None:
     shutil.copy2(REPO / "pyproject.toml", tree / "pyproject.toml")
 
 
-def run_mutant(mutant: Mutant) -> int:
-    """Pytest's exit code on a copy of the tree with ``mutant`` applied."""
+def run_mutant(mutant: Mutant) -> subprocess.CompletedProcess:
+    """Pytest's run, output captured, on a copy of the tree with
+    ``mutant`` applied; TimeoutExpired after ``TIMEOUT_S``."""
     with tempfile.TemporaryDirectory(prefix="cogarq-mutant-") as tmp:
         tree = Path(tmp)
         _copy(tree)
         (tree / mutant.path).write_text(_mutated(tree, mutant))
         env = dict(os.environ, PYTHONPATH=str(tree / "src"),
                    PYTHONDONTWRITEBYTECODE="1")
-        return subprocess.run(PYTEST, cwd=tree, env=env,
-                              stdout=subprocess.DEVNULL,
-                              stderr=subprocess.DEVNULL).returncode
+        return subprocess.run(PYTEST, cwd=tree, env=env, text=True,
+                              stdout=subprocess.PIPE,
+                              stderr=subprocess.STDOUT, timeout=TIMEOUT_S)
 
 
-def main(names) -> int:
-    unknown = set(names) - {m.name for m in MUTANTS}
-    if unknown:
-        print(f"unknown mutants: {', '.join(sorted(unknown))}")
-        return 2
+def main() -> int:
     stale = 0
     for mutant, reason in EQUIVALENT:
         try:
@@ -144,25 +142,33 @@ def main(names) -> int:
             print(f"STALE     {exc}")
             continue
         print(f"skipped   {mutant.name}: equivalent, {reason}")
-    chosen = [m for m in MUTANTS if not names or m.name in names]
     killed = 0
     start = time.monotonic()
-    for mutant in chosen:
+    for mutant in MUTANTS:
         t0 = time.monotonic()
+        output = ""
         try:
-            code = run_mutant(mutant)
+            run = run_mutant(mutant)
         except ValueError as exc:
             stale += 1
             print(f"STALE     {exc}")
             continue
-        killed += code == 1
-        verdict = {0: "SURVIVED", 1: "killed"}.get(code, f"ERROR {code}")
+        except subprocess.TimeoutExpired:
+            verdict = f"ERROR timeout after {TIMEOUT_S} s"
+        else:
+            killed += run.returncode == 1
+            verdict = {0: "SURVIVED", 1: "killed"}.get(
+                run.returncode, f"ERROR {run.returncode}")
+            if run.returncode not in (0, 1):
+                output = "\n".join(run.stdout.splitlines()[-20:])
         print(f"{verdict:9} {mutant.name} ({mutant.attacks}) "
               f"{time.monotonic() - t0:.1f} s", flush=True)
-    print(f"{killed} of {len(chosen)} mutants killed in "
+        if output:
+            print(output, flush=True)
+    print(f"{killed} of {len(MUTANTS)} mutants killed in "
           f"{time.monotonic() - start:.1f} s")
-    return 0 if killed == len(chosen) and not stale else 1
+    return 0 if killed == len(MUTANTS) and not stale else 1
 
 
 if __name__ == "__main__":
-    sys.exit(main(sys.argv[1:]))
+    sys.exit(main())
