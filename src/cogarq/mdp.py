@@ -122,13 +122,9 @@ class StateSpace(NamedTuple):
     (t, b) sits at ``offsets[t] + b`` and the known-message state t at
     ``n_unknown + t - 2``; ``layer[i]`` and ``level[i]`` are the attempt
     index and buffer level (0 if known) of state i, and index 0 is the
-    cycle root. After a NACK, state i moves to ``succ[3i + k]`` when the
-    secondary receiver decodes nothing (k = 0: stay at the same level, or
-    move along the known chain), buffers a secondary signal (k = 1: grow)
-    or decodes the primary message (k = 2: learn). Successor 0, the root,
-    marks an outcome that ends the cycle or cannot happen: every one at
-    the deadline, grow at a full buffer, grow and learn once known.
-    Built by `state_space`.
+    cycle root. ``succ[3i + k]`` is state i's stay, grow or learn
+    successor (k = 0, 1, 2) of `slot_law`, or 0, the root, where that
+    outcome ends the cycle or cannot happen. Built by `state_space`.
     """
 
     deadline: int
@@ -216,18 +212,28 @@ def enumerate_states(deadline: int, buffer_size: int) -> List[NetState]:
     return [space.state(i) for i in range(len(space.layer))]
 
 
-def _throughput_ends(phi: str, b: int, stats: LinkStats) -> Tuple[float, float]:
-    """One-slot throughput at access probability 1 and 0.
-
-    Fresh secondary bits when transmitting, plus the recovery of all b
-    buffered signals (b * rate_su bits) whenever the secondary receiver
-    decodes the primary message in this slot, whichever action was taken.
-    Known-message states have nothing buffered and transmit cleanly.
-    """
-    if phi == PHI_K:
-        return stats.t_sk, 0.0
-    return (stats.t_su + (1.0 - stats.q_ps_active) * b * stats.rate_su,
-            (1.0 - stats.q_ps_idle) * b * stats.rate_su)
+def slot_law(level, room, nack, decoded, undecoded, buffered, fresh, clean,
+             rate_su) -> tuple:
+    """What one slot does: the one definition of the transition row and
+    the slot reward. A state class is the known-message states (``level``
+    None) or the unknown-message states at buffer ``level``, with or
+    without ``room`` for one more signal. The events are one action's:
+    NACK, primary message decoded or not, secondary signal buffered (part
+    of not decoded), secondary bits decoded under interference (``fresh``)
+    and on a clean channel. Returns the stay, grow and learn masses of
+    `StateSpace.succ` (an ACK ends the cycle), then the bits of forward IC,
+    fresh decodes and backward IC; the reward is their sum. A mass is the
+    NACK, independent of the decode events, times at most one event of the
+    partition decoded, buffered, neither, or a sum of such; bits are one
+    event times constants. So on probabilities each output is its
+    expectation, and on 0/1 values with a unit ``rate_su`` it counts."""
+    if level is None:
+        return nack, 0.0, 0.0, clean, 0.0, 0.0
+    if room:
+        stay, grow = nack * (undecoded - buffered), nack * buffered
+    else:
+        stay, grow = nack * undecoded, 0.0
+    return stay, grow, nack * decoded, 0.0, fresh, decoded * level * rate_su
 
 
 class TransitionTable(NamedTuple):
@@ -254,35 +260,27 @@ class TransitionTable(NamedTuple):
 
 def transition_table(stats: LinkStats, deadline: int,
                      buffer_size: int) -> TransitionTable:
-    """The outcome probabilities and one-slot rewards of ``stats`` on
-    the layout of `state_space` (deadline, buffer_size). Idle slots never
-    buffer."""
+    """The `slot_law` of ``stats`` on the layout of `state_space`
+    (deadline, buffer_size)."""
     space = state_space(deadline, buffer_size)
     stats.validate()
-    q_a, q_i = stats.q_pp_active, stats.q_pp_idle
-    stay_a = q_a * (stats.q_ps_active - stats.p_buf)
-    grow_a = q_a * stats.p_buf
-    learn_a = q_a * (1.0 - stats.q_ps_active)
-    idle_u = (q_i * stats.q_ps_idle, 0.0, q_i * (1.0 - stats.q_ps_idle))
-    # (active, idle) probabilities of (stay, grow, learn), by how many of
-    # them can happen: none, stay on the known chain, all but grow at a
-    # full buffer (the dropped signal's mass stays), or all three
-    rows = [((0.0, 0.0, 0.0), (0.0, 0.0, 0.0)),
-            ((q_a, 0.0, 0.0), (q_i, 0.0, 0.0)),
-            ((stay_a + grow_a, 0.0, learn_a), idle_u),
-            ((stay_a, grow_a, learn_a), idle_u)]
-    succ = space.succ
-    p_act: List[float] = []
-    p_idl: List[float] = []
-    for k in range(0, len(succ), 3):
-        act, idl = rows[(succ[k] > 0) + (succ[k + 1] > 0) + (succ[k + 2] > 0)]
-        p_act += act
-        p_idl += idl
-    ends = [_throughput_ends(PHI_U, b, stats) for b in range(buffer_size + 1)]
-    r1_k, r0_k = _throughput_ends(PHI_K, 0, stats)
-    levels = space.level[:space.n_unknown]
-    r_act = [ends[b][0] for b in levels] + [r1_k] * (deadline - 1)
-    r_idl = [ends[b][1] for b in levels] + [r0_k] * (deadline - 1)
+    # a transmitting and an idle slot's events (an idle one never buffers),
+    # then the (active, idle) rows of the levels 0..B and the known states
+    events = ((stats.q_pp_active, 1.0 - stats.q_ps_active, stats.q_ps_active,
+               stats.p_buf, stats.t_su, stats.t_sk),
+              (stats.q_pp_idle, 1.0 - stats.q_ps_idle, stats.q_ps_idle,
+               0.0, 0.0, 0.0))
+    laws = [[slot_law(level, level != buffer_size, *e, stats.rate_su)
+             for e in events] for level in (*range(buffer_size + 1), None)]
+    rows = [(a[:3], i[:3], sum(a[3:]), sum(i[3:])) for a, i in laws]
+    succ, n_u, end = space.succ, space.n_unknown, (0.0, 0.0, 0.0)
+    p_act, p_idl, r_act, r_idl = [], [], [], []
+    for i, b in enumerate(space.level):
+        act, idl, r1, r0 = rows[b if i < n_u else -1]
+        p_act += act if succ[3 * i] else end    # at the deadline, every
+        p_idl += idl if succ[3 * i] else end    # outcome ends the cycle
+        r_act.append(r1)
+        r_idl.append(r0)
     return TransitionTable(stats, space, succ, p_act, p_idl, r_act, r_idl)
 
 

@@ -8,20 +8,18 @@ cycles still alive (fading draws, the secondary access coin, the primary
 ACK/NACK, the secondary receiver's decode outcome from
 `RegionClassifier.masks`, and the next state). Laying the chunk's cycles
 end to end in order gives the chain's sample path from the root, which is
-cut off exactly after ``num_slots`` slots. Decode outcomes use the
-classification the link statistics use, so simulated transition
-frequencies estimate the analytic transition rows by construction.
+cut off exactly after ``num_slots`` slots.
 
 The step costs little more than its draws. Each variate is drawn into a
 buffer allocated once per chain (`channel._exponential_into`, bit-identical
 to ``rng.exponential``), and the ACK threshold is computed in place in the
 gamma_sp buffer. A slot's seven booleans (`ACTIVE` to `SK_OK`) are packed
-into one outcome code, and ``_CODES * state + code`` is the slot's row in
-tables built once per chain from `mdp.StateSpace.succ`: the next state,
-and what the slot adds to each output. The step only samples: slot t of
-cycle c is slot start[c] + t of its chunk, the path keeps it only if that
-is at most the slots left, so each chunk is drawn once, and every total is
-the row histogram times a table.
+into one outcome code, whose 0/1 events `mdp.slot_law` maps to the next
+state and to what the slot adds to each output, as it maps the link
+statistics to the analytic rows. The step only samples: slot t of cycle c
+is slot start[c] + t of its chunk, the path keeps it only if that is at
+most the slots left, so each chunk is drawn once, and every total is a
+histogram times a table.
 
 Standard errors come from the regenerative ratio estimator (Crane &
 Iglehart 1975; Asmussen & Glynn, *Stochastic Simulation*, ch. IV): with y
@@ -52,7 +50,7 @@ import numpy as np
 
 from .channel import (LinkStats, RegionClassifier, SystemParams,
                       _exponential_into, check_integer)
-from .mdp import Policy, state_space, transition_table
+from .mdp import Policy, slot_law, state_space, transition_table
 
 _CHUNK = 1 << 14      # cycles simulated together
 
@@ -116,49 +114,50 @@ _CODES = 128
 
 
 class _Chain:
-    """Scenario constants, row tables and the layer-by-layer sampler.
+    """Scenario constants, slot tables and the layer-by-layer sampler.
 
     States are indexed as in `mdp.StateSpace`; index 0 is the root. A slot
-    in state i with outcome code c is row ``_CODES * i + c`` of these
-    tables: ``next``, the state it leads to (the layout's ``succ``, or the
-    root after an ACK or at the deadline); ``cycle_adds``, what it adds to
-    its cycle's t_s, w_s and t_p; and ``counts``, what it adds to the
-    counts behind the summed `SimResult` fields.
+    in state i with outcome code c is row ``_CODES * i + c`` of ``next``,
+    the state it leads to (the root ends the cycle), and row
+    ``class_row[i] + c`` of the `mdp.slot_law` class tables of what it adds
+    to its cycle's t_s, w_s and t_p (``cycle_adds``) and to the summed
+    `SimResult` counts (``counts``).
     """
 
     def __init__(self, params: SystemParams, policy: Policy):
         self.params = params
         space = state_space(params.deadline_D, params.buffer_B)
         self.mu = np.array(space.vector(policy))
-        n = len(space.layer)
+        n, n_u, cap = len(space.layer), space.n_unknown, params.buffer_B
         self.cls = RegionClassifier(params.rate_su, params.rate_p)
         self.thr_sk = 2.0 ** params.rate_sk - 1.0
         code = np.arange(_CODES)
-        active, ack, buf, su_dec, sk_ok = (
-            (code & bit) > 0 for bit in (ACTIVE, ACK, BUF, SU_DEC, SK_OK))
-        unknown = (np.arange(n) < space.n_unknown)[:, None]
-        decoded = unknown & ((code & np.where(active, PU_DEC, P_OK)) > 0)
-        # learn if the primary message was decoded, grow if a signal was
-        # buffered and the buffer has room, else stay
-        succ = np.array(space.succ, dtype=np.int32).reshape(n, 3)
-        grow = unknown & active & buf & (succ[:, 1:2] > 0)
-        nxt = np.take_along_axis(succ, np.where(decoded, 2, grow), axis=1)
-        nxt[:, ack] = 0
-        self.next = nxt.ravel()
-        fic = active & ~unknown & sk_ok
-        fresh = active & unknown & su_dec
-        levels = decoded * np.array(space.level, dtype=np.int32)[:, None]
+        active, ack, pu_dec, p_ok, buf, su_dec, sk_ok = (
+            code // bit % 2
+            for bit in (ACTIVE, ACK, PU_DEC, P_OK, BUF, SU_DEC, SK_OK))
+        decoded = np.where(active, pu_dec, p_ok)
+        # flat (class, code) tables, classes 0..B then known; bits as counts
+        stay, grow, learn, fic, fresh, bic, active, ack, buf, known = np.array(
+            [np.broadcast_arrays(*slot_law(
+                level, level != cap, 1 - ack, decoded, 1 - decoded,
+                active & buf, active & su_dec, active & sk_ok, 1),
+                active, ack, buf, level is None)
+             for level in (*range(cap + 1), None)],
+            dtype=np.int64).transpose(1, 0, 2).reshape(10, -1)
+        classes = np.where(np.arange(n) < n_u, space.level, cap + 1)
+        self.class_row = (classes * _CODES).astype(np.int32)
+        # the successor k of `succ[3 i + k]` whose mass is 1 on a code that
+        # can be drawn, or the root (k = 3) where the law leaves none
+        succ = np.pad(np.int32(space.succ).reshape(n, 3), ((0, 0), (0, 1)))
+        k = (3 - 3 * stay - 2 * grow - learn).astype(np.int8)
+        self.next = np.take_along_axis(succ, k.reshape(-1, _CODES)[classes],
+                                       axis=1).ravel()
         rsu, rsk = params.rate_su, params.rate_sk
-        cycle_adds = {"t_s": fic * rsk + fresh * rsu + levels * rsu,
-                      "w_s": active, "t_p": ack * params.rate_p}
-        counts = {"fic": fic, "fresh": fresh, "levels": levels,
-                  "k_access_slots": active & ~unknown,
-                  "buffered_events": active & unknown & buf}
-        # one entry per row: a table of the code alone repeats per state
-        self.cycle_adds, self.counts = (
-            {key: np.broadcast_to(table, (n, _CODES)).ravel()
-             for key, table in tables.items()}
-            for tables in (cycle_adds, counts))
+        self.cycle_adds = {"t_s": fic * rsk + fresh * rsu + bic * rsu,
+                           "w_s": active, "t_p": ack * params.rate_p}
+        self.counts = {"fic": fic, "fresh": fresh, "levels": bic,
+                       "k_access_slots": active * known,
+                       "buffered_events": active * buf * (1 - known)}
         # one buffer per variate and per bit, sliced to the cycles alive,
         # and the cycle and row of each slot of a chunk, whose cycles last
         # at most D slots; `cycles` fills them in place
@@ -279,9 +278,11 @@ def _ratio_stderr(sums: Counter, key: str) -> float:
 def run(config: SimConfig) -> SimResult:
     """Simulate the chain and return empirical long-term metrics."""
     chain = _Chain(config.params, config.policy)
-    hist = np.zeros(len(chain.next), dtype=np.int64)
+    hist = np.zeros(len(chain.counts["fic"]), dtype=np.int64)
     sums = Counter()
     for n, done, cycle, row in _path(chain, config.num_slots, config.seed):
+        state, code = np.divmod(row, _CODES)
+        row = np.take(chain.class_row, state) + code    # class tables'
         hist += np.bincount(row, minlength=len(hist))
         tau = np.bincount(cycle, minlength=n)[:done]    # complete lengths
         sums["cycles_completed"] += len(tau)

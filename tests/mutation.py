@@ -64,9 +64,26 @@ MUTANTS = [
            "clear /= 1.0 + params.mean_snr_sp / params.mean_snr_p",
            "outage_pp: the interference factor"),
     Mutant("learn_active", "src/cogarq/mdp.py",
-           "learn_a = q_a * (1.0 - stats.q_ps_active)",
-           "learn_a = q_a * (1.0 - stats.q_ps_idle)",
-           "the transition row: learning while transmitting"),
+           "return stay, grow, nack * decoded, 0.0,",
+           "return stay, grow, nack * (decoded - buffered), 0.0,",
+           "slot_law: learning while transmitting"),
+    Mutant("grow_stay_swap", "src/cogarq/mdp.py",
+           "stay, grow = nack * (undecoded - buffered), nack * buffered",
+           "grow, stay = nack * (undecoded - buffered), nack * buffered",
+           "slot_law: a buffered signal grows the buffer, else the state "
+           "stays"),
+    Mutant("ack_continues", "src/cogarq/mdp.py",
+           "stay, grow = nack * (undecoded - buffered), nack * buffered",
+           "stay, grow = undecoded - buffered, nack * buffered",
+           "slot_law: an ACK ends the cycle"),
+    Mutant("idle_decode_active", "src/cogarq/simulator.py",
+           "decoded = np.where(active, pu_dec, p_ok)",
+           "decoded = pu_dec",
+           "the simulator's decode event of an idle slot"),
+    Mutant("bic_dropped", "src/cogarq/mdp.py",
+           "fresh, decoded * level * rate_su",
+           "fresh, 0.0",
+           "slot_law: the buffered-recovery (backward IC) reward"),
     Mutant("occupancy_decode", "src/cogarq/mdp.py",
            "* space.level[i] * stats.rate_su * decode",
            "* space.level[i] * stats.rate_su",

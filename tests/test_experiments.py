@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cogarq import (DEADLINE, EXPLICIT, FIC_BIC, FIC_ONLY, GPS_RATIO,
                     GSP_RATIO, NO_IC, PM_KNOWN, RSU_EQ_RSK, RSU_RATIO,
@@ -8,7 +9,7 @@ from cogarq import (DEADLINE, EXPLICIT, FIC_BIC, FIC_ONLY, GPS_RATIO,
 from cogarq import experiments
 from cogarq.experiments import DEFAULT_GRIDS, rows_to_csv
 
-from support import table1_params
+from support import feasible_stats, table1_params
 
 
 @pytest.fixture(scope="module")
@@ -63,6 +64,19 @@ class TestEvaluateScheme:
         nobuf = evaluate_scheme(FIC_ONLY, above, stats=t1_stats,
                                 path=t1_paths[FIC_ONLY])
         assert full.t_s_bar > nobuf.t_s_bar + 1e-6
+
+
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(feasible_stats(), st.integers(1, 6))
+def test_buffering_never_loses_to_no_buffer(stats, deadline):
+    # FIC_BIC may leave its buffer unused, which is FIC_ONLY's policy set,
+    # so at every budget it earns at least as much
+    fic_bic = greedy_policy_path(stats, deadline, deadline - 1)
+    fic_only = greedy_policy_path(stats, deadline, 0)
+    for eps_w in [i / 40 for i in range(41)]:
+        full = evaluate_scheme(FIC_BIC, eps_w, stats, fic_bic).t_s_bar
+        nobuf = evaluate_scheme(FIC_ONLY, eps_w, stats, fic_only).t_s_bar
+        assert full >= nobuf, (eps_w, full, nobuf)
 
 
 class TestDeriveRates:

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 from dataclasses import fields
 
@@ -228,6 +229,23 @@ class TestOnePass:
             run(config)
         assert sum(drawn) > 10 ** 6 > sum(drawn[:-1])
         assert len(set(states)) == len(states)
+
+
+def test_chain_holds_per_class_tables():
+    # at D = 200 (20 299 states) only the next-state table has a row per
+    # state and code (10 MiB); what a slot adds to each output has a row
+    # per slot-law class, 201 of them
+    params = table1_params(deadline_D=200, buffer_B=199)
+    pol = idle_policy(enumerate_states(200, 199))
+    tracemalloc.start()
+    try:
+        chain = _Chain(params, pol)
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    buffers = (chain.draws.nbytes + chain.bits.nbytes + chain.code.nbytes
+               + chain.slots.nbytes)
+    assert held - buffers < 16 * 2 ** 20
 
 
 class TestRegenerativeErrors:
