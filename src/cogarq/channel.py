@@ -20,13 +20,13 @@ module computes:
 
 `link_stats` takes a sequence of scenarios and returns one `LinkStats`
 per scenario, from one pass over the Monte Carlo draws. The draws come
-from one `numpy` PCG64 stream in a fixed order: per chunk of at most 2^20
-samples, all of the chunk's standard exponential gamma_s first, then its
-gamma_ps in blocks of 2^15, each gamma_ps paired with the gamma_s at the
-same position. Every scenario scales the same standard draws by its own
-mean SNRs (common random numbers), so its statistics are a deterministic
-function of (params, mc_samples, seed), equal to those of a one-scenario
-call, and ``t_su`` a function of params alone.
+from one `numpy` PCG64 stream in a fixed order: per block of at most 2^15
+samples, all of the block's standard exponential gamma_s first, then its
+gamma_ps, each gamma_ps paired with the gamma_s at the same position.
+Every scenario scales the same standard draws by its own mean SNRs
+(common random numbers), so its statistics are a deterministic function
+of (params, mc_samples, seed), equal to those of a one-scenario call,
+and ``t_su`` a function of params alone.
 """
 
 from __future__ import annotations
@@ -45,8 +45,7 @@ SU_INTERFERED_THROUGHPUT = "SU_INTERFERED_THROUGHPUT"
 
 RATE_BRACKET = (1e-3, 20.0)   # bits/s/Hz; throughput vanishes at both ends
 
-_MC_CHUNK = 1 << 20           # samples per chunk; fixes how draws pair up
-_MC_BLOCK = 1 << 15           # samples classified at once, cache-sized
+_MC_BLOCK = 1 << 15           # samples drawn and classified at once
 MIN_MC_SAMPLES = 10 ** 5      # fewest Monte-Carlo draws `link_stats` takes
 
 
@@ -342,19 +341,17 @@ def _mc_region_probs(scenarios: Sequence[SystemParams], mc_samples: int,
     is exact (`RegionClassifier.su_decode_probability`) and is not
     estimated here.
 
-    Chunks of at most `_MC_CHUNK` samples are drawn sequentially from one
-    seeded generator. Per chunk, all of its standard exponential gamma_s
-    are drawn first, then its standard gamma_ps in blocks of `_MC_BLOCK`,
-    each block paired by position with the matching gamma_s slice. The
-    exponential sampler consumes the stream one draw at a time, so the
-    blocks reproduce the chunk's one-shot gamma_ps array exactly. Each
-    scenario scales the block pair by its own means and classifies it with
-    its `RegionClassifier.masks` while the block is cache-resident: the
-    last one in place, the earlier ones into two scratch blocks, so one
-    scenario allocates no scratch at all. These are common random numbers:
-    the product of a standard draw and a mean is the draw ``rng.exponential``
-    makes at that mean, so each scenario's estimates equal those of a
-    one-scenario call at the same seed, bit for bit.
+    Blocks of at most `_MC_BLOCK` samples are drawn sequentially from one
+    seeded generator, which fixes how the draws pair up: per block, its
+    standard exponential gamma_s first, then its standard gamma_ps, paired
+    by position. Each scenario scales the block pair by its own means and
+    classifies it with its `RegionClassifier.masks` while the block is
+    cache-resident: the last one in place, the earlier ones into two
+    scratch blocks, so one scenario allocates no scratch at all and no
+    buffer outgrows a block. These are common random numbers: the product
+    of a standard draw and a mean is the draw ``rng.exponential`` makes at
+    that mean, so each scenario's estimates equal those of a one-scenario
+    call at the same seed, bit for bit.
     """
     if not scenarios:
         return []
@@ -363,29 +360,25 @@ def _mc_region_probs(scenarios: Sequence[SystemParams], mc_samples: int,
     n_buf = [0] * len(scenarios)
     last = len(scenarios) - 1
     rng = np.random.default_rng(seed)
-    gs_buf = np.empty(min(_MC_CHUNK, mc_samples))
-    gps_buf = np.empty(min(_MC_BLOCK, mc_samples))
-    scratch = np.empty((2, len(gps_buf))) if last else None
-    for start in range(0, mc_samples, _MC_CHUNK):
-        gs = rng.standard_exponential(
-            out=gs_buf[:min(_MC_CHUNK, mc_samples - start)])
-        for lo in range(0, len(gs), _MC_BLOCK):
-            gs_block = gs[lo:lo + _MC_BLOCK]
-            m = len(gs_block)
-            gps_block = rng.standard_exponential(out=gps_buf[:m])
-            for i, (params, cls) in enumerate(zip(scenarios, classifiers)):
-                if i == last:
-                    snr_s, snr_ps = gs_block, gps_block
-                else:
-                    snr_s, snr_ps = scratch[0, :m], scratch[1, :m]
-                # a product beyond the double range is inf, as
-                # rng.exponential gives it
-                with np.errstate(over="ignore"):
-                    np.multiply(gs_block, params.mean_snr_s, out=snr_s)
-                    np.multiply(gps_block, params.mean_snr_ps, out=snr_ps)
-                pu_dec, _, buf = cls.masks(snr_s, snr_ps)
-                n_gp[i] += int(np.count_nonzero(pu_dec))
-                n_buf[i] += int(np.count_nonzero(buf))
+    draws = np.empty((2, min(_MC_BLOCK, mc_samples)))
+    scratch = np.empty_like(draws) if last else None
+    for start in range(0, mc_samples, _MC_BLOCK):
+        m = min(_MC_BLOCK, mc_samples - start)
+        gs_block = rng.standard_exponential(out=draws[0, :m])
+        gps_block = rng.standard_exponential(out=draws[1, :m])
+        for i, (params, cls) in enumerate(zip(scenarios, classifiers)):
+            if i == last:
+                snr_s, snr_ps = gs_block, gps_block
+            else:
+                snr_s, snr_ps = scratch[0, :m], scratch[1, :m]
+            # a product beyond the double range is inf, as
+            # rng.exponential gives it
+            with np.errstate(over="ignore"):
+                np.multiply(gs_block, params.mean_snr_s, out=snr_s)
+                np.multiply(gps_block, params.mean_snr_ps, out=snr_ps)
+            pu_dec, _, buf = cls.masks(snr_s, snr_ps)
+            n_gp[i] += int(np.count_nonzero(pu_dec))
+            n_buf[i] += int(np.count_nonzero(buf))
     n = float(mc_samples)
     return [(gp / n, b / n) for gp, b in zip(n_gp, n_buf)]
 

@@ -272,16 +272,30 @@ def transition_table(stats: LinkStats, deadline: int,
                0.0, 0.0, 0.0))
     laws = [[slot_law(level, level != buffer_size, *e, stats.rate_su)
              for e in events] for level in (*range(buffer_size + 1), None)]
-    rows = [(a[:3], i[:3], sum(a[3:]), sum(i[3:])) for a, i in laws]
-    succ, n_u, end = space.succ, space.n_unknown, (0.0, 0.0, 0.0)
+    # the rows of levels 0, 1, ... and then of the known states, flat, so
+    # that an attempt's levels 0..min(t - 1, B) take a prefix; at the
+    # deadline, every outcome ends the cycle
+    act, idl, r1, r0 = [], [], [], []
+    for a, i in laws:
+        act += a[:3]
+        idl += i[:3]
+        r1.append(sum(a[3:]))
+        r0.append(sum(i[3:]))
+    end = [0.0] * len(act)
     p_act, p_idl, r_act, r_idl = [], [], [], []
-    for i, b in enumerate(space.level):
-        act, idl, r1, r0 = rows[b if i < n_u else -1]
-        p_act += act if succ[3 * i] else end    # at the deadline, every
-        p_idl += idl if succ[3 * i] else end    # outcome ends the cycle
-        r_act.append(r1)
-        r_idl.append(r0)
-    return TransitionTable(stats, space, succ, p_act, p_idl, r_act, r_idl)
+    for t in range(1, deadline + 1):        # unknown-message states
+        n = min(t, buffer_size + 1)
+        p_act += act[:3 * n] if t < deadline else end[:3 * n]
+        p_idl += idl[:3 * n] if t < deadline else end[:3 * n]
+        r_act += r1[:n]
+        r_idl += r0[:n]
+    for t in range(2, deadline + 1):        # known-message states
+        p_act += act[-3:] if t < deadline else end[:3]
+        p_idl += idl[-3:] if t < deadline else end[:3]
+    r_act += r1[-1:] * (deadline - 1)
+    r_idl += r0[-1:] * (deadline - 1)
+    return TransitionTable(stats, space, space.succ, p_act, p_idl, r_act,
+                           r_idl)
 
 
 def _backward(table: TransitionTable, mu: List[float]

@@ -12,14 +12,15 @@ cut off exactly after ``num_slots`` slots.
 
 The step costs little more than its draws. Each variate is drawn into a
 buffer allocated once per chain (`channel._exponential_into`, bit-identical
-to ``rng.exponential``), and the ACK threshold is computed in place in the
-gamma_sp buffer. A slot's seven booleans (`ACTIVE` to `SK_OK`) are packed
-into one outcome code, whose 0/1 events `mdp.slot_law` maps to the next
-state and to what the slot adds to each output, as it maps the link
-statistics to the analytic rows. The step only samples: slot t of cycle c
-is slot start[c] + t of its chunk, the path keeps it only if that is at
-most the slots left, so each chunk is drawn once, and every total is a
-histogram times a table.
+to ``rng.exponential``), the ACK threshold is computed in place in the
+gamma_sp buffer, and each slot's cycle and row go to a buffer that grows
+by doubling with the slots drawn, never past D slots per cycle. A slot's
+seven booleans (`ACTIVE` to `SK_OK`) are packed into one outcome code,
+whose 0/1 events `mdp.slot_law` maps to the next state and to what the
+slot adds to each output, as it maps the link statistics to the analytic
+rows. The step only samples: slot t of cycle c is slot start[c] + t of
+its chunk, the path keeps it only if that is at most the slots left, so
+each chunk is drawn once, and every total is a histogram times a table.
 
 Standard errors come from the regenerative ratio estimator (Crane &
 Iglehart 1975; Asmussen & Glynn, *Stochastic Simulation*, ch. IV): with y
@@ -159,13 +160,24 @@ class _Chain:
                        "k_access_slots": active * known,
                        "buffered_events": active * buf * (1 - known)}
         # one buffer per variate and per bit, sliced to the cycles alive,
-        # and the cycle and row of each slot of a chunk, whose cycles last
-        # at most D slots; `cycles` fills them in place
+        # and the cycle and row of each slot of a chunk, which `_hold`
+        # grows as the layers are drawn; `cycles` fills them in place
         self.draws = np.empty((5, _CHUNK))
         self.bits = np.empty((4, _CHUNK), dtype=bool)
         self.code = np.empty(_CHUNK, dtype=np.uint8)
-        self.slots = np.empty((2, _CHUNK * params.deadline_D),
-                              dtype=np.int32)
+        self.slots = np.empty((2, 0), dtype=np.int32)
+
+    def _hold(self, need: int) -> None:
+        """Make the slot buffer hold at least ``need`` slots, keeping the
+        slots it holds: it at least doubles, up to the D slots of every
+        cycle of a full chunk."""
+        have = self.slots.shape[1]
+        if need > have:
+            grown = np.empty((2, min(max(need, 2 * have),
+                                     _CHUNK * self.params.deadline_D)),
+                             dtype=np.int32)
+            grown[:, :have] = self.slots
+            self.slots = grown
 
     def cycles(self, rng: np.random.Generator, n: int):
         """Draw ``n`` <= `_CHUNK` cycles from the root, one attempt layer
@@ -173,15 +185,15 @@ class _Chain:
 
         Returns (cycle, row): the cycle, 0..n-1, and the table row of
         every slot drawn, layer after layer, each layer in cycle order;
-        both are int32 views that the next call overwrites (`np.take`
+        both are int32 views that the next call may overwrite (`np.take`
         reads int32 indices without the cast that indexing makes).
         """
         p = self.params
         thr_p = self.cls.thr_p
         gs_buf, gp_buf, gsp_buf, gps_buf, u_buf = self.draws
         active_buf, ack_buf, p_ok_buf, sk_buf = self.bits
-        cycle, row = self.slots
-        cycle[:n] = np.arange(n)
+        self._hold(n)
+        self.slots[0, :n] = np.arange(n)
         state = np.zeros(n, dtype=np.int32)
         drawn = 0
         while len(state):
@@ -212,6 +224,9 @@ class _Chain:
             for bit in (su_dec, buf_dec, p_ok, pu_dec, ack, active):
                 np.add(code, code, out=code)
                 np.add(code, bit.view(np.uint8), out=code)
+            # the buffer already holds this layer's slots: the previous
+            # layer made room for their cycles
+            cycle, row = self.slots
             here = slice(drawn, drawn + m)
             np.multiply(state, _CODES, out=row[here])
             np.add(row[here], code, out=row[here])
@@ -219,9 +234,11 @@ class _Chain:
             # the root is never a successor within a cycle: next 0 ends it
             stay = np.flatnonzero(nxt != 0)
             drawn += m
+            self._hold(drawn + len(stay))
+            cycle = self.slots[0]
             np.take(cycle[here], stay, out=cycle[drawn:drawn + len(stay)])
             state = nxt[stay]
-        return cycle[:drawn], row[:drawn]
+        return self.slots[0, :drawn], self.slots[1, :drawn]
 
 
 def _path(chain: _Chain, num_slots: int, seed: int):

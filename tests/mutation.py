@@ -104,6 +104,23 @@ MUTANTS = [
            "x[0] = 1.0",
            "x[0] = 2.0",
            "_visits: one root visit per cycle (renewal-reward)"),
+    Mutant("gps_drawn_first", "src/cogarq/channel.py",
+           "gs_block = rng.standard_exponential(out=draws[0, :m])\n"
+           "        gps_block = rng.standard_exponential(out=draws[1, :m])",
+           "gps_block = rng.standard_exponential(out=draws[1, :m])\n"
+           "        gs_block = rng.standard_exponential(out=draws[0, :m])",
+           "_mc_region_probs: per block, gamma_s is drawn before gamma_ps"),
+    Mutant("gps_previous_gs", "src/cogarq/channel.py",
+           "gs_block = rng.standard_exponential(out=draws[0, :m])",
+           "gs_new = rng.standard_exponential(m)\n"
+           "        gs_block = draws[0, :m]\n"
+           "        gs_block[:] = gs_old[:m] if start else gs_new\n"
+           "        gs_old = gs_new",
+           "_mc_region_probs: gamma_ps pairs with its own block's gamma_s"),
+    Mutant("slots_prefix_dropped", "src/cogarq/simulator.py",
+           "grown[:, :have] = self.slots",
+           "grown[:, :have] = 0",
+           "_Chain._hold: a grown slot buffer keeps the slots drawn"),
 ]
 
 EQUIVALENT = [

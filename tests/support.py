@@ -247,14 +247,16 @@ def reference_masks(cls: RegionClassifier, snr_s, snr_ps):
 
 def reference_region_probs(params: SystemParams, rate_su: float,
                            mc_samples: int, seed: int):
-    """Monte-Carlo (Pr decode PU, Pr decode SU, Pr buffer), drawing each
-    chunk of 2^20 samples as one gamma_s array, then one gamma_ps array."""
+    """Monte-Carlo (Pr decode PU, Pr decode SU, Pr buffer) in the draw
+    order `link_stats` documents: per block of 2^15 samples (the last one
+    shorter), one gamma_s array, then one gamma_ps array, paired by
+    position."""
     cls = RegionClassifier(rate_su, params.rate_p)
     rng = np.random.default_rng(seed)
     n_gp = n_gs = n_buf = 0
     remaining = mc_samples
     while remaining > 0:
-        m = min(1 << 20, remaining)
+        m = min(1 << 15, remaining)
         gs = rng.exponential(params.mean_snr_s, m)
         gps = rng.exponential(params.mean_snr_ps, m)
         in_gp, in_gs, buf = reference_masks(cls, gs, gps)

@@ -248,6 +248,23 @@ def test_chain_holds_per_class_tables():
     assert held - buffers < 16 * 2 ** 20
 
 
+def test_run_slot_buffer_follows_the_path():
+    # the D = 200, B = 199 run of the known-message-only policy, 20 000
+    # slots, as in CI: its one chunk draws about 31 000 slots, so the
+    # slot buffer holds 2^15 slots (256 KiB), where 2^14 * 200, what a
+    # chunk could draw, takes 25 MiB; the peak is 17.4 MiB
+    params = table1_params(deadline_D=200, buffer_B=199)
+    pol = k_active_policy(enumerate_states(200, 199))
+    tracemalloc.start()
+    try:
+        result = run(_config(params, pol, 20_000, 1))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert result.num_slots == 20_000 and result.k_access_slots > 0
+    assert peak < 20 * 2 ** 20
+
+
 class TestRegenerativeErrors:
     def test_stderr_matches_spread_across_seeds(self, t1_params):
         pol = make_random_policy(np.random.default_rng(8),
