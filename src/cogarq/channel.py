@@ -148,11 +148,11 @@ class LinkStats:
     ``p_buf`` is the probability that an interfered secondary transmission
     is undecodable now but clean enough to buffer for later recovery.
     Throughputs ``t_*`` are expected bits/s/Hz per relevant slot. The rates
-    are carried along because the buffered-recovery reward and the
-    degenerate-network thresholds need them. From `link_stats`, every field
-    is exact except ``q_ps_active`` and ``p_buf``, which are Monte Carlo;
-    ``stderr_*`` report their standard errors (zero for analytically
-    constructed stats).
+    are carried along because the buffered-recovery reward needs
+    ``rate_su``, and so that reported statistics name the rates they were
+    computed for. From `link_stats`, every field is exact except
+    ``q_ps_active`` and ``p_buf``, which are Monte Carlo; ``stderr_*``
+    report their standard errors (zero for analytically constructed stats).
     """
 
     q_pp_idle: float
@@ -388,7 +388,7 @@ def _binomial_se(p: float, n: int) -> float:
 
 
 def link_stats(scenarios: Sequence[SystemParams],
-               mc_samples: int = 10_000_000,
+               mc_samples: int,
                seed: int = 1234) -> List[LinkStats]:
     """Compute all fading-averaged link statistics of each scenario.
 

@@ -47,17 +47,11 @@ class NetState:
         return (0 if self.phi == PHI_U else 1, self.t, self.b)
 
 
-ROOT = NetState(1, 0, PHI_U)
-
-
 @dataclass(frozen=True)
 class Policy:
     """Stationary randomized access policy: state -> transmit probability."""
 
     probs: Mapping[NetState, float]
-
-    def prob(self, state: NetState) -> float:
-        return self.probs[state]
 
     def with_prob(self, state: NetState, p: float) -> "Policy":
         new = dict(self.probs)

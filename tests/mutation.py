@@ -121,6 +121,32 @@ MUTANTS = [
            "grown[:, :have] = self.slots",
            "grown[:, :have] = 0",
            "_Chain._hold: a grown slot buffer keeps the slots drawn"),
+    Mutant("buffered_any_snr", "src/cogarq/channel.py",
+           "buffered = s_ok & ~(pu_dec | su_dec)",
+           "buffered = ~(pu_dec | su_dec)",
+           "RegionClassifier.masks: only a signal above the clean threshold "
+           "is buffered"),
+    Mutant("backward_dur_grow", "src/cogarq/mdp.py",
+           "d[i] = 1.0 + (p0 * d[j0] + p1 * d[j1] + p2 * d[j2])",
+           "d[i] = 1.0 + (p0 * d[j0] + p1 * d[j1])",
+           "_backward: the duration recursion over all three successors"),
+    Mutant("eta_den_duration", "src/cogarq/optimizer.py",
+           "den = v_p - d_p * w_s",
+           "den = v_p",
+           "efficiency_report: the duration term of the access-rate "
+           "derivative"),
+    Mutant("march_nearest", "src/cogarq/oracle.py",
+           "edge = edge[w[edge] == w[edge].max()]",
+           "edge = edge[w[edge] == w[edge].min()]",
+           "_march: a steepest-slope tie goes to the farthest point"),
+    Mutant("slope_ln2", "src/cogarq/channel.py",
+           "return p + r * ln2 * two_r * dp_da > 0.0",
+           "return p + r * two_r * dp_da > 0.0",
+           "optimize_rate.rising: the ln 2 of d(2^r)/dr"),
+    Mutant("path_cut_left", "src/cogarq/simulator.py",
+           'done = int(np.searchsorted(end, left, side="right"))',
+           'done = int(np.searchsorted(end, left, side="left"))',
+           "_path: a cycle that ends on the path's last slot is complete"),
 ]
 
 EQUIVALENT = [

@@ -13,21 +13,19 @@ import numpy as np
 from cogarq import (DEADLINE, EXPLICIT, FIC_BIC, FIC_ONLY, GPS_RATIO, NO_IC,
                     PM_KNOWN, PU_IDLE_THROUGHPUT, Policy, RSU_STAR,
                     SU_CLEAN_THROUGHPUT, SU_INTERFERED_THROUGHPUT,
-                    SimConfig, SystemParams, TS_VS_TP, b_max, cycle_values,
+                    SimConfig, SystemParams, TS_VS_TP, cycle_values,
                     empirical_transition_check, enumerate_frontier,
-                    enumerate_states, greedy_policy_path, hp_condition,
-                    link_stats, long_term_metrics, optimal_policy,
-                    optimize_rate, oracle_optimum, run, sweep,
-                    transition_table)
-from cogarq.degenerate import cycle_value_closed, g_prime_closed, \
-    v_prime_closed
+                    enumerate_states, greedy_policy_path, link_stats,
+                    long_term_metrics, optimal_policy, optimize_rate,
+                    oracle_optimum, run, sweep, transition_table)
 from cogarq.mdp import PHI_K, PHI_U, occupancy_metrics
 from cogarq.optimizer import efficiency_report
 
-from support import (first_idle_thresholds, is_threshold_policy,
+from support import (b_max, cycle_value_closed, first_idle_thresholds,
+                     g_prime_closed, hp_condition, is_threshold_policy,
                      make_random_policy, make_random_stats,
-                     max_accessed_levels, reference_matrix,
-                     table1_params)
+                     max_accessed_levels, reference_matrix, table1_params,
+                     v_prime_closed)
 
 _CACHE = {}
 
@@ -290,7 +288,7 @@ def test_criterion_7_invariant_suites():
             r = efficiency_report(cv, s)
             g_p, v_p, d_p = r.g_prime, r.v_prime, r.d_prime
             assert v_p - d_p * m.w_s_bar > 0.0
-            bumped = cycle_values(pol.with_prob(s, pol.prob(s) + delta),
+            bumped = cycle_values(pol.with_prob(s, pol.probs[s] + delta),
                                   table)
             i = cv.table.space.index(s)
             assert abs((bumped.g[i] - cv.g[i]) / delta - g_p) <= 1e-5

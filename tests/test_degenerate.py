@@ -3,18 +3,18 @@ import math
 import numpy as np
 import pytest
 
-from cogarq import (LinkStats, NetState, a0_a1, b_max, cycle_values,
-                    enumerate_states, greedy_policy_path, hp_condition,
-                    link_stats, long_term_metrics, transition_table,
-                    unconstrained_optimal)
-from cogarq.degenerate import (cycle_value_closed, delta_s, g_prime_closed,
-                               hp_bound, v_prime_closed)
+from cogarq import (LinkStats, NetState, cycle_values, enumerate_states,
+                    greedy_policy_path, link_stats, long_term_metrics,
+                    transition_table)
 from cogarq.mdp import PHI_K, PHI_U
 from cogarq.optimizer import efficiency_report
 from cogarq.oracle import policy_from_bitmask
 
-from support import (first_idle_thresholds, is_threshold_policy,
-                     make_random_stats, max_accessed_levels, table1_params)
+from support import (a0_a1, b_max, cycle_value_closed, delta_s,
+                     first_idle_thresholds, g_prime_closed, hp_bound,
+                     hp_condition, is_threshold_policy, make_random_stats,
+                     max_accessed_levels, table1_params,
+                     unconstrained_optimal, v_prime_closed)
 
 
 class TestA0A1:

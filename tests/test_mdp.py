@@ -6,12 +6,12 @@ from cogarq import (NetState, Policy, cycle_values, enumerate_states,
                     idle_policy, k_active_policy, long_term_metrics,
                     policy_from_json_obj, policy_to_json_obj,
                     stationary_distribution)
-from cogarq.mdp import (PHI_K, PHI_U, ROOT, _visits, occupancy_metrics,
+from cogarq.mdp import (PHI_K, PHI_U, _visits, occupancy_metrics,
                         state_count, state_space, transition_table)
 
-from support import (feasible_stats, make_random_policy, make_random_stats,
-                     reference_cycle_values, reference_transition_row,
-                     sized_policies, table_row)
+from support import (ROOT, feasible_stats, make_random_policy,
+                     make_random_stats, reference_cycle_values,
+                     reference_transition_row, sized_policies, table_row)
 
 RANDOM_CASES = [(2, 0), (2, 1), (3, 0), (3, 2), (5, 4), (5, 2)]
 
@@ -334,7 +334,7 @@ class TestStationaryDistribution:
             base = long_term_metrics(pol, table).w_s_bar
             pi = stationary_distribution(pol, stats, deadline, cap)
             for s in states:
-                bumped = long_term_metrics(pol.with_prob(s, pol.prob(s) + 1e-4),
+                bumped = long_term_metrics(pol.with_prob(s, pol.probs[s] + 1e-4),
                                            table).w_s_bar
                 assert bumped >= base - 1e-14
                 if pi[s] > 1e-12:
@@ -365,7 +365,7 @@ def _assert_matches_reference(policy, stats, deadline, cap):
     n = len(states)
     pmat = np.zeros((n, n))
     for s in states:
-        mu = policy.prob(s)
+        mu = policy.probs[s]
         for access_prob, weight in ((1.0, mu), (0.0, 1.0 - mu)):
             for nxt, p in table_row(cv.table, s, access_prob).items():
                 pmat[idx[s], idx[nxt]] += weight * p

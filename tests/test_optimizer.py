@@ -57,7 +57,7 @@ class TestCycleDerivatives:
             for s in states:
                 r = efficiency_report(cv, s)
                 g_p, v_p, d_p = r.g_prime, r.v_prime, r.d_prime
-                bumped = cycle_values(pol.with_prob(s, pol.prob(s) + delta),
+                bumped = cycle_values(pol.with_prob(s, pol.probs[s] + delta),
                                       table)
                 i = cv.table.space.index(s)
                 assert abs((bumped.g[i] - cv.g[i]) / delta - g_p) <= 1e-5
