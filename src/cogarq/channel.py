@@ -319,17 +319,6 @@ def outage_pp(params: SystemParams, su_active: bool) -> float:
     return 1.0 - clear
 
 
-def _exponential_into(rng: np.random.Generator, mean: float,
-                      out: np.ndarray) -> np.ndarray:
-    """Fill ``out`` with exponential draws of mean ``mean``, bit-identical to
-    ``rng.exponential(mean, len(out))`` and consuming the same stream
-    (which also gives inf, without a warning, beyond the double range)."""
-    rng.standard_exponential(out=out)
-    with np.errstate(over="ignore"):
-        out *= mean
-    return out
-
-
 def _mc_region_probs(scenarios: Sequence[SystemParams], mc_samples: int,
                      seed: int) -> List[Tuple[float, float]]:
     """Monte Carlo estimates (Pr decode PU, Pr buffer) of each scenario,
@@ -460,7 +449,8 @@ def optimize_rate(objective: str, params: SystemParams) -> float:
         return p + r * ln2 * two_r * dp_da > 0.0
 
     lo, hi = RATE_BRACKET
-    grid = np.linspace(lo, hi, 65).tolist()
+    step = (hi - lo) / 64
+    grid = [lo + i * step for i in range(64)] + [hi]
     values = [r * _decode_probability(2.0 ** r - 1.0, thr_p, mean_snr,
                                       mean_snr_ps) for r in grid]
     i = values.index(max(values))

@@ -255,41 +255,30 @@ class TransitionTable(NamedTuple):
 def transition_table(stats: LinkStats, deadline: int,
                      buffer_size: int) -> TransitionTable:
     """The `slot_law` of ``stats`` on the layout of `state_space`
-    (deadline, buffer_size)."""
+    (deadline, buffer_size), state by state: state i takes the law of the
+    known-message class from index ``space.n_unknown`` on, else of level
+    ``space.level[i]``; at the deadline every outcome ends the cycle."""
     space = state_space(deadline, buffer_size)
     stats.validate()
     # a transmitting and an idle slot's events (an idle one never buffers),
-    # then the (active, idle) rows of the levels 0..B and the known states
+    # then the (active, idle) laws of the levels 0..B and the known states,
+    # as successor masses and one-slot rewards
     events = ((stats.q_pp_active, 1.0 - stats.q_ps_active, stats.q_ps_active,
                stats.p_buf, stats.t_su, stats.t_sk),
               (stats.q_pp_idle, 1.0 - stats.q_ps_idle, stats.q_ps_idle,
                0.0, 0.0, 0.0))
     laws = [[slot_law(level, level != buffer_size, *e, stats.rate_su)
              for e in events] for level in (*range(buffer_size + 1), None)]
-    # the rows of levels 0, 1, ... and then of the known states, flat, so
-    # that an attempt's levels 0..min(t - 1, B) take a prefix; at the
-    # deadline, every outcome ends the cycle
-    act, idl, r1, r0 = [], [], [], []
-    for a, i in laws:
-        act += a[:3]
-        idl += i[:3]
-        r1.append(sum(a[3:]))
-        r0.append(sum(i[3:]))
-    end = [0.0] * len(act)
-    p_act, p_idl, r_act, r_idl = [], [], [], []
-    for t in range(1, deadline + 1):        # unknown-message states
-        n = min(t, buffer_size + 1)
-        p_act += act[:3 * n] if t < deadline else end[:3 * n]
-        p_idl += idl[:3 * n] if t < deadline else end[:3 * n]
-        r_act += r1[:n]
-        r_idl += r0[:n]
-    for t in range(2, deadline + 1):        # known-message states
-        p_act += act[-3:] if t < deadline else end[:3]
-        p_idl += idl[-3:] if t < deadline else end[:3]
-    r_act += r1[-1:] * (deadline - 1)
-    r_idl += r0[-1:] * (deadline - 1)
-    return TransitionTable(stats, space, space.succ, p_act, p_idl, r_act,
-                           r_idl)
+    rows = [(a[:3], i[:3], sum(a[3:]), sum(i[3:])) for a, i in laws]
+    row = [rows[b] if i < space.n_unknown else rows[-1]
+           for i, b in enumerate(space.level)]
+    live = [t < deadline for t in space.layer]
+    end = (0.0, 0.0, 0.0)
+    return TransitionTable(
+        stats, space, space.succ,
+        [p for r, on in zip(row, live) for p in (r[0] if on else end)],
+        [p for r, on in zip(row, live) for p in (r[1] if on else end)],
+        [r[2] for r in row], [r[3] for r in row])
 
 
 def _backward(table: TransitionTable, mu: List[float]

@@ -11,15 +11,15 @@ end to end in order gives the chain's sample path from the root, which is
 cut off exactly after ``num_slots`` slots.
 
 The step costs little more than its draws. Each variate is drawn into a
-buffer allocated once per chain (`channel._exponential_into`, bit-identical
-to ``rng.exponential``), the ACK threshold is computed in place in the
+buffer allocated once per chain (`_exponential_into`, bit-identical to
+``rng.exponential``), the ACK threshold is computed in place in the
 gamma_sp buffer, and each slot's cycle and row go to a buffer that grows
 by doubling with the slots drawn, never past D slots per cycle. A slot's
 seven booleans (`ACTIVE` to `SK_OK`) are packed into one outcome code,
 whose 0/1 events `mdp.slot_law` maps to the next state and to what the
 slot adds to each output, as it maps the link statistics to the analytic
 rows. The step only samples: slot t of cycle c is slot start[c] + t of
-its chunk, the path keeps it only if that is at most the slots left, so
+its chunk, one mask keeps it iff that is at most the slots left, so
 each chunk is drawn once, and every total is a histogram times a table.
 
 Standard errors come from the regenerative ratio estimator (Crane &
@@ -49,11 +49,21 @@ from dataclasses import dataclass, asdict
 
 import numpy as np
 
-from .channel import (LinkStats, RegionClassifier, SystemParams,
-                      _exponential_into, check_integer)
+from .channel import LinkStats, RegionClassifier, SystemParams, check_integer
 from .mdp import Policy, slot_law, state_space, transition_table
 
 _CHUNK = 1 << 14      # cycles simulated together
+
+
+def _exponential_into(rng: np.random.Generator, mean: float,
+                      out: np.ndarray) -> np.ndarray:
+    """Fill ``out`` with exponential draws of mean ``mean``, bit-identical to
+    ``rng.exponential(mean, len(out))`` and consuming the same stream
+    (which also gives inf, without a warning, beyond the double range)."""
+    rng.standard_exponential(out=out)
+    with np.errstate(over="ignore"):
+        out *= mean
+    return out
 
 
 @dataclass(frozen=True)
@@ -117,18 +127,19 @@ _CODES = 128
 class _Chain:
     """Scenario constants, slot tables and the layer-by-layer sampler.
 
-    States are indexed as in `mdp.StateSpace`; index 0 is the root. A slot
-    in state i with outcome code c is row ``_CODES * i + c`` of ``next``,
-    the state it leads to (the root ends the cycle), and row
-    ``class_row[i] + c`` of the `mdp.slot_law` class tables of what it adds
-    to its cycle's t_s, w_s and t_p (``cycle_adds``) and to the summed
-    `SimResult` counts (``counts``).
+    States are indexed as in `mdp.StateSpace`; index 0 is the root, and
+    ``layer[i]`` is state i's attempt index. A slot in state i with outcome
+    code c is row ``_CODES * i + c`` of ``next``, the state it leads to
+    (the root ends the cycle), and row ``class_row[i] + c`` of the
+    `mdp.slot_law` class tables of what it adds to its cycle's t_s, w_s and
+    t_p (``cycle_adds``) and to the summed `SimResult` counts (``counts``).
     """
 
     def __init__(self, params: SystemParams, policy: Policy):
         self.params = params
         space = state_space(params.deadline_D, params.buffer_B)
         self.mu = np.array(space.vector(policy))
+        self.layer = np.array(space.layer, dtype=np.int32)
         n, n_u, cap = len(space.layer), space.n_unknown, params.buffer_B
         self.cls = RegionClassifier(params.rate_su, params.rate_p)
         self.thr_sk = 2.0 ** params.rate_sk - 1.0
@@ -246,7 +257,9 @@ def _path(chain: _Chain, num_slots: int, seed: int):
 
     Yields (n, done, cycle, row) per chunk of ``n`` cycles, of which the
     first ``done`` are complete: the cycle and row of its slots on the
-    path, as `_Chain.cycles` orders them.
+    path, as `_Chain.cycles` orders them. Where the path ends inside the
+    chunk, one mask keeps slot t of cycle c, t its state's attempt index,
+    iff start[c] + t is at most the slots left, whatever the order.
     """
     rng = np.random.default_rng(seed)
     left = num_slots
@@ -254,24 +267,13 @@ def _path(chain: _Chain, num_slots: int, seed: int):
         n = done = min(_CHUNK, left)    # every cycle lasts at least one slot
         cycle, row = chain.cycles(rng, n)
         if len(row) > left:
-            # the path ends inside this chunk. Slot t of cycle c is slot
-            # start[c] + t of the chunk, so layer t (the cycles that last t
-            # slots or more, in order) keeps a prefix, those with
-            # start[c] + t <= left, which moves down in place
             length = np.bincount(cycle, minlength=n)
             end = np.cumsum(length)
             done = int(np.searchsorted(end, left, side="right"))
             start = end - length
-            kept = first = 0
-            for t in range(1, chain.params.deadline_D + 1):
-                alive = length >= t
-                k = np.count_nonzero(
-                    alive[:np.searchsorted(start, left - t, side="right")])
-                cycle[kept:kept + k] = cycle[first:first + k]
-                row[kept:kept + k] = row[first:first + k]
-                kept += k
-                first += np.count_nonzero(alive)
-            cycle, row = cycle[:kept], row[:kept]
+            keep = (np.take(start, cycle)
+                    + np.take(chain.layer, row // _CODES) <= left)
+            cycle, row = cycle[keep], row[keep]
         left -= len(row)
         yield n, done, cycle, row
 

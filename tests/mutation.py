@@ -4,11 +4,14 @@ A mutant names a file, an exact old text that must occur in it exactly
 once, the text that replaces it, and the definition it attacks. For each
 mutant the runner copies ``src/``, ``tests/`` and ``pyproject.toml`` to a
 temporary directory, applies the mutant there and runs the Tier-1 suite
-with ``-x``. The mutant is killed when pytest exits 1 (tests failed). The
-gate fails on a survivor, on any other exit code (a collection or usage
-error proves nothing; the tail of pytest's output is printed), on a run
-longer than ``TIMEOUT_S``, and on an old text that no longer occurs
-exactly once, so a stale mutant cannot pass silently.
+with ``-x``: first only the test file of the mutated module
+(``tests/test_<module>.py``, where there is one), which kills most
+mutants quickly, and the whole suite only when that file passes. The
+mutant is killed when pytest exits 1 (tests failed). The gate fails on a
+survivor, on any other exit code (a collection or usage error proves
+nothing; the tail of pytest's output is printed), on a run longer than
+``TIMEOUT_S``, and on an old text that no longer occurs exactly once, so
+a stale mutant cannot pass silently.
 
 Equivalent mutants, which change no output any test could see, are listed
 apart with their reasons; they are checked to still apply, but not run.
@@ -147,6 +150,22 @@ MUTANTS = [
            'done = int(np.searchsorted(end, left, side="right"))',
            'done = int(np.searchsorted(end, left, side="left"))',
            "_path: a cycle that ends on the path's last slot is complete"),
+    Mutant("path_cut_strict", "src/cogarq/simulator.py",
+           "row // _CODES) <= left)",
+           "row // _CODES) < left)",
+           "_path: the path keeps its last slot"),
+    Mutant("table_deadline_rows", "src/cogarq/mdp.py",
+           "live = [t < deadline for t in space.layer]",
+           "live = [t <= deadline for t in space.layer]",
+           "transition_table: every outcome at the deadline ends the cycle"),
+    Mutant("code_bits_swapped", "src/cogarq/simulator.py",
+           "for bit in (su_dec, buf_dec, p_ok, pu_dec, ack, active):",
+           "for bit in (su_dec, buf_dec, pu_dec, p_ok, ack, active):",
+           "_Chain.cycles: the PU_DEC and P_OK bits of the outcome code"),
+    Mutant("config_unknown_keys", "src/cogarq/cli.py",
+           "unknown = sorted(set(obj) - CONFIG_KEYS)",
+           "unknown = []",
+           "_load_scenario: an unknown config key is rejected"),
 ]
 
 EQUIVALENT = [
@@ -179,17 +198,23 @@ def _copy(tree: Path) -> None:
 
 
 def run_mutant(mutant: Mutant) -> subprocess.CompletedProcess:
-    """Pytest's run, output captured, on a copy of the tree with
-    ``mutant`` applied; TimeoutExpired after ``TIMEOUT_S``."""
+    """Pytest's last run, output captured, on a copy of the tree with
+    ``mutant`` applied; TimeoutExpired after ``TIMEOUT_S`` for one run."""
     with tempfile.TemporaryDirectory(prefix="cogarq-mutant-") as tmp:
         tree = Path(tmp)
         _copy(tree)
         (tree / mutant.path).write_text(_mutated(tree, mutant))
         env = dict(os.environ, PYTHONPATH=str(tree / "src"),
                    PYTHONDONTWRITEBYTECODE="1")
-        return subprocess.run(PYTEST, cwd=tree, env=env, text=True,
-                              stdout=subprocess.PIPE,
-                              stderr=subprocess.STDOUT, timeout=TIMEOUT_S)
+        own = Path("tests", f"test_{Path(mutant.path).stem}.py")
+        first = [[str(own)]] if (tree / own).exists() else []
+        for only in first + [[]]:
+            run = subprocess.run(PYTEST + only, cwd=tree, env=env, text=True,
+                                 stdout=subprocess.PIPE,
+                                 stderr=subprocess.STDOUT, timeout=TIMEOUT_S)
+            if run.returncode != 0:
+                break
+        return run
 
 
 def main() -> int:

@@ -5,7 +5,7 @@ from dataclasses import fields
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from cogarq import (Policy, RegionClassifier, SimConfig, SimResult,
                     enumerate_states, empirical_transition_check, idle_policy,
@@ -14,7 +14,7 @@ from cogarq.mdp import PHI_K, state_space, transition_table
 from cogarq.simulator import (ACK, ACTIVE, P_OK, SK_OK, _CHUNK, _CODES,
                               _Chain, _moves)
 
-from support import (make_random_policy, reference_matrix,
+from support import (TABLE1_SNRS, make_random_policy, reference_matrix,
                      reference_simulation, sized_policies, table1_params)
 
 
@@ -110,20 +110,30 @@ class TestRun:
         assert "stderr_t_s" in obj
 
 
+# D = 30, B = 12 (341 states) on a faint primary link: nearly every cycle
+# NACKs to the deadline, so a path that ends inside a chunk cuts a cycle
+# at every attempt layer
+_LONG = (30, 12, make_random_policy(np.random.default_rng(30),
+                                    enumerate_states(30, 12)))
+
+
 class TestBookkeeping:
-    # a single slot, small odd counts, and runs longer than one chunk of
-    # cycles
+    # a single slot, small odd counts, runs longer than one chunk of
+    # cycles, and a path cut across every layer of long cycles
     @settings(max_examples=60, derandomize=True, deadline=None)
-    @given(sized_policies(),
-           st.sampled_from([1, 2, 7, 19, 2 ** 13 + 3, _CHUNK + 1,
-                            3 * _CHUNK + 5]),
-           st.integers(0, 2 ** 32))
-    def test_counts_match_result(self, sized, slots, seed):
+    @given(sized=sized_policies(),
+           slots=st.sampled_from([1, 2, 7, 19, 2 ** 13 + 3, _CHUNK + 1,
+                                  3 * _CHUNK + 5]),
+           seed=st.integers(0, 2 ** 32),
+           mean_snr_p=st.just(TABLE1_SNRS["mean_snr_p"]))
+    @example(sized=_LONG, slots=10 ** 5 + 3, seed=5, mean_snr_p=0.5)
+    def test_counts_match_result(self, sized, slots, seed, mean_snr_p):
         # exact identities between the transition counts and the result
         # of the same sample path pin the cut at num_slots and the
         # per-layer sums
         deadline, cap, policy = sized
-        params = table1_params(deadline_D=deadline, buffer_B=cap)
+        params = table1_params(deadline_D=deadline, buffer_B=cap,
+                               mean_snr_p=mean_snr_p)
         r = run(_config(params, policy, slots, seed))
         counts = _counts(params, policy, slots, seed)
         known = [i for i, s in enumerate(enumerate_states(deadline, cap))
