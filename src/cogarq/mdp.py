@@ -13,7 +13,8 @@ throughput and access rate.
 `StateSpace` owns the state layout of one (D, B): which states exist,
 their canonical index order, each state's buffer level and at most three
 successors (stay, grow, learn), and a `Policy`'s access vector in that
-order. `cycle_values` and `long_term_metrics` read one flat transition
+order; `state_space` refuses a space of more than `MAX_STATES` states.
+`cycle_values` and `long_term_metrics` read one flat transition
 table per (stats, D, B), which the caller builds once (`transition_table`)
 and passes in: per state index, the probabilities of its successors under
 each action and its one-slot throughput at access probability 1 and 0. The
@@ -33,6 +34,11 @@ from .channel import LinkStats, check_integer
 
 PHI_U = "U"
 PHI_K = "K"
+# The largest state space `state_space` builds. A greedy walk's time grows
+# about as the square of the state count, so a `solve` near the cap already
+# takes about half an hour; past it, a deadline from a config or a sweep
+# grid could hold a command for hours or exhaust memory.
+MAX_STATES = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -178,8 +184,12 @@ def state_count(deadline: int, buffer_size: int) -> int:
 
 def state_space(deadline: int, buffer_size: int) -> StateSpace:
     """The state space of a deadline and buffer size; ValueError as in
-    `state_count`."""
-    state_count(deadline, buffer_size)      # raises for an invalid pair
+    `state_count`, and for more than `MAX_STATES` states, judged from
+    `state_count` before any of it is built."""
+    n_states = state_count(deadline, buffer_size)
+    if n_states > MAX_STATES:
+        raise ValueError(f"state space too large ({n_states} > "
+                         f"{MAX_STATES} states)")
     offsets, layer, level = [0, 0], [], []
     for t in range(1, deadline + 1):
         levels = min(t - 1, buffer_size) + 1
@@ -233,19 +243,17 @@ def slot_law(level, room, nack, decoded, undecoded, buffered, fresh, clean,
 class TransitionTable(NamedTuple):
     """Transition data of one (stats, deadline, buffer size).
 
-    State i moves to ``succ[3i + k]``, the list ``space.succ`` of
-    `StateSpace`, with probability ``p_active[3i + k]`` when it
-    transmits and ``p_idle[3i + k]`` when it is idle; the rest of its mass
-    (an ACK, or the deadline) ends the cycle. A new cycle carries no
-    continuation value, and the backward pass reads the root's value
-    before writing it, so the root doubles as the zero sink. ``r_active``
-    and ``r_idle`` are the one-slot throughput at access probability 1
-    and 0; it is affine in between.
+    State i moves to ``space.succ[3i + k]`` with probability
+    ``p_active[3i + k]`` when it transmits and ``p_idle[3i + k]`` when it
+    is idle; the rest of its mass (an ACK, or the deadline) ends the
+    cycle. A new cycle carries no continuation value, and the backward
+    pass reads the root's value before writing it, so the root doubles as
+    the zero sink. ``r_active`` and ``r_idle`` are the one-slot throughput
+    at access probability 1 and 0; it is affine in between.
     """
 
     stats: LinkStats
     space: StateSpace
-    succ: List[int]
     p_active: List[float]
     p_idle: List[float]
     r_active: List[float]
@@ -275,7 +283,7 @@ def transition_table(stats: LinkStats, deadline: int,
     live = [t < deadline for t in space.layer]
     end = (0.0, 0.0, 0.0)
     return TransitionTable(
-        stats, space, space.succ,
+        stats, space,
         [p for r, on in zip(row, live) for p in (r[0] if on else end)],
         [p for r, on in zip(row, live) for p in (r[1] if on else end)],
         [r[2] for r in row], [r[3] for r in row])
@@ -298,7 +306,7 @@ def _backward(table: TransitionTable, mu: List[float]
     g = [0.0] * n
     v = [0.0] * n
     d = [0.0] * n
-    succ, p_act, p_idl = table.succ, table.p_active, table.p_idle
+    succ, p_act, p_idl = table.space.succ, table.p_active, table.p_idle
     r_act, r_idl = table.r_active, table.r_idle
     for i in range(n - 1, -1, -1):
         m = mu[i]
@@ -327,7 +335,7 @@ def _visits(table: TransitionTable, mu: List[float]) -> List[float]:
     """
     x = [0.0] * len(mu)
     x[0] = 1.0
-    succ, p_act, p_idl = table.succ, table.p_active, table.p_idle
+    succ, p_act, p_idl = table.space.succ, table.p_active, table.p_idle
     for i, m in enumerate(mu):
         xi, u = x[i], 1.0 - m
         for k in range(3 * i, 3 * i + 3):
@@ -386,10 +394,6 @@ def long_term_metrics(policy: Policy, table: TransitionTable) -> PolicyMetrics:
     """Long-term averages via the renewal-reward ratio at the cycle root."""
     g, v, d = _backward(table, table.space.vector(policy))
     return ratio_metrics(g[0], v[0], d[0], table.stats)
-
-
-def metrics_from_cycle_values(cv: CycleValues) -> PolicyMetrics:
-    return ratio_metrics(cv.g[0], cv.v[0], cv.dur[0], cv.table.stats)
 
 
 def stationary_distribution(policy: Policy, stats: LinkStats, deadline: int,

@@ -18,10 +18,12 @@ reward, accesses and duration are affine in any one state's access
 probability; the walk's marginal quantities (read from the MDP's
 transition table) and the budget-meeting blend weight are therefore
 closed forms, and no step iterates to a tolerance. The walk builds that
-table once, and the path carries it. Each path policy is evaluated once:
-its cycle values give the next stage's efficiencies, and its entry keeps
-the per-cycle accesses and slots the blend weight needs, so a solve
-evaluates only the blend it returns, on the path's table.
+table once, and the path carries it. The path is its activation order:
+each entry keeps the state it activated, its metrics and the per-cycle
+accesses and slots the blend weight needs, and `PolicyPath.policy`
+rebuilds entry j's policy from the first j activations. Each path policy
+is evaluated once, by the walk, so a solve evaluates only the blend it
+returns, on the path's table.
 """
 
 from __future__ import annotations
@@ -33,9 +35,9 @@ from typing import List, Optional, Tuple
 
 from .channel import LinkStats
 from .mdp import (CycleValues, NetState, Policy, PolicyMetrics,
-                  TransitionTable, cycle_values, enumerate_states, idle_policy,
-                  k_active_policy, long_term_metrics,
-                  metrics_from_cycle_values, transition_table)
+                  TransitionTable, cycle_values, enumerate_states,
+                  k_active_policy, long_term_metrics, ratio_metrics,
+                  transition_table)
 
 
 @dataclass(frozen=True)
@@ -51,11 +53,10 @@ class EfficiencyReport:
 
 @dataclass(frozen=True)
 class PathEntry:
-    """One path policy, its metrics, the state it activated (None for the
+    """One path policy's metrics, the state it activated (None for the
     all-idle start), and its per-cycle accesses ``v`` and slots ``d`` from
-    the cycle root."""
+    the cycle root. The policy itself is `PolicyPath.policy`."""
 
-    policy: Policy
     metrics: PolicyMetrics
     chosen_state: Optional[NetState]
     v: float
@@ -65,12 +66,25 @@ class PathEntry:
 @dataclass(frozen=True)
 class PolicyPath:
     """Frontier path from the all-idle policy on the transition table
-    ``table`` of one (stats, deadline, buffer size). ``eps_th`` is the
-    access rate of the known-message-only policy (`k_active_policy`)."""
+    ``table`` of one (stats, deadline, buffer size), whose ``states`` it
+    keeps in canonical order. ``eps_th`` is the access rate of the
+    known-message-only policy (`k_active_policy`)."""
 
     entries: List[PathEntry]
     eps_th: float
     table: TransitionTable
+    states: List[NetState]
+
+    def policy(self, j: int) -> Policy:
+        """Entry j's policy: the states entries 1..j activated transmit
+        always, every other state never. IndexError for an entry the path
+        lacks."""
+        if not 0 <= j < len(self.entries):
+            raise IndexError(f"no path entry {j}")
+        probs = dict.fromkeys(self.states, 0.0)
+        for e in self.entries[1:j + 1]:
+            probs[e.chosen_state] = 1.0
+        return Policy(probs)
 
 
 def efficiency_report(values: CycleValues,
@@ -96,7 +110,7 @@ def efficiency_report(values: CycleValues,
     i = table.space.index(state)
     g_p, v_p, d_p = table.r_active[i] - table.r_idle[i], 1.0, 0.0
     for k in range(3 * i, 3 * i + 3):
-        j = table.succ[k]
+        j = table.space.succ[k]
         if j == 0:              # the cycle ends: no continuation
             continue
         dp = table.p_active[k] - table.p_idle[k]
@@ -147,15 +161,14 @@ def greedy_policy_path(stats: LinkStats, deadline: int,
     table = transition_table(stats, deadline, buffer_size)
     states = enumerate_states(deadline, buffer_size)
     idle_set = list(states)     # canonical order: the first best state wins
-    policy = idle_policy(states)
+    probs = dict.fromkeys(states, 0.0)
     best = None
     entries = []
     while True:
-        values = cycle_values(policy, table)
-        entries.append(PathEntry(policy=policy,
-                                 metrics=metrics_from_cycle_values(values),
-                                 chosen_state=best, v=values.v[0],
-                                 d=values.dur[0]))
+        values = cycle_values(Policy(probs), table)
+        g, v, d = values.g[0], values.v[0], values.dur[0]
+        entries.append(PathEntry(metrics=ratio_metrics(g, v, d, stats),
+                                 chosen_state=best, v=v, d=d))
         if not idle_set:
             break
         etas = [efficiency_report(values, s).eta for s in idle_set]
@@ -163,9 +176,10 @@ def greedy_policy_path(stats: LinkStats, deadline: int,
         if best_eta <= 0.0:
             break
         best = idle_set.pop(etas.index(best_eta))
-        policy = policy.with_prob(best, 1.0)
+        probs[best] = 1.0
     eps_th = long_term_metrics(k_active_policy(states), table).w_s_bar
-    return PolicyPath(entries=entries, eps_th=eps_th, table=table)
+    return PolicyPath(entries=entries, eps_th=eps_th, table=table,
+                      states=states)
 
 
 def optimal_policy(eps_w: float,
@@ -195,15 +209,16 @@ def optimal_policy(eps_w: float,
         raise ValueError("eps_w must be finite and nonnegative")
     last = path.entries[-1]
     if last.metrics.w_s_bar <= eps_w:
-        return last.policy, last.metrics
+        return path.policy(len(path.entries) - 1), last.metrics
     j = bisect.bisect_left(path.entries, eps_w,
                            key=lambda e: e.metrics.w_s_bar)
     entry = path.entries[j]
     if entry.metrics.w_s_bar == eps_w:
-        return entry.policy, entry.metrics
+        return path.policy(j), entry.metrics
     a, b = path.entries[j - 1], entry
     # v - eps_w d is positive at b and negative at a, so the
     # denominator is negative; the clamp only absorbs rounding.
     lam = (eps_w * b.d - b.v) / ((a.v - b.v) - eps_w * (a.d - b.d))
-    pol = a.policy.with_prob(b.chosen_state, 1.0 - min(max(lam, 0.0), 1.0))
+    pol = path.policy(j - 1).with_prob(
+        b.chosen_state, 1.0 - min(max(lam, 0.0), 1.0))
     return pol, long_term_metrics(pol, path.table)

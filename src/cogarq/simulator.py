@@ -375,7 +375,7 @@ def empirical_transition_check(config: SimConfig, stats: LinkStats) -> float:
         i = row // 2
         p = (table.p_active if row % 2 else table.p_idle)[3 * i:3 * i + 3]
         gap[row * n] -= ((1.0 - p[0]) - p[1]) - p[2]
-        for j, q in zip(table.succ[3 * i:3 * i + 3], p):
+        for j, q in zip(table.space.succ[3 * i:3 * i + 3], p):
             if j:
                 gap[row * n + j] -= q
     return max(abs(g) for g in gap.values())

@@ -162,6 +162,14 @@ MUTANTS = [
            "for bit in (su_dec, buf_dec, p_ok, pu_dec, ack, active):",
            "for bit in (su_dec, buf_dec, pu_dec, p_ok, ack, active):",
            "_Chain.cycles: the PU_DEC and P_OK bits of the outcome code"),
+    Mutant("path_policy_prefix", "src/cogarq/optimizer.py",
+           "for e in self.entries[1:j + 1]:",
+           "for e in self.entries[1:j]:",
+           "PolicyPath.policy: entry j's policy includes its own activation"),
+    Mutant("state_cap", "src/cogarq/mdp.py",
+           "MAX_STATES = 1 << 15",
+           "MAX_STATES = 1 << 16",
+           "state_space: the documented state-count cap"),
     Mutant("config_unknown_keys", "src/cogarq/cli.py",
            "unknown = sorted(set(obj) - CONFIG_KEYS)",
            "unknown = []",

@@ -145,7 +145,7 @@ def reference_matrix(table, mu: List[float]) -> np.ndarray:
     p = (m * np.reshape(table.p_active, (n, 3))
          + (1.0 - m) * np.reshape(table.p_idle, (n, 3)))
     out = np.zeros((n, n))
-    out[np.repeat(np.arange(n), 3), table.succ] = p.ravel()
+    out[np.repeat(np.arange(n), 3), table.space.succ] = p.ravel()
     out[:, 0] = ((1.0 - p[:, 0]) - p[:, 1]) - p[:, 2]
     return out
 

@@ -152,23 +152,24 @@ def test_criterion_4_degenerate_structure():
         # active; earlier entries leave some of them idle, so their
         # policies are not threshold ones
         path = greedy_policy_path(stats, deadline, cap)
-        walk = path.entries[deadline - 1:]
+        walk = [path.policy(j)
+                for j in range(deadline - 1, len(path.entries))]
         prev = None
-        for e in walk:
-            assert is_threshold_policy(e.policy, deadline)
-            th = first_idle_thresholds(e.policy, deadline)
+        for pol in walk:
+            assert is_threshold_policy(pol, deadline)
+            th = first_idle_thresholds(pol, deadline)
             seq = [th[t] for t in range(1, deadline + 1)]
             assert all(a >= b for a, b in zip(seq, seq[1:]))
             if prev is not None:
                 assert all(th[t] >= prev[t] for t in th)
             prev = th
-        final = max_accessed_levels(walk[-1].policy, deadline)
+        final = max_accessed_levels(walk[-1], deadline)
         for t in range(1, deadline + 1):
             assert final[t] == min(b_max(t, stats, deadline), min(t - 1, cap))
-        for e in (walk[0], walk[len(walk) // 2], walk[-1]):
-            cv = cycle_values(e.policy, path.table)
-            for s in e.policy.probs:
-                idle_u = s.phi == PHI_U and e.policy.probs[s] == 0.0
+        for pol in (walk[0], walk[len(walk) // 2], walk[-1]):
+            cv = cycle_values(pol, path.table)
+            for s in pol.probs:
+                idle_u = s.phi == PHI_U and pol.probs[s] == 0.0
                 if s.phi == PHI_K or idle_u:
                     v, g = cycle_value_closed(s, stats, deadline)
                     i = cv.table.space.index(s)

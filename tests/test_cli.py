@@ -291,6 +291,33 @@ def test_oracle_refuses_oversized_space_before_channel_work(
         "message": "state space too large to enumerate (501499 > 16)"}
 
 
+def test_oversized_space_refused(config_file, tmp_path, capsys):
+    # past mdp.MAX_STATES states, solve and simulate exit with one
+    # ValueError line and a sweep point becomes a row error, before any
+    # state is built
+    big = tmp_path / "big.json"
+    big.write_text(json.dumps(dict(CONFIG, deadline_D=10 ** 6,
+                                   buffer_B=10 ** 6 - 1)))
+    policy_file = tmp_path / "policy.json"
+    policy_file.write_text(json.dumps(
+        policy_to_json_obj(k_active_policy(enumerate_states(3, 2)))))
+    too_large = "state space too large (500001499999 > 32768 states)"
+    for extra in (["solve"],
+                  ["simulate", "--policy-file", str(policy_file),
+                   "--slots", "1000"]):
+        assert main([*extra, "--config", str(big),
+                     "--mc-samples", "100000"]) == 1
+        assert _one_line_error(capsys) == {"error": "ValueError",
+                                           "message": too_large}
+    assert main(["sweep", "--config", config_file, "--kind", "DEADLINE",
+                 "--grid", "3,1e4,1e308", "--mc-samples", "100000"]) == 0
+    rows = list(csv.DictReader(io.StringIO(capsys.readouterr().out)))
+    assert [r["error"] for r in rows[:4]] == [""] * 4
+    assert all(r["error"].startswith("ValueError: state space too large (")
+               and r["error"].endswith(" > 32768 states)") for r in rows[4:])
+    assert [r["x"] for r in rows[4:]] == ["10000.0"] * 4 + ["1e+308"] * 4
+
+
 def test_solve_matches_oracle_when_clean_access_is_poor(tmp_path):
     # With r_sk = 0.3 a known-message access earns less than an
     # interfered access plus its buffered top-up, so the optimum at this

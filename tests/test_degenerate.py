@@ -110,11 +110,12 @@ class TestThresholdStructure:
             deadline, cap = 5, 4
             # the path from the entry where every known-message state is
             # active; earlier entries leave some of them idle
-            walk = greedy_policy_path(st, deadline, cap).entries[deadline - 1:]
+            path = greedy_policy_path(st, deadline, cap)
             prev = None
-            for e in walk:
-                assert is_threshold_policy(e.policy, deadline)
-                th = first_idle_thresholds(e.policy, deadline)
+            for j in range(deadline - 1, len(path.entries)):
+                pol = path.policy(j)
+                assert is_threshold_policy(pol, deadline)
+                th = first_idle_thresholds(pol, deadline)
                 finite = [th[t] for t in range(1, deadline + 1)]
                 assert all(a >= b for a, b in zip(finite, finite[1:])), \
                     "thresholds must be nonincreasing in the attempt index"
@@ -128,7 +129,8 @@ class TestThresholdStructure:
             st = _degenerate_stats(seed)
             deadline, cap = 5, 4
             path = greedy_policy_path(st, deadline, cap)
-            final = max_accessed_levels(path.entries[-1].policy, deadline)
+            final = max_accessed_levels(path.policy(len(path.entries) - 1),
+                                        deadline)
             for t in range(1, deadline + 1):
                 clamped = min(b_max(t, st, deadline), min(t - 1, cap))
                 assert final[t] == clamped
@@ -138,7 +140,7 @@ class TestThresholdStructure:
             st = _degenerate_stats(seed)
             path = greedy_policy_path(st, 5, 4)
             pol = unconstrained_optimal(st, 5, 4)
-            assert pol.probs == path.entries[-1].policy.probs
+            assert pol.probs == path.policy(len(path.entries) - 1).probs
 
     def test_unconstrained_beats_all_deterministic_policies(self):
         st = _degenerate_stats(7)
@@ -156,9 +158,9 @@ class TestThresholdStructure:
         st = _degenerate_stats(13)
         deadline, cap = 5, 4
         path = greedy_policy_path(st, deadline, cap)
-        walk = path.entries[deadline - 1:]
-        for e in walk[:4]:
-            pol = e.policy
+        walk = [path.policy(j)
+                for j in range(deadline - 1, len(path.entries))]
+        for pol in walk[:4]:
             cv = cycle_values(pol, path.table)
             idle = {(s.t, s.b) for s, p in pol.probs.items()
                     if s.phi == PHI_U and p == 0.0}
@@ -177,11 +179,12 @@ class TestClosedForms:
         st = _degenerate_stats(21)
         deadline, cap = 5, 4
         path = greedy_policy_path(st, deadline, cap)
-        walk = path.entries[deadline - 1:]
-        for e in (walk[0], walk[len(walk) // 2], walk[-1]):
-            cv = cycle_values(e.policy, path.table)
-            for s in e.policy.probs:
-                if s.phi == PHI_K or e.policy.probs[s] == 0.0:
+        walk = [path.policy(j)
+                for j in range(deadline - 1, len(path.entries))]
+        for pol in (walk[0], walk[len(walk) // 2], walk[-1]):
+            cv = cycle_values(pol, path.table)
+            for s in pol.probs:
+                if s.phi == PHI_K or pol.probs[s] == 0.0:
                     v, g = cycle_value_closed(s, st, deadline)
                     i = cv.table.space.index(s)
                     assert abs(v - cv.v[i]) <= 1e-9
@@ -191,11 +194,12 @@ class TestClosedForms:
         st = _degenerate_stats(22)
         deadline, cap = 5, 4
         path = greedy_policy_path(st, deadline, cap)
-        walk = path.entries[deadline - 1:]
-        for e in (walk[0], walk[2], walk[-1]):
-            cv = cycle_values(e.policy, path.table)
-            for s in e.policy.probs:
-                if s.phi == PHI_U and e.policy.probs[s] == 0.0:
+        walk = [path.policy(j)
+                for j in range(deadline - 1, len(path.entries))]
+        for pol in (walk[0], walk[2], walk[-1]):
+            cv = cycle_values(pol, path.table)
+            for s in pol.probs:
+                if s.phi == PHI_U and pol.probs[s] == 0.0:
                     r = efficiency_report(cv, s)
                     g_p, v_p, d_p = r.g_prime, r.v_prime, r.d_prime
                     assert abs(g_p - g_prime_closed(s.t, s.b, st, deadline)) \

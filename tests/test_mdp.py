@@ -6,8 +6,9 @@ from cogarq import (NetState, Policy, cycle_values, enumerate_states,
                     idle_policy, k_active_policy, long_term_metrics,
                     policy_from_json_obj, policy_to_json_obj,
                     stationary_distribution)
-from cogarq.mdp import (PHI_K, PHI_U, _visits, occupancy_metrics,
-                        state_count, state_space, transition_table)
+from cogarq.mdp import (MAX_STATES, PHI_K, PHI_U, _visits,
+                        occupancy_metrics, state_count, state_space,
+                        transition_table)
 
 from support import (ROOT, feasible_stats, make_random_policy,
                      make_random_stats, reference_cycle_values,
@@ -45,6 +46,17 @@ class TestEnumerateStates:
                 enumerate_states(deadline, cap)
             with pytest.raises(ValueError):
                 state_count(deadline, cap)
+
+    def test_state_cap(self):
+        # (8193, 2) holds exactly MAX_STATES states, one more attempt is
+        # refused, and so is a space far too large to build
+        assert state_count(8193, 2) == MAX_STATES == 32768
+        assert len(state_space(8193, 2).layer) == MAX_STATES
+        for deadline, cap in ((8194, 2), (10 ** 12, 10 ** 12 - 1)):
+            n = state_count(deadline, cap)
+            with pytest.raises(ValueError, match=rf"state space too large "
+                               rf"\({n} > 32768 states\)"):
+                state_space(deadline, cap)
 
 
 @pytest.mark.parametrize("deadline,cap",

@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -176,7 +177,7 @@ class TestLowRegimePolicy:
         # Every gap of the path: the blend is the lower entry with the
         # upper entry's activated state randomized, and nothing else.
         for p in paths:
-            for a, b in zip(p.entries, p.entries[1:]):
+            for j, (a, b) in enumerate(zip(p.entries, p.entries[1:])):
                 eps_w = 0.5 * (a.metrics.w_s_bar + b.metrics.w_s_bar)
                 assert a.metrics.w_s_bar < eps_w < b.metrics.w_s_bar
                 calls.clear()
@@ -184,8 +185,9 @@ class TestLowRegimePolicy:
                 pol, _ = optimal_policy(eps_w, p)
                 assert len(calls) == 1
                 assert len(cv_calls) == 0
+                a_pol = p.policy(j)
                 diff = [s for s in pol.probs
-                        if pol.probs[s] != a.policy.probs[s]]
+                        if pol.probs[s] != a_pol.probs[s]]
                 assert diff == [b.chosen_state]
 
     def test_unreachable_known_states(self):
@@ -254,9 +256,10 @@ class TestGreedyPolicyPath:
 
     def test_consecutive_policies_differ_in_one_state(self, t1_stats):
         path = greedy_policy_path(t1_stats, 5, 4)
-        for a, b in zip(path.entries, path.entries[1:]):
-            diff = [s for s in a.policy.probs
-                    if a.policy.probs[s] != b.policy.probs[s]]
+        for j, b in enumerate(path.entries[1:], 1):
+            a_pol, b_pol = path.policy(j - 1), path.policy(j)
+            diff = [s for s in a_pol.probs
+                    if a_pol.probs[s] != b_pol.probs[s]]
             assert diff == [b.chosen_state]
 
     def test_slopes_nonincreasing(self, t1_stats):
@@ -288,7 +291,8 @@ class TestGreedyPolicyPath:
             assert path.entries[1].chosen_state == NetState(2, 0, PHI_K)
             first = path.entries[:len(k_states) + 1]
             assert {e.chosen_state for e in first[1:]} == set(k_states)
-            assert first[-1].policy.probs == k_active_policy(states).probs
+            assert (path.policy(len(k_states)).probs
+                    == k_active_policy(states).probs)
             assert path.eps_th == first[-1].metrics.w_s_bar
             for a, b in zip(first, first[1:]):
                 dw = b.metrics.w_s_bar - a.metrics.w_s_bar
@@ -302,14 +306,60 @@ class TestGreedyPolicyPath:
         # walk activates the known-message states first.
         deadline, cap = 5, 4
         path = greedy_policy_path(t1_stats, deadline, cap)
-        for e in path.entries[:deadline]:
-            cv = cycle_values(e.policy, path.table)
+        for j in range(deadline):
+            pol = path.policy(j)
+            cv = cycle_values(pol, path.table)
             eta = {phi: [efficiency_report(cv, s).eta
-                         for s, p in e.policy.probs.items()
+                         for s, p in pol.probs.items()
                          if s.phi == phi and p == 0.0]
                    for phi in (PHI_K, PHI_U)}
             if eta[PHI_K]:
                 assert min(eta[PHI_K]) >= max(eta[PHI_U])
+
+
+def _check_path_policies(path):
+    # entry j's rebuilt policy activates exactly entries 1..j's states and
+    # evaluates to the metrics the walk recorded, bit for bit
+    active = set()
+    for j, e in enumerate(path.entries):
+        if j:
+            active.add(e.chosen_state)
+        pol = path.policy(j)
+        assert list(pol.probs) == path.states
+        assert {s for s, p in pol.probs.items() if p == 1.0} == active
+        assert all(p == 0.0 for s, p in pol.probs.items() if s not in active)
+        assert long_term_metrics(pol, path.table) == e.metrics
+    for j in (-1, len(path.entries)):
+        with pytest.raises(IndexError):
+            path.policy(j)
+
+
+class TestPathPolicies:
+    """`PolicyPath.policy` rebuilds each entry's policy from the path's
+    activation order."""
+
+    @settings(max_examples=60, derandomize=True, deadline=None)
+    @given(feasible_stats(), st.integers(1, 6), st.data())
+    def test_rebuild_matches_walk(self, stats, deadline, data):
+        cap = data.draw(st.integers(0, deadline - 1))
+        _check_path_policies(greedy_policy_path(stats, deadline, cap))
+
+    def test_rebuild_matches_walk_at_table1(self, t1_stats):
+        path = greedy_policy_path(t1_stats, 20, 19)
+        assert len(path.entries) > 200
+        _check_path_policies(path)
+
+    def test_walk_memory(self, t1_stats):
+        # The path keeps one activated state per entry, not a policy per
+        # entry: a D = 20 walk peaks near 0.2 MiB, and a policy per entry
+        # would hold 2 MiB.
+        tracemalloc.start()
+        try:
+            greedy_policy_path(t1_stats, 20, 19)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.5 * 2 ** 20
 
 
 class TestOptimalPolicy:
@@ -317,7 +367,7 @@ class TestOptimalPolicy:
         path = greedy_policy_path(t1_stats, 3, 2)
         last = path.entries[-1]
         pol, m = optimal_policy(last.metrics.w_s_bar + 0.05, path)
-        assert pol.probs == last.policy.probs
+        assert pol.probs == path.policy(len(path.entries) - 1).probs
         assert m == last.metrics
 
     def test_threshold_boundary_is_k_active(self, t1_stats):
@@ -338,11 +388,11 @@ class TestOptimalPolicy:
             path = greedy_policy_path(stats, deadline, cap)
             for e in path.entries:
                 w = e.metrics.w_s_bar
-                first = next(f for f in path.entries
-                             if f.metrics.w_s_bar == w)
+                j = next(i for i, f in enumerate(path.entries)
+                         if f.metrics.w_s_bar == w)
                 pol, m = optimal_policy(w, path)
-                assert pol.probs == first.policy.probs
-                assert m == first.metrics
+                assert pol.probs == path.policy(j).probs
+                assert m == path.entries[j].metrics
 
     def test_high_regime_meets_budget_exactly(self, t1_stats):
         path = greedy_policy_path(t1_stats, 5, 4)
