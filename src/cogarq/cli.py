@@ -16,7 +16,8 @@ an optional ``rate_policy`` of RSU_STAR (default), RSU_EQ_RSK, or EXPLICIT;
 any other key is rejected, and the four mean SNRs and ``deadline_D`` are
 required; EXPLICIT needs all three rates, the others derive them. Derived
 rates are exact; ``--mc-samples`` (at least `channel.MIN_MC_SAMPLES`) and
-``--seed`` drive the Monte-Carlo link statistics and the simulator only.
+``--seed`` drive the Monte-Carlo link statistics and the simulator only;
+a negative seed is refused before any rate derivation.
 Every error, a malformed command line included, exits 1 with a one-line
 JSON diagnostic on stderr; ``--help`` exits 0. Output is strict JSON, in
 which a missing ``simulate`` standard error is null, or finite CSV; any
@@ -226,6 +227,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        if args.seed < 0:       # before any rate derivation
+            raise ValueError("seed must be >= 0")
         return args.func(args)
     except Exception as exc:  # noqa: BLE001 - single CLI error surface
         sys.stderr.write(json.dumps({"error": type(exc).__name__,

@@ -26,6 +26,7 @@ appear only at the API boundary.
 
 from __future__ import annotations
 
+import math
 import numbers
 from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, NamedTuple, Tuple
@@ -182,13 +183,19 @@ def state_count(deadline: int, buffer_size: int) -> int:
     return full * (full + 1) // 2 + (deadline - full) * full + deadline - 1
 
 
+def count_text(n: int) -> str:
+    """``n`` in full up to 30 digits, else its order of magnitude, so that
+    a refusal naming a state count is one short line for any deadline."""
+    return str(n) if n < 10 ** 30 else f"about 10^{math.log10(n):.0f}"
+
+
 def state_space(deadline: int, buffer_size: int) -> StateSpace:
     """The state space of a deadline and buffer size; ValueError as in
     `state_count`, and for more than `MAX_STATES` states, judged from
     `state_count` before any of it is built."""
     n_states = state_count(deadline, buffer_size)
     if n_states > MAX_STATES:
-        raise ValueError(f"state space too large ({n_states} > "
+        raise ValueError(f"state space too large ({count_text(n_states)} > "
                          f"{MAX_STATES} states)")
     offsets, layer, level = [0, 0], [], []
     for t in range(1, deadline + 1):

@@ -170,6 +170,10 @@ MUTANTS = [
            "MAX_STATES = 1 << 15",
            "MAX_STATES = 1 << 16",
            "state_space: the documented state-count cap"),
+    Mutant("counts_as_floats", "src/cogarq/simulator.py",
+           "count = {key: int(hist @ table)",
+           "count = {key: float(hist @ table)",
+           "run: k_access_slots and buffered_events are integers"),
     Mutant("config_unknown_keys", "src/cogarq/cli.py",
            "unknown = sorted(set(obj) - CONFIG_KEYS)",
            "unknown = []",

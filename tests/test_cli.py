@@ -85,6 +85,7 @@ ABSENT = object()   # marks a config key to leave out
     # a decode threshold 2^r - 1 beyond the double range
     {"rate_sk": 2000},
     {"rate_su": 600, "rate_p": 600},
+    {"rate_p": "2.0"},
 ])
 def test_invalid_config_rejected(tmp_path, capsys, change):
     path = tmp_path / "scenario.json"
@@ -246,6 +247,8 @@ def test_solve_and_simulate(config_file, tmp_path):
     assert rc == 0
     sim = json.loads(sim_out.read_text())
     assert abs(sim["w_s_emp"] - 0.4) < 0.05
+    assert all(type(sim[k]) is int
+               for k in ("k_access_slots", "buffered_events")), sim
 
 
 def test_simulate_too_short_for_errors_is_strict_json(config_file, tmp_path,
@@ -266,15 +269,22 @@ def test_simulate_too_short_for_errors_is_strict_json(config_file, tmp_path,
 
 
 def test_oracle_csv(config_file, tmp_path):
+    # up to the 16-state cap, the frontier starts at the idle policy and
+    # its slopes fall strictly
     out = tmp_path / "frontier.csv"
-    rc = main(["oracle", "--config", config_file, "--mc-samples", "200000",
-               "--D", "2", "--B", "1", "--out", str(out)])
-    assert rc == 0
-    lines = out.read_text().strip().splitlines()
-    assert lines[0] == "w_s_bar,t_s_bar,policy_bitmask"
-    assert len(lines) >= 3
-    first = lines[1].split(",")
-    assert float(first[0]) == 0.0
+    for deadline, cap in (("2", "1"), ("4", "3"), ("5", "2")):
+        rc = main(["oracle", "--config", config_file, "--mc-samples",
+                   "200000", "--D", deadline, "--B", cap, "--out", str(out)])
+        assert rc == 0
+        lines = out.read_text().strip().splitlines()
+        assert lines[0] == "w_s_bar,t_s_bar,policy_bitmask"
+        assert len(lines) >= 3
+        first = lines[1].split(",")
+        assert float(first[0]) == 0.0 and first[2] == "0"
+        w, t = zip(*(map(float, line.split(",")[:2]) for line in lines[1:]))
+        slopes = [(t[i + 1] - t[i]) / (w[i + 1] - w[i])
+                  for i in range(len(w) - 1)]
+        assert all(b < a for a, b in zip(slopes, slopes[1:])), slopes
 
 
 def test_oracle_refuses_oversized_space_before_channel_work(
@@ -284,17 +294,19 @@ def test_oracle_refuses_oversized_space_before_channel_work(
 
     for name in ("link_stats", "derive_rates"):
         monkeypatch.setattr(cli, name, forbidden)
-    assert main(["oracle", "--config", config_file, "--D", "1000",
-                 "--B", "999"]) == 1
-    assert _one_line_error(capsys) == {
-        "error": "ValueError",
-        "message": "state space too large to enumerate (501499 > 16)"}
+    for deadline, n_states in ((10 ** 3, 501499), (10 ** 6, 500001499999)):
+        assert main(["oracle", "--config", config_file, "--D", str(deadline),
+                     "--B", str(deadline - 1)]) == 1
+        assert _one_line_error(capsys) == {
+            "error": "ValueError",
+            "message": f"state space too large to enumerate "
+                       f"({n_states} > 16)"}
 
 
 def test_oversized_space_refused(config_file, tmp_path, capsys):
     # past mdp.MAX_STATES states, solve and simulate exit with one
     # ValueError line and a sweep point becomes a row error, before any
-    # state is built
+    # state is built; the refusal is one short line for any deadline
     big = tmp_path / "big.json"
     big.write_text(json.dumps(dict(CONFIG, deadline_D=10 ** 6,
                                    buffer_B=10 ** 6 - 1)))
@@ -315,7 +327,41 @@ def test_oversized_space_refused(config_file, tmp_path, capsys):
     assert [r["error"] for r in rows[:4]] == [""] * 4
     assert all(r["error"].startswith("ValueError: state space too large (")
                and r["error"].endswith(" > 32768 states)") for r in rows[4:])
+    assert all(len(r["error"]) < 100 for r in rows[4:])
     assert [r["x"] for r in rows[4:]] == ["10000.0"] * 4 + ["1e+308"] * 4
+    # under the cap, D = 200 with B = 199 (20 299 states) simulates
+    d200 = tmp_path / "d200.json"
+    d200.write_text(json.dumps(dict(CONFIG, deadline_D=200, buffer_B=199)))
+    policy_file.write_text(json.dumps(
+        policy_to_json_obj(k_active_policy(enumerate_states(200, 199)))))
+    assert main(["simulate", "--config", str(d200), "--policy-file",
+                 str(policy_file), "--with-analytic", "--slots", "20000",
+                 "--seed", "1", "--mc-samples", "100000"]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    sim = _strict_json(captured.out)
+    assert sim["num_slots"] == 20000 and sim["k_access_slots"] > 0
+
+
+@pytest.mark.parametrize("argv", [
+    ["derive-params"],
+    ["solve"],
+    ["oracle", "--D", "2", "--B", "1"],
+    ["simulate", "--policy-file", "unread.json"],
+    ["sweep", "--kind", "TS_VS_TP", "--grid", "0.2"],
+])
+def test_negative_seed_refused_before_rate_derivation(
+        config_file, capsys, monkeypatch, argv):
+    def forbidden(*args):
+        raise AssertionError("rate derivation before the seed check")
+
+    monkeypatch.setattr(cli, "derive_rates", forbidden)
+    monkeypatch.setattr(experiments, "derive_rates", forbidden)
+    rc = main([argv[0], "--config", config_file, *argv[1:], "--seed", "-1",
+               "--mc-samples", "100000"])
+    assert rc == 1
+    assert _one_line_error(capsys) == {"error": "ValueError",
+                                       "message": "seed must be >= 0"}
 
 
 def test_solve_matches_oracle_when_clean_access_is_poor(tmp_path):
@@ -543,25 +589,102 @@ def test_edge_configs_give_strict_json_or_value_error(tmp_path, config):
         "sweep": ["--kind", "GPS_RATIO", "--grid", "0.5,2"],
     }
     for command, extra in commands.items():
-        out, err = io.StringIO(), io.StringIO()
-        with contextlib.redirect_stdout(out), \
-                contextlib.redirect_stderr(err), \
-                warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            rc = main([command, "--config", str(path), "--mc-samples",
-                       "100000", *extra])
-        assert not caught, (command, [str(w.message) for w in caught])
-        if rc == 0:
-            assert err.getvalue() == ""
-            if command in ("oracle", "sweep"):
-                _finite_csv(out.getvalue())
-            else:
-                _strict_json(out.getvalue())
+        _assert_clean_outcome(
+            [command, "--config", str(path), "--mc-samples", "100000",
+             *extra], ("ValueError",))
+
+
+def _assert_clean_outcome(argv, errors):
+    """Run ``main(argv)`` and assert exit 0 with strict JSON (finite CSV
+    from oracle and sweep) and an empty stderr, or exit 1 with an empty
+    stdout and one JSON line naming one of ``errors``, and no warning."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), \
+            contextlib.redirect_stderr(err), \
+            warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rc = main(argv)
+    assert not caught, (argv, [str(w.message) for w in caught])
+    if rc == 0:
+        assert err.getvalue() == ""
+        if argv[0] in ("oracle", "sweep"):
+            _finite_csv(out.getvalue())
         else:
-            assert rc == 1 and out.getvalue() == ""
-            lines = err.getvalue().splitlines()
-            assert len(lines) == 1
-            assert json.loads(lines[0])["error"] == "ValueError", lines
+            _strict_json(out.getvalue())
+    else:
+        assert rc == 1 and out.getvalue() == ""
+        lines = err.getvalue().splitlines()
+        assert len(lines) == 1
+        assert json.loads(lines[0])["error"] in errors, (argv, lines)
+
+
+def _texts(numbers):
+    """An option's argv text: a number drawn from ``numbers`` or a malformed
+    or non-finite one."""
+    return st.one_of(
+        numbers.map(str),
+        st.sampled_from(["", " ", "nan", "inf", "-inf", "+7", "1e3", "2.5",
+                         "-0", "1_0", "0x1f", "abc", "-"]))
+
+
+# Magnitudes keep every command short: at most 1e4 simulated slots, and a
+# DEADLINE grid value either small or past the state-space cap.
+SEEDS = st.one_of(st.integers(-3, 3), st.integers(-2 ** 70, 2 ** 70))
+SLOTS = st.integers(-3, 10 ** 4)
+SIZES = st.one_of(st.integers(-2, 6), st.integers(-10 ** 6, 10 ** 6))
+BUDGETS = st.floats(allow_nan=True, allow_infinity=True)
+DEADLINES = st.one_of(st.floats(-3.0, 6.0), st.floats(300.0, 1e308))
+
+
+@st.composite
+def _grids(draw, values):
+    if draw(st.booleans()):     # a monotone grid of numbers
+        return ",".join(map(repr, sorted(draw(st.lists(values, min_size=1,
+                                                       max_size=3)))))
+    return ",".join(draw(st.lists(_texts(values), max_size=3)))
+
+
+@st.composite
+def cli_argvs(draw, config, policy):
+    """A subcommand's argv with drawn texts for its numeric options, each
+    given as ``--opt=text``, as ``--opt text`` or not at all."""
+    command = draw(st.sampled_from(["derive-params", "solve", "simulate",
+                                    "oracle", "sweep"]))
+    argv = [command, "--config", config, "--mc-samples", "100000"]
+    options = {"--seed": _texts(SEEDS)}
+    if command == "solve":
+        options["--eps-w"] = _texts(BUDGETS)
+    elif command == "simulate":
+        argv += ["--policy-file", policy, "--with-analytic"]
+        options["--slots"] = _texts(SLOTS)
+    elif command == "oracle":
+        options.update({"--D": _texts(SIZES), "--B": _texts(SIZES)})
+    elif command == "sweep":
+        kind = draw(st.sampled_from(["TS_VS_TP", "DEADLINE"]))
+        argv += ["--kind", kind]
+        options["--grid"] = _grids(BUDGETS if kind == "TS_VS_TP"
+                                   else DEADLINES)
+    for option, texts in options.items():
+        form = draw(st.sampled_from(["joined", "separate", "absent"]))
+        if form == "joined":
+            argv.append(f"{option}={draw(texts)}")
+        elif form == "separate":
+            argv += [option, draw(texts)]
+    return argv
+
+
+@settings(max_examples=120, derandomize=True, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_edge_argvs_give_strict_json_or_one_error_line(config_file, tmp_path,
+                                                        data):
+    # every drawn command line either succeeds with strict JSON or finite
+    # CSV, or fails with exactly one ValueError or UsageError line
+    policy = tmp_path / "policy.json"
+    policy.write_text(json.dumps(
+        policy_to_json_obj(k_active_policy(enumerate_states(3, 2)))))
+    argv = data.draw(cli_argvs(config_file, str(policy)))
+    _assert_clean_outcome(argv, ("ValueError", "UsageError"))
 
 
 def _with_nan(obj, field):

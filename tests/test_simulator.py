@@ -260,9 +260,10 @@ def test_chain_holds_per_class_tables():
 
 def test_run_slot_buffer_follows_the_path():
     # the D = 200, B = 199 run of the known-message-only policy, 20 000
-    # slots, as in CI: its one chunk draws about 31 000 slots, so the
-    # slot buffer holds 2^15 slots (256 KiB), where 2^14 * 200, what a
-    # chunk could draw, takes 25 MiB; the peak is 17.4 MiB
+    # slots, as `test_cli` simulates it: its one chunk draws about 31 000
+    # slots, so the slot buffer holds 2^15 slots (256 KiB), where
+    # 2^14 * 200, what a chunk could draw, takes 25 MiB; the peak is
+    # 17.4 MiB
     params = table1_params(deadline_D=200, buffer_B=199)
     pol = k_active_policy(enumerate_states(200, 199))
     tracemalloc.start()
