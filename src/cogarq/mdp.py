@@ -66,10 +66,6 @@ class Policy:
         return Policy(new)
 
 
-def idle_policy(states: List[NetState]) -> Policy:
-    return Policy({s: 0.0 for s in states})
-
-
 def k_active_policy(states: List[NetState]) -> Policy:
     """Transmit always when the primary message is known, never otherwise."""
     return Policy({s: (1.0 if s.phi == PHI_K else 0.0) for s in states})
@@ -82,10 +78,11 @@ def policy_to_json_obj(policy: Policy) -> list:
 
 def policy_from_json_obj(obj: list) -> Policy:
     """Policy from its JSON rows: a list of objects with keys t, b, phi
-    and prob. A row's t and b must be integers, its phi "U" or "K" and its
-    prob a number, since JSON true would read as 1, a list would not hash
-    and "0.5" would parse; a state given twice is rejected, since one row
-    would silently override the other."""
+    and prob, and no other key, since a misspelt one would be ignored. A
+    row's t and b must be integers, its phi "U" or "K" and its prob a
+    number in [0, 1], since JSON true would read as 1, a list would not
+    hash and "0.5" would parse; a state given twice is rejected, since one
+    row would silently override the other."""
     if not isinstance(obj, list):
         raise ValueError("a policy is a list of rows, got "
                          + type(obj).__name__)
@@ -97,11 +94,18 @@ def policy_from_json_obj(obj: list) -> Policy:
         if missing:
             raise ValueError(f"policy row {i} lacks {', '.join(missing)}: "
                              f"{r!r}")
+        unknown = sorted(set(r) - {"t", "b", "phi", "prob"})
+        if unknown:
+            raise ValueError(f"policy row {i} has unknown keys: "
+                             f"{', '.join(unknown)}")
         check_integer("t", r["t"])
         check_integer("b", r["b"])
         prob = r["prob"]
-        if isinstance(prob, bool) or not isinstance(prob, numbers.Real):
-            raise ValueError(f"prob must be a number, got {prob!r}")
+        # checked before float(), which raises OverflowError on a JSON
+        # integer past the double range
+        if (isinstance(prob, bool) or not isinstance(prob, numbers.Real)
+                or not 0 <= prob <= 1):
+            raise ValueError(f"prob must be a number in [0, 1], got {prob!r}")
         if r["phi"] not in (PHI_U, PHI_K):
             raise ValueError(f"policy row {i}: phi must be {PHI_U!r} or "
                              f"{PHI_K!r}, got {r['phi']!r}")

@@ -18,7 +18,9 @@ reward, accesses and duration are affine in any one state's access
 probability; the walk's marginal quantities (read from the MDP's
 transition table) and the budget-meeting blend weight are therefore
 closed forms, and no step iterates to a tolerance. The walk builds that
-table once, and the path carries it. The path is its activation order:
+table once, and the path carries it. Per stage it evaluates its policy
+once and scans every idle state's efficiency once, by state index
+(`efficiency_report`). The path is its activation order:
 each entry keeps the state it activated, its metrics and the per-cycle
 accesses and slots the blend weight needs, and `PolicyPath.policy`
 rebuilds entry j's policy from the first j activations. Each path policy
@@ -38,17 +40,6 @@ from .mdp import (CycleValues, NetState, Policy, PolicyMetrics,
                   TransitionTable, cycle_values, enumerate_states,
                   k_active_policy, long_term_metrics, ratio_metrics,
                   transition_table)
-
-
-@dataclass(frozen=True)
-class EfficiencyReport:
-    """Marginal cycle quantities and access efficiency at one state."""
-
-    state: NetState
-    g_prime: float
-    v_prime: float
-    d_prime: float
-    eta: float
 
 
 @dataclass(frozen=True)
@@ -87,14 +78,14 @@ class PolicyPath:
         return Policy(probs)
 
 
-def efficiency_report(values: CycleValues,
-                      state: NetState) -> EfficiencyReport:
-    """Access efficiency at ``state`` under the policy ``values`` were
-    computed from: marginal long-term secondary throughput per marginal
-    access rate when this state's access probability is perturbed.
+def efficiency_report(values: CycleValues, idle: List[int]) -> List[float]:
+    """Access efficiency of each state index in ``idle``, in order, under
+    the policy ``values`` were computed from: marginal long-term secondary
+    throughput per marginal access rate when that state's access
+    probability is perturbed.
 
     g', v' and d' are the derivatives of the per-cycle reward, accesses
-    and duration with respect to this state's access probability. The
+    and duration with respect to the state's access probability. The
     attempt index increases strictly within a cycle, so a state is never
     revisited before the cycle ends and the downstream cycle values do not
     depend on its own access probability. The derivative therefore has
@@ -107,26 +98,28 @@ def efficiency_report(values: CycleValues,
     """
     table = values.table
     g, v, dur = values.g, values.v, values.dur
-    i = table.space.index(state)
-    g_p, v_p, d_p = table.r_active[i] - table.r_idle[i], 1.0, 0.0
-    for k in range(3 * i, 3 * i + 3):
-        j = table.space.succ[k]
-        if j == 0:              # the cycle ends: no continuation
-            continue
-        dp = table.p_active[k] - table.p_idle[k]
-        g_p += dp * g[j]
-        v_p += dp * v[j]
-        d_p += dp * dur[j]
+    succ, p_act, p_idl = table.space.succ, table.p_active, table.p_idle
     # the long-term throughput and access rate, as `ratio_metrics` has them
     t_s, w_s = g[0] / dur[0], v[0] / dur[0]
-    den = v_p - d_p * w_s
-    if den <= 0.0:
-        raise RuntimeError(
-            f"access-rate derivative {den} <= 0 at {state}; this contradicts "
-            "the positivity guarantee and indicates an implementation bug")
-    eta = (g_p - d_p * t_s) / den
-    return EfficiencyReport(state=state, g_prime=g_p, v_prime=v_p,
-                            d_prime=d_p, eta=eta)
+    etas = []
+    for i in idle:
+        g_p, v_p, d_p = table.r_active[i] - table.r_idle[i], 1.0, 0.0
+        for k in range(3 * i, 3 * i + 3):
+            j = succ[k]
+            if j == 0:          # the cycle ends: no continuation
+                continue
+            dp = p_act[k] - p_idl[k]
+            g_p += dp * g[j]
+            v_p += dp * v[j]
+            d_p += dp * dur[j]
+        den = v_p - d_p * w_s
+        if den <= 0.0:
+            raise RuntimeError(
+                f"access-rate derivative {den} <= 0 at "
+                f"{table.space.state(i)}; this contradicts the positivity "
+                "guarantee and indicates an implementation bug")
+        etas.append((g_p - d_p * t_s) / den)
+    return etas
 
 
 def access_rate_budget(stats: LinkStats, eps_pu: float,
@@ -160,7 +153,7 @@ def greedy_policy_path(stats: LinkStats, deadline: int,
     """
     table = transition_table(stats, deadline, buffer_size)
     states = enumerate_states(deadline, buffer_size)
-    idle_set = list(states)     # canonical order: the first best state wins
+    idle = list(range(len(states)))     # canonical order: the first best wins
     probs = dict.fromkeys(states, 0.0)
     best = None
     entries = []
@@ -169,13 +162,13 @@ def greedy_policy_path(stats: LinkStats, deadline: int,
         g, v, d = values.g[0], values.v[0], values.dur[0]
         entries.append(PathEntry(metrics=ratio_metrics(g, v, d, stats),
                                  chosen_state=best, v=v, d=d))
-        if not idle_set:
+        if not idle:
             break
-        etas = [efficiency_report(values, s).eta for s in idle_set]
+        etas = efficiency_report(values, idle)
         best_eta = max(etas)
         if best_eta <= 0.0:
             break
-        best = idle_set.pop(etas.index(best_eta))
+        best = states[idle.pop(etas.index(best_eta))]
         probs[best] = 1.0
     eps_th = long_term_metrics(k_active_policy(states), table).w_s_bar
     return PolicyPath(entries=entries, eps_th=eps_th, table=table,

@@ -92,8 +92,9 @@ MUTANTS = [
            "* space.level[i] * stats.rate_su",
            "occupancy_metrics: the buffered-recovery decode factor"),
     Mutant("walk_tie_break", "src/cogarq/optimizer.py",
-           "best = idle_set.pop(etas.index(best_eta))",
-           "best = idle_set.pop(len(etas) - 1 - etas[::-1].index(best_eta))",
+           "best = states[idle.pop(etas.index(best_eta))]",
+           "best = states[idle.pop(len(etas) - 1 "
+           "- etas[::-1].index(best_eta))]",
            "greedy_policy_path: ties break toward the earliest state"),
     Mutant("visits_idle_row", "src/cogarq/mdp.py",
            "x[succ[k]] += xi * (m * p_act[k] + u * p_idl[k])",
@@ -138,6 +139,11 @@ MUTANTS = [
            "den = v_p",
            "efficiency_report: the duration term of the access-rate "
            "derivative"),
+    Mutant("eta_root_rates", "src/cogarq/optimizer.py",
+           "t_s, w_s = g[0] / dur[0], v[0] / dur[0]",
+           "t_s, w_s = g[0], v[0]",
+           "efficiency_report: the root's long-term rates, not its per-cycle "
+           "values"),
     Mutant("march_nearest", "src/cogarq/oracle.py",
            "edge = edge[w[edge] == w[edge].max()]",
            "edge = edge[w[edge] == w[edge].min()]",
@@ -178,6 +184,15 @@ MUTANTS = [
            "unknown = sorted(set(obj) - CONFIG_KEYS)",
            "unknown = []",
            "_load_scenario: an unknown config key is rejected"),
+    Mutant("policy_unknown_keys", "src/cogarq/mdp.py",
+           'unknown = sorted(set(r) - {"t", "b", "phi", "prob"})',
+           "unknown = []",
+           "policy_from_json_obj: an unknown row key is rejected"),
+    Mutant("policy_prob_range", "src/cogarq/mdp.py",
+           "\n                or not 0 <= prob <= 1):",
+           "):",
+           "policy_from_json_obj: a prob outside [0, 1] is refused before "
+           "float() can overflow"),
 ]
 
 EQUIVALENT = [
@@ -188,6 +203,14 @@ EQUIVALENT = [
      "a state's successors other than the root are distinct, and the root "
      "gains only +0.0, so every sum sees the same additions in the same "
      "order"),
+    (Mutant("eta_root_continuation", "src/cogarq/optimizer.py",
+            "if j == 0:",
+            "if j < 0:",
+            "efficiency_report: the root's cycle value is no continuation"),
+     "every successor-0 entry of the table (the deadline's outcomes, a "
+     "full buffer's grow, the known chain's grow and learn) has mass 0.0 "
+     "under both actions, so the leaked term is 0.0 * g[0], which adds "
+     "+0.0 to a finite sum"),
 ]
 
 

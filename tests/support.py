@@ -25,6 +25,10 @@ TABLE1_RATES = dict(rate_p=2.52, rate_su=1.12, rate_sk=1.91)
 ROOT = NetState(1, 0, PHI_U)
 
 
+def idle_policy(states: List[NetState]) -> Policy:
+    return Policy({s: 0.0 for s in states})
+
+
 def table1_params(**overrides) -> SystemParams:
     fields = dict(TABLE1_SNRS, **TABLE1_RATES, deadline_D=5, buffer_B=4,
                   eps_pu=0.2, power_ratio=1.0)
@@ -158,6 +162,29 @@ def table_row(table, state: NetState, access_prob: float
     row = reference_matrix(table, [access_prob] * len(space.layer)
                            )[space.index(state)]
     return {space.state(j): float(row[j]) for j in np.flatnonzero(row)}
+
+
+def reference_efficiency(values, state: NetState
+                         ) -> Tuple[float, float, float, float]:
+    """(g', v', d', eta) at ``state`` under the policy ``values`` were
+    computed from: the per-cycle reward, accesses and duration's
+    derivatives with respect to the state's access probability, and its
+    access efficiency, the per-state formula `efficiency_report` scans by
+    index."""
+    table = values.table
+    g, v, dur = values.g, values.v, values.dur
+    i = table.space.index(state)
+    g_p, v_p, d_p = table.r_active[i] - table.r_idle[i], 1.0, 0.0
+    for k in range(3 * i, 3 * i + 3):
+        j = table.space.succ[k]
+        if j == 0:              # the cycle ends: no continuation
+            continue
+        dp = table.p_active[k] - table.p_idle[k]
+        g_p += dp * g[j]
+        v_p += dp * v[j]
+        d_p += dp * dur[j]
+    t_s, w_s = g[0] / dur[0], v[0] / dur[0]
+    return g_p, v_p, d_p, (g_p - d_p * t_s) / (v_p - d_p * w_s)
 
 
 # Independent reference for the MDP core: the per-state dict recursion the

@@ -19,13 +19,12 @@ from cogarq import (DEADLINE, EXPLICIT, FIC_BIC, FIC_ONLY, GPS_RATIO, NO_IC,
                     long_term_metrics, optimal_policy, optimize_rate,
                     oracle_optimum, run, sweep, transition_table)
 from cogarq.mdp import PHI_K, PHI_U, occupancy_metrics
-from cogarq.optimizer import efficiency_report
 
 from support import (b_max, cycle_value_closed, first_idle_thresholds,
                      g_prime_closed, hp_condition, is_threshold_policy,
                      make_random_policy, make_random_stats,
-                     max_accessed_levels, reference_matrix, table1_params,
-                     v_prime_closed)
+                     max_accessed_levels, reference_efficiency,
+                     reference_matrix, table1_params, v_prime_closed)
 
 _CACHE = {}
 
@@ -176,8 +175,7 @@ def test_criterion_4_degenerate_structure():
                     assert abs(v - cv.v[i]) <= 1e-9
                     assert abs(g - cv.g[i]) <= 1e-9
                 if idle_u:
-                    r = efficiency_report(cv, s)
-                    g_p, v_p = r.g_prime, r.v_prime
+                    g_p, v_p, _, _ = reference_efficiency(cv, s)
                     assert abs(g_p - g_prime_closed(s.t, s.b, stats,
                                                     deadline)) <= 1e-9
                     assert abs(v_p - v_prime_closed(s.t, stats,
@@ -286,8 +284,7 @@ def test_criterion_7_invariant_suites():
         assert abs(t_s_pi - m.t_s_bar) <= 1e-9
         assert abs(w_s_pi - m.w_s_bar) <= 1e-9
         for s in states:
-            r = efficiency_report(cv, s)
-            g_p, v_p, d_p = r.g_prime, r.v_prime, r.d_prime
+            g_p, v_p, d_p, _ = reference_efficiency(cv, s)
             assert v_p - d_p * m.w_s_bar > 0.0
             bumped = cycle_values(pol.with_prob(s, pol.probs[s] + delta),
                                   table)

@@ -486,8 +486,13 @@ def test_simulate_rejects_policy_object(config_file, tmp_path, capsys):
                          (rows[:1] + [[3, 0, "K", 1.0]], "policy row 1"),
                          ([dict(rows[0], prob=None)] + rows[1:],
                           "prob must be"),
+                         # past the double range: float() would overflow
+                         ([dict(rows[0], prob=2 ** 1100)] + rows[1:],
+                          "prob must be a number in [0, 1]"),
                          ([{"t": 1, "b": 0, "phi": "U"}] + rows[1:],
-                          "policy row 0 lacks prob")):
+                          "policy row 0 lacks prob"),
+                         ([dict(rows[0], porb=0.9)] + rows[1:],
+                          "policy row 0 has unknown keys: porb")):
         policy_file.write_text(json.dumps(obj))
         rc = main(["simulate", "--config", config_file, "--policy-file",
                    str(policy_file), "--slots", "1000"])
@@ -592,6 +597,68 @@ def test_edge_configs_give_strict_json_or_value_error(tmp_path, config):
         _assert_clean_outcome(
             [command, "--config", str(path), "--mc-samples", "100000",
              *extra], ("ValueError",))
+
+
+# Every JSON type, integers past the double range among them, and the
+# probabilities at the edges of [0, 1].
+JSON_VALUES = st.recursive(
+    st.one_of(st.none(), st.booleans(), st.integers(),
+              st.sampled_from([2 ** 1100, -2 ** 1100]), st.floats(),
+              st.text(max_size=3)),
+    lambda inner: st.one_of(st.lists(inner, max_size=2),
+                            st.dictionaries(st.text(max_size=2), inner,
+                                            max_size=2)),
+    max_leaves=4)
+EDGE_PROBS = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, 1.0, 1, math.nextafter(1.0, 2.0)]),
+    st.floats(0.0, 1.0))
+
+
+@st.composite
+def policy_rows(draw, deadline, cap):
+    """A policy file's rows for (deadline, cap): every state at an edge
+    probability, then up to three edits, each replacing a row field by any
+    JSON value, adding an unknown key, repeating a row or dropping one."""
+    rows = [dict(r, prob=draw(EDGE_PROBS)) for r in policy_to_json_obj(
+        k_active_policy(enumerate_states(deadline, cap)))]
+    for _ in range(draw(st.integers(0, 3))):
+        if not rows:
+            break
+        i = draw(st.integers(0, len(rows) - 1))
+        edit = draw(st.sampled_from(["field", "unknown key", "repeat",
+                                     "drop"]))
+        if edit == "field":
+            key = draw(st.sampled_from(["t", "b", "phi", "prob"]))
+            rows[i] = dict(rows[i], **{key: draw(JSON_VALUES)})
+        elif edit == "unknown key":
+            rows[i] = dict(rows[i], **{draw(st.text(max_size=4)):
+                                       draw(JSON_VALUES)})
+        elif edit == "repeat":
+            rows.insert(draw(st.integers(0, len(rows))), dict(rows[i]))
+        else:
+            del rows[i]
+    return rows
+
+
+@settings(max_examples=100, derandomize=True, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_edge_policy_files_give_strict_json_or_value_error(tmp_path, data):
+    # every policy file either simulates to strict JSON or fails with
+    # exactly one ValueError line, never another exception
+    deadline = data.draw(st.integers(1, 3))
+    cap = data.draw(st.integers(0, deadline - 1))
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(dict(CONFIG, deadline_D=deadline,
+                                    buffer_B=cap)))
+    policy = tmp_path / "policy.json"
+    policy.write_text(json.dumps(data.draw(policy_rows(deadline, cap))))
+    argv = ["simulate", "--config", str(path), "--policy-file", str(policy),
+            "--slots", str(data.draw(st.integers(1, 10 ** 4))),
+            "--mc-samples", "100000"]
+    if data.draw(st.booleans()):
+        argv.append("--with-analytic")
+    _assert_clean_outcome(argv, ("ValueError",))
 
 
 def _assert_clean_outcome(argv, errors):

@@ -7,14 +7,13 @@ from cogarq import (LinkStats, NetState, cycle_values, enumerate_states,
                     greedy_policy_path, link_stats, long_term_metrics,
                     transition_table)
 from cogarq.mdp import PHI_K, PHI_U
-from cogarq.optimizer import efficiency_report
 from cogarq.oracle import policy_from_bitmask
 
 from support import (a0_a1, b_max, cycle_value_closed, delta_s,
                      first_idle_thresholds, g_prime_closed, hp_bound,
                      hp_condition, is_threshold_policy, make_random_stats,
-                     max_accessed_levels, table1_params,
-                     unconstrained_optimal, v_prime_closed)
+                     max_accessed_levels, reference_efficiency,
+                     table1_params, unconstrained_optimal, v_prime_closed)
 
 
 class TestA0A1:
@@ -164,8 +163,8 @@ class TestThresholdStructure:
             cv = cycle_values(pol, path.table)
             idle = {(s.t, s.b) for s, p in pol.probs.items()
                     if s.phi == PHI_U and p == 0.0}
-            eta = {tb: efficiency_report(cv,
-                                         NetState(tb[0], tb[1], PHI_U)).eta
+            eta = {tb: reference_efficiency(cv,
+                                            NetState(tb[0], tb[1], PHI_U))[3]
                    for tb in idle}
             for (t, b) in idle:
                 if (t, b + 1) in idle:
@@ -200,8 +199,7 @@ class TestClosedForms:
             cv = cycle_values(pol, path.table)
             for s in pol.probs:
                 if s.phi == PHI_U and pol.probs[s] == 0.0:
-                    r = efficiency_report(cv, s)
-                    g_p, v_p, d_p = r.g_prime, r.v_prime, r.d_prime
+                    g_p, v_p, d_p, _ = reference_efficiency(cv, s)
                     assert abs(g_p - g_prime_closed(s.t, s.b, st, deadline)) \
                         <= 1e-9
                     assert abs(v_p - v_prime_closed(s.t, st, deadline)) <= 1e-9

@@ -1,16 +1,17 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 
 from cogarq import (NetState, Policy, cycle_values, enumerate_states,
-                    idle_policy, k_active_policy, long_term_metrics,
-                    policy_from_json_obj, policy_to_json_obj,
-                    stationary_distribution)
+                    k_active_policy, long_term_metrics, policy_from_json_obj,
+                    policy_to_json_obj, stationary_distribution)
 from cogarq.mdp import (MAX_STATES, PHI_K, PHI_U, _visits,
                         occupancy_metrics, state_count, state_space,
                         transition_table)
 
-from support import (ROOT, feasible_stats, make_random_policy,
+from support import (ROOT, feasible_stats, idle_policy, make_random_policy,
                      make_random_stats, reference_cycle_values,
                      reference_transition_row, sized_policies, table_row)
 
@@ -456,4 +457,31 @@ class TestPolicySerialization:
         rows = policy_to_json_obj(idle_policy(enumerate_states(2, 1)))
         rows[1] = {k: v for k, v in rows[1].items() if k != key}
         with pytest.raises(ValueError, match=f"policy row 1 lacks {key}"):
+            policy_from_json_obj(rows)
+
+    @pytest.mark.parametrize("prob", [-5e-324, 1.0000000000000002, 2,
+                                      2 ** 1100, math.inf, math.nan])
+    def test_row_prob_outside_unit_interval_rejected(self, prob):
+        # an integer past the double range is refused before float() would
+        # overflow on it
+        rows = policy_to_json_obj(idle_policy(enumerate_states(2, 1)))
+        rows[1]["prob"] = prob
+        with pytest.raises(ValueError,
+                           match=r"prob must be a number in \[0, 1\]"):
+            policy_from_json_obj(rows)
+
+    def test_row_prob_at_unit_interval_edges_accepted(self):
+        rows = policy_to_json_obj(idle_policy(enumerate_states(2, 1)))
+        for row, prob in zip(rows, (-0.0, 5e-324, 1)):
+            row["prob"] = prob
+        assert list(policy_from_json_obj(rows).probs.values())[:3] == [
+            -0.0, 5e-324, 1.0]
+
+    @pytest.mark.parametrize("keys", [["porb"], ["T"], ["", "z"]])
+    def test_row_unknown_key_rejected(self, keys):
+        # a misspelt key would otherwise be ignored
+        rows = policy_to_json_obj(idle_policy(enumerate_states(2, 1)))
+        rows[1].update(dict.fromkeys(keys, 0.9))
+        with pytest.raises(ValueError, match="policy row 1 has unknown "
+                           f"keys: {', '.join(keys)}$"):
             policy_from_json_obj(rows)

@@ -5,17 +5,16 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from cogarq import (NetState, Policy, access_rate_budget, cycle_values,
-                    efficiency_report, enumerate_frontier, enumerate_states,
-                    greedy_policy_path,
-                    idle_policy, k_active_policy, link_stats,
+from cogarq import (CycleValues, NetState, Policy, access_rate_budget,
+                    cycle_values, enumerate_frontier, enumerate_states,
+                    greedy_policy_path, k_active_policy, link_stats,
                     long_term_metrics, optimal_policy, oracle_optimum,
                     transition_table)
 from cogarq import mdp, optimizer, oracle
 from cogarq.mdp import PHI_K, PHI_U
 
-from support import (feasible_stats, make_random_policy, make_random_stats,
-                     table1_params)
+from support import (feasible_stats, idle_policy, make_random_policy,
+                     make_random_stats, reference_efficiency, table1_params)
 
 RANDOM_CASES = [(2, 0), (2, 1), (3, 0), (3, 2), (5, 4)]
 
@@ -25,8 +24,7 @@ class TestCycleDerivatives:
         pol = k_active_policy(enumerate_states(5, 4))
         s = NetState(5, 2, PHI_U)
         table = transition_table(t1_stats, 5, 4)
-        r = efficiency_report(cycle_values(pol, table), s)
-        g_p, v_p, d_p = r.g_prime, r.v_prime, r.d_prime
+        g_p, v_p, d_p, _ = reference_efficiency(cycle_values(pol, table), s)
         expected_g = (t1_stats.t_su
                       - (t1_stats.q_ps_active - t1_stats.q_ps_idle)
                       * 2 * t1_stats.rate_su)
@@ -41,7 +39,7 @@ class TestCycleDerivatives:
         pol = make_random_policy(rng, states)
         cv = cycle_values(pol, transition_table(stats, 4, 3))
         for s in states:
-            d_p = efficiency_report(cv, s).d_prime
+            d_p = reference_efficiency(cv, s)[2]
             if s.phi == PHI_U:
                 assert abs(d_p) <= 1e-14
 
@@ -56,8 +54,7 @@ class TestCycleDerivatives:
             table = transition_table(stats, deadline, cap)
             cv = cycle_values(pol, table)
             for s in states:
-                r = efficiency_report(cv, s)
-                g_p, v_p, d_p = r.g_prime, r.v_prime, r.d_prime
+                g_p, v_p, d_p, _ = reference_efficiency(cv, s)
                 bumped = cycle_values(pol.with_prob(s, pol.probs[s] + delta),
                                       table)
                 i = cv.table.space.index(s)
@@ -78,8 +75,8 @@ class TestEfficiency:
             m = long_term_metrics(pol, table)
             cv = cycle_values(pol, table)
             for s in states:
-                r = efficiency_report(cv, s)
-                assert r.v_prime - r.d_prime * m.w_s_bar > 0.0
+                _, v_p, d_p, _ = reference_efficiency(cv, s)
+                assert v_p - d_p * m.w_s_bar > 0.0
 
     def test_u_idle_policy_efficiencies(self, t1_stats):
         # With every unknown-message state idle, a known-message access is
@@ -90,7 +87,7 @@ class TestEfficiency:
         pol = pol.with_prob(NetState(3, 0, PHI_K), 0.0)  # partially active
         cv = cycle_values(pol, transition_table(t1_stats, 5, 4))
         for s in states:
-            eta = efficiency_report(cv, s).eta
+            eta = reference_efficiency(cv, s)[3]
             if s.phi == PHI_K:
                 assert eta == pytest.approx(t1_stats.t_sk, abs=1e-12)
             elif s.b == 0:
@@ -104,16 +101,54 @@ class TestEfficiency:
         explore = Policy({s: 0.5 for s in states})
         s = NetState(3, 2, PHI_U)      # unreachable without U accesses
         table = transition_table(t1_stats, 5, 4)
-        eta0 = efficiency_report(cycle_values(pol, table), s).eta
+        eta0 = reference_efficiency(cycle_values(pol, table), s)[3]
         errs = []
         for upsilon in (1e-2, 1e-3):
             blended = Policy({x: upsilon * explore.probs[x]
                               + (1.0 - upsilon) * pol.probs[x]
                               for x in states})
             cv = cycle_values(blended, table)
-            errs.append(abs(efficiency_report(cv, s).eta - eta0))
+            errs.append(abs(reference_efficiency(cv, s)[3] - eta0))
         assert errs[1] <= 0.2 * errs[0] + 1e-9
         assert errs[0] <= 0.5
+
+    def test_nonpositive_denominator_names_the_state(self, t1_stats):
+        # Values no policy gives (an access rate of 1e9 per slot) drive the
+        # access-rate derivative below zero at the root, since
+        # transmitting there lengthens the cycle (q_pp_active > q_pp_idle).
+        table = transition_table(t1_stats, 2, 1)
+        n = len(table.space.layer)
+        values = CycleValues(g=[0.0] * n, v=[1e9] + [0.0] * (n - 1),
+                             dur=[1.0] * n, table=table)
+        with pytest.raises(RuntimeError, match=r"<= 0 at NetState\(t=1, "
+                           r"b=0, phi='U'\)"):
+            optimizer.efficiency_report(values, [1, 0])
+
+    @settings(max_examples=60, derandomize=True, deadline=None)
+    @given(feasible_stats(), st.integers(1, 6), st.data())
+    def test_walk_scans_reference_eta_at_every_stage(self, stats, deadline,
+                                                     data):
+        # At every stage the walk's one scan equals the per-state
+        # reference, bit for bit, at each idle state in canonical order,
+        # and the walk activates the reference's first maximum, or stops
+        # when no idle state has a positive efficiency.
+        cap = data.draw(st.integers(0, deadline - 1))
+        path = greedy_policy_path(stats, deadline, cap)
+        for j in range(len(path.entries)):
+            pol = path.policy(j)
+            values = cycle_values(pol, path.table)
+            idle = [i for i, s in enumerate(path.states)
+                    if pol.probs[s] == 0.0]
+            ref = [reference_efficiency(values, path.states[i])[3]
+                   for i in idle]
+            assert optimizer.efficiency_report(values, idle) == ref
+            if j + 1 < len(path.entries):
+                best = ref.index(max(ref))
+                assert ref[best] > 0.0
+                assert (path.entries[j + 1].chosen_state
+                        == path.states[idle[best]])
+            else:
+                assert not ref or max(ref) <= 0.0
 
 
 class TestLowRegimePolicy:
@@ -285,7 +320,7 @@ class TestGreedyPolicyPath:
             path = greedy_policy_path(t1_stats, deadline, deadline - 1)
             k_states = [s for s in states if s.phi == PHI_K]
             idle = cycle_values(idle_policy(states), path.table)
-            etas = {s: efficiency_report(idle, s).eta for s in states}
+            etas = {s: reference_efficiency(idle, s)[3] for s in states}
             assert all(etas[s] == t1_stats.t_sk for s in k_states)
             assert max(etas.values()) == t1_stats.t_sk
             assert path.entries[1].chosen_state == NetState(2, 0, PHI_K)
@@ -309,7 +344,7 @@ class TestGreedyPolicyPath:
         for j in range(deadline):
             pol = path.policy(j)
             cv = cycle_values(pol, path.table)
-            eta = {phi: [efficiency_report(cv, s).eta
+            eta = {phi: [reference_efficiency(cv, s)[3]
                          for s, p in pol.probs.items()
                          if s.phi == phi and p == 0.0]
                    for phi in (PHI_K, PHI_U)}
