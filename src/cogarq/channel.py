@@ -98,7 +98,11 @@ class SystemParams:
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, numbers.Real):
                 raise ValueError(f"{name} must be a real number, got {value!r}")
-            if not math.isfinite(value):
+            try:
+                finite = math.isfinite(value)
+            except OverflowError:   # an integer past the double range
+                finite = False
+            if not finite:
                 raise ValueError(f"{name} must be finite, got {value!r}")
         for name in ("mean_snr_s", "mean_snr_p", "mean_snr_sp", "mean_snr_ps"):
             value = getattr(self, name)

@@ -14,14 +14,14 @@ throughput and access rate.
 their canonical index order, each state's buffer level and at most three
 successors (stay, grow, learn), and a `Policy`'s access vector in that
 order; `state_space` refuses a space of more than `MAX_STATES` states.
-`cycle_values` and `long_term_metrics` read one flat transition
-table per (stats, D, B), which the caller builds once (`transition_table`)
-and passes in: per state index, the probabilities of its successors under
-each action and its one-slot throughput at access probability 1 and 0. The
+`cycle_values` reads one flat transition table per (stats, D, B), built
+once by the caller (`transition_table`): per state index, the successor
+probabilities under each action and the one-slot throughput at access
+probability 1 and 0. `long_term_metrics` is the ratio at its root. The
 backward pass, and its forward mirror behind the occupancy, run over plain
-lists. `CycleValues` keeps those lists in index order together with the
-table, so its metrics need no rebuild; `Policy` dicts and `NetState` keys
-appear only at the API boundary.
+lists; the greedy walk runs it on its own access vector, by index.
+`CycleValues` keeps the lists in index order with the table; `Policy` dicts
+and `NetState` keys appear only at the API boundary.
 """
 
 from __future__ import annotations
@@ -35,10 +35,10 @@ from .channel import LinkStats, check_integer
 
 PHI_U = "U"
 PHI_K = "K"
-# The largest state space `state_space` builds. A greedy walk's time grows
-# about as the square of the state count, so a `solve` near the cap already
-# takes about half an hour; past it, a deadline from a config or a sweep
-# grid could hold a command for hours or exhaust memory.
+# The largest state space `state_space` builds. A walk's time grows about
+# as the square of the state count (B = D - 1: 0.61 s at D = 40, 9.5 s at
+# D = 80, 2-vCPU VM), so a `solve` near the cap takes about 16 minutes;
+# past it, a config or sweep deadline could take hours or exhaust memory.
 MAX_STATES = 1 << 15
 
 
@@ -156,6 +156,10 @@ class StateSpace(NamedTuple):
         return NetState(self.layer[i], self.level[i],
                         PHI_K if i >= self.n_unknown else PHI_U)
 
+    def states(self) -> List[NetState]:
+        """Every state, in index order."""
+        return [self.state(i) for i in range(len(self.layer))]
+
     def vector(self, policy: Policy) -> List[float]:
         """The policy's access probabilities, by index.
 
@@ -223,8 +227,7 @@ def state_space(deadline: int, buffer_size: int) -> StateSpace:
 
 def enumerate_states(deadline: int, buffer_size: int) -> List[NetState]:
     """The states of `state_space` (deadline, buffer_size), in index order."""
-    space = state_space(deadline, buffer_size)
-    return [space.state(i) for i in range(len(space.layer))]
+    return state_space(deadline, buffer_size).states()
 
 
 def slot_law(level, room, nack, decoded, undecoded, buffered, fresh, clean,
@@ -403,8 +406,8 @@ def ratio_metrics(g: float, v: float, d: float,
 
 def long_term_metrics(policy: Policy, table: TransitionTable) -> PolicyMetrics:
     """Long-term averages via the renewal-reward ratio at the cycle root."""
-    g, v, d = _backward(table, table.space.vector(policy))
-    return ratio_metrics(g[0], v[0], d[0], table.stats)
+    values = cycle_values(policy, table)
+    return ratio_metrics(values.g[0], values.v[0], values.dur[0], table.stats)
 
 
 def stationary_distribution(policy: Policy, stats: LinkStats, deadline: int,

@@ -18,14 +18,14 @@ reward, accesses and duration are affine in any one state's access
 probability; the walk's marginal quantities (read from the MDP's
 transition table) and the budget-meeting blend weight are therefore
 closed forms, and no step iterates to a tolerance. The walk builds that
-table once, and the path carries it. Per stage it evaluates its policy
-once and scans every idle state's efficiency once, by state index
-(`efficiency_report`). The path is its activation order:
-each entry keeps the state it activated, its metrics and the per-cycle
-accesses and slots the blend weight needs, and `PolicyPath.policy`
-rebuilds entry j's policy from the first j activations. Each path policy
-is evaluated once, by the walk, so a solve evaluates only the blend it
-returns, on the path's table.
+table once, and the path carries it. Per stage it evaluates its access
+vector, a list by state index, in one backward pass and scans every idle
+state's efficiency once (`efficiency_report`). The path is its activation
+order: each entry keeps the state it activated, its metrics and the
+per-cycle accesses and slots the blend weight needs, and
+`PolicyPath.policy` rebuilds entry j's policy from the first j
+activations. Each path policy is evaluated once, by the walk, so a solve
+evaluates only the blend it returns, on the path's table.
 """
 
 from __future__ import annotations
@@ -37,9 +37,8 @@ from typing import List, Optional, Tuple
 
 from .channel import LinkStats
 from .mdp import (CycleValues, NetState, Policy, PolicyMetrics,
-                  TransitionTable, cycle_values, enumerate_states,
-                  k_active_policy, long_term_metrics, ratio_metrics,
-                  transition_table)
+                  TransitionTable, _backward, k_active_policy,
+                  long_term_metrics, ratio_metrics, transition_table)
 
 
 @dataclass(frozen=True)
@@ -57,14 +56,12 @@ class PathEntry:
 @dataclass(frozen=True)
 class PolicyPath:
     """Frontier path from the all-idle policy on the transition table
-    ``table`` of one (stats, deadline, buffer size), whose ``states`` it
-    keeps in canonical order. ``eps_th`` is the access rate of the
-    known-message-only policy (`k_active_policy`)."""
+    ``table`` of one (stats, deadline, buffer size). ``eps_th`` is the
+    access rate of the known-message-only policy (`k_active_policy`)."""
 
     entries: List[PathEntry]
     eps_th: float
     table: TransitionTable
-    states: List[NetState]
 
     def policy(self, j: int) -> Policy:
         """Entry j's policy: the states entries 1..j activated transmit
@@ -72,7 +69,7 @@ class PolicyPath:
         lacks."""
         if not 0 <= j < len(self.entries):
             raise IndexError(f"no path entry {j}")
-        probs = dict.fromkeys(self.states, 0.0)
+        probs = dict.fromkeys(self.table.space.states(), 0.0)
         for e in self.entries[1:j + 1]:
             probs[e.chosen_state] = 1.0
         return Policy(probs)
@@ -152,13 +149,13 @@ def greedy_policy_path(stats: LinkStats, deadline: int,
     the known-message-only policy, computed on its own.
     """
     table = transition_table(stats, deadline, buffer_size)
-    states = enumerate_states(deadline, buffer_size)
-    idle = list(range(len(states)))     # canonical order: the first best wins
-    probs = dict.fromkeys(states, 0.0)
+    space = table.space
+    mu = [0.0] * len(space.layer)   # access probabilities, by state index
+    idle = list(range(len(mu)))     # canonical order: the first best wins
     best = None
     entries = []
     while True:
-        values = cycle_values(Policy(probs), table)
+        values = CycleValues(*_backward(table, mu), table)
         g, v, d = values.g[0], values.v[0], values.dur[0]
         entries.append(PathEntry(metrics=ratio_metrics(g, v, d, stats),
                                  chosen_state=best, v=v, d=d))
@@ -168,11 +165,11 @@ def greedy_policy_path(stats: LinkStats, deadline: int,
         best_eta = max(etas)
         if best_eta <= 0.0:
             break
-        best = states[idle.pop(etas.index(best_eta))]
-        probs[best] = 1.0
-    eps_th = long_term_metrics(k_active_policy(states), table).w_s_bar
-    return PolicyPath(entries=entries, eps_th=eps_th, table=table,
-                      states=states)
+        i = idle.pop(etas.index(best_eta))
+        mu[i] = 1.0
+        best = space.state(i)
+    eps_th = long_term_metrics(k_active_policy(space.states()), table).w_s_bar
+    return PolicyPath(entries=entries, eps_th=eps_th, table=table)
 
 
 def optimal_policy(eps_w: float,

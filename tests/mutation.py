@@ -92,10 +92,14 @@ MUTANTS = [
            "* space.level[i] * stats.rate_su",
            "occupancy_metrics: the buffered-recovery decode factor"),
     Mutant("walk_tie_break", "src/cogarq/optimizer.py",
-           "best = states[idle.pop(etas.index(best_eta))]",
-           "best = states[idle.pop(len(etas) - 1 "
-           "- etas[::-1].index(best_eta))]",
+           "i = idle.pop(etas.index(best_eta))",
+           "i = idle.pop(len(etas) - 1 - etas[::-1].index(best_eta))",
            "greedy_policy_path: ties break toward the earliest state"),
+    Mutant("walk_activation", "src/cogarq/optimizer.py",
+           "        mu[i] = 1.0\n",
+           "",
+           "greedy_policy_path: the chosen state transmits from the next "
+           "stage on"),
     Mutant("visits_idle_row", "src/cogarq/mdp.py",
            "x[succ[k]] += xi * (m * p_act[k] + u * p_idl[k])",
            "x[succ[k]] += xi * (m * p_idl[k] + u * p_idl[k])",
@@ -193,6 +197,11 @@ MUTANTS = [
            "):",
            "policy_from_json_obj: a prob outside [0, 1] is refused before "
            "float() can overflow"),
+    Mutant("config_int_overflow", "src/cogarq/channel.py",
+           "except OverflowError:   # an integer past the double range",
+           "except ZeroDivisionError:",
+           "SystemParams: a real field's integer past the double range is "
+           "refused with a ValueError"),
 ]
 
 EQUIVALENT = [

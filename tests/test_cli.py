@@ -86,6 +86,11 @@ ABSENT = object()   # marks a config key to leave out
     {"rate_sk": 2000},
     {"rate_su": 600, "rate_p": 600},
     {"rate_p": "2.0"},
+    # an integer past the double range
+    {"mean_snr_s": 2 ** 1100},
+    {"rate_p": -2 ** 1100},
+    {"eps_pu": 2 ** 1100},
+    {"power_ratio": 2 ** 1100},
 ])
 def test_invalid_config_rejected(tmp_path, capsys, change):
     path = tmp_path / "scenario.json"
@@ -549,13 +554,14 @@ def test_vanishing_cross_link_derives_clean_rate(tmp_path, capsys, snr):
     assert params["rate_su"] == pytest.approx(params["rate_sk"], abs=1e-9)
 
 
-# Mean SNRs and rates at the edges of the double range, and log-uniform
-# between.
+# Mean SNRs and rates at the edges of the double range and integers past
+# it, and log-uniform between.
 EDGE_SNRS = st.one_of(
-    st.sampled_from([0.0, 5e-324, 1e-308, 1e-300, 1e300, sys.float_info.max]),
+    st.sampled_from([0.0, 5e-324, 1e-308, 1e-300, 1e300, sys.float_info.max,
+                     2 ** 1100, -2 ** 1100]),
     st.floats(-3.0, 4.0).map(lambda e: 10.0 ** e))
 EDGE_RATES = st.one_of(
-    st.sampled_from([5e-324, 1e-300, 2000.0]),
+    st.sampled_from([5e-324, 1e-300, 2000.0, 2 ** 1100, -2 ** 1100]),
     st.floats(-3.0, math.log10(2000.0)).map(lambda e: 10.0 ** e))
 
 

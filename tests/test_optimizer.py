@@ -134,19 +134,18 @@ class TestEfficiency:
         # when no idle state has a positive efficiency.
         cap = data.draw(st.integers(0, deadline - 1))
         path = greedy_policy_path(stats, deadline, cap)
+        states = enumerate_states(deadline, cap)
         for j in range(len(path.entries)):
             pol = path.policy(j)
             values = cycle_values(pol, path.table)
-            idle = [i for i, s in enumerate(path.states)
-                    if pol.probs[s] == 0.0]
-            ref = [reference_efficiency(values, path.states[i])[3]
-                   for i in idle]
+            idle = [i for i, s in enumerate(states) if pol.probs[s] == 0.0]
+            ref = [reference_efficiency(values, states[i])[3] for i in idle]
             assert optimizer.efficiency_report(values, idle) == ref
             if j + 1 < len(path.entries):
                 best = ref.index(max(ref))
                 assert ref[best] > 0.0
                 assert (path.entries[j + 1].chosen_state
-                        == path.states[idle[best]])
+                        == states[idle[best]])
             else:
                 assert not ref or max(ref) <= 0.0
 
@@ -185,30 +184,30 @@ class TestLowRegimePolicy:
 
     def test_few_evaluations_per_budget(self, t1_stats, monkeypatch):
         # A solve reads the path's own per-cycle values: at most one
-        # evaluation (of the blend) and no cycle-value pass.
+        # evaluation (of the blend) and no backward pass of its own.
         path = greedy_policy_path(t1_stats, 5, 4)
         paths = [greedy_policy_path(t1_stats, 4, 3), path]
         w_last = path.entries[-1].metrics.w_s_bar
         calls = []
-        cv_calls = []
+        passes = []
 
         def counting(*args):
             calls.append(args)
             return long_term_metrics(*args)
 
-        def counting_cv(*args):
-            cv_calls.append(args)
-            return cycle_values(*args)
+        def counting_pass(*args):
+            passes.append(args)
+            return mdp._backward(*args)
 
         monkeypatch.setattr(optimizer, "long_term_metrics", counting)
-        monkeypatch.setattr(optimizer, "cycle_values", counting_cv)
+        monkeypatch.setattr(optimizer, "_backward", counting_pass)
         for eps_w in (0.0, 0.3 * path.eps_th, path.eps_th,
                       0.5 * (path.eps_th + w_last), w_last, 2.0 * w_last):
             calls.clear()
-            cv_calls.clear()
+            passes.clear()
             optimal_policy(eps_w, path)
             assert len(calls) <= 1
-            assert len(cv_calls) == 0
+            assert len(passes) == 0
         # Every gap of the path: the blend is the lower entry with the
         # upper entry's activated state randomized, and nothing else.
         for p in paths:
@@ -216,10 +215,10 @@ class TestLowRegimePolicy:
                 eps_w = 0.5 * (a.metrics.w_s_bar + b.metrics.w_s_bar)
                 assert a.metrics.w_s_bar < eps_w < b.metrics.w_s_bar
                 calls.clear()
-                cv_calls.clear()
+                passes.clear()
                 pol, _ = optimal_policy(eps_w, p)
                 assert len(calls) == 1
-                assert len(cv_calls) == 0
+                assert len(passes) == 0
                 a_pol = p.policy(j)
                 diff = [s for s in pol.probs
                         if pol.probs[s] != a_pol.probs[s]]
@@ -280,6 +279,24 @@ class TestGreedyPolicyPath:
         assert len(path.entries) == 2
         assert path.entries[-1].metrics.t_s_bar == pytest.approx(
             t1_stats.t_su, abs=1e-12)
+
+    @pytest.mark.parametrize("deadline", [5, 20])
+    def test_walk_converts_one_policy(self, t1_stats, monkeypatch,
+                                      deadline):
+        # The walk evaluates its access vector by state index; the one
+        # Policy it converts is the known-message-only one, for eps_th.
+        vector = mdp.StateSpace.vector
+        calls = []
+
+        def counting(space, policy):
+            calls.append(policy)
+            return vector(space, policy)
+
+        monkeypatch.setattr(mdp.StateSpace, "vector", counting)
+        path = greedy_policy_path(t1_stats, deadline, deadline - 1)
+        assert len(path.entries) > deadline
+        assert calls == [k_active_policy(enumerate_states(deadline,
+                                                          deadline - 1))]
 
     def test_metrics_strictly_increase(self, t1_stats):
         path = greedy_policy_path(t1_stats, 2, 1)
@@ -355,12 +372,14 @@ class TestGreedyPolicyPath:
 def _check_path_policies(path):
     # entry j's rebuilt policy activates exactly entries 1..j's states and
     # evaluates to the metrics the walk recorded, bit for bit
+    space = path.table.space
+    states = enumerate_states(space.deadline, space.buffer_size)
     active = set()
     for j, e in enumerate(path.entries):
         if j:
             active.add(e.chosen_state)
         pol = path.policy(j)
-        assert list(pol.probs) == path.states
+        assert list(pol.probs) == states
         assert {s for s, p in pol.probs.items() if p == 1.0} == active
         assert all(p == 0.0 for s, p in pol.probs.items() if s not in active)
         assert long_term_metrics(pol, path.table) == e.metrics
