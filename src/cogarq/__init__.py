@@ -10,8 +10,8 @@ from .experiments import (DEADLINE, EXPLICIT, FIC_BIC, FIC_ONLY, GPS_RATIO,
                           RSU_STAR, SCHEMES, TS_VS_TP, derive_rates,
                           evaluate_scheme, sweep)
 from .mdp import (PHI_K, PHI_U, CycleValues, NetState, Policy, PolicyMetrics,
-                  cycle_values, enumerate_states, k_active_policy,
-                  long_term_metrics, policy_from_json_obj, policy_to_json_obj,
+                  cycle_values, enumerate_states, long_term_metrics,
+                  policy_from_json_obj, policy_to_json_obj,
                   stationary_distribution, transition_table)
 from .optimizer import (PolicyPath, access_rate_budget, efficiency_report,
                         greedy_policy_path, optimal_policy)

@@ -47,6 +47,7 @@ RATE_BRACKET = (1e-3, 20.0)   # bits/s/Hz; throughput vanishes at both ends
 
 _MC_BLOCK = 1 << 15           # samples drawn and classified at once
 MIN_MC_SAMPLES = 10 ** 5      # fewest Monte-Carlo draws `link_stats` takes
+BRIEF_CHARS = 32              # longest `brief` text of a refused value
 
 
 def check_mc_samples(mc_samples: int) -> None:
@@ -55,10 +56,23 @@ def check_mc_samples(mc_samples: int) -> None:
         raise ValueError("mc_samples must be at least 1e5")
 
 
+def brief(value, form=repr) -> str:
+    """``form(value)`` in at most `BRIEF_CHARS` ASCII characters, non-ASCII
+    ones escaped, and an integer of more than 30 digits as its order of
+    magnitude, so that a refusal naming an outside value or key is one
+    short line whatever it holds."""
+    if (isinstance(value, numbers.Integral) and not isinstance(value, bool)
+            and abs(value) >= 10 ** 30):
+        sign = "-" if value < 0 else ""
+        return f"about {sign}10^{math.log10(abs(value)):.0f}"
+    text = form(value).encode("ascii", "backslashreplace").decode()
+    return text if len(text) <= BRIEF_CHARS else text[:BRIEF_CHARS - 3] + "..."
+
+
 def check_integer(name: str, value) -> None:
     """Reject a bool or a non-integer ``value`` for the integer ``name``."""
     if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
+        raise ValueError(f"{name} must be an integer, got {brief(value)}")
 
 
 def _success(rate: float, mean_snr: float) -> float:
@@ -97,19 +111,21 @@ class SystemParams:
                      "rate_p", "rate_su", "rate_sk", "eps_pu", "power_ratio"):
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, numbers.Real):
-                raise ValueError(f"{name} must be a real number, got {value!r}")
+                raise ValueError(f"{name} must be a real number, got "
+                                 f"{brief(value)}")
             try:
                 finite = math.isfinite(value)
             except OverflowError:   # an integer past the double range
                 finite = False
             if not finite:
-                raise ValueError(f"{name} must be finite, got {value!r}")
+                raise ValueError(f"{name} must be finite, got {brief(value)}")
         for name in ("mean_snr_s", "mean_snr_p", "mean_snr_sp", "mean_snr_ps"):
             value = getattr(self, name)
             if value < 0:
                 raise ValueError("mean SNRs must be nonnegative")
             if value > 0 and not math.isfinite(1.0 / value):
-                raise ValueError(f"{name}={value!r} has no finite reciprocal")
+                raise ValueError(f"{name}={brief(value)} has no finite "
+                                 "reciprocal")
         if min(self.rate_p, self.rate_su, self.rate_sk) <= 0:
             raise ValueError("rates must be positive")
         # 2^r - 1 must be a double; thr_sum also bounds thr_su * thr_p.
@@ -119,8 +135,9 @@ class SystemParams:
             try:
                 2.0 ** rate
             except OverflowError:
-                raise ValueError(f"{name}={rate!r} has a decode threshold "
-                                 "2^r - 1 beyond the double range") from None
+                raise ValueError(f"{name}={brief(rate)} has a decode "
+                                 "threshold 2^r - 1 beyond the double "
+                                 "range") from None
         if self.deadline_D < 1:
             raise ValueError("deadline_D must be >= 1")
         if not 0 <= self.buffer_B <= self.deadline_D - 1:

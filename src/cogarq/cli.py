@@ -33,7 +33,7 @@ import math
 import sys
 from dataclasses import asdict, fields
 
-from .channel import SystemParams, check_integer, link_stats
+from .channel import SystemParams, brief, check_integer, link_stats
 from .experiments import (DEFAULT_GRIDS, EXPLICIT, RSU_STAR, derive_rates,
                           rows_to_csv, sweep)
 from .mdp import (long_term_metrics, policy_from_json_obj, policy_to_json_obj,
@@ -56,7 +56,8 @@ def _load_scenario(path: str):
         raise ValueError("config must be a JSON object")
     unknown = sorted(set(obj) - CONFIG_KEYS)
     if unknown:
-        raise ValueError(f"unknown config keys: {', '.join(unknown)}")
+        raise ValueError("unknown config keys: "
+                         + brief(", ".join(unknown), str))
     absent = [k for k in REQUIRED_KEYS if k not in obj]
     if absent:
         raise ValueError(f"missing config keys: {', '.join(absent)}")

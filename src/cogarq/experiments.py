@@ -32,7 +32,7 @@ import math
 from typing import List, Optional, Sequence
 
 from .channel import (LinkStats, PU_IDLE_THROUGHPUT, SU_CLEAN_THROUGHPUT,
-                      SU_INTERFERED_THROUGHPUT, SystemParams,
+                      SU_INTERFERED_THROUGHPUT, SystemParams, brief,
                       check_mc_samples, link_stats, optimize_rate)
 from .mdp import PolicyMetrics, ratio_metrics
 from .optimizer import (PolicyPath, access_rate_budget, greedy_policy_path,
@@ -70,7 +70,7 @@ CSV_COLUMNS = ("x", "scheme", "t_s_bar", "w_s_bar", "t_p_bar", "error")
 
 def _check_rate_policy(rate_policy: str) -> None:
     if rate_policy not in RATE_POLICIES:
-        raise ValueError(f"unknown rate policy {rate_policy!r}")
+        raise ValueError(f"unknown rate policy {brief(rate_policy)}")
 
 
 def derive_rates(params: SystemParams, rate_policy: str) -> SystemParams:

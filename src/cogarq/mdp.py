@@ -20,18 +20,17 @@ probabilities under each action and the one-slot throughput at access
 probability 1 and 0. `long_term_metrics` is the ratio at its root. The
 backward pass, and its forward mirror behind the occupancy, run over plain
 lists; the greedy walk runs it on its own access vector, by index.
-`CycleValues` keeps the lists in index order with the table; `Policy` dicts
-and `NetState` keys appear only at the API boundary.
+`CycleValues` is the pass's three lists by state index and nothing else;
+`Policy` dicts and `NetState` keys appear only at the API boundary.
 """
 
 from __future__ import annotations
 
-import math
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Mapping, NamedTuple, Tuple
 
-from .channel import LinkStats, check_integer
+from .channel import LinkStats, brief, check_integer
 
 PHI_U = "U"
 PHI_K = "K"
@@ -66,11 +65,6 @@ class Policy:
         return Policy(new)
 
 
-def k_active_policy(states: List[NetState]) -> Policy:
-    """Transmit always when the primary message is known, never otherwise."""
-    return Policy({s: (1.0 if s.phi == PHI_K else 0.0) for s in states})
-
-
 def policy_to_json_obj(policy: Policy) -> list:
     rows = sorted(policy.probs.items(), key=lambda kv: kv[0].key())
     return [{"t": s.t, "b": s.b, "phi": s.phi, "prob": p} for s, p in rows]
@@ -89,15 +83,15 @@ def policy_from_json_obj(obj: list) -> Policy:
     probs: Dict[NetState, float] = {}
     for i, r in enumerate(obj):
         if not isinstance(r, dict):
-            raise ValueError(f"policy row {i} is not an object: {r!r}")
+            raise ValueError(f"policy row {i} is not an object: {brief(r)}")
         missing = [k for k in ("t", "b", "phi", "prob") if k not in r]
         if missing:
             raise ValueError(f"policy row {i} lacks {', '.join(missing)}: "
-                             f"{r!r}")
+                             f"{brief(r)}")
         unknown = sorted(set(r) - {"t", "b", "phi", "prob"})
         if unknown:
             raise ValueError(f"policy row {i} has unknown keys: "
-                             f"{', '.join(unknown)}")
+                             f"{brief(', '.join(unknown), str)}")
         check_integer("t", r["t"])
         check_integer("b", r["b"])
         prob = r["prob"]
@@ -105,13 +99,15 @@ def policy_from_json_obj(obj: list) -> Policy:
         # integer past the double range
         if (isinstance(prob, bool) or not isinstance(prob, numbers.Real)
                 or not 0 <= prob <= 1):
-            raise ValueError(f"prob must be a number in [0, 1], got {prob!r}")
+            raise ValueError("prob must be a number in [0, 1], got "
+                             + brief(prob))
         if r["phi"] not in (PHI_U, PHI_K):
             raise ValueError(f"policy row {i}: phi must be {PHI_U!r} or "
-                             f"{PHI_K!r}, got {r['phi']!r}")
+                             f"{PHI_K!r}, got {brief(r['phi'])}")
         s = NetState(r["t"], r["b"], r["phi"])
         if s in probs:
-            raise ValueError(f"state {s} appears twice in the policy")
+            raise ValueError(f"state {brief(s)} appears twice in the "
+                             "policy")
         probs[s] = float(prob)
     return Policy(probs)
 
@@ -148,8 +144,8 @@ class StateSpace(NamedTuple):
             return self.offsets[t] + b
         if state.phi == PHI_K and 2 <= t <= self.deadline and b == 0:
             return self.n_unknown + t - 2
-        raise ValueError(f"invalid state {state} for D={self.deadline}, "
-                         f"B={self.buffer_size}")
+        raise ValueError(f"invalid state {brief(state)} for "
+                         f"D={self.deadline}, B={self.buffer_size}")
 
     def state(self, i: int) -> NetState:
         """The state at index ``i``."""
@@ -191,19 +187,13 @@ def state_count(deadline: int, buffer_size: int) -> int:
     return full * (full + 1) // 2 + (deadline - full) * full + deadline - 1
 
 
-def count_text(n: int) -> str:
-    """``n`` in full up to 30 digits, else its order of magnitude, so that
-    a refusal naming a state count is one short line for any deadline."""
-    return str(n) if n < 10 ** 30 else f"about 10^{math.log10(n):.0f}"
-
-
 def state_space(deadline: int, buffer_size: int) -> StateSpace:
     """The state space of a deadline and buffer size; ValueError as in
     `state_count`, and for more than `MAX_STATES` states, judged from
     `state_count` before any of it is built."""
     n_states = state_count(deadline, buffer_size)
     if n_states > MAX_STATES:
-        raise ValueError(f"state space too large ({count_text(n_states)} > "
+        raise ValueError(f"state space too large ({brief(n_states)} > "
                          f"{MAX_STATES} states)")
     offsets, layer, level = [0, 0], [], []
     for t in range(1, deadline + 1):
@@ -303,8 +293,18 @@ def transition_table(stats: LinkStats, deadline: int,
         [r[2] for r in row], [r[3] for r in row])
 
 
-def _backward(table: TransitionTable, mu: List[float]
-              ) -> Tuple[List[float], List[float], List[float]]:
+class CycleValues(NamedTuple):
+    """Expected per-cycle reward, accesses, and slots from each start state,
+    by state index of the table they were computed on: the values from
+    state s are at ``table.space.index(s)``, and index 0 is the cycle root.
+    """
+
+    g: List[float]
+    v: List[float]
+    dur: List[float]
+
+
+def _backward(table: TransitionTable, mu: List[float]) -> CycleValues:
     """Per-cycle reward, accesses and slots from every state, by index.
 
     Successors lie one attempt later, and every known-message state and
@@ -334,7 +334,7 @@ def _backward(table: TransitionTable, mu: List[float]
                                                 + p2 * g[j2])
         v[i] = m + (p0 * v[j0] + p1 * v[j1] + p2 * v[j2])
         d[i] = 1.0 + (p0 * d[j0] + p1 * d[j1] + p2 * d[j2])
-    return g, v, d
+    return CycleValues(g, v, d)
 
 
 def _visits(table: TransitionTable, mu: List[float]) -> List[float]:
@@ -357,19 +357,6 @@ def _visits(table: TransitionTable, mu: List[float]) -> List[float]:
     return x
 
 
-@dataclass
-class CycleValues:
-    """Expected per-cycle reward, accesses, and slots from each start state,
-    in ``table`` index order: the values from state s are at
-    ``table.space.index(s)``, and index 0 is the cycle root.
-    """
-
-    g: List[float]
-    v: List[float]
-    dur: List[float]
-    table: TransitionTable = field(repr=False, compare=False)
-
-
 @dataclass(frozen=True)
 class PolicyMetrics:
     """Long-term averages of one policy.
@@ -390,8 +377,7 @@ def cycle_values(policy: Policy, table: TransitionTable) -> CycleValues:
     One backward pass over ``table``; transitions into the cycle root
     (1, 0, U) contribute no continuation because they end the cycle.
     """
-    g, v, d = _backward(table, table.space.vector(policy))
-    return CycleValues(g=g, v=v, dur=d, table=table)
+    return _backward(table, table.space.vector(policy))
 
 
 def ratio_metrics(g: float, v: float, d: float,

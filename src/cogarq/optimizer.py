@@ -20,7 +20,8 @@ transition table) and the budget-meeting blend weight are therefore
 closed forms, and no step iterates to a tolerance. The walk builds that
 table once, and the path carries it. Per stage it evaluates its access
 vector, a list by state index, in one backward pass and scans every idle
-state's efficiency once (`efficiency_report`). The path is its activation
+state's efficiency once (`efficiency_report`); ``eps_th`` is one more
+pass, so the walk converts no `Policy`. The path is its activation
 order: each entry keeps the state it activated, its metrics and the
 per-cycle accesses and slots the blend weight needs, and
 `PolicyPath.policy` rebuilds entry j's policy from the first j
@@ -37,8 +38,8 @@ from typing import List, Optional, Tuple
 
 from .channel import LinkStats
 from .mdp import (CycleValues, NetState, Policy, PolicyMetrics,
-                  TransitionTable, _backward, k_active_policy,
-                  long_term_metrics, ratio_metrics, transition_table)
+                  TransitionTable, _backward, long_term_metrics,
+                  ratio_metrics, transition_table)
 
 
 @dataclass(frozen=True)
@@ -57,7 +58,7 @@ class PathEntry:
 class PolicyPath:
     """Frontier path from the all-idle policy on the transition table
     ``table`` of one (stats, deadline, buffer size). ``eps_th`` is the
-    access rate of the known-message-only policy (`k_active_policy`)."""
+    access rate of the known-message-only policy."""
 
     entries: List[PathEntry]
     eps_th: float
@@ -75,11 +76,12 @@ class PolicyPath:
         return Policy(probs)
 
 
-def efficiency_report(values: CycleValues, idle: List[int]) -> List[float]:
+def efficiency_report(table: TransitionTable, values: CycleValues,
+                      idle: List[int]) -> List[float]:
     """Access efficiency of each state index in ``idle``, in order, under
-    the policy ``values`` were computed from: marginal long-term secondary
-    throughput per marginal access rate when that state's access
-    probability is perturbed.
+    the policy ``values`` were computed from on ``table``: marginal
+    long-term secondary throughput per marginal access rate when that
+    state's access probability is perturbed.
 
     g', v' and d' are the derivatives of the per-cycle reward, accesses
     and duration with respect to the state's access probability. The
@@ -93,8 +95,7 @@ def efficiency_report(values: CycleValues, idle: List[int]) -> List[float]:
     limit obtained by mixing in a vanishing amount of an
     everywhere-exploring policy).
     """
-    table = values.table
-    g, v, dur = values.g, values.v, values.dur
+    g, v, dur = values
     succ, p_act, p_idl = table.space.succ, table.p_active, table.p_idle
     # the long-term throughput and access rate, as `ratio_metrics` has them
     t_s, w_s = g[0] / dur[0], v[0] / dur[0]
@@ -155,20 +156,22 @@ def greedy_policy_path(stats: LinkStats, deadline: int,
     best = None
     entries = []
     while True:
-        values = CycleValues(*_backward(table, mu), table)
+        values = _backward(table, mu)
         g, v, d = values.g[0], values.v[0], values.dur[0]
         entries.append(PathEntry(metrics=ratio_metrics(g, v, d, stats),
                                  chosen_state=best, v=v, d=d))
         if not idle:
             break
-        etas = efficiency_report(values, idle)
+        etas = efficiency_report(table, values, idle)
         best_eta = max(etas)
         if best_eta <= 0.0:
             break
         i = idle.pop(etas.index(best_eta))
         mu[i] = 1.0
         best = space.state(i)
-    eps_th = long_term_metrics(k_active_policy(space.states()), table).w_s_bar
+    n_u = space.n_unknown     # the known-message states come from n_u on
+    g, v, d = _backward(table, [0.0] * n_u + [1.0] * (len(mu) - n_u))
+    eps_th = ratio_metrics(g[0], v[0], d[0], stats).w_s_bar
     return PolicyPath(entries=entries, eps_th=eps_th, table=table)
 
 

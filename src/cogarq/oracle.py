@@ -23,10 +23,10 @@ from typing import List, Tuple
 
 import numpy as np
 
-from .channel import LinkStats
+from .channel import LinkStats, brief
 from .mdp import (NetState, Policy, StateSpace, TransitionTable, _backward,
-                  count_text, enumerate_states, long_term_metrics,
-                  state_count, state_space, transition_table)
+                  enumerate_states, long_term_metrics, state_count,
+                  state_space, transition_table)
 
 MAX_ENUM_STATES = 16
 _MASK_BLOCK = 1 << 10         # policies per array pass; bounds its memory
@@ -100,7 +100,7 @@ def check_enumerable(deadline: int, buffer_size: int) -> None:
     n_states = state_count(deadline, buffer_size)
     if n_states > MAX_ENUM_STATES:
         raise ValueError(f"state space too large to enumerate "
-                         f"({count_text(n_states)} > {MAX_ENUM_STATES})")
+                         f"({brief(n_states)} > {MAX_ENUM_STATES})")
 
 
 def enumerate_frontier(stats: LinkStats, deadline: int,

@@ -202,6 +202,16 @@ MUTANTS = [
            "except ZeroDivisionError:",
            "SystemParams: a real field's integer past the double range is "
            "refused with a ValueError"),
+    Mutant("eps_th_vector", "src/cogarq/optimizer.py",
+           "[0.0] * n_u + [1.0] * (len(mu) - n_u)",
+           "[1.0] * n_u + [0.0] * (len(mu) - n_u)",
+           "greedy_policy_path: eps_th's policy transmits in the "
+           "known-message states, the indices from n_unknown on"),
+    Mutant("brief_unchanged", "src/cogarq/channel.py",
+           "    if (isinstance(value, numbers.Integral) and not",
+           "    return repr(value)\n"
+           "    if (isinstance(value, numbers.Integral) and not",
+           "brief: a refusal shortens the outside value it names"),
 ]
 
 EQUIVALENT = [

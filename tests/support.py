@@ -29,6 +29,11 @@ def idle_policy(states: List[NetState]) -> Policy:
     return Policy({s: 0.0 for s in states})
 
 
+def k_active_policy(states: List[NetState]) -> Policy:
+    """Transmit always when the primary message is known, never otherwise."""
+    return Policy({s: (1.0 if s.phi == PHI_K else 0.0) for s in states})
+
+
 def table1_params(**overrides) -> SystemParams:
     fields = dict(TABLE1_SNRS, **TABLE1_RATES, deadline_D=5, buffer_B=4,
                   eps_pu=0.2, power_ratio=1.0)
@@ -164,15 +169,14 @@ def table_row(table, state: NetState, access_prob: float
     return {space.state(j): float(row[j]) for j in np.flatnonzero(row)}
 
 
-def reference_efficiency(values, state: NetState
+def reference_efficiency(table, values, state: NetState
                          ) -> Tuple[float, float, float, float]:
     """(g', v', d', eta) at ``state`` under the policy ``values`` were
-    computed from: the per-cycle reward, accesses and duration's
-    derivatives with respect to the state's access probability, and its
-    access efficiency, the per-state formula `efficiency_report` scans by
-    index."""
-    table = values.table
-    g, v, dur = values.g, values.v, values.dur
+    computed from on ``table``: the per-cycle reward, accesses and
+    duration's derivatives with respect to the state's access probability,
+    and its access efficiency, the per-state formula `efficiency_report`
+    scans by index."""
+    g, v, dur = values
     i = table.space.index(state)
     g_p, v_p, d_p = table.r_active[i] - table.r_idle[i], 1.0, 0.0
     for k in range(3 * i, 3 * i + 3):

@@ -171,11 +171,11 @@ def test_criterion_4_degenerate_structure():
                 idle_u = s.phi == PHI_U and pol.probs[s] == 0.0
                 if s.phi == PHI_K or idle_u:
                     v, g = cycle_value_closed(s, stats, deadline)
-                    i = cv.table.space.index(s)
+                    i = path.table.space.index(s)
                     assert abs(v - cv.v[i]) <= 1e-9
                     assert abs(g - cv.g[i]) <= 1e-9
                 if idle_u:
-                    g_p, v_p, _, _ = reference_efficiency(cv, s)
+                    g_p, v_p, _, _ = reference_efficiency(path.table, cv, s)
                     assert abs(g_p - g_prime_closed(s.t, s.b, stats,
                                                     deadline)) <= 1e-9
                     assert abs(v_p - v_prime_closed(s.t, stats,
@@ -277,18 +277,18 @@ def test_criterion_7_invariant_suites():
         table = transition_table(stats, deadline, cap)
         cv = cycle_values(pol, table)
         for access_prob in (1.0, 0.0):
-            rows = reference_matrix(cv.table, [access_prob] * len(states))
+            rows = reference_matrix(table, [access_prob] * len(states))
             assert np.abs(rows.sum(axis=1) - 1.0).max() <= 1e-12
         m = long_term_metrics(pol, table)
         t_s_pi, w_s_pi = occupancy_metrics(pol, stats, deadline, cap)
         assert abs(t_s_pi - m.t_s_bar) <= 1e-9
         assert abs(w_s_pi - m.w_s_bar) <= 1e-9
         for s in states:
-            g_p, v_p, d_p, _ = reference_efficiency(cv, s)
+            g_p, v_p, d_p, _ = reference_efficiency(table, cv, s)
             assert v_p - d_p * m.w_s_bar > 0.0
             bumped = cycle_values(pol.with_prob(s, pol.probs[s] + delta),
                                   table)
-            i = cv.table.space.index(s)
+            i = table.space.index(s)
             assert abs((bumped.g[i] - cv.g[i]) / delta - g_p) <= 1e-5
             assert abs((bumped.v[i] - cv.v[i]) / delta - v_p) <= 1e-5
             assert abs((bumped.dur[i] - cv.dur[i]) / delta - d_p) <= 1e-5

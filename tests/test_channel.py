@@ -405,6 +405,17 @@ class TestLinkStats:
         for seed in range(1, 21):
             link_stats([params], 10 ** 6, seed)[0].validate()
 
+    def test_shared_draws_keep_buffering_inside_decode_failure(self):
+        # Pr(decode PU fails) is 1 - 1.03e-10 here, so every draw reads
+        # q_ps_active = p_buf = 1.0: only because both come from the same
+        # draws does p_buf never exceed q_ps_active. An exact q_ps_active
+        # beside a Monte-Carlo p_buf fails `validate` at every seed, so the
+        # two estimates must become exact together (ROADMAP item 2).
+        params = table1_params(mean_snr_s=1e8, mean_snr_ps=1e15, rate_su=1.0,
+                               rate_p=math.log2(1.0 + 1.15e16))
+        for seed in range(1, 21):
+            link_stats([params], 10 ** 5, seed)[0].validate()
+
 
 class TestOptimizeRate:
     def test_pu_idle_rate(self, t1_params):

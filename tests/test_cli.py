@@ -12,7 +12,9 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from cogarq import cli, experiments
 from cogarq.cli import main
-from cogarq.mdp import policy_to_json_obj, k_active_policy, enumerate_states
+from cogarq.mdp import policy_to_json_obj, enumerate_states
+
+from support import k_active_policy
 
 CONFIG = {
     "mean_snr_s": 5.0, "mean_snr_p": 10.0, "mean_snr_sp": 2.0,
@@ -110,6 +112,34 @@ def _one_line_error(capsys) -> dict:
     err = capsys.readouterr().err
     assert err.count("\n") == 1
     return json.loads(err)
+
+
+# The longest error line a refused value or key may give: a refusal names
+# the field and a short form of what it got, never the whole input.
+SHORT_LINE = 120
+
+
+@pytest.mark.parametrize("command, config, row, field", [
+    ("solve", {"mean_snr_s": 2 ** 1100}, {}, "mean_snr_s"),
+    ("solve", {"eps_pu": 2 ** 1100}, {}, "eps_pu"),
+    ("simulate", {}, {"prob": 2 ** 1100}, "prob"),
+    ("solve", {"x" * 5000: 1.0}, {}, "unknown config keys: xxx"),
+], ids=["mean_snr_s", "eps_pu", "prob", "config-key"])
+def test_refusal_is_short(tmp_path, capsys, command, config, row, field):
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(dict(CONFIG, **config)))
+    policy_file = tmp_path / "policy.json"
+    rows = policy_to_json_obj(k_active_policy(enumerate_states(3, 2)))
+    policy_file.write_text(json.dumps([dict(rows[0], **row)] + rows[1:]))
+    extra = (["--policy-file", str(policy_file)] if command == "simulate"
+             else [])
+    assert main([command, "--config", str(path), *extra,
+                 "--mc-samples", "100000"]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and len(err.rstrip("\n")) < SHORT_LINE
+    obj = json.loads(err)
+    assert obj["error"] == "ValueError"
+    assert field in obj["message"]
 
 
 @pytest.mark.parametrize("missing", ["rate_p", "rate_su", "rate_sk"])
@@ -602,7 +632,7 @@ def test_edge_configs_give_strict_json_or_value_error(tmp_path, config):
     for command, extra in commands.items():
         _assert_clean_outcome(
             [command, "--config", str(path), "--mc-samples", "100000",
-             *extra], ("ValueError",))
+             *extra], ("ValueError",), max_len=SHORT_LINE)
 
 
 # Every JSON type, integers past the double range among them, and the
@@ -664,13 +694,14 @@ def test_edge_policy_files_give_strict_json_or_value_error(tmp_path, data):
             "--mc-samples", "100000"]
     if data.draw(st.booleans()):
         argv.append("--with-analytic")
-    _assert_clean_outcome(argv, ("ValueError",))
+    _assert_clean_outcome(argv, ("ValueError",), max_len=SHORT_LINE)
 
 
-def _assert_clean_outcome(argv, errors):
+def _assert_clean_outcome(argv, errors, max_len=None):
     """Run ``main(argv)`` and assert exit 0 with strict JSON (finite CSV
     from oracle and sweep) and an empty stderr, or exit 1 with an empty
-    stdout and one JSON line naming one of ``errors``, and no warning."""
+    stdout and one JSON line naming one of ``errors``, shorter than
+    ``max_len`` characters if given, and no warning."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), \
             contextlib.redirect_stderr(err), \
@@ -689,6 +720,7 @@ def _assert_clean_outcome(argv, errors):
         lines = err.getvalue().splitlines()
         assert len(lines) == 1
         assert json.loads(lines[0])["error"] in errors, (argv, lines)
+        assert max_len is None or len(lines[0]) < max_len, (argv, lines)
 
 
 def _texts(numbers):

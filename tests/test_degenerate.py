@@ -163,7 +163,7 @@ class TestThresholdStructure:
             cv = cycle_values(pol, path.table)
             idle = {(s.t, s.b) for s, p in pol.probs.items()
                     if s.phi == PHI_U and p == 0.0}
-            eta = {tb: reference_efficiency(cv,
+            eta = {tb: reference_efficiency(path.table, cv,
                                             NetState(tb[0], tb[1], PHI_U))[3]
                    for tb in idle}
             for (t, b) in idle:
@@ -185,7 +185,7 @@ class TestClosedForms:
             for s in pol.probs:
                 if s.phi == PHI_K or pol.probs[s] == 0.0:
                     v, g = cycle_value_closed(s, st, deadline)
-                    i = cv.table.space.index(s)
+                    i = path.table.space.index(s)
                     assert abs(v - cv.v[i]) <= 1e-9
                     assert abs(g - cv.g[i]) <= 1e-9
 
@@ -199,7 +199,8 @@ class TestClosedForms:
             cv = cycle_values(pol, path.table)
             for s in pol.probs:
                 if s.phi == PHI_U and pol.probs[s] == 0.0:
-                    g_p, v_p, d_p, _ = reference_efficiency(cv, s)
+                    g_p, v_p, d_p, _ = reference_efficiency(path.table, cv,
+                                                            s)
                     assert abs(g_p - g_prime_closed(s.t, s.b, st, deadline)) \
                         <= 1e-9
                     assert abs(v_p - v_prime_closed(s.t, st, deadline)) <= 1e-9

@@ -5,15 +5,16 @@ import pytest
 from hypothesis import given, settings
 
 from cogarq import (NetState, Policy, cycle_values, enumerate_states,
-                    k_active_policy, long_term_metrics, policy_from_json_obj,
+                    long_term_metrics, policy_from_json_obj,
                     policy_to_json_obj, stationary_distribution)
 from cogarq.mdp import (MAX_STATES, PHI_K, PHI_U, _visits,
                         occupancy_metrics, state_count, state_space,
                         transition_table)
 
-from support import (ROOT, feasible_stats, idle_policy, make_random_policy,
-                     make_random_stats, reference_cycle_values,
-                     reference_transition_row, sized_policies, table_row)
+from support import (ROOT, feasible_stats, idle_policy, k_active_policy,
+                     make_random_policy, make_random_stats,
+                     reference_cycle_values, reference_transition_row,
+                     sized_policies, table_row)
 
 RANDOM_CASES = [(2, 0), (2, 1), (3, 0), (3, 2), (5, 4), (5, 2)]
 
@@ -208,8 +209,9 @@ class TestStateReward:
         # one-slot accesses and slots alone.
         s = NetState(2, 1, PHI_U)
         pol = idle_policy(enumerate_states(2, 1)).with_prob(s, 0.37)
-        cv = cycle_values(pol, transition_table(t1_stats, 2, 1))
-        i = cv.table.space.index(s)
+        table = transition_table(t1_stats, 2, 1)
+        cv = cycle_values(pol, table)
+        i = table.space.index(s)
         assert cv.v[i] == 0.37
         assert cv.dur[i] == 1.0
 
@@ -225,8 +227,9 @@ class TestCycleValues:
     def test_single_slot_cycle(self, t1_stats):
         states = enumerate_states(1, 0)
         pol = Policy({states[0]: 0.4})
-        cv = cycle_values(pol, transition_table(t1_stats, 1, 0))
-        assert cv.table.space.index(ROOT) == 0
+        table = transition_table(t1_stats, 1, 0)
+        cv = cycle_values(pol, table)
+        assert table.space.index(ROOT) == 0
         assert cv.g[0] == pytest.approx(0.4 * t1_stats.t_su)
         assert cv.v[0] == pytest.approx(0.4)
         assert cv.dur[0] == 1.0
@@ -248,9 +251,10 @@ class TestCycleValues:
             stats = make_random_stats(rng)
             states = enumerate_states(deadline, cap)
             pol = make_random_policy(rng, states)
-            cv = cycle_values(pol, transition_table(stats, deadline, cap))
+            table = transition_table(stats, deadline, cap)
+            cv = cycle_values(pol, table)
             for s in states:
-                i = cv.table.space.index(s)
+                i = table.space.index(s)
                 assert 0.0 <= cv.v[i] <= cv.dur[i]
                 assert cv.dur[i] >= 1.0
                 assert cv.dur[i] <= deadline - s.t + 1 + 1e-12
@@ -360,15 +364,16 @@ def _assert_matches_reference(policy, stats, deadline, cap):
     the table's rows, its visits per cycle summing to the root's
     duration."""
     states = enumerate_states(deadline, cap)
-    cv = cycle_values(policy, transition_table(stats, deadline, cap))
+    table = transition_table(stats, deadline, cap)
+    cv = cycle_values(policy, table)
     ref = reference_cycle_values(policy, stats, deadline, cap)
     for s in states:
-        i = cv.table.space.index(s)
+        i = table.space.index(s)
         assert abs(cv.g[i] - ref.g[s]) <= 1e-12
         assert abs(cv.v[i] - ref.v[s]) <= 1e-12
         assert abs(cv.dur[i] - ref.dur[s]) <= 1e-12
         for active in (True, False):
-            row = table_row(cv.table, s, 1.0 if active else 0.0)
+            row = table_row(table, s, 1.0 if active else 0.0)
             ref_row = reference_transition_row(s, active, stats, deadline,
                                                cap)
             for nxt in set(row) | set(ref_row):
@@ -380,7 +385,7 @@ def _assert_matches_reference(policy, stats, deadline, cap):
     for s in states:
         mu = policy.probs[s]
         for access_prob, weight in ((1.0, mu), (0.0, 1.0 - mu)):
-            for nxt, p in table_row(cv.table, s, access_prob).items():
+            for nxt, p in table_row(table, s, access_prob).items():
                 pmat[idx[s], idx[nxt]] += weight * p
     a = np.vstack([(pmat.T - np.eye(n))[:-1], np.ones(n)])
     rhs = np.zeros(n)
@@ -391,7 +396,7 @@ def _assert_matches_reference(policy, stats, deadline, cap):
     for s in states:
         assert abs(pi[s] - expected[idx[s]]) <= 1e-12
     # renewal-reward: the visits per cycle sum to the cycle's duration
-    visits = _visits(cv.table, cv.table.space.vector(policy))
+    visits = _visits(table, table.space.vector(policy))
     assert abs(sum(visits) - cv.dur[0]) <= 1e-12 * cv.dur[0]
 
 

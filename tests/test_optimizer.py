@@ -7,14 +7,14 @@ from hypothesis import assume, given, settings, strategies as st
 
 from cogarq import (CycleValues, NetState, Policy, access_rate_budget,
                     cycle_values, enumerate_frontier, enumerate_states,
-                    greedy_policy_path, k_active_policy, link_stats,
-                    long_term_metrics, optimal_policy, oracle_optimum,
-                    transition_table)
+                    greedy_policy_path, link_stats, long_term_metrics,
+                    optimal_policy, oracle_optimum, transition_table)
 from cogarq import mdp, optimizer, oracle
 from cogarq.mdp import PHI_K, PHI_U
 
-from support import (feasible_stats, idle_policy, make_random_policy,
-                     make_random_stats, reference_efficiency, table1_params)
+from support import (feasible_stats, idle_policy, k_active_policy,
+                     make_random_policy, make_random_stats,
+                     reference_efficiency, table1_params)
 
 RANDOM_CASES = [(2, 0), (2, 1), (3, 0), (3, 2), (5, 4)]
 
@@ -24,7 +24,8 @@ class TestCycleDerivatives:
         pol = k_active_policy(enumerate_states(5, 4))
         s = NetState(5, 2, PHI_U)
         table = transition_table(t1_stats, 5, 4)
-        g_p, v_p, d_p, _ = reference_efficiency(cycle_values(pol, table), s)
+        g_p, v_p, d_p, _ = reference_efficiency(table,
+                                                cycle_values(pol, table), s)
         expected_g = (t1_stats.t_su
                       - (t1_stats.q_ps_active - t1_stats.q_ps_idle)
                       * 2 * t1_stats.rate_su)
@@ -37,9 +38,10 @@ class TestCycleDerivatives:
         stats = make_random_stats(rng, degenerate=True)
         states = enumerate_states(4, 3)
         pol = make_random_policy(rng, states)
-        cv = cycle_values(pol, transition_table(stats, 4, 3))
+        table = transition_table(stats, 4, 3)
+        cv = cycle_values(pol, table)
         for s in states:
-            d_p = reference_efficiency(cv, s)[2]
+            d_p = reference_efficiency(table, cv, s)[2]
             if s.phi == PHI_U:
                 assert abs(d_p) <= 1e-14
 
@@ -54,10 +56,10 @@ class TestCycleDerivatives:
             table = transition_table(stats, deadline, cap)
             cv = cycle_values(pol, table)
             for s in states:
-                g_p, v_p, d_p, _ = reference_efficiency(cv, s)
+                g_p, v_p, d_p, _ = reference_efficiency(table, cv, s)
                 bumped = cycle_values(pol.with_prob(s, pol.probs[s] + delta),
                                       table)
-                i = cv.table.space.index(s)
+                i = table.space.index(s)
                 assert abs((bumped.g[i] - cv.g[i]) / delta - g_p) <= 1e-5
                 assert abs((bumped.v[i] - cv.v[i]) / delta - v_p) <= 1e-5
                 assert abs((bumped.dur[i] - cv.dur[i]) / delta - d_p) <= 1e-5
@@ -75,7 +77,7 @@ class TestEfficiency:
             m = long_term_metrics(pol, table)
             cv = cycle_values(pol, table)
             for s in states:
-                _, v_p, d_p, _ = reference_efficiency(cv, s)
+                _, v_p, d_p, _ = reference_efficiency(table, cv, s)
                 assert v_p - d_p * m.w_s_bar > 0.0
 
     def test_u_idle_policy_efficiencies(self, t1_stats):
@@ -85,9 +87,10 @@ class TestEfficiency:
         states = enumerate_states(5, 4)
         pol = k_active_policy(states)
         pol = pol.with_prob(NetState(3, 0, PHI_K), 0.0)  # partially active
-        cv = cycle_values(pol, transition_table(t1_stats, 5, 4))
+        table = transition_table(t1_stats, 5, 4)
+        cv = cycle_values(pol, table)
         for s in states:
-            eta = reference_efficiency(cv, s)[3]
+            eta = reference_efficiency(table, cv, s)[3]
             if s.phi == PHI_K:
                 assert eta == pytest.approx(t1_stats.t_sk, abs=1e-12)
             elif s.b == 0:
@@ -101,14 +104,14 @@ class TestEfficiency:
         explore = Policy({s: 0.5 for s in states})
         s = NetState(3, 2, PHI_U)      # unreachable without U accesses
         table = transition_table(t1_stats, 5, 4)
-        eta0 = reference_efficiency(cycle_values(pol, table), s)[3]
+        eta0 = reference_efficiency(table, cycle_values(pol, table), s)[3]
         errs = []
         for upsilon in (1e-2, 1e-3):
             blended = Policy({x: upsilon * explore.probs[x]
                               + (1.0 - upsilon) * pol.probs[x]
                               for x in states})
             cv = cycle_values(blended, table)
-            errs.append(abs(reference_efficiency(cv, s)[3] - eta0))
+            errs.append(abs(reference_efficiency(table, cv, s)[3] - eta0))
         assert errs[1] <= 0.2 * errs[0] + 1e-9
         assert errs[0] <= 0.5
 
@@ -119,10 +122,10 @@ class TestEfficiency:
         table = transition_table(t1_stats, 2, 1)
         n = len(table.space.layer)
         values = CycleValues(g=[0.0] * n, v=[1e9] + [0.0] * (n - 1),
-                             dur=[1.0] * n, table=table)
+                             dur=[1.0] * n)
         with pytest.raises(RuntimeError, match=r"<= 0 at NetState\(t=1, "
                            r"b=0, phi='U'\)"):
-            optimizer.efficiency_report(values, [1, 0])
+            optimizer.efficiency_report(table, values, [1, 0])
 
     @settings(max_examples=60, derandomize=True, deadline=None)
     @given(feasible_stats(), st.integers(1, 6), st.data())
@@ -139,8 +142,10 @@ class TestEfficiency:
             pol = path.policy(j)
             values = cycle_values(pol, path.table)
             idle = [i for i, s in enumerate(states) if pol.probs[s] == 0.0]
-            ref = [reference_efficiency(values, states[i])[3] for i in idle]
-            assert optimizer.efficiency_report(values, idle) == ref
+            ref = [reference_efficiency(path.table, values, states[i])[3]
+                   for i in idle]
+            assert optimizer.efficiency_report(path.table, values,
+                                               idle) == ref
             if j + 1 < len(path.entries):
                 best = ref.index(max(ref))
                 assert ref[best] > 0.0
@@ -283,8 +288,8 @@ class TestGreedyPolicyPath:
     @pytest.mark.parametrize("deadline", [5, 20])
     def test_walk_converts_one_policy(self, t1_stats, monkeypatch,
                                       deadline):
-        # The walk evaluates its access vector by state index; the one
-        # Policy it converts is the known-message-only one, for eps_th.
+        # The walk evaluates its access vectors by state index, eps_th's
+        # known-message one included, so it converts no Policy at all.
         vector = mdp.StateSpace.vector
         calls = []
 
@@ -295,8 +300,17 @@ class TestGreedyPolicyPath:
         monkeypatch.setattr(mdp.StateSpace, "vector", counting)
         path = greedy_policy_path(t1_stats, deadline, deadline - 1)
         assert len(path.entries) > deadline
-        assert calls == [k_active_policy(enumerate_states(deadline,
-                                                          deadline - 1))]
+        assert calls == []
+
+    @pytest.mark.parametrize("deadline", [5, 20, 40])
+    def test_eps_th_is_the_known_message_policy_rate(self, t1_stats,
+                                                     deadline):
+        # eps_th, from the walk's known-message index vector, is the
+        # access rate of the known-message-only Policy, bit for bit
+        for cap in (deadline - 1, 0):
+            path = greedy_policy_path(t1_stats, deadline, cap)
+            pol = k_active_policy(enumerate_states(deadline, cap))
+            assert path.eps_th == long_term_metrics(pol, path.table).w_s_bar
 
     def test_metrics_strictly_increase(self, t1_stats):
         path = greedy_policy_path(t1_stats, 2, 1)
@@ -337,7 +351,8 @@ class TestGreedyPolicyPath:
             path = greedy_policy_path(t1_stats, deadline, deadline - 1)
             k_states = [s for s in states if s.phi == PHI_K]
             idle = cycle_values(idle_policy(states), path.table)
-            etas = {s: reference_efficiency(idle, s)[3] for s in states}
+            etas = {s: reference_efficiency(path.table, idle, s)[3]
+                    for s in states}
             assert all(etas[s] == t1_stats.t_sk for s in k_states)
             assert max(etas.values()) == t1_stats.t_sk
             assert path.entries[1].chosen_state == NetState(2, 0, PHI_K)
@@ -361,7 +376,7 @@ class TestGreedyPolicyPath:
         for j in range(deadline):
             pol = path.policy(j)
             cv = cycle_values(pol, path.table)
-            eta = {phi: [reference_efficiency(cv, s)[3]
+            eta = {phi: [reference_efficiency(path.table, cv, s)[3]
                          for s, p in pol.probs.items()
                          if s.phi == phi and p == 0.0]
                    for phi in (PHI_K, PHI_U)}

@@ -9,14 +9,14 @@ from hypothesis import example, given, settings, strategies as st
 
 from cogarq import (Policy, RegionClassifier, SimConfig, SimResult,
                     enumerate_states, empirical_transition_check,
-                    k_active_policy, long_term_metrics, run)
+                    long_term_metrics, run)
 from cogarq.mdp import PHI_K, state_space, transition_table
 from cogarq.simulator import (ACK, ACTIVE, P_OK, SK_OK, _CHUNK, _CODES,
                               _Chain, _moves)
 
-from support import (TABLE1_SNRS, idle_policy, make_random_policy,
-                     reference_matrix, reference_simulation, sized_policies,
-                     table1_params)
+from support import (TABLE1_SNRS, idle_policy, k_active_policy,
+                     make_random_policy, reference_matrix,
+                     reference_simulation, sized_policies, table1_params)
 
 
 def _config(params, policy, slots, seed):
